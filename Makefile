@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check bench bench-json bench-json-quick bench-gate bench-scaling scenario-json profile fuzz ci
+.PHONY: build vet test test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check bench bench-json bench-json-quick bench-gate bench-scaling scenario-json profile perfbench fuzz ci
 
 build:
 	$(GO) build ./...
@@ -162,6 +162,20 @@ scenario-json:
 # profile") explains what the hot symbols mean.
 profile:
 	$(GO) run ./cmd/benchjson -o /tmp/bench_profile.json -iters 1 -cpuprofile cpu.prof -memprofile mem.prof
+
+# The benchmark's layer split in one command: one `--trace 1` run of
+# perfbench/run.py per workload (deep, pipeline, stream) at a fixed seed.
+# The last line of each run is a JSON object with the per-layer times
+# (build/enum/select/rtl/check/first-cut ms) and the exact work counts;
+# perfbench/README.md explains them. Override PERFBENCH_SEED or
+# PERFBENCH_SECONDS (per run) on the command line.
+PERFBENCH_SEED ?= 1
+PERFBENCH_SECONDS ?= 20
+
+perfbench:
+	for w in deep pipeline stream; do \
+		python3 perfbench/run.py --workload $$w --seed $(PERFBENCH_SEED) --seconds $(PERFBENCH_SECONDS) --trace 1 || exit 1; \
+	done
 
 # Short fuzz runs over the untrusted entry points: the graphio parser, the
 # expression compiler and the interpreter. The committed seed corpora under

@@ -219,7 +219,8 @@ func TestParallelStatsConsistency(t *testing.T) {
 
 			if ps.Valid != ss.Valid || ps.Candidates != ss.Candidates ||
 				ps.LTRuns != ss.LTRuns || ps.OutputsTried != ss.OutputsTried ||
-				ps.SeedsPruned != ss.SeedsPruned {
+				ps.SeedsPruned != ss.SeedsPruned || ps.LastLevelTables != ss.LastLevelTables ||
+				ps.LastLevelLookups != ss.LastLevelLookups {
 				t.Fatalf("seed=%d workers=%d: work counters diverge\nserial   %+v\nparallel %+v",
 					seed, workers, ss, ps)
 			}

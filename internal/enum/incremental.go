@@ -232,6 +232,7 @@ type incEnum struct {
 	backs   []*bitset.Set // per-depth reaches-o sets
 	uncs    []*bitset.Set // per-depth input-ancestor sets for the quick-offending reject
 	chains  [][]int       // per-depth dominator-chain buffers
+	last    lastLevel     // the live two-inputs-left seed loop's chains (lastlevel.go)
 	seed1   [1]int        // scratch: single-seed kernel calls
 	fs      *flowScratch
 	stopped bool
@@ -422,7 +423,13 @@ func (e *incEnum) chainBuf(d int) []int {
 // the reachability verdict and back; o is source-reachable avoiding I
 // exactly when an entry survives in back, so the sweep — and onPath
 // entirely — is skipped for one word-parallel intersection test.
-func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn int, chain []int, needChain bool) (bool, []int) {
+//
+// When tree is non-nil (a seed level with two inputs left; chain must then
+// start empty) the sweep also records the forward dominator tree of the
+// region into the last-level table (lastlevel.go): the on-path test
+// becomes the fold of the on-path predecessors' LCA, which is empty
+// exactly when none exists.
+func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn int, chain []int, needChain bool, tree *lastLevel) (bool, []int) {
 	g := e.g
 
 	if pBack != nil {
@@ -443,24 +450,37 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 	bw := back.Words()
 	opw := onPath.Words()
 	runMax := dfg.HighestMaskedBit(g.EntrySet().Words(), bw)
+	if tree != nil {
+		tree.begin(g.N(), runMax)
+	}
 	for wi, w := range bw {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			v := wi<<6 + b
 			w &= w - 1
+			idom := int32(-1) // an entry hangs off the virtual source
 			if opw[wi]&(1<<uint(b)) == 0 {
-				if !g.PredsIntersect(v, onPath) {
-					continue // on no surviving source path
+				if tree == nil {
+					if !g.PredsIntersect(v, onPath) {
+						continue // on no surviving source path
+					}
+				} else if idom = tree.predLCA(g.PredRow(v), opw); idom == noVertex {
+					continue
 				}
 				opw[wi] |= 1 << uint(b)
 			}
 			if v == o {
 				return true, chain
 			}
+			below := len(chain)
 			if runMax <= v {
 				chain = append(chain, v)
 			}
-			if g.MaxSucc(v) > runMax {
+			if tree != nil {
+				p := dfg.HighestMaskedBit(g.SuccRow(v), bw)
+				tree.add(v, idom, p, below)
+				runMax = max(runMax, p)
+			} else if g.MaxSucc(v) > runMax {
 				if p := dfg.HighestMaskedBit(g.SuccRow(v), bw); p > runMax {
 					runMax = p
 				}
@@ -851,14 +871,33 @@ func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phas
 	}
 	onPath := e.pathBuf(depth)
 	back := e.backBuf(depth)
-	reachable, chain := e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth), ninLeft > 0)
-	e.chains[depth] = chain // keep any capacity growth for reuse
-	for _, v := range e.Ilist[phaseStart:] {
-		// Alive ⟺ some successor of v still reaches o avoiding I; o itself
-		// is a member of back, so one row intersection answers it.
-		if !e.g.SuccsIntersect(v, back) {
-			e.stats.SeedsPruned++
-			return false
+	// A seed level with two inputs left records its dominator tree in the
+	// last-level table (lastlevel.go), which then serves its children: a
+	// child with one input left below a seed loop needs no analysis.
+	var tree *lastLevel
+	if ninLeft == 2 {
+		tree = &e.last
+	}
+	served := pBack != nil && ninLeft == 1
+	var reachable bool
+	var chain []int
+	if served {
+		// No frontier either, because the seed-alive check cannot fail
+		// here: seeds are pushed in descending id order, so every other
+		// seed of the phase lies above lastIn and keeps its paths to o,
+		// and lastIn, on a surviving path, keeps one through a successor.
+		reachable = !e.last.onChain(lastIn)
+	} else {
+		reachable, chain = e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth), ninLeft > 0, tree)
+		e.chains[depth] = chain // keep any capacity growth for reuse
+		for _, v := range e.Ilist[phaseStart:] {
+			// Alive ⟺ some successor of v still reaches o avoiding I; o
+			// itself is a member of back, so one row intersection answers
+			// it.
+			if !e.g.SuccsIntersect(v, back) {
+				e.stats.SeedsPruned++
+				return false
+			}
 		}
 	}
 	if !reachable {
@@ -870,6 +909,14 @@ func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phas
 	}
 	if ninLeft <= 0 {
 		return false
+	}
+	if served {
+		if !e.last.built {
+			e.stats.LastLevelTables++
+		}
+		e.stats.LastLevelLookups++
+		chain = e.last.chainFor(lastIn, e.chainBuf(depth))
+		e.chains[depth] = chain
 	}
 
 	found := false
@@ -928,6 +975,9 @@ func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phas
 		// Iterating the onPath members directly skips the off-path mass for
 		// free; the historical index of seed i in that walk is N-1-i, which
 		// is what the recursion's seedStart carries forward.
+		if ninLeft == 2 {
+			e.last.arm(chain)
+		}
 		lastValid := -1
 		maxID := e.g.N() - 1 - seedStart
 		ow := onPath.Words()

@@ -26,8 +26,9 @@
 // completeness-critical as the search, which is why the oracle compares by
 // full signature and triages digest collisions explicitly. The two
 // approximate §5.3 prunings (PruneDominatorInput, PruneForbiddenAncestors)
-// are the only knobs that trade completeness away, are off by default, and
-// have their loss quantified in EXPERIMENTS.md.
+// are the only knobs that trade completeness away and are off by default.
+// How many cuts they lose has not been measured yet (ROADMAP.md, item
+// 4(c)).
 //
 // # The incremental search-state engine
 //
@@ -261,8 +262,8 @@ func DefaultOptions() Options {
 // implementation: the standard Nin=4/Nout=2 constraint with every §5.3
 // pruning enabled, including the two approximate ones
 // (PruneDominatorInput, PruneForbiddenAncestors). Enumeration under these
-// options is fast but may miss a small fraction of valid cuts;
-// EXPERIMENTS.md quantifies the loss.
+// options is fast but may miss valid cuts; the size of that loss has not
+// been measured yet (ROADMAP.md, item 4(c)).
 func PaperOptions() Options {
 	o := DefaultOptions()
 	o.PruneDominatorInput = true
@@ -277,10 +278,19 @@ type Stats struct {
 	Candidates   int // candidate cuts submitted to validation
 	Duplicates   int // candidates that repeated an already-seen vertex set
 	Invalid      int // candidates that failed validation
-	LTRuns       int // reduced-graph dominator analyses performed
+	LTRuns       int // reduced-graph dominator analyses served: swept, or looked up in a last-level table
 	SeedsPruned  int // seed vertices skipped by §5.3 prunings
 	OutputsTried int // output choices explored
 	Steals       int // stolen interior ranges executed (0 in serial runs)
+
+	// LastLevelTables counts the last-level tables built: one per
+	// two-inputs-left seed loop with a child that needed a chain.
+	// LastLevelLookups counts the last-level analyses served from a table
+	// instead of a region sweep; each is also one LTRuns. Neither is
+	// carried in a checkpoint snapshot, so after a resume they count the
+	// resumed run's own work only.
+	LastLevelTables  int
+	LastLevelLookups int
 
 	// StopReason classifies an early end of the run: StopNone means the
 	// search space was exhausted; any other value means the visited cuts

@@ -448,6 +448,8 @@ func addStats(dst *Stats, s Stats) {
 	dst.SeedsPruned += s.SeedsPruned
 	dst.OutputsTried += s.OutputsTried
 	dst.Steals += s.Steals
+	dst.LastLevelTables += s.LastLevelTables
+	dst.LastLevelLookups += s.LastLevelLookups
 	dst.TimedOut = dst.TimedOut || s.TimedOut
 	dst.RecordStop(s.StopReason)
 	if dst.Err == nil {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 
 	"polyise/internal/enum"
+	"polyise/internal/faultinject"
 	"polyise/internal/workload"
 )
 
@@ -194,9 +195,16 @@ func TestParallelWorkerClampAllocs(t *testing.T) {
 // worker per first-output position, so every worker exhausts the top-level
 // claims after a single subtree and all remaining balance comes from stolen
 // next-output ranges. The visit sequence must still be bit-for-bit serial,
-// and across the corpus at least one steal must actually occur (the
-// aggregate assertion keeps the test robust against scheduling luck on any
-// single instance).
+// and across the corpus at least one steal must actually occur.
+//
+// Without help the steal is a race: on a machine with few CPUs the heavy
+// first-output subtrees can finish before any light one has run dry, so no
+// donor ever sees a hungry peer. A delay at every PICK-INPUTS call takes
+// the race away. Sleeping workers leave the CPUs to the rest, so every
+// worker advances at the pace of its own search, not of the scheduler:
+// the light subtrees end after a few calls and their workers wait hungry,
+// while the heavy ones still have thousands of calls, and splittable
+// ranges, ahead of them.
 func TestParallelStealForced(t *testing.T) {
 	steals := 0
 	for seed := int64(1); seed <= 4; seed++ {
@@ -209,16 +217,23 @@ func TestParallelStealForced(t *testing.T) {
 		popt.Parallelism = g.N()
 		popt.KeepCuts = true
 		var par []string
-		stats := enum.Enumerate(g, popt, func(c enum.Cut) bool {
-			par = append(par, c.String())
-			return true
-		})
+		stats := func() enum.Stats {
+			faultinject.Install(faultinject.Injection{
+				Site: faultinject.SitePickInputs, Action: faultinject.ActDelay, Delay: 20 * time.Microsecond,
+			})
+			defer faultinject.Uninstall()
+			return enum.Enumerate(g, popt, func(c enum.Cut) bool {
+				par = append(par, c.String())
+				return true
+			})
+		}()
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("seed=%d workers=n: steal-forced sequence diverges (%d vs %d cuts)",
 				seed, len(par), len(serial))
 		}
 		steals += stats.Steals
 	}
+	t.Logf("%d steals across the corpus", steals)
 	if steals == 0 {
 		t.Fatal("no steal occurred across the corpus at workers=n — the stealing path is dead")
 	}
