@@ -37,11 +37,13 @@ chaos:
 # run (including inside the snapshot writer itself), then a resume from the
 # snapshot the contained crash left behind, at the other worker count;
 # crashed prefix + resumed suffix must be bit-identical to the serial
-# order. Runs alongside the snapshot-format compatibility suite (committed
-# golden file, version skew, truncation/corruption, round-trip fuzz seeds).
-# The hard -timeout turns a hung resume into a failure.
+# order. The enum step runs at GOMAXPROCS 1 and 4, so the resume seam is
+# also exercised under preemptive multi-P schedules. Runs alongside the
+# snapshot-format compatibility suite (committed golden file, version skew,
+# truncation/corruption, round-trip fuzz seeds). The hard -timeout turns a
+# hung resume into a failure.
 crash:
-	$(GO) test -race -run 'TestCrashResume|TestResume|TestCheckpoint' ./internal/enum/ -timeout 10m -count 1
+	$(GO) test -race -cpu 1,4 -run 'TestCrashResume|TestResume|TestCheckpoint' ./internal/enum/ -timeout 10m -count 1
 	$(GO) test -race ./internal/checkpoint/ -timeout 2m -count 1
 
 # Service-layer chaos under load: the session soak (internal/session

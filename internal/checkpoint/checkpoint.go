@@ -1,10 +1,10 @@
 // Package checkpoint defines the durable on-disk snapshot format that makes
 // long enumeration runs crash-tolerant. A snapshot captures the enumeration
 // state at a serial-order visit point — the count of cuts already delivered,
-// the top-level frontier position, the global dedup digest table, the open
-// search frames of a serial run, and partial work counters — together with
-// the identities needed to refuse a wrong resume: a content hash of the
-// input graph and a fingerprint of the semantically relevant Options.
+// the top-level frontier position, the global dedup digest table and the
+// partial work counters — together with the identities needed to refuse a
+// wrong resume: a content hash of the input graph and a fingerprint of the
+// semantically relevant Options.
 //
 // The format is deliberately dumb: a fixed magic, a version number,
 // little-endian fixed-width fields, and a trailing SHA-256 over everything
@@ -14,12 +14,13 @@
 // a crash during a snapshot write leaves the previous snapshot intact.
 //
 // What is NOT in a snapshot is as deliberate as what is: the cut set S, the
-// validator mirrors, the reaches frontiers and the seed-loop state are all
-// pure functions of the (O,I) choice stacks (rebuildS — the PR 6 invariant
-// that makes work-stealing possible makes checkpointing possible too) and
-// are recomputed on resume by replaying the in-progress top-level subtree
-// with the restored dedup table suppressing already-delivered cuts. See
-// docs/ALGORITHM.md §12 for the resume-identity argument.
+// choice stacks, the validator mirrors, the reaches frontiers and the
+// seed-loop state are all pure functions of the search position (rebuildS —
+// the invariant that makes work-stealing possible makes checkpointing
+// possible too) and are recomputed on resume by replaying the in-progress
+// top-level subtree with the restored dedup table suppressing
+// already-delivered cuts. Serial and parallel runs write the same snapshot
+// shape. See docs/ALGORITHM.md §12 for the resume-identity argument.
 package checkpoint
 
 import (
@@ -41,24 +42,7 @@ const Magic = "polyckpt"
 // Version is the current format version. Decode rejects any other value
 // with a *VersionError; there is no cross-version migration — a snapshot is
 // a resumable run state, not an archival format.
-const Version = 1
-
-// Frame is one open search frame of a serial run: a claimed position range
-// at one (outputs, inputs) prefix — the stealTask representation of
-// internal/enum/parallel.go, flattened. Cur is the position whose subtree
-// was in progress at snapshot time (to be replayed); positions before Cur
-// in the range are fully explored; (Cur, End) is untouched. OutsLen/InsLen
-// say how much of the Snapshot's Outs/Ins stacks were live below this
-// frame, which is what lets a resume verify it is fast-forwarding along the
-// same path before skipping work.
-type Frame struct {
-	Depth    int
-	Cur, End int
-	OutsLen  int
-	InsLen   int
-	NinLeft  int
-	NoutLeft int
-}
+const Version = 2
 
 // Counters mirrors the work counters of enum.Stats at the snapshot point.
 // They are advisory — resume replays some pre-snapshot work, so counters of
@@ -73,6 +57,18 @@ type Counters struct {
 	SeedsPruned  int64
 	OutputsTried int64
 	Steals       int64
+
+	LastLevelTables  int64
+	LastLevelLookups int64
+}
+
+// fields lists the counters in their on-disk order.
+func (c *Counters) fields() []*int64 {
+	return []*int64{
+		&c.Valid, &c.Candidates, &c.Duplicates, &c.Invalid, &c.LTRuns,
+		&c.SeedsPruned, &c.OutputsTried, &c.Steals,
+		&c.LastLevelTables, &c.LastLevelLookups,
+	}
 }
 
 // Snapshot is a decoded checkpoint: everything a resume needs, plus the
@@ -107,16 +103,10 @@ type Snapshot struct {
 	// not in the table re-validates to the same verdict).
 	HasZero bool
 	Digests [][2]uint64
-	// Outs, Ins and Frames are the open serial search frames (empty for
-	// parallel or post-panic snapshots, where resume replays the whole
-	// CurTop subtree instead of fast-forwarding).
-	Outs   []int
-	Ins    []int
-	Frames []Frame
 }
 
 // FormatError reports a structurally invalid snapshot: wrong magic, a
-// truncated file, or an inconsistent length field.
+// truncated file, an inconsistent length field, or a negative count.
 type FormatError struct {
 	Reason string
 }
@@ -247,36 +237,13 @@ func Encode(w io.Writer, s *Snapshot) error {
 	buf.WriteByte(s.Reason)
 	w64(uint64(s.Visited))
 	w32(uint32(s.CurTop))
-	w64(uint64(s.Stats.Valid))
-	w64(uint64(s.Stats.Candidates))
-	w64(uint64(s.Stats.Duplicates))
-	w64(uint64(s.Stats.Invalid))
-	w64(uint64(s.Stats.LTRuns))
-	w64(uint64(s.Stats.SeedsPruned))
-	w64(uint64(s.Stats.OutputsTried))
-	w64(uint64(s.Stats.Steals))
+	for _, c := range s.Stats.fields() {
+		w64(uint64(*c))
+	}
 	w32(uint32(len(s.Digests)))
 	for _, d := range s.Digests {
 		w64(d[0])
 		w64(d[1])
-	}
-	w32(uint32(len(s.Outs)))
-	for _, v := range s.Outs {
-		w32(uint32(v))
-	}
-	w32(uint32(len(s.Ins)))
-	for _, v := range s.Ins {
-		w32(uint32(v))
-	}
-	w32(uint32(len(s.Frames)))
-	for _, f := range s.Frames {
-		w32(uint32(f.Depth))
-		w32(uint32(f.Cur))
-		w32(uint32(f.End))
-		w32(uint32(f.OutsLen))
-		w32(uint32(f.InsLen))
-		w32(uint32(f.NinLeft))
-		w32(uint32(f.NoutLeft))
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	buf.Write(sum[:])
@@ -336,8 +303,10 @@ func (d *decoder) sliceLen(elem int) int {
 
 // Decode reads one snapshot from r, verifying magic, version and the
 // integrity hash before interpreting any field. All failures are typed:
-// *FormatError (structure), *VersionError (version skew), *CorruptError
-// (hash mismatch). It never panics on arbitrary input.
+// *FormatError (structure, or a negative Visited or counter — a sealed
+// hostile file would otherwise rewind the resumed run's global count),
+// *VersionError (version skew), *CorruptError (hash mismatch). It never
+// panics on arbitrary input.
 func Decode(r io.Reader) (*Snapshot, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -369,14 +338,10 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	s.Reason = d.u8()
 	s.Visited = int64(d.u64())
 	s.CurTop = int(d.u32())
-	s.Stats.Valid = int64(d.u64())
-	s.Stats.Candidates = int64(d.u64())
-	s.Stats.Duplicates = int64(d.u64())
-	s.Stats.Invalid = int64(d.u64())
-	s.Stats.LTRuns = int64(d.u64())
-	s.Stats.SeedsPruned = int64(d.u64())
-	s.Stats.OutputsTried = int64(d.u64())
-	s.Stats.Steals = int64(d.u64())
+	counters := s.Stats.fields()
+	for _, c := range counters {
+		*c = int64(d.u64())
+	}
 	if n := d.sliceLen(16); n > 0 {
 		s.Digests = make([][2]uint64, n)
 		for i := range s.Digests {
@@ -384,36 +349,19 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			s.Digests[i][1] = d.u64()
 		}
 	}
-	if n := d.sliceLen(4); n > 0 {
-		s.Outs = make([]int, n)
-		for i := range s.Outs {
-			s.Outs[i] = int(d.u32())
-		}
-	}
-	if n := d.sliceLen(4); n > 0 {
-		s.Ins = make([]int, n)
-		for i := range s.Ins {
-			s.Ins[i] = int(d.u32())
-		}
-	}
-	if n := d.sliceLen(7 * 4); n > 0 {
-		s.Frames = make([]Frame, n)
-		for i := range s.Frames {
-			f := &s.Frames[i]
-			f.Depth = int(d.u32())
-			f.Cur = int(d.u32())
-			f.End = int(d.u32())
-			f.OutsLen = int(d.u32())
-			f.InsLen = int(d.u32())
-			f.NinLeft = int(d.u32())
-			f.NoutLeft = int(d.u32())
-		}
-	}
 	if d.err {
 		return nil, &FormatError{Reason: "inconsistent length field"}
 	}
 	if d.off != len(body) {
 		return nil, &FormatError{Reason: "trailing bytes after snapshot"}
+	}
+	if s.Visited < 0 {
+		return nil, &FormatError{Reason: "negative visited count"}
+	}
+	for _, c := range counters {
+		if *c < 0 {
+			return nil, &FormatError{Reason: "negative work counter"}
+		}
 	}
 	return s, nil
 }

@@ -18,9 +18,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden snapshot file")
 
 // sampleSnapshot is a fixed, fully-populated snapshot: every field class is
-// exercised (flags, counters, the zero digest, choice stacks, frames). It
-// doubles as the golden-file content, so it must never change — format
-// evolution means a new Version and a new golden file, not edits here.
+// exercised (flags, counters, the zero digest). It doubles as the
+// golden-file content, so it must never change — format evolution means a
+// new Version and a new golden file, not edits here.
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
 		GraphHash: [2]uint64{0x0123456789abcdef, 0xfedcba9876543210},
@@ -32,15 +32,10 @@ func sampleSnapshot() *Snapshot {
 		Stats: Counters{
 			Valid: 12345, Candidates: 99999, Duplicates: 4242, Invalid: 777,
 			LTRuns: 31337, SeedsPruned: 11, OutputsTried: 2024, Steals: 9,
+			LastLevelTables: 512, LastLevelLookups: 4096,
 		},
 		HasZero: true,
 		Digests: [][2]uint64{{0, 0}, {1, 2}, {0xffffffffffffffff, 3}, {4, 5}},
-		Outs:    []int{17, 23, 31},
-		Ins:     []int{2, 3, 5, 7},
-		Frames: []Frame{
-			{Depth: 0, Cur: 17, End: 60, OutsLen: 1, InsLen: 0, NinLeft: 4, NoutLeft: 2},
-			{Depth: 1, Cur: 23, End: 31, OutsLen: 2, InsLen: 2, NinLeft: 2, NoutLeft: 1},
-		},
 	}
 }
 
@@ -77,12 +72,12 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGolden pins the byte-exact v1 encoding against a committed file, in
+// TestGolden pins the byte-exact v2 encoding against a committed file, in
 // both directions: today's encoder must reproduce the golden bytes, and
 // today's decoder must read them back to the sample snapshot. Any failure
 // means the format changed without a version bump.
 func TestGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "snapshot_v1.golden")
+	golden := filepath.Join("testdata", "snapshot_v2.golden")
 	raw := encodeToBytes(t, sampleSnapshot())
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -97,7 +92,7 @@ func TestGolden(t *testing.T) {
 		t.Fatalf("missing golden file (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(raw, want) {
-		t.Fatalf("encoding diverged from committed golden file (%d vs %d bytes): the v1 format changed without a version bump", len(raw), len(want))
+		t.Fatalf("encoding diverged from committed golden file (%d vs %d bytes): the v2 format changed without a version bump", len(raw), len(want))
 	}
 	got, err := Decode(bytes.NewReader(want))
 	if err != nil {
@@ -108,9 +103,22 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestV1Refused pins the v1→v2 break: the committed v1 golden file is
+// refused as version skew, before any of its fields are interpreted.
+func TestV1Refused(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ve *VersionError
+	if _, err := Decode(bytes.NewReader(raw)); !errors.As(err, &ve) || ve.Got != 1 {
+		t.Fatalf("v1 snapshot: err = %v, want *VersionError{Got: 1}", err)
+	}
+}
+
 func TestVersionSkew(t *testing.T) {
 	raw := encodeToBytes(t, sampleSnapshot())
-	for _, v := range []uint32{0, 2, 0xffffffff} {
+	for _, v := range []uint32{0, 1, Version + 1, 0xffffffff} {
 		bad := append([]byte(nil), raw...)
 		binary.LittleEndian.PutUint32(bad[len(Magic):], v)
 		var ve *VersionError
@@ -172,8 +180,8 @@ func TestInconsistentLengths(t *testing.T) {
 	s := sampleSnapshot()
 	raw := encodeToBytes(t, s)
 	// The digest-count field follows magic, version, hash pair, N, opt
-	// hash, 2 flag bytes, visited, curtop and 8 counters.
-	digestCountOff := len(Magic) + 4 + 16 + 4 + 8 + 2 + 8 + 4 + 8*8
+	// hash, 2 flag bytes, visited, curtop and 10 counters.
+	digestCountOff := len(Magic) + 4 + 16 + 4 + 8 + 2 + 8 + 4 + 10*8
 	if got := binary.LittleEndian.Uint32(raw[digestCountOff:]); got != uint32(len(s.Digests)) {
 		t.Fatalf("test offset arithmetic is stale: read %d at digest count, want %d", got, len(s.Digests))
 	}
@@ -191,6 +199,33 @@ func TestInconsistentLengths(t *testing.T) {
 	var fe *FormatError
 	if _, err := Decode(bytes.NewReader(rehash(padded))); !errors.As(err, &fe) {
 		t.Fatalf("trailing bytes: err = %v, want *FormatError", err)
+	}
+}
+
+// TestNegativeCounts patches Visited and each counter to a negative value
+// in a correctly sealed snapshot: the decoder must refuse it. A negative
+// Visited would otherwise rewind the resumed run's seam-global count, so a
+// MaxCuts cap would deliver far more cuts than it allows.
+func TestNegativeCounts(t *testing.T) {
+	raw := encodeToBytes(t, sampleSnapshot())
+	visitedOff := len(Magic) + 4 + 16 + 4 + 8 + 2
+	counterOff := visitedOff + 8 + 4
+	if got := binary.LittleEndian.Uint64(raw[visitedOff:]); got != uint64(sampleSnapshot().Visited) {
+		t.Fatalf("test offset arithmetic is stale: read %d at Visited", got)
+	}
+	offs := []int{visitedOff}
+	for i := 0; i < 10; i++ {
+		offs = append(offs, counterOff+8*i)
+	}
+	for _, off := range offs {
+		for _, v := range []int64{-1, -1000, -1 << 63} {
+			bad := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint64(bad[off:], uint64(v))
+			var fe *FormatError
+			if _, err := Decode(bytes.NewReader(rehash(bad))); !errors.As(err, &fe) {
+				t.Fatalf("value %d at offset %d: err = %v, want *FormatError", v, off, err)
+			}
+		}
 	}
 }
 
@@ -242,8 +277,9 @@ func TestGraphDigest(t *testing.T) {
 }
 
 // FuzzCheckpoint mirrors graphio.FuzzRead: arbitrary bytes must either
-// decode to a snapshot that re-encodes and re-decodes to itself, or fail
-// with a typed error — never panic, never loop.
+// decode to a snapshot with non-negative counts that re-encodes and
+// re-decodes to itself, or fail with a typed error — never panic, never
+// loop. The committed v1 golden file seeds the version-skew path.
 func FuzzCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
@@ -258,6 +294,11 @@ func FuzzCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	v1, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := Decode(bytes.NewReader(raw))
 		if err != nil {
@@ -268,6 +309,14 @@ func FuzzCheckpoint(f *testing.F) {
 				t.Fatalf("untyped decode error %v", err)
 			}
 			return
+		}
+		if s.Visited < 0 {
+			t.Fatalf("decoded a negative Visited %d", s.Visited)
+		}
+		for _, c := range s.Stats.fields() {
+			if *c < 0 {
+				t.Fatalf("decoded a negative counter in %+v", s.Stats)
+			}
 		}
 		var out bytes.Buffer
 		if err := Encode(&out, s); err != nil {

@@ -29,17 +29,11 @@ package enum
 // re-delivery of its pre-snapshot cuts — the dedup table is the skip
 // mechanism, not just an optimization. By facts 1 and 2 the replay walks
 // the same nodes to the same verdicts, so the first novel delivery is
-// exactly the cut the interrupted run would have delivered next.
-//
-// Serial snapshots additionally carry the open pickOutputRange frames (the
-// stealTask representation: (O,I) prefixes plus position ranges), used as a
-// fast-forward path: a replayed frame whose identity matches a saved frame
-// starts its loop at the saved position, skipping the fully-explored
-// prefix of its range (ffwdEngage). Frames alone cannot BE the resume —
-// the seed-extension loops between them thread cross-iteration state
-// (lastValid under PruneDominatorInput) that is deliberately not
-// serialized, for exactly the reason those loops are not stealable (see
-// posRange) — so fast-forward accelerates the replay without replacing it.
+// exactly the cut the interrupted run would have delivered next. Replay is
+// the only resume mechanism: serial and parallel runs write the same
+// snapshot shape through one builder (ckptWriter.snapshot), and the replay
+// costs a few percent of dominator analyses over the remaining work
+// (EXPERIMENTS.md, "Resume replay cost").
 //
 // Dedup-scope compatibility across the seam: serial tables hold every
 // candidate digest, the parallel merge's table only delivered cuts'. Both
@@ -132,22 +126,69 @@ func (ck *ckptWriter) write(s *checkpoint.Snapshot) (err error) {
 	return checkpoint.WriteFile(ck.path, s)
 }
 
-// newSnap starts a snapshot with the run's identity fields filled in.
-func (ck *ckptWriter) newSnap() *checkpoint.Snapshot {
-	return &checkpoint.Snapshot{GraphHash: ck.gHash, GraphN: ck.gN, OptHash: ck.optHash}
+// snapshot builds the run's snapshot at a serial-order visit point: the
+// delivered count, curTop — the first top-level position not fully
+// visited — the counters, and the digests of seen, which suppress the
+// replayed curTop subtree's pre-snapshot deliveries on resume. Serial and
+// parallel runs build the same shape; they differ only in who owns
+// visited, curTop and seen (the serial worker, or the parallel merge).
+func (ck *ckptWriter) snapshot(seen *sigSet, visited, curTop int, st Stats) *checkpoint.Snapshot {
+	st.Valid = visited
+	return &checkpoint.Snapshot{
+		GraphHash: ck.gHash,
+		GraphN:    ck.gN,
+		OptHash:   ck.optHash,
+		Reason:    uint8(st.StopReason),
+		Visited:   int64(visited),
+		CurTop:    curTop,
+		Stats:     countersOf(st),
+		Digests:   seen.AppendDigests(nil),
+	}
+}
+
+// writeFinal writes the snapshot that ends a run, after the search has
+// unwound: resumable at curTop when the run stopped, or marked Done — no
+// dedup table, nothing to resume — when it exhausted the search space.
+// Nothing that runs after a stop changes visited, curTop or seen, and a
+// contained panic unwinds without running frame epilogues, so the unwound
+// state is the stop-time state. A failed write becomes the run's error
+// unless it already has one.
+func (ck *ckptWriter) writeFinal(seen *sigSet, visited, curTop int, st *Stats) {
+	snap := ck.snapshot(seen, visited, curTop, *st)
+	if st.StopReason == StopNone {
+		snap.Done, snap.CurTop, snap.Digests = true, ck.gN, nil
+	}
+	if err := ck.write(snap); err != nil && st.Err == nil {
+		st.Err = err
+		st.RecordStop(StopError)
+	}
+}
+
+// installResume seeds a serial worker from a snapshot: the dedup table
+// (the suppression mechanism for the replayed subtree) and the counter
+// baseline with Valid set to the delivered count — which keeps MaxCuts and
+// CheckpointEvery counting globally across the seam.
+func (e *incEnum) installResume(snap *checkpoint.Snapshot) {
+	for _, d := range snap.Digests {
+		e.seen.Insert(d)
+	}
+	e.stats = statsFromCounters(snap.Stats)
+	e.stats.Valid = int(snap.Visited)
 }
 
 // countersOf extracts the advisory work counters of a Stats.
 func countersOf(s Stats) checkpoint.Counters {
 	return checkpoint.Counters{
-		Valid:        int64(s.Valid),
-		Candidates:   int64(s.Candidates),
-		Duplicates:   int64(s.Duplicates),
-		Invalid:      int64(s.Invalid),
-		LTRuns:       int64(s.LTRuns),
-		SeedsPruned:  int64(s.SeedsPruned),
-		OutputsTried: int64(s.OutputsTried),
-		Steals:       int64(s.Steals),
+		Valid:            int64(s.Valid),
+		Candidates:       int64(s.Candidates),
+		Duplicates:       int64(s.Duplicates),
+		Invalid:          int64(s.Invalid),
+		LTRuns:           int64(s.LTRuns),
+		SeedsPruned:      int64(s.SeedsPruned),
+		OutputsTried:     int64(s.OutputsTried),
+		Steals:           int64(s.Steals),
+		LastLevelTables:  int64(s.LastLevelTables),
+		LastLevelLookups: int64(s.LastLevelLookups),
 	}
 }
 
@@ -155,178 +196,17 @@ func countersOf(s Stats) checkpoint.Counters {
 // counter baseline.
 func statsFromCounters(c checkpoint.Counters) Stats {
 	return Stats{
-		Valid:        int(c.Valid),
-		Candidates:   int(c.Candidates),
-		Duplicates:   int(c.Duplicates),
-		Invalid:      int(c.Invalid),
-		LTRuns:       int(c.LTRuns),
-		SeedsPruned:  int(c.SeedsPruned),
-		OutputsTried: int(c.OutputsTried),
-		Steals:       int(c.Steals),
+		Valid:            int(c.Valid),
+		Candidates:       int(c.Candidates),
+		Duplicates:       int(c.Duplicates),
+		Invalid:          int(c.Invalid),
+		LTRuns:           int(c.LTRuns),
+		SeedsPruned:      int(c.SeedsPruned),
+		OutputsTried:     int(c.OutputsTried),
+		Steals:           int(c.Steals),
+		LastLevelTables:  int(c.LastLevelTables),
+		LastLevelLookups: int(c.LastLevelLookups),
 	}
-}
-
-// liveSnap captures the serial worker's current state as a snapshot: the
-// delivered count, the in-progress top-level position, every candidate
-// digest seen so far, and the open pickOutputRange frames with the choice
-// stacks backing them. Everything is copied — the capture must survive the
-// stack unwinding that follows a stop.
-func (e *incEnum) liveSnap() *checkpoint.Snapshot {
-	s := e.ck.newSnap()
-	s.Reason = uint8(e.stats.StopReason)
-	s.Visited = int64(e.stats.Valid)
-	s.CurTop = e.topPos
-	s.Stats = countersOf(e.stats)
-	s.Digests = e.seen.AppendDigests(nil)
-	s.Outs = append([]int(nil), e.outs...)
-	s.Ins = append([]int(nil), e.Ilist...)
-	if len(e.ranges) > 0 {
-		s.Frames = make([]checkpoint.Frame, len(e.ranges))
-		for i, r := range e.ranges {
-			s.Frames[i] = checkpoint.Frame{
-				Depth: r.depth, Cur: r.cur, End: r.end,
-				OutsLen: r.outsLen, InsLen: r.insLen,
-				NinLeft: r.ninLeft, NoutLeft: r.noutLeft,
-			}
-		}
-	}
-	return s
-}
-
-// doneSnap is the completion snapshot: the run exhausted the search space,
-// so only the identity and the final counters matter — no dedup table, no
-// frames, nothing to resume.
-func (e *incEnum) doneSnap() *checkpoint.Snapshot {
-	s := e.ck.newSnap()
-	s.Done = true
-	s.Visited = int64(e.stats.Valid)
-	s.CurTop = e.g.N()
-	s.Stats = countersOf(e.stats)
-	return s
-}
-
-// captureSnap records the live state at the serial stop moment, for the
-// final snapshot write after the search unwinds. The first stop wins; the
-// capture is valid even when the stop is a contained panic — the unwinding
-// runs no frame epilogues, so e.ranges still holds the frame stack, whose
-// claimed positions are coherent ([start, cur) fully explored at every
-// level; the in-flight cur subtrees are replayed on resume).
-func (e *incEnum) captureSnap() {
-	if e.ck == nil || e.pendSnap != nil {
-		return
-	}
-	e.pendSnap = e.liveSnap()
-}
-
-// writePeriodic writes a mid-run snapshot from the live state (serial
-// periodic cadence; called at the visit point in checkCut). A failed write
-// stops the run with StopError: continuing would silently void durability.
-func (e *incEnum) writePeriodic() {
-	if err := e.ck.write(e.liveSnap()); err != nil {
-		e.fail(err)
-	}
-}
-
-// writeFinal writes the stop-time snapshot of a serial run: the state
-// captured at the stop moment, or the completion snapshot when the run
-// exhausted the search space.
-func (e *incEnum) writeFinal() {
-	snap := e.pendSnap
-	if snap == nil {
-		if e.stats.StopReason != StopNone {
-			snap = e.liveSnap() // defensive: stop without a capture point
-		} else {
-			snap = e.doneSnap()
-		}
-	}
-	if err := e.ck.write(snap); err != nil && e.stats.Err == nil {
-		e.stats.Err = err
-		e.stats.RecordStop(StopError)
-	}
-}
-
-// mergeSnap builds a parallel run's snapshot from the merge state: the
-// delivered count, the top-level position of the last delivered cut (every
-// earlier position is fully drained by merge order), and the global dedup
-// table of delivered cuts. Parallel snapshots carry no frames — resume
-// replays the whole CurTop subtree, because worker frame stacks are
-// schedule-dependent and never quiescent at the merge's visit point.
-func (ck *ckptWriter) mergeSnap(seen *sigSet, visited, curTop int, agg Stats) *checkpoint.Snapshot {
-	s := ck.newSnap()
-	s.Reason = uint8(agg.StopReason)
-	s.Visited = int64(visited)
-	s.CurTop = curTop
-	agg.Valid = visited
-	s.Stats = countersOf(agg)
-	s.Digests = seen.AppendDigests(nil)
-	return s
-}
-
-// resumeState carries a validated snapshot into the run internals.
-type resumeState struct {
-	startTop int
-	visited  int64
-	stats    Stats // counter baseline (advisory; Valid is overwritten)
-	digests  [][2]uint64
-	outs     []int
-	ins      []int
-	frames   []checkpoint.Frame
-}
-
-// installResume seeds a serial worker from the snapshot: the dedup table
-// (the suppression mechanism for the replayed subtree), the counter
-// baseline with Valid set to the delivered count — which keeps MaxCuts and
-// CheckpointEvery counting globally across the seam — and the saved frames
-// for fast-forward.
-func (e *incEnum) installResume(rs *resumeState) {
-	for _, d := range rs.digests {
-		e.seen.Insert(d)
-	}
-	e.stats = rs.stats
-	e.stats.Valid = int(rs.visited)
-	if len(rs.frames) > 0 {
-		e.ffwd = rs.frames
-		e.ffwdOuts = rs.outs
-		e.ffwdIns = rs.ins
-	}
-}
-
-// ffwdEngage tries to align the just-pushed pickOutputRange frame at stack
-// index ri with the resumed snapshot's saved frame of the same index. The
-// frame identity — depth, range end, budgets, and the full (outs, Ilist)
-// stacks at frame entry — determines the search node uniquely (each node
-// is one choice sequence), so a full match means this IS the saved frame:
-// the loop may start at the saved position, skipping the fully-explored
-// [start, Cur) prefix. A mismatch just means the replay is passing through
-// an earlier sibling node on its way to the saved path; nothing engages
-// and nothing is skipped. Engagement is gated on e.ffwdOn — the number of
-// saved frames currently matched-and-on-path — so a deeper saved frame can
-// only engage while every shallower one is still sitting at its saved
-// position (the claim loop truncates ffwdOn the moment a matched level
-// moves past it).
-func (e *incEnum) ffwdEngage(ri, depth, start, end, ninLeft, noutLeft int) {
-	if ri != e.ffwdOn || ri >= len(e.ffwd) {
-		return
-	}
-	f := e.ffwd[ri]
-	if f.Depth != depth || f.End != end || f.Cur < start ||
-		f.NinLeft != ninLeft || f.NoutLeft != noutLeft ||
-		f.OutsLen != len(e.outs) || f.InsLen != len(e.Ilist) ||
-		f.OutsLen > len(e.ffwdOuts) || f.InsLen > len(e.ffwdIns) {
-		return
-	}
-	for i, o := range e.outs {
-		if e.ffwdOuts[i] != o {
-			return
-		}
-	}
-	for i, v := range e.Ilist {
-		if e.ffwdIns[i] != v {
-			return
-		}
-	}
-	e.ranges[ri].cur = f.Cur - 1 // the loop's next claim is the saved Cur
-	e.ffwdOn = ri + 1
 }
 
 // ResumeEnumerate continues an interrupted enumeration from a decoded
@@ -375,20 +255,14 @@ func ResumeEnumerate(g *dfg.Graph, opt Options, snap *checkpoint.Snapshot, visit
 	if snap.CurTop < 0 || snap.CurTop > g.N() {
 		return Stats{}, &checkpoint.FormatError{Reason: "frontier position out of range"}
 	}
-	rs := &resumeState{
-		startTop: snap.CurTop,
-		visited:  snap.Visited,
-		stats:    statsFromCounters(snap.Stats),
-		digests:  snap.Digests,
-		outs:     snap.Outs,
-		ins:      snap.Ins,
-		frames:   snap.Frames,
+	if snap.Visited < 0 {
+		return Stats{}, &checkpoint.FormatError{Reason: "negative visited count"}
 	}
 	var stats Stats
 	if w := parallel.Workers(opt.Parallelism); w > 1 && g.N() > 1 {
-		stats = enumerateParallel(g, opt, visit, w, rs)
+		stats = enumerateParallel(g, opt, visit, w, snap)
 	} else {
-		stats = enumerateSerial(g, opt, visit, rs)
+		stats = enumerateSerial(g, opt, visit, snap)
 	}
 	if stats.Err != nil {
 		return stats, stats.Err

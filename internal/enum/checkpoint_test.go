@@ -140,8 +140,9 @@ func TestResumeAfterBudgetStop(t *testing.T) {
 // TestResumeFromMidRunSnapshot is the hard-crash case: a periodic snapshot
 // copied away mid-run (as a crashed process would leave it, behind the
 // delivered frontier) must resume to exactly the remaining serial suffix.
-// The serial × CheckpointEvery=1 case additionally exercises the saved
-// fast-forward frames at maximum depth.
+// The serial × CheckpointEvery=1 case snapshots at every visit point, so
+// the replay of the frontier subtree must suppress pre-snapshot cuts from
+// every depth of the search.
 func TestResumeFromMidRunSnapshot(t *testing.T) {
 	g := workload.MiBenchLike(rand.New(rand.NewSource(2)), 35, workload.DefaultProfile())
 	sopt := enum.DefaultOptions()
@@ -257,8 +258,8 @@ func TestCheckpointStopChannel(t *testing.T) {
 }
 
 // TestResumeValidation pins the refusal paths: wrong graph, wrong semantic
-// options, completed snapshot, corrupt frontier — each a typed error, no
-// enumeration started.
+// options, completed snapshot, corrupt frontier, negative delivered count —
+// each a typed error, no enumeration started.
 func TestResumeValidation(t *testing.T) {
 	g := workload.MiBenchLike(rand.New(rand.NewSource(4)), 30, workload.DefaultProfile())
 	path := filepath.Join(t.TempDir(), "v.ckpt")
@@ -295,6 +296,13 @@ func TestResumeValidation(t *testing.T) {
 	var fe *checkpoint.FormatError
 	if _, err := enum.ResumeEnumerate(g, opt, &bad, noVisit); !errors.As(err, &fe) {
 		t.Fatalf("corrupt frontier: err = %v, want FormatError", err)
+	}
+	// A negative delivered count would rewind the seam-global MaxCuts
+	// count and deliver far more than the cap.
+	neg := *snap
+	neg.Visited = -1000
+	if _, err := enum.ResumeEnumerate(g, opt, &neg, noVisit); !errors.As(err, &fe) {
+		t.Fatalf("negative visited count: err = %v, want FormatError", err)
 	}
 }
 

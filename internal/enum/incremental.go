@@ -54,18 +54,19 @@ func Enumerate(g *dfg.Graph, opt Options, visit func(Cut) bool) Stats {
 }
 
 // enumerateSerial is the serial run loop, shared by Enumerate and
-// ResumeEnumerate: rs, when non-nil, seeds the worker from a snapshot and
-// restarts the top-level loop at the snapshot's frontier position.
-func enumerateSerial(g *dfg.Graph, opt Options, visit func(Cut) bool, rs *resumeState) Stats {
+// ResumeEnumerate: snap, when non-nil, seeds the worker from a snapshot and
+// restarts the top-level loop at the snapshot's frontier position, whose
+// subtree is replayed (see checkpoint.go).
+func enumerateSerial(g *dfg.Graph, opt Options, visit func(Cut) bool, snap *checkpoint.Snapshot) Stats {
 	sh := newEnumShared(g, opt)
 	e := sh.newWorker(visit, nil)
 	if opt.CheckpointPath != "" {
 		e.ck = newCkptWriter(g, opt)
 	}
 	start := 0
-	if rs != nil {
-		start = rs.startTop
-		e.installResume(rs)
+	if snap != nil {
+		start = snap.CurTop
+		e.installResume(snap)
 	}
 	func() {
 		// Failure semantics (serial): a panic anywhere in the search — the
@@ -74,20 +75,15 @@ func enumerateSerial(g *dfg.Graph, opt Options, visit func(Cut) bool, rs *resume
 		// cuts already visited are a coherent prefix of the enumeration
 		// order; the worker state is abandoned, so containment needs no
 		// repair beyond stopping (and, when checkpointing, writing the
-		// final snapshot from the stop-time capture below).
+		// final snapshot below).
 		defer e.recoverPanic()
-		for pos := start; pos < g.N(); pos++ {
-			if e.stopped {
-				break
-			}
-			e.topLevel(pos)
-			// Saved fast-forward frames only address the replayed first
-			// subtree; past it the resumed run is in novel territory.
-			e.ffwd = nil
+		for pos := start; pos < g.N() && !e.stopped; pos++ {
+			e.topPos = pos // the snapshot frontier: positions before it are done
+			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
 		}
 	}()
 	if e.ck != nil {
-		e.writeFinal()
+		e.ck.writeFinal(e.seen, e.stats.Valid, e.topPos, &e.stats)
 	}
 	return e.stats
 }
@@ -252,20 +248,12 @@ type incEnum struct {
 	// (sendTask); allocated on the first donation, reset per send.
 	stallTimer *time.Timer
 
-	// Checkpoint state, nil/zero unless Options.CheckpointPath is set on a
-	// serial run (the parallel merge owns its own writer): ck writes
-	// snapshots, topPos tracks the current top-level position, pendSnap is
-	// the state captured at the stop moment for the final snapshot. The
-	// ffwd fields carry a resumed snapshot's saved frames and backing
-	// choice stacks for fast-forward (ffwdEngage); ffwdOn counts the saved
-	// frames currently matched and still on the saved path.
-	ck       *ckptWriter
-	topPos   int
-	pendSnap *checkpoint.Snapshot
-	ffwd     []checkpoint.Frame
-	ffwdOuts []int
-	ffwdIns  []int
-	ffwdOn   int
+	// Checkpoint state of a serial run, nil/zero unless
+	// Options.CheckpointPath is set (the parallel merge owns its own
+	// writer): ck writes snapshots, topPos is the current top-level
+	// position — the snapshot frontier.
+	ck     *ckptWriter
+	topPos int
 }
 
 // posRange is one live pickOutputRange frame: the topological positions
@@ -519,33 +507,6 @@ func (e *incEnum) viable(ninLeft int) bool {
 	return !offending || ninLeft > 0
 }
 
-// topLevel explores the complete search subtree rooted at the depth-0
-// output candidate sitting at topological position pos, leaving the worker
-// state as it found it (empty). The serial algorithm calls it for every
-// position in order; the sharded parallel one hands positions to workers,
-// because distinct first-output subtrees never share search state — only
-// the cut deduplication couples them, and that moves into the merge stage.
-func (e *incEnum) topLevel(pos int) {
-	if e.stopped || e.opt.MaxOutputs <= 0 {
-		return
-	}
-	e.topPos = pos // the snapshot frontier: positions before this are done
-	o := e.g.Topo()[pos]
-	if !e.admissibleOutput(o) {
-		return
-	}
-	e.stats.OutputsTried++
-	e.outs = append(e.outs, o)
-	e.outSet.Add(o)
-	e.growS(0)
-	if e.viable(e.opt.MaxInputs) {
-		e.pickInputs(1, pos, o, e.opt.MaxInputs, e.opt.MaxOutputs-1, 0, len(e.Ilist), nil)
-	}
-	e.undoGrowS(0)
-	e.outSet.Remove(o)
-	e.outs = e.outs[:len(e.outs)-1]
-}
-
 // pickOutput implements PICK-OUTPUT: choose the next output o, grow S by
 // {o} ∪ B(I, o), then hand over to input selection (which also covers the
 // "I already dominates o" branch of figure 3).
@@ -555,9 +516,6 @@ func (e *incEnum) topLevel(pos int) {
 // so requiring strictly increasing positions makes the "skip ancestors of
 // selected outputs" rule free and canonicalizes the choice order.
 func (e *incEnum) pickOutput(depth, lastTopo, ninLeft, noutLeft int) {
-	if e.stopped || noutLeft <= 0 {
-		return
-	}
 	start := 0
 	if e.opt.PruneOutputOutput {
 		start = lastTopo + 1
@@ -571,10 +529,14 @@ func (e *incEnum) pickOutput(depth, lastTopo, ninLeft, noutLeft int) {
 // frame whose end a concurrent-donation poll (maybeSplit, reached from the
 // loop body's recursion) may pull in, and whose epilogue switches the
 // worker onto any resume segments splits created. A thief enters here
-// directly (runTask) with the donor's reconstructed prefix state. Serial
-// runs take the same path with an empty steal state; the frame bookkeeping
-// is a few appends per level.
+// directly (runTask) with the donor's reconstructed prefix state, and every
+// top-level subtree — serial, sharded or resumed — is the one-position
+// range [pos, pos+1) at depth 0. Serial runs take the same path with an
+// empty steal state; the frame bookkeeping is a few appends per level.
 func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
+	if e.stopped || noutLeft <= 0 {
+		return
+	}
 	// With the input budget exhausted, a push whose grown cut would contain
 	// a root or forbidden vertex is dead on arrival (viable() below), and
 	// that fate is often decidable without running the grow kernel: an
@@ -600,9 +562,6 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 		outsLen: len(e.outs), insLen: len(e.Ilist),
 		ninLeft: ninLeft, noutLeft: noutLeft,
 	})
-	if e.ffwd != nil {
-		e.ffwdEngage(ri, depth, start, end, ninLeft, noutLeft)
-	}
 	// The frame must be addressed as e.ranges[ri] afresh after any
 	// recursion: deeper levels append to the slice and may move it.
 	for !e.stopped {
@@ -611,11 +570,6 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 			break
 		}
 		e.ranges[ri].cur = pos
-		if e.ffwd != nil && e.ffwdOn > ri && pos != e.ffwd[ri].Cur {
-			// A matched level moved past its saved position: the walk left
-			// the saved path here, so deeper saved frames no longer apply.
-			e.ffwdOn = ri
-		}
 		o := topo[pos]
 		if !e.admissibleOutput(o) {
 			continue
@@ -1151,11 +1105,6 @@ func (e *incEnum) stopExternal(r StopReason) {
 	if e.ext != nil {
 		e.ext.Store(true)
 	}
-	// Serial checkpointing runs capture the stop-time state here — before
-	// the unwinding pops any frame — for the final snapshot (captureSnap is
-	// a no-op when no checkpoint path is configured). This covers every
-	// serial stop cause, contained panics included: fail() routes here.
-	e.captureSnap()
 }
 
 // fail records err as the worker's first error and stops the run with
@@ -1267,7 +1216,6 @@ func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
 						e.stats.RecordStop(StopVisitor)
 					}
 					e.stopped = true
-					e.captureSnap()
 					return
 				}
 				// The serial cuts-retained cap; the parallel one lives in
@@ -1277,13 +1225,13 @@ func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
 					return
 				}
 				// Serial periodic checkpoint cadence, at the visit point
-				// (the parallel one lives in the merge drain): frames are
-				// coherent here — every level's earlier positions are fully
-				// explored — so the snapshot resumes bit-exactly.
+				// (the parallel one lives in the merge drain). A failed
+				// write stops the run: continuing would silently void
+				// durability.
 				if e.ck != nil && e.opt.CheckpointEvery > 0 &&
 					e.stats.Valid%e.opt.CheckpointEvery == 0 {
-					e.writePeriodic()
-					if e.stopped {
+					if err := e.ck.write(e.ck.snapshot(e.seen, e.stats.Valid, e.topPos, e.stats)); err != nil {
+						e.fail(err)
 						return
 					}
 				}

@@ -86,7 +86,8 @@ func TestEngineDeltaSMatchesRebuildS(t *testing.T) {
 				return false
 			}
 		}
-		// Full unwind must leave the worker empty, as topLevel requires.
+		// Full unwind must leave the worker empty, as the depth-0 range of
+		// the next top-level position requires.
 		for len(stack) > 0 {
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]

@@ -165,9 +165,8 @@ type Options struct {
 	KeepCuts bool
 
 	// Deadline, when non-zero, aborts the enumeration once the wall clock
-	// passes it; Stats.StopReason reports StopDeadline (and the deprecated
-	// TimedOut alias stays set). The check runs every few thousand search
-	// steps, so overruns are small.
+	// passes it; Stats.StopReason reports StopDeadline. The check runs
+	// every few thousand search steps, so overruns are small.
 	Deadline time.Time
 
 	// Context, when non-nil, cancels the enumeration once its Done channel
@@ -286,9 +285,7 @@ type Stats struct {
 	// LastLevelTables counts the last-level tables built: one per
 	// two-inputs-left seed loop with a child that needed a chain.
 	// LastLevelLookups counts the last-level analyses served from a table
-	// instead of a region sweep; each is also one LTRuns. Neither is
-	// carried in a checkpoint snapshot, so after a resume they count the
-	// resumed run's own work only.
+	// instead of a region sweep; each is also one LTRuns.
 	LastLevelTables  int
 	LastLevelLookups int
 
@@ -303,10 +300,4 @@ type Stats struct {
 	// *StallError for a steal handoff the watchdog declared dead, or a
 	// baseline-specific error. Non-nil implies StopReason == StopError.
 	Err error
-
-	// TimedOut reports that the run hit Options.Deadline.
-	//
-	// Deprecated: equivalent to StopReason == StopDeadline; kept as an
-	// alias for callers predating StopReason.
-	TimedOut bool
 }

@@ -3,12 +3,13 @@ package enum
 // Sharded parallel POLY-ENUM-INCR with interior work-stealing. The top
 // level of the incremental search chooses the first output by walking the
 // topological order, and the subtree under each first-output choice touches
-// no search state of any other subtree (topLevel resets the worker between
-// positions). That makes first-output positions the natural initial shard
-// grain: workers claim positions dynamically, each running the exact serial
-// algorithm on its own clone-per-shard state (validator, dedup map, bitset
-// scratch, flow solver), and a merge stage reassembles the per-position cut
-// streams in position order.
+// no search state of any other subtree (every pickOutputRange frame leaves
+// the worker state as it found it, so one depth-0 frame per position
+// starts and ends empty). That makes first-output positions the natural
+// initial shard grain: workers claim positions dynamically, each running
+// the exact serial algorithm on its own clone-per-shard state (validator,
+// dedup map, bitset scratch, flow solver), and a merge stage reassembles
+// the per-position cut streams in position order.
 //
 // Subtree sizes are heavily skewed, though — one fat first-output subtree
 // bounds the speedup of pure position sharding at any worker count. So once
@@ -71,6 +72,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"polyise/internal/checkpoint"
 	"polyise/internal/dfg"
 	"polyise/internal/faultinject"
 	"polyise/internal/parallel"
@@ -207,21 +209,23 @@ func (e *incEnum) runTaskBody(t stealTask) {
 	e.pickOutputRange(t.depth, t.posStart, t.posEnd, t.ninLeft, t.noutLeft)
 }
 
-// runTop executes one top-level subtree under the parallel panic boundary;
-// the caller closes curSeg afterwards whether or not the subtree died.
+// runTop executes one top-level subtree — the depth-0 range [pos, pos+1),
+// the same loop stolen ranges and resumes enter — under the parallel panic
+// boundary; the caller closes curSeg afterwards whether or not the subtree
+// died.
 func (e *incEnum) runTop(pos int) {
 	defer e.containPanic()
 	e.seen.Reset()
-	e.topLevel(pos)
+	e.pickOutputRange(0, pos, pos+1, e.opt.MaxInputs, e.opt.MaxOutputs)
 }
 
 // enumerateParallel runs the sharded enumeration with the given worker
 // count (≥ 2). The caller guarantees g is frozen and has at least 2 nodes.
-// rs, when non-nil, resumes from a snapshot: workers start claiming
+// snap, when non-nil, resumes from a snapshot: workers start claiming
 // top-level positions at the snapshot frontier and the merge's dedup table
 // and delivered count are pre-seeded, so the replayed frontier subtree
 // re-emits only novel cuts (see ResumeEnumerate).
-func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers int, rs *resumeState) Stats {
+func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers int, snap *checkpoint.Snapshot) Stats {
 	n := g.N()
 	if workers > n {
 		// More initial shards than first-output positions would only burn
@@ -253,9 +257,9 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 	var next atomic.Int64
 	var mu sync.Mutex
 	var agg Stats
-	if rs != nil {
-		next.Store(int64(rs.startTop))
-		agg = rs.stats // counter baseline; Valid is overwritten below
+	if snap != nil {
+		next.Store(int64(snap.CurTop))
+		agg = statsFromCounters(snap.Stats) // counter baseline; Valid is overwritten below
 		agg.Valid = 0
 	}
 
@@ -329,15 +333,15 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 	var mStats Stats // merge-level stop reason and first error
 	emitted, unique, visited, discarded := 0, 0, 0, 0
 	startTop := 0
-	if rs != nil {
+	if snap != nil {
 		// Resume seeding: the pre-snapshot prefix counts as visited (MaxCuts
 		// and CheckpointEvery bind across the seam), its digests suppress
 		// re-delivery from the replayed frontier subtree, and the top-level
 		// segments before the frontier — which no worker will claim — close
 		// empty so the drain walks straight past them.
-		startTop = rs.startTop
-		visited = int(rs.visited)
-		for _, d := range rs.digests {
+		startTop = snap.CurTop
+		visited = int(snap.Visited)
+		for _, d := range snap.Digests {
 			seen.Insert(d)
 		}
 		for i := 0; i < startTop && i < n; i++ {
@@ -407,7 +411,7 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 		// frontier. A failed write stops the run: continuing would
 		// silently void durability.
 		if ck != nil && opt.CheckpointEvery > 0 && visited%opt.CheckpointEvery == 0 {
-			if err := ck.write(ck.mergeSnap(seen, visited, curTop, mStats)); err != nil {
+			if err := ck.write(ck.snapshot(seen, visited, curTop, mStats)); err != nil {
 				if mStats.Err == nil {
 					mStats.Err = err
 				}
@@ -424,16 +428,7 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 	if ck != nil {
 		// Final snapshot, after every worker settled: resumable at the
 		// last delivered cut's frontier, or marked Done on completion.
-		snap := ck.mergeSnap(seen, visited, curTop, agg)
-		if agg.StopReason == StopNone {
-			snap.Done = true
-			snap.CurTop = n
-			snap.Digests = nil
-		}
-		if err := ck.write(snap); err != nil && agg.Err == nil {
-			agg.Err = err
-			agg.RecordStop(StopError)
-		}
+		ck.writeFinal(seen, visited, curTop, &agg)
 	}
 	return agg
 }
@@ -450,7 +445,6 @@ func addStats(dst *Stats, s Stats) {
 	dst.Steals += s.Steals
 	dst.LastLevelTables += s.LastLevelTables
 	dst.LastLevelLookups += s.LastLevelLookups
-	dst.TimedOut = dst.TimedOut || s.TimedOut
 	dst.RecordStop(s.StopReason)
 	if dst.Err == nil {
 		dst.Err = s.Err

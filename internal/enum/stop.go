@@ -56,13 +56,10 @@ func (r StopReason) String() string {
 }
 
 // RecordStop merges reason r into the stats, keeping the highest-precedence
-// reason and maintaining the deprecated TimedOut alias.
+// reason.
 func (s *Stats) RecordStop(r StopReason) {
 	if r > s.StopReason {
 		s.StopReason = r
-	}
-	if r == StopDeadline {
-		s.TimedOut = true
 	}
 }
 

@@ -224,7 +224,8 @@ func TestValidateZeroAlloc(t *testing.T) {
 // TestEnumerateSteadyStateAllocs pins the steady-state behaviour of the
 // whole visit loop: after a warm-up enumeration on the same worker (scratch
 // buffers, per-depth snapshots and the dedup table all grown), re-running
-// every top-level subtree must allocate nothing.
+// every top-level subtree — the depth-0 range [pos, pos+1) every run loop
+// enters — must allocate nothing.
 func TestEnumerateSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := randValGraph(r, 100)
@@ -234,7 +235,7 @@ func TestEnumerateSteadyStateAllocs(t *testing.T) {
 	e := sh.newWorker(func(Cut) bool { return true }, nil)
 	run := func() {
 		for pos := range g.Topo() {
-			e.topLevel(pos)
+			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
 		}
 	}
 	run() // warm-up: grows all scratch state
