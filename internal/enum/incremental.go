@@ -256,41 +256,6 @@ type incEnum struct {
 	topPos int
 }
 
-// posRange is one live pickOutputRange frame: the topological positions
-// [cur+1, end) are this level's untried next-output candidates, and a donor
-// may give away the upper half of that interval because the iterations are
-// mutually independent — each one restores S, outs and Ilist to the frame's
-// entry state, which outsLen/insLen record as prefix lengths so a thief can
-// reconstruct it (S is a pure function of the outs/Ilist prefixes;
-// rebuildS). cur and end are only ever mutated by the owning worker's own
-// goroutine: a split shrinks end and publishes the cut-off tail as a task,
-// never touching another worker's state.
-//
-// Seed-extension intervals (the seedLoop of pickInputs) are deliberately
-// NOT stealable: under PruneDominatorInput the loop threads lastValid
-// across iterations, so a stolen tail executed concurrently could not
-// reproduce the serial pruning decisions. Next-output intervals carry no
-// such cross-iteration state (uncAll and quickRej are level-constant).
-type posRange struct {
-	depth    int // recursion depth of the frame (journal/scratch index)
-	cur      int // last claimed topological position; [start, cur] are taken
-	end      int // exclusive upper bound; shrunk by splits
-	outsLen  int // len(outs) at frame entry — the shared output prefix
-	insLen   int // len(Ilist) at frame entry — the shared input prefix
-	ninLeft  int
-	noutLeft int
-}
-
-// segResume records the resume segment a split created: once the range
-// frame at rangeIdx finishes, the donor closes its current segment and
-// continues emitting into seg, which the merge places right after the
-// stolen segment — the exact serial position of the donor's post-range
-// output.
-type segResume struct {
-	rangeIdx int
-	seg      *parallel.Seg[Cut]
-}
-
 // journalBuf returns the undo-journal buffer for recursion depth d. Each
 // active search-tree push owns the buffer of its own depth: it records the
 // exact set of vertices the push added to (output push) or removed from
@@ -599,137 +564,6 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 	}
 	e.ranges = e.ranges[:ri]
 	e.popRangeSegs(ri)
-}
-
-// maybeSplit is the donation poll: when another worker is hungry, give away
-// the upper half of the shallowest splittable next-output interval on the
-// frame stack. Called from the hot admission paths (pickInputs, checkCut);
-// the serial fast path is one nil check and the parallel no-donor fast path
-// one atomic load.
-//
-// Splitting the SHALLOWEST splittable frame first does double duty. It
-// donates the largest subtree (best granularity), and it is what makes
-// splicing at the worker's CURRENT segment correct: a frame's remaining
-// interval only ever shrinks, so once a frame is unsplittable it stays so,
-// which makes the rangeIdx values on segStack non-decreasing — every
-// already-promised stolen range belongs to a frame at least as deep as the
-// one being split now, so its output serially precedes the newly stolen
-// tail, and the merge-list order (new splices sit closest to the current
-// segment) reproduces exactly that.
-func (e *incEnum) maybeSplit() {
-	st := e.steal
-	if st == nil || e.stopped {
-		return
-	}
-	if st.hungry.Load() == 0 {
-		return
-	}
-	if h := faultinject.OnStealPublish; h != nil {
-		// Fires before claimHungry, so an injected panic here dies with no
-		// hungry slot claimed and no segment spliced — containment needs to
-		// repair nothing of the handoff.
-		h()
-	}
-	for ri := range e.ranges {
-		remaining := e.ranges[ri].end - (e.ranges[ri].cur + 1)
-		if remaining < 2 {
-			continue
-		}
-		if !st.claimHungry() {
-			return // the hungry worker was claimed by another donor
-		}
-		r := &e.ranges[ri] // stable here: no recursion below
-		oldEnd := r.end
-		mid := r.cur + 1 + (remaining+1)/2
-		stolen, resume := st.ord.Split(e.curSeg)
-		t := stealTask{
-			seg:      stolen,
-			depth:    r.depth,
-			posStart: mid,
-			posEnd:   r.end,
-			ninLeft:  r.ninLeft,
-			noutLeft: r.noutLeft,
-			outs:     append([]int(nil), e.outs[:r.outsLen]...),
-			ins:      append([]int(nil), e.Ilist[:r.insLen]...),
-		}
-		r.end = mid
-		e.segStack = append(e.segStack, segResume{rangeIdx: ri, seg: resume})
-		e.sendTask(t, ri, oldEnd, resume)
-		return
-	}
-}
-
-// defaultStealStallTimeout bounds how long a donor waits for a claimed
-// thief to accept a handoff before declaring the protocol's liveness
-// broken. Under the handoff discipline the claimed thief is parked in its
-// task select and committed to receive, so on a healthy run the send
-// completes in microseconds; the timeout only fires if an invariant is
-// broken, and then a diagnosable StallError beats an invisible hang.
-// Options.StealStallTimeout overrides it per run (the watchdog's own tests
-// and the session layer's per-request tightening both go through that
-// field — no global state).
-const defaultStealStallTimeout = 10 * time.Second
-
-// stallTimeout resolves the run's effective watchdog bound.
-func (e *incEnum) stallTimeout() time.Duration {
-	if e.opt.StealStallTimeout > 0 {
-		return e.opt.StealStallTimeout
-	}
-	return defaultStealStallTimeout
-}
-
-// sendTask hands t to the claimed hungry worker, guarded by the stall
-// watchdog. The claimed thief is committed to receive (see stealState), so
-// the send normally completes at once; if it does not within
-// stallTimeout(), the donor reabsorbs the donated range instead of
-// hanging: the frame's end is restored so the donor runs the positions
-// itself, the stolen and resume segments close empty (order-correct — the
-// donor's current segment precedes both in the merge list, so its output
-// keeps its serial position), the task's freshly minted liveness token is
-// released, and the run stops with a StallError.
-func (e *incEnum) sendTask(t stealTask, ri, oldEnd int, resume *parallel.Seg[Cut]) {
-	st := e.steal
-	st.active.Add(1) // the task's liveness token; the receiver inherits it
-	timeout := e.stallTimeout()
-	if e.stallTimer == nil {
-		e.stallTimer = time.NewTimer(timeout)
-	} else {
-		e.stallTimer.Reset(timeout)
-	}
-	select {
-	case st.tasks <- t:
-		e.stallTimer.Stop()
-		return
-	case <-e.stallTimer.C:
-	}
-	// Stall: reabsorb. segStack's top is the entry just pushed by
-	// maybeSplit — no recursion ran in between.
-	e.ranges[ri].end = oldEnd
-	e.segStack = e.segStack[:len(e.segStack)-1]
-	st.ord.Close(t.seg)
-	st.ord.Close(resume)
-	// The donor still holds its own token, so this release cannot be the
-	// last one; the check mirrors the thief loop for symmetry.
-	if st.active.Add(-1) == 0 {
-		close(st.done)
-	}
-	e.fail(&StallError{Timeout: timeout})
-}
-
-// popRangeSegs runs at a pickOutputRange frame's epilogue: for every split
-// the frame granted (LIFO on segStack), close the segment the worker has
-// been emitting into and move onto the split's resume segment, whose merge
-// position is right after the corresponding stolen range's output. With
-// several splits of one frame the intermediate resume segments close empty
-// — the donor reached the final (earliest-created) resume segment only
-// after walking through the later ones.
-func (e *incEnum) popRangeSegs(ri int) {
-	for len(e.segStack) > 0 && e.segStack[len(e.segStack)-1].rangeIdx == ri {
-		top := e.segStack[len(e.segStack)-1]
-		e.segStack = e.segStack[:len(e.segStack)-1]
-		e.steal.ord.Close(e.curSeg)
-		e.curSeg = top.seg
-	}
 }
 
 // quickOffending reports whether growing S for output o is certain to
@@ -1124,34 +958,6 @@ func (e *incEnum) recoverPanic() {
 	if v := recover(); v != nil {
 		e.fail(&PanicError{Value: v, Stack: debug.Stack()})
 	}
-}
-
-// containPanic is the parallel containment boundary, deferred around each
-// top-level subtree (runTop) and each stolen task body (runTaskBody). It
-// converts the panic into the run's first error and repairs the worker's
-// merge obligations: the unwinding skipped every pickOutputRange epilogue
-// on the stack, so the resume segments those frames' splits promised are
-// closed here in LIFO order (replicating popRangeSegs), leaving curSeg on
-// the final resume segment for the caller's own Close. Every segment is
-// still closed exactly once and the ordered merge drains instead of
-// deadlocking. The choice state is reset so the worker can keep claiming
-// segments and serving its thief/token duties; the search-state corruption
-// left behind (S, journals, validator mirror) is irrelevant because the
-// stop flag is already raised — no further search runs on this worker.
-func (e *incEnum) containPanic() {
-	v := recover()
-	if v == nil {
-		return
-	}
-	e.fail(&PanicError{Value: v, Stack: debug.Stack()})
-	for len(e.segStack) > 0 {
-		top := e.segStack[len(e.segStack)-1]
-		e.segStack = e.segStack[:len(e.segStack)-1]
-		e.steal.ord.Close(e.curSeg)
-		e.curSeg = top.seg
-	}
-	e.ranges = e.ranges[:0]
-	e.resetChoice()
 }
 
 // resetChoice clears the output/input choice state (and the cut it
