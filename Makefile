@@ -9,6 +9,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test: build vet
 	$(GO) test ./...
@@ -17,10 +18,13 @@ test: build vet
 # only proves state ownership under the race detector. -short trims the
 # mid-size oracle/regression instances whose deadline-budgeted runs would
 # dominate the race sweep without adding concurrency coverage (the full
-# instances run race-free in `test` and `diff-oracle`).
+# instances run race-free in `test` and `diff-oracle`). The root package's
+# public-API tests run at GOMAXPROCS 1 and 4: DefaultOptions leaves
+# Parallelism at 0 (one worker per GOMAXPROCS), so -cpu 4 drives them
+# through the sharded enumeration.
 test-race:
 	$(GO) test -race -short ./internal/parallel/ ./internal/enum/ ./internal/bench/
-	$(GO) test -race -run 'Parallel|Corpus' .
+	$(GO) test -race -cpu 1,4 .
 
 # Fail-safe certification: the deterministic fault-injection sweep
 # (internal/enum chaos_test.go, failure_test.go; internal/faultinject) under

@@ -52,7 +52,7 @@ func TestRunCountsMatchAcrossAlgorithms(t *testing.T) {
 }
 
 func TestBudgetTimesOut(t *testing.T) {
-	g := workload.Tree(7, 2) // 255-node tree: exhaustive search cannot finish fast
+	g := workload.Tree(9, 2) // 1023-node tree: exhaustive search cannot finish fast
 	opt := enum.DefaultOptions()
 	m := Run(AlgPruned, g, opt, 30*time.Millisecond)
 	if !m.Stopped() {

@@ -90,8 +90,9 @@ type Snapshot struct {
 	// Visited is the number of cuts delivered to the visitor before the
 	// snapshot point — the length of the already-delivered serial prefix.
 	Visited int64
-	// CurTop is the first top-level (output) position not yet fully
-	// visited; resume restarts the top-level loop here.
+	// CurTop is the top-level (output) position of the last delivered
+	// cut; every earlier position is fully visited, and resume restarts
+	// the top-level loop here.
 	CurTop int
 	// Stats holds the advisory work counters at the snapshot point.
 	Stats Counters

@@ -22,18 +22,20 @@ package enum
 //     first Visited cuts of the serial order" describes the delivered
 //     prefix exactly, at any worker count.
 //
-// Therefore a resume needs only: the first top-level position not fully
-// visited (CurTop), the dedup digests of what was already delivered, and
-// the delivered count. It restarts the top-level loop at CurTop; the
-// in-progress subtree is REPLAYED, and the restored digest table suppresses
-// re-delivery of its pre-snapshot cuts — the dedup table is the skip
-// mechanism, not just an optimization. By facts 1 and 2 the replay walks
-// the same nodes to the same verdicts, so the first novel delivery is
-// exactly the cut the interrupted run would have delivered next. Replay is
-// the only resume mechanism: serial and parallel runs write the same
-// snapshot shape through one builder (ckptWriter.snapshot), and the replay
-// costs a few percent of dominator analyses over the remaining work
-// (EXPERIMENTS.md, "Resume replay cost").
+// Therefore a resume needs only: the top-level position of the last
+// delivered cut (CurTop; every earlier position is fully visited), the
+// dedup digests of what was already delivered, and the delivered count. It
+// restarts the top-level loop at CurTop; the in-progress subtree is
+// REPLAYED, and the restored digest table suppresses re-delivery of its
+// pre-snapshot cuts — the dedup table is the skip mechanism, not just an
+// optimization. By facts 1 and 2 the replay walks the same nodes to the
+// same verdicts, so the first novel delivery is exactly the cut the
+// interrupted run would have delivered next. Replay is the only resume
+// mechanism, and it costs a few percent of dominator analyses over the
+// remaining work (EXPERIMENTS.md, "Resume replay cost"). Serial and
+// parallel runs share one visit point (visitPoint), which owns the
+// delivered count, the frontier, the budgets at delivery and every
+// snapshot.
 //
 // Dedup-scope compatibility across the seam: serial tables hold every
 // candidate digest, the parallel merge's table only delivered cuts'. Both
@@ -111,9 +113,9 @@ func newCkptWriter(g *dfg.Graph, opt Options) *ckptWriter {
 // chaos suite kill a run in the middle of a snapshot write and prove the
 // previous snapshot survives (checkpoint.WriteFile is temp+rename). A
 // panic during the write is contained here and surfaced as the write
-// error — snapshot writes happen at the final-write and merge-drain call
-// sites that sit outside the workers' recoverPanic scope, so containment
-// must live with the write itself.
+// error — the final write runs after the search has unwound, outside every
+// worker's containment scope, so containment must live with the write
+// itself.
 func (ck *ckptWriter) write(s *checkpoint.Snapshot) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -126,54 +128,142 @@ func (ck *ckptWriter) write(s *checkpoint.Snapshot) (err error) {
 	return checkpoint.WriteFile(ck.path, s)
 }
 
-// snapshot builds the run's snapshot at a serial-order visit point: the
-// delivered count, curTop — the first top-level position not fully
-// visited — the counters, and the digests of seen, which suppress the
-// replayed curTop subtree's pre-snapshot deliveries on resume. Serial and
-// parallel runs build the same shape; they differ only in who owns
-// visited, curTop and seen (the serial worker, or the parallel merge).
-func (ck *ckptWriter) snapshot(seen *sigSet, visited, curTop int, st Stats) *checkpoint.Snapshot {
-	st.Valid = visited
+// visitPoint is a run's serial-order visit point: the one place where a
+// deduplicated valid cut reaches the caller's visitor, and so the one place
+// where the delivery budgets bind and snapshots are taken. A serial run's
+// worker delivers from checkCut; a parallel run's merge delivers after its
+// global dedup, in drain order, which is serial order. Either way the
+// visitor has received exactly the first `visited` cuts of the serial
+// order, which is what a snapshot records.
+type visitPoint struct {
+	opt     Options
+	visit   func(Cut) bool
+	ck      *ckptWriter // nil unless Options.CheckpointPath is set
+	seen    *sigSet     // the global dedup table: the serial worker's, or the merge's
+	st      *Stats      // where stops are recorded; its counters ride in snapshots
+	visited int         // cuts delivered in the logical run, resume prefix included
+	curTop  int         // top-level position of the last delivered cut: the resume frontier
+}
+
+// newVisitPoint builds the visit point of one run over the dedup table
+// seen, recording stops into st. snap, when non-nil, seeds it from a
+// resume snapshot: the digests suppress re-delivery from the replayed
+// frontier subtree, the delivered count keeps MaxCuts and CheckpointEvery
+// counting across the seam, the frontier is the snapshot's, and the
+// counters become st's baseline. A snapshot that already holds MaxCuts
+// cuts records StopBudget here, and the caller must not start the search.
+// Rejecting at delivery would be too late: the serial worker inserts a
+// candidate's digest before delivering it, and a digest the table holds
+// but the visitor never received is suppressed on every later resume.
+func newVisitPoint(g *dfg.Graph, opt Options, visit func(Cut) bool, seen *sigSet, st *Stats, snap *checkpoint.Snapshot) *visitPoint {
+	vp := &visitPoint{opt: opt, visit: visit, seen: seen, st: st}
+	if opt.CheckpointPath != "" {
+		vp.ck = newCkptWriter(g, opt)
+	}
+	if snap != nil {
+		for _, d := range snap.Digests {
+			seen.Insert(d)
+		}
+		*st = statsFromCounters(snap.Stats)
+		vp.visited, vp.curTop = int(snap.Visited), snap.CurTop
+		if opt.MaxCuts > 0 && vp.visited >= opt.MaxCuts {
+			st.RecordStop(StopBudget)
+		}
+	}
+	return vp
+}
+
+// deliver hands c, a deduplicated valid cut from top-level position top,
+// to the visitor and applies the visit-point policy: panic containment
+// around the visitor, MaxCuts, the CheckpointStop poll and the
+// CheckpointEvery snapshot. It reports whether the run may go on; on false
+// the reason is already recorded in st.
+func (vp *visitPoint) deliver(c Cut, top int) (ok bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			vp.fail(&PanicError{Value: v, Stack: debug.Stack()})
+			ok = false
+		}
+	}()
+	vp.visited++
+	vp.curTop = top
+	if !vp.visit(c) {
+		vp.st.RecordStop(StopVisitor)
+		return false
+	}
+	if vp.opt.MaxCuts > 0 && vp.visited >= vp.opt.MaxCuts {
+		vp.st.RecordStop(StopBudget)
+		return false
+	}
+	// Polled here as well as in the workers' Stoppers: on a small parallel
+	// search every worker may have finished producing before the merge
+	// delivers the cut whose visitor pulls the trigger.
+	if vp.opt.CheckpointStop != nil {
+		select {
+		case <-vp.opt.CheckpointStop:
+			vp.st.RecordStop(StopCheckpoint)
+			return false
+		default:
+		}
+	}
+	// A failed periodic write stops the run: continuing would silently void
+	// durability.
+	if vp.ck != nil && vp.opt.CheckpointEvery > 0 && vp.visited%vp.opt.CheckpointEvery == 0 {
+		if err := vp.ck.write(vp.snapshot(*vp.st)); err != nil {
+			vp.fail(err)
+			return false
+		}
+	}
+	return true
+}
+
+// fail records err as the visit point's first error and StopError.
+func (vp *visitPoint) fail(err error) {
+	if vp.st.Err == nil {
+		vp.st.Err = err
+	}
+	vp.st.RecordStop(StopError)
+}
+
+// snapshot builds the run's snapshot at the visit point: the delivered
+// count, curTop, the counters of st, and the digests of the dedup table,
+// which suppress the replayed curTop subtree's pre-snapshot deliveries on
+// resume.
+func (vp *visitPoint) snapshot(st Stats) *checkpoint.Snapshot {
+	st.Valid = vp.visited
 	return &checkpoint.Snapshot{
-		GraphHash: ck.gHash,
-		GraphN:    ck.gN,
-		OptHash:   ck.optHash,
+		GraphHash: vp.ck.gHash,
+		GraphN:    vp.ck.gN,
+		OptHash:   vp.ck.optHash,
 		Reason:    uint8(st.StopReason),
-		Visited:   int64(visited),
-		CurTop:    curTop,
+		Visited:   int64(vp.visited),
+		CurTop:    vp.curTop,
 		Stats:     countersOf(st),
-		Digests:   seen.AppendDigests(nil),
+		Digests:   vp.seen.AppendDigests(nil),
 	}
 }
 
-// writeFinal writes the snapshot that ends a run, after the search has
-// unwound: resumable at curTop when the run stopped, or marked Done — no
-// dedup table, nothing to resume — when it exhausted the search space.
-// Nothing that runs after a stop changes visited, curTop or seen, and a
-// contained panic unwinds without running frame epilogues, so the unwound
-// state is the stop-time state. A failed write becomes the run's error
-// unless it already has one.
-func (ck *ckptWriter) writeFinal(seen *sigSet, visited, curTop int, st *Stats) {
-	snap := ck.snapshot(seen, visited, curTop, *st)
-	if st.StopReason == StopNone {
-		snap.Done, snap.CurTop, snap.Digests = true, ck.gN, nil
+// finish ends the run once the search has unwound and returns its Stats,
+// st, with Valid set to the delivered count. With checkpointing on it
+// writes the final snapshot: resumable at curTop when the run stopped, or
+// marked Done (no dedup table, nothing to resume) when it exhausted the
+// search space. Nothing that runs after a stop changes visited, curTop or
+// the dedup table, and a contained panic unwinds without running frame
+// epilogues, so the unwound state is the stop-time state. A failed write
+// becomes the run's error unless it already has one.
+func (vp *visitPoint) finish(st *Stats) Stats {
+	st.Valid = vp.visited
+	if vp.ck != nil {
+		snap := vp.snapshot(*st)
+		if st.StopReason == StopNone {
+			snap.Done, snap.CurTop, snap.Digests = true, vp.ck.gN, nil
+		}
+		if err := vp.ck.write(snap); err != nil && st.Err == nil {
+			st.Err = err
+			st.RecordStop(StopError)
+		}
 	}
-	if err := ck.write(snap); err != nil && st.Err == nil {
-		st.Err = err
-		st.RecordStop(StopError)
-	}
-}
-
-// installResume seeds a serial worker from a snapshot: the dedup table
-// (the suppression mechanism for the replayed subtree) and the counter
-// baseline with Valid set to the delivered count — which keeps MaxCuts and
-// CheckpointEvery counting globally across the seam.
-func (e *incEnum) installResume(snap *checkpoint.Snapshot) {
-	for _, d := range snap.Digests {
-		e.seen.Insert(d)
-	}
-	e.stats = statsFromCounters(snap.Stats)
-	e.stats.Valid = int(snap.Visited)
+	return *st
 }
 
 // countersOf extracts the advisory work counters of a Stats.

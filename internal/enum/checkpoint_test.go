@@ -67,9 +67,10 @@ func readSnap(t *testing.T, path string) *checkpoint.Snapshot {
 }
 
 // TestResumeAfterBudgetStop drives the seam through budget stops: a run
-// capped at k cuts leaves a final snapshot, a resume capped at k+m more
-// must deliver exactly serial[k:k+m] — MaxCuts counts the whole logical
-// run, not the resumed process — and a chained second resume finishes the
+// capped at k cuts leaves a final snapshot, a resume under the same cap
+// delivers nothing and leaves the frontier where it was, a resume capped
+// at k+m must deliver exactly serial[k:k+m] — MaxCuts counts the whole
+// logical run, not the resumed process — and a chained resume finishes the
 // sequence. Every (interrupt, resume) worker-count pair crosses the seam.
 func TestResumeAfterBudgetStop(t *testing.T) {
 	g := workload.MiBenchLike(rand.New(rand.NewSource(1)), 35, workload.DefaultProfile())
@@ -100,11 +101,29 @@ func TestResumeAfterBudgetStop(t *testing.T) {
 				t.Fatalf("wA=%d: snapshot Visited=%d Done=%v, want %d false", wA, snap1.Visited, snap1.Done, k)
 			}
 
-			// Resume with a further budget: the cap is global across the seam.
+			// Resume under the same cap: the snapshot already holds k cuts,
+			// so the run stops before its search starts, delivers nothing,
+			// and its final snapshot keeps the input's frontier.
+			p0 := filepath.Join(dir, "same.ckpt")
+			copt := ckptOpt(p0, wB, 0)
+			copt.MaxCuts = k
+			got0, stats0 := resumeCollect(t, g, copt, snap1)
+			if len(got0) != 0 || stats0.Valid != k || stats0.StopReason != enum.StopBudget {
+				t.Fatalf("wA=%d wB=%d: resume at the cap delivered %d cuts, Valid=%d reason=%v; want 0, %d, budget",
+					wA, wB, len(got0), stats0.Valid, stats0.StopReason, k)
+			}
+			snap0 := readSnap(t, p0)
+			if snap0.Visited != int64(k) || snap0.CurTop != snap1.CurTop || snap0.Done {
+				t.Fatalf("wA=%d wB=%d: resume at the cap wrote Visited=%d CurTop=%d Done=%v, want %d %d false",
+					wA, wB, snap0.Visited, snap0.CurTop, snap0.Done, k, snap1.CurTop)
+			}
+
+			// Resume with a further budget, from the capped resume's own
+			// snapshot: the cap is global across the seam.
 			p2 := filepath.Join(dir, "b.ckpt")
 			ropt := ckptOpt(p2, wB, 0)
 			ropt.MaxCuts = k + m
-			got2, stats2 := resumeCollect(t, g, ropt, snap1)
+			got2, stats2 := resumeCollect(t, g, ropt, snap0)
 			if stats2.StopReason != enum.StopBudget || stats2.Valid != k+m {
 				t.Fatalf("wA=%d wB=%d: capped resume Valid=%d reason=%v, want %d budget-stop",
 					wA, wB, stats2.Valid, stats2.StopReason, k+m)

@@ -132,13 +132,17 @@ func TestFailurePanickingVisitorParallel(t *testing.T) {
 // must close the stranded stolen segment so the merge drains, and the
 // visited cuts must still be a serial-order prefix. Steals are
 // scheduling-dependent, so the test sweeps seeds and requires the fault to
-// actually land at least once.
+// actually land at least once; a 20 µs delay in every input pick slows
+// the search enough that idle workers find donors (as in
+// TestParallelStealForced).
 func TestFailurePanickingThiefMidHandoff(t *testing.T) {
 	landed := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		g, serial := failGraph(t, seed, 70)
 		plan := faultinject.Install(faultinject.Injection{
 			Site: faultinject.SiteStealClaim, Hit: 1, Action: faultinject.ActPanic,
+		}, faultinject.Injection{
+			Site: faultinject.SitePickInputs, Action: faultinject.ActDelay, Delay: 20 * time.Microsecond,
 		})
 		opt := enum.DefaultOptions()
 		opt.Parallelism = g.N()

@@ -3,7 +3,6 @@ package enum
 import (
 	"context"
 	"math/bits"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -54,38 +53,28 @@ func Enumerate(g *dfg.Graph, opt Options, visit func(Cut) bool) Stats {
 }
 
 // enumerateSerial is the serial run loop, shared by Enumerate and
-// ResumeEnumerate: snap, when non-nil, seeds the worker from a snapshot and
-// restarts the top-level loop at the snapshot's frontier position, whose
-// subtree is replayed (see checkpoint.go).
+// ResumeEnumerate: snap, when non-nil, seeds the visit point from a
+// snapshot and restarts the top-level loop at the snapshot's frontier
+// position, whose subtree is replayed (see checkpoint.go).
 func enumerateSerial(g *dfg.Graph, opt Options, visit func(Cut) bool, snap *checkpoint.Snapshot) Stats {
 	sh := newEnumShared(g, opt)
-	e := sh.newWorker(visit, nil)
-	if opt.CheckpointPath != "" {
-		e.ck = newCkptWriter(g, opt)
-	}
-	start := 0
-	if snap != nil {
-		start = snap.CurTop
-		e.installResume(snap)
-	}
+	e := sh.newWorker(nil, nil)
+	vp := newVisitPoint(g, opt, visit, e.seen, &e.stats, snap)
+	e.visit = func(c Cut) bool { return vp.deliver(c, e.topPos) }
+	e.stopped = e.stats.StopReason != StopNone // a resume already at its MaxCuts cap
 	func() {
-		// Failure semantics (serial): a panic anywhere in the search — the
-		// visitor included — is contained here, converted to Stats.Err with
-		// the captured stack, and reported as StopReason = StopError. The
-		// cuts already visited are a coherent prefix of the enumeration
-		// order; the worker state is abandoned, so containment needs no
-		// repair beyond stopping (and, when checkpointing, writing the
-		// final snapshot below).
-		defer e.recoverPanic()
-		for pos := start; pos < g.N() && !e.stopped; pos++ {
-			e.topPos = pos // the snapshot frontier: positions before it are done
+		// Failure semantics (serial): a panic in the search is contained
+		// here and reported as StopReason = StopError with Stats.Err; the
+		// visit point contains the visitor's own panics. The cuts already
+		// visited are a coherent prefix of the enumeration order, and the
+		// final snapshot below is written from the unwound state.
+		defer e.containPanic()
+		for pos := vp.curTop; pos < g.N() && !e.stopped; pos++ {
+			e.topPos = pos
 			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
 		}
 	}()
-	if e.ck != nil {
-		e.ck.writeFinal(e.seen, e.stats.Valid, e.topPos, &e.stats)
-	}
-	return e.stats
+	return vp.finish(&e.stats)
 }
 
 // EnumerateContext runs Enumerate with ctx installed as Options.Context and
@@ -248,11 +237,8 @@ type incEnum struct {
 	// (sendTask); allocated on the first donation, reset per send.
 	stallTimer *time.Timer
 
-	// Checkpoint state of a serial run, nil/zero unless
-	// Options.CheckpointPath is set (the parallel merge owns its own
-	// writer): ck writes snapshots, topPos is the current top-level
-	// position — the snapshot frontier.
-	ck     *ckptWriter
+	// topPos is a serial run's current top-level position, which the visit
+	// point records as the frontier of each delivered cut.
 	topPos int
 }
 
@@ -493,11 +479,12 @@ func (e *incEnum) pickOutput(depth, lastTopo, ninLeft, noutLeft int) {
 // work-stealing operates on: the loop claims positions from a posRange
 // frame whose end a concurrent-donation poll (maybeSplit, reached from the
 // loop body's recursion) may pull in, and whose epilogue switches the
-// worker onto any resume segments splits created. A thief enters here
-// directly (runTask) with the donor's reconstructed prefix state, and every
-// top-level subtree — serial, sharded or resumed — is the one-position
-// range [pos, pos+1) at depth 0. Serial runs take the same path with an
-// empty steal state; the frame bookkeeping is a few appends per level.
+// worker onto any resume segments splits created. Every parallel work unit
+// enters here (runUnitBody) — a thief with the donor's reconstructed prefix
+// state — and every top-level subtree, serial, sharded or resumed, is the
+// one-position range [pos, pos+1) at depth 0. Serial runs take the same
+// path with an empty steal state; the frame bookkeeping is a few appends
+// per level.
 func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 	if e.stopped || noutLeft <= 0 {
 		return
@@ -950,16 +937,6 @@ func (e *incEnum) fail(err error) {
 	e.stopExternal(StopError)
 }
 
-// recoverPanic is the serial containment boundary: deferred around the
-// whole search loop, it converts a panic into the run's error. The worker
-// state is dead after it fires, which is fine — the serial Enumerate
-// returns immediately.
-func (e *incEnum) recoverPanic() {
-	if v := recover(); v != nil {
-		e.fail(&PanicError{Value: v, Stack: debug.Stack()})
-	}
-}
-
 // resetChoice clears the output/input choice state (and the cut it
 // identifies), returning the worker to the between-subtrees empty state.
 func (e *incEnum) resetChoice() {
@@ -976,7 +953,9 @@ func (e *incEnum) resetChoice() {
 // incremental validation engine: the real-output count is a population
 // count on the delta-maintained O(S) (the from-scratch OutputsInto sweep
 // this replaced was the single hottest per-candidate cost), and the full
-// §3 validation runs staged on the same maintained aggregates.
+// §3 validation runs staged on the same maintained aggregates. A novel
+// valid cut goes to e.visit: the run's visit point in a serial run, the
+// worker's merge segment in a parallel one.
 func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
 	if h := faultinject.OnCheckCut; h != nil {
 		h()
@@ -992,15 +971,13 @@ func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
 		if h := faultinject.OnDedupInsert; h != nil {
 			h()
 		}
-		if e.opt.MaxDedupBytes > 0 && e.ext == nil && e.seen.WouldGrowPast(e.opt.MaxDedupBytes) {
+		if e.opt.MaxDedupBytes > 0 && e.seen.WouldGrowPast(e.opt.MaxDedupBytes) {
 			// Graceful degradation: the dedup table is at its last
 			// affordable size, so admitting this candidate could double it
-			// past the budget. Stop with exact partial stats instead. Serial
-			// only — in parallel runs the budget binds the merge's global
-			// table (where insertions happen in serial order, so degradation
-			// delivers the longest affordable serial prefix); the per-worker
-			// tables here are transient scratch reset at every subtree and
-			// stolen range, not the global dedup resource.
+			// past the budget. Stop with exact partial stats instead.
+			// Parallel workers run with the budget cleared: it binds the
+			// merge's global table, which fills in serial order, while the
+			// worker tables are transient scopes reset at every work unit.
 			e.stopExternal(StopBudget)
 			return
 		}
@@ -1009,37 +986,14 @@ func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
 		} else {
 			var cut Cut
 			if e.dval.Validate(&cut) {
-				e.stats.Valid++
 				if e.opt.KeepCuts {
 					cut.Nodes = cut.Nodes.Clone()
 				}
 				if !e.visit(cut) {
-					// In parallel runs the emit wrapper returns false only
-					// when the global stop is already raised — the real
-					// reason (visitor stop, budget, …) is recorded by the
-					// merge, not here.
-					if e.ext == nil {
-						e.stats.RecordStop(StopVisitor)
-					}
+					// The visit point (serial) or the merge (parallel) has
+					// recorded why the run stops.
 					e.stopped = true
 					return
-				}
-				// The serial cuts-retained cap; the parallel one lives in
-				// the merge drain, where global visit order is known.
-				if e.opt.MaxCuts > 0 && e.ext == nil && e.stats.Valid >= e.opt.MaxCuts {
-					e.stopExternal(StopBudget)
-					return
-				}
-				// Serial periodic checkpoint cadence, at the visit point
-				// (the parallel one lives in the merge drain). A failed
-				// write stops the run: continuing would silently void
-				// durability.
-				if e.ck != nil && e.opt.CheckpointEvery > 0 &&
-					e.stats.Valid%e.opt.CheckpointEvery == 0 {
-					if err := e.ck.write(e.ck.snapshot(e.seen, e.stats.Valid, e.topPos, e.stats)); err != nil {
-						e.fail(err)
-						return
-					}
 				}
 			} else {
 				e.stats.Invalid++

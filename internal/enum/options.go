@@ -226,13 +226,13 @@ type Options struct {
 	// StopCheckpoint. This is the preemption hook — SIGINT handlers and
 	// job schedulers close it instead of canceling the Context, turning
 	// "shut down" into "park the run on disk". Polled at the same sampled
-	// sites as Deadline.
+	// sites as Deadline, and at every delivered cut.
 	CheckpointStop <-chan struct{}
 
 	// StealStallTimeout bounds how long a parallel donor waits for a
 	// claimed thief to accept a steal handoff before declaring the
 	// protocol's liveness broken and failing the run with a *StallError
-	// (see the watchdog note in internal/enum/incremental.go). Zero means
+	// (see the watchdog note in internal/enum/parallel.go). Zero means
 	// the 10 s default. Under the handoff discipline a healthy send
 	// completes in microseconds, so the timeout only matters as a
 	// diagnosability bound; long-running services tighten it per request

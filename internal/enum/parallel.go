@@ -16,14 +16,15 @@ package enum
 // the positions run out, workers turn thief: a busy worker that notices a
 // hungry peer (maybeSplit, polled on the admission paths) splits the
 // remaining next-output interval of its shallowest splittable search level
-// and hands the upper half over as a stealTask. The task carries only the
-// output/input choice prefixes of that level; the thief reconstructs the
-// donor's full search state from them, because the maintained cut S is a
-// pure function of (outs, Ilist) — rebuildS — and the incremental
+// and hands the upper half over as a stolen workUnit. The unit carries only
+// the output/input choice prefixes of that level; the thief reconstructs
+// the donor's full search state from them, because the maintained cut S is
+// a pure function of (outs, Ilist) — rebuildS — and the incremental
 // validation engine resyncs its mirror to an arbitrary S jump on its next
-// admission check (deltaval.go). Seed-extension intervals are deliberately
-// not stealable (see posRange); stolen tasks can split again, so a fat
-// subtree keeps decomposing for as long as workers go hungry.
+// admission check (deltaval.go). Claimed positions and stolen ranges run
+// through the same runner (runUnit). Seed-extension intervals are
+// deliberately not stealable (see posRange); stolen units can split again,
+// so a fat subtree keeps decomposing for as long as workers go hungry.
 //
 // Determinism. The serial enumeration visits cuts in a well-defined order:
 // the concatenation, over first-output positions, of each subtree's
@@ -37,10 +38,11 @@ package enum
 // belongs in the serial sequence (see maybeSplit for why splicing at the
 // donor's current segment is the right spot). Dedup splits the same way:
 // each worker dedups within the ranges it actually ran (the map resets per
-// top-level position and per stolen task), and the merge performs the
-// global dedup with first-wins semantics while draining in list order,
-// which is serial order. A cut seen by both the donor and a thief of the
-// same subtree is emitted twice and collapses in the merge exactly as a
+// work unit), and the merge performs the global dedup with first-wins
+// semantics while draining in list order, which is serial order, before
+// handing each novel cut to the run's visit point (visitPoint, shared with
+// serial runs). A cut seen by both the donor and a thief of the same
+// subtree is emitted twice and collapses in the merge exactly as a
 // cross-subtree repeat does. The visitor therefore sees the same cuts, in
 // the same order, as Parallelism=1 — including the same prefix when it
 // stops the enumeration early. Under any external stop — Options.Deadline,
@@ -63,7 +65,7 @@ package enum
 // counters are NOT preserved: workers already past the stopped prefix
 // report work a serial run would never have started, so Candidates etc.
 // may exceed the serial-stopped values, while Valid still counts exactly
-// the visited cuts. Steals counts accepted steal tasks and is zero in
+// the visited cuts. Steals counts accepted stolen units and is zero in
 // serial runs; it is scheduling-dependent and excluded from the
 // determinism contract.
 
@@ -103,13 +105,16 @@ func streamBuf(n int) int {
 	return shardStreamBuf
 }
 
-// stealTask is one donated unit of work: the tail [posStart, posEnd) of a
-// next-output interval at recursion depth `depth`, together with the
-// output/input choice prefixes identifying the donor's search state at that
-// level and the merge segment the range's cuts must flow into. outs and ins
-// are private copies — the thief mutates its own state only.
-type stealTask struct {
+// workUnit is one piece of search a worker runs: the next-output positions
+// [posStart, posEnd) of the pickOutputRange loop at recursion depth
+// `depth`, entered with the output/input choice prefixes outs and ins, whose
+// cuts flow into the merge segment seg. A claimed top-level position pos is
+// the unit {Top(pos), depth 0, [pos, pos+1)} with empty prefixes; a stolen
+// unit carries private copies of the donor's prefixes at the split level,
+// and the thief mutates its own state only.
+type workUnit struct {
 	seg      *parallel.Seg[Cut]
+	stolen   bool
 	depth    int
 	posStart int
 	posEnd   int
@@ -140,7 +145,7 @@ type stealTask struct {
 // remaining waiters.
 type stealState struct {
 	ord    *parallel.SplitOrdered[Cut]
-	tasks  chan stealTask
+	tasks  chan workUnit
 	done   chan struct{}
 	hungry atomic.Int64
 	active atomic.Int64
@@ -236,8 +241,9 @@ func (e *incEnum) maybeSplit() {
 		oldEnd := r.end
 		mid := r.cur + 1 + (remaining+1)/2
 		stolen, resume := st.ord.Split(e.curSeg)
-		t := stealTask{
+		t := workUnit{
 			seg:      stolen,
+			stolen:   true,
 			depth:    r.depth,
 			posStart: mid,
 			posEnd:   r.end,
@@ -281,7 +287,7 @@ func (e *incEnum) stallTimeout() time.Duration {
 // donor's current segment precedes both in the merge list, so its output
 // keeps its serial position), the task's freshly minted liveness token is
 // released, and the run stops with a StallError.
-func (e *incEnum) sendTask(t stealTask, ri, oldEnd int, resume *parallel.Seg[Cut]) {
+func (e *incEnum) sendTask(t workUnit, ri, oldEnd int, resume *parallel.Seg[Cut]) {
 	st := e.steal
 	st.active.Add(1) // the task's liveness token; the receiver inherits it
 	timeout := e.stallTimeout()
@@ -326,18 +332,19 @@ func (e *incEnum) popRangeSegs(ri int) {
 	}
 }
 
-// containPanic is the parallel containment boundary, deferred around each
-// top-level subtree (runTop) and each stolen task body (runTaskBody). It
-// converts the panic into the run's first error and repairs the worker's
-// merge obligations: the unwinding skipped every pickOutputRange epilogue
-// on the stack, so the resume segments those frames' splits promised are
-// closed here in LIFO order (replicating popRangeSegs), leaving curSeg on
-// the final resume segment for the caller's own Close. Every segment is
-// still closed exactly once and the ordered merge drains instead of
-// deadlocking. The choice state is reset so the worker can keep claiming
-// segments and serving its thief/token duties; the search-state corruption
-// left behind (S, journals, validator mirror) is irrelevant because the
-// stop flag is already raised — no further search runs on this worker.
+// containPanic is the search's containment boundary, deferred around the
+// serial search loop and around each work unit's body (runUnitBody). It
+// converts the panic into the run's first error and, in a parallel run,
+// repairs the worker's merge obligations: the unwinding skipped every
+// pickOutputRange epilogue on the stack, so the resume segments those
+// frames' splits promised are closed here in LIFO order (replicating
+// popRangeSegs), leaving curSeg on the final resume segment for the
+// caller's own Close. Every segment is still closed exactly once and the
+// ordered merge drains instead of deadlocking. The choice state is reset
+// so the worker can keep claiming segments and serving its thief/token
+// duties; the search-state corruption left behind (S, journals, validator
+// mirror) is irrelevant because the stop flag is already raised — no
+// further search runs on this worker.
 func (e *incEnum) containPanic() {
 	v := recover()
 	if v == nil {
@@ -354,72 +361,62 @@ func (e *incEnum) containPanic() {
 	e.resetChoice()
 }
 
-// runTask executes one stolen range on worker e: reconstruct the donor's
-// search state at the stolen level from the choice prefixes, run the
-// range's loop, and leave the worker state empty again. The stolen segment
-// is closed even when the task is dropped because the enumeration already
-// stopped — the merge drains every spliced segment — and even when the
-// body panics: containment (containPanic) walks curSeg onto the task's
-// final segment, closing the intermediate ones, exactly as the skipped
-// frame epilogues would have.
-func (e *incEnum) runTask(t stealTask) {
-	e.curSeg = t.seg
-	if e.stopped || (e.ext != nil && e.ext.Load()) {
-		e.steal.ord.Close(e.curSeg)
-		return
+// runUnit executes one work unit on worker e and closes the unit's final
+// segment. The segment is closed even when the unit is dropped because the
+// enumeration already stopped — the merge drains every segment, so workers
+// keep claiming positions after a stop — and even when the body panics:
+// containment (containPanic) walks curSeg onto the unit's final segment,
+// closing the intermediate ones, exactly as the skipped frame epilogues
+// would have. Segments donated from the unit belong to their thieves.
+func (e *incEnum) runUnit(u workUnit) {
+	e.curSeg = u.seg
+	if !e.stopped && !e.ext.Load() {
+		e.runUnitBody(u)
+		// The frame epilogue (or containPanic) left curSeg on the unit's
+		// final segment and emptied the range/segment stacks; reset the
+		// choice state a stolen unit installed.
+		e.resetChoice()
 	}
-	e.runTaskBody(t)
-	// The frame epilogue (or containPanic, when the body died) left curSeg
-	// on the task's final segment and emptied the range/segment stacks;
-	// reset the choice state for the next claim.
-	e.resetChoice()
 	e.steal.ord.Close(e.curSeg)
 }
 
-// runTaskBody is the contained interior of a stolen task: state
-// reconstruction and the range loop, under the parallel panic boundary.
-func (e *incEnum) runTaskBody(t stealTask) {
+// runUnitBody is the contained interior of a work unit: a fresh dedup
+// scope, state reconstruction from the choice prefixes, and the range loop,
+// under the parallel panic boundary.
+func (e *incEnum) runUnitBody(u workUnit) {
 	defer e.containPanic()
-	if h := faultinject.OnStealClaim; h != nil {
-		// Fires after the thief accepted the task (it owns t.seg and the
-		// task's liveness token) but before any reconstruction — a panic
-		// here is the "thief dies mid-handoff" case.
-		h()
+	if u.stolen {
+		if h := faultinject.OnStealClaim; h != nil {
+			// Fires after the thief accepted the unit (it owns u.seg and
+			// the unit's liveness token) but before any reconstruction — a
+			// panic here is the "thief dies mid-handoff" case.
+			h()
+		}
+		e.stats.Steals++
 	}
-	e.stats.Steals++
-	// Fresh dedup scope for the stolen range; the merge reconciles repeats
-	// across the steal boundary in serial order.
+	// Fresh dedup scope per unit; the merge reconciles repeats across
+	// scopes in serial order.
 	e.seen.Reset()
-	e.outs = append(e.outs[:0], t.outs...)
+	e.outs = append(e.outs[:0], u.outs...)
 	e.outSet.Clear()
 	for _, o := range e.outs {
 		e.outSet.Add(o)
 	}
-	e.Ilist = append(e.Ilist[:0], t.ins...)
+	e.Ilist = append(e.Ilist[:0], u.ins...)
 	e.Iuser.Clear()
 	for _, i := range e.Ilist {
 		e.Iuser.Add(i)
 	}
 	e.rebuildS() // S is a pure function of the prefixes just installed
-	e.pickOutputRange(t.depth, t.posStart, t.posEnd, t.ninLeft, t.noutLeft)
-}
-
-// runTop executes one top-level subtree — the depth-0 range [pos, pos+1),
-// the same loop stolen ranges and resumes enter — under the parallel panic
-// boundary; the caller closes curSeg afterwards whether or not the subtree
-// died.
-func (e *incEnum) runTop(pos int) {
-	defer e.containPanic()
-	e.seen.Reset()
-	e.pickOutputRange(0, pos, pos+1, e.opt.MaxInputs, e.opt.MaxOutputs)
+	e.pickOutputRange(u.depth, u.posStart, u.posEnd, u.ninLeft, u.noutLeft)
 }
 
 // enumerateParallel runs the sharded enumeration with the given worker
 // count (≥ 2). The caller guarantees g is frozen and has at least 2 nodes.
 // snap, when non-nil, resumes from a snapshot: workers start claiming
-// top-level positions at the snapshot frontier and the merge's dedup table
-// and delivered count are pre-seeded, so the replayed frontier subtree
-// re-emits only novel cuts (see ResumeEnumerate).
+// top-level positions at the snapshot frontier and the merge's visit point
+// is seeded from it, so the replayed frontier subtree re-emits only novel
+// cuts (see ResumeEnumerate).
 func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers int, snap *checkpoint.Snapshot) Stats {
 	n := g.N()
 	if workers > n {
@@ -429,34 +426,38 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 		workers = n
 	}
 	sh := newEnumShared(g, opt)
-	var ck *ckptWriter
-	if opt.CheckpointPath != "" {
-		ck = newCkptWriter(g, opt)
-	}
 
 	// Shards must hand cuts across goroutines, so their node sets are
 	// always cloned regardless of the caller's KeepCuts; the visitor
 	// contract ("shared scratch, valid only during the call" when KeepCuts
-	// is off) is trivially satisfied by the clone.
+	// is off) is trivially satisfied by the clone. MaxDedupBytes binds the
+	// merge's global table, not the workers' per-unit scopes.
 	sopt := opt
 	sopt.KeepCuts = true
+	sopt.MaxDedupBytes = 0
 	sh.opt = sopt
 
 	st := &stealState{
 		ord:   parallel.NewSplitOrdered[Cut](n, streamBuf(n)),
-		tasks: make(chan stealTask),
+		tasks: make(chan workUnit),
 		done:  make(chan struct{}),
 	}
 	st.active.Store(int64(workers))
+	seen := newSigSet()
+	var mStats Stats // the merge's stop reason, first error and resume baseline
+	vp := newVisitPoint(g, opt, visit, seen, &mStats, snap)
+	startTop := vp.curTop
 	var stop atomic.Bool
+	stop.Store(mStats.StopReason != StopNone) // a resume already at its MaxCuts cap
 	var next atomic.Int64
+	next.Store(int64(startTop))
+	// The top-level segments before the resume frontier, which no worker
+	// will claim, close empty so the drain walks straight past them.
+	for i := 0; i < startTop && i < n; i++ {
+		st.ord.Close(st.ord.Top(i))
+	}
 	var mu sync.Mutex
 	var agg Stats
-	if snap != nil {
-		next.Store(int64(snap.CurTop))
-		agg = statsFromCounters(snap.Stats) // counter baseline; Valid is overwritten below
-		agg.Valid = 0
-	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -474,25 +475,17 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 				if pos >= n {
 					break
 				}
-				// After a stop (early visitor stop or a deadline) keep
-				// claiming positions so every top-level segment gets
-				// closed — the merge drains all of them.
-				e.curSeg = st.ord.Top(pos)
-				if !e.stopped && !stop.Load() {
-					e.runTop(pos)
-					// Frame epilogues (or containment, if the subtree
-					// panicked) have restored curSeg to the position's own
-					// segment; any segments donated from this subtree
-					// belong to their thieves now.
-				}
-				st.ord.Close(e.curSeg)
+				e.runUnit(workUnit{
+					seg: st.ord.Top(pos), posStart: pos, posEnd: pos + 1,
+					ninLeft: opt.MaxInputs, noutLeft: opt.MaxOutputs,
+				})
 			}
 			// Top-level positions exhausted: turn thief. Wait for donated
 			// ranges until every token is released, i.e. until no worker
 			// can possibly create more work. A donor claims a hungry slot
-			// before minting the task's token and sending, and donors hold
+			// before minting the unit's token and sending, and donors hold
 			// tokens of their own, so done cannot close while a send is
-			// pending — the select below never strands a task.
+			// pending — the select below never strands a unit.
 		thief:
 			for {
 				if st.active.Add(-1) == 0 {
@@ -501,9 +494,9 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 				}
 				st.hungry.Add(1)
 				select {
-				case t := <-st.tasks:
-					e.runTask(t)
-					// Loop: release the task's token, go hungry again.
+				case u := <-st.tasks:
+					e.runUnit(u)
+					// Loop: release the unit's token, go hungry again.
 				case <-st.done:
 					break thief
 				}
@@ -515,47 +508,14 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 	}
 
 	// Merge stage: drain the segment list in order, dedup across scopes
-	// (first occurrence wins, matching the serial global dedup), and feed
-	// the caller's visitor until it stops. Draining continues after a stop
-	// so blocked producers always finish, but post-stop cuts are discarded
-	// without deduping — under a dedup budget the global table must not
-	// keep growing, and post-stop Duplicates attribution is outside the
-	// Stats contract anyway; `discarded` keeps the arithmetic exact for the
-	// pre-stop prefix. The merge is also a containment boundary: a
-	// panicking visitor becomes the run's first error while the drain keeps
-	// going, so no producer is left blocked on a full buffer.
-	seen := newSigSet()
-	var mStats Stats // merge-level stop reason and first error
-	emitted, unique, visited, discarded := 0, 0, 0, 0
-	startTop := 0
-	if snap != nil {
-		// Resume seeding: the pre-snapshot prefix counts as visited (MaxCuts
-		// and CheckpointEvery bind across the seam), its digests suppress
-		// re-delivery from the replayed frontier subtree, and the top-level
-		// segments before the frontier — which no worker will claim — close
-		// empty so the drain walks straight past them.
-		startTop = snap.CurTop
-		visited = int(snap.Visited)
-		for _, d := range snap.Digests {
-			seen.Insert(d)
-		}
-		for i := 0; i < startTop && i < n; i++ {
-			st.ord.Close(st.ord.Top(i))
-		}
-	}
-	curTop := startTop // top-level position of the last delivered cut
-	safeVisit := func(c Cut) (ok bool) {
-		defer func() {
-			if v := recover(); v != nil {
-				if mStats.Err == nil {
-					mStats.Err = &PanicError{Value: v, Stack: debug.Stack()}
-				}
-				mStats.RecordStop(StopError)
-				ok = false
-			}
-		}()
-		return visit(c)
-	}
+	// (first occurrence wins, matching the serial global dedup), and hand
+	// each novel cut to the visit point until it stops the run. Draining
+	// continues after a stop so blocked producers always finish, but
+	// post-stop cuts are discarded without deduping — under a dedup budget
+	// the global table must not keep growing, and post-stop Duplicates
+	// attribution is outside the Stats contract anyway; `discarded` keeps
+	// the arithmetic exact for the pre-stop prefix.
+	emitted, unique, discarded := 0, 0, 0
 	st.ord.DrainWithIndex(func(top int, c Cut) {
 		emitted++
 		if stop.Load() {
@@ -572,60 +532,15 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 			return
 		}
 		unique++
-		visited++
-		curTop = top
-		if !safeVisit(c) {
-			// A voluntary visitor stop; on a visitor panic RecordStop's
-			// max-precedence keeps the StopError recorded by safeVisit.
-			mStats.RecordStop(StopVisitor)
+		if !vp.deliver(c, top) {
 			stop.Store(true)
-			return
-		}
-		if opt.MaxCuts > 0 && visited >= opt.MaxCuts {
-			mStats.RecordStop(StopBudget)
-			stop.Store(true)
-			return
-		}
-		// The merge polls the preemption hook too: workers poll it in their
-		// own Stoppers, but on a small search they may all have finished
-		// producing before the drain delivers the cut whose visitor pulls
-		// the trigger — the drain must still stop at the next visit point.
-		if opt.CheckpointStop != nil {
-			select {
-			case <-opt.CheckpointStop:
-				mStats.RecordStop(StopCheckpoint)
-				stop.Store(true)
-				return
-			default:
-			}
-		}
-		// Periodic checkpoint cadence, at the merge's global visit point —
-		// the one place where "the first `visited` cuts of the serial
-		// order" is true under any steal schedule. Every top-level segment
-		// before curTop is fully drained here, so curTop is the resume
-		// frontier. A failed write stops the run: continuing would
-		// silently void durability.
-		if ck != nil && opt.CheckpointEvery > 0 && visited%opt.CheckpointEvery == 0 {
-			if err := ck.write(ck.snapshot(seen, visited, curTop, mStats)); err != nil {
-				if mStats.Err == nil {
-					mStats.Err = err
-				}
-				mStats.RecordStop(StopError)
-				stop.Store(true)
-			}
 		}
 	})
 	wg.Wait()
 
-	agg.Valid = visited
 	agg.Duplicates += emitted - discarded - unique
 	addStats(&agg, mStats)
-	if ck != nil {
-		// Final snapshot, after every worker settled: resumable at the
-		// last delivered cut's frontier, or marked Done on completion.
-		ck.writeFinal(seen, visited, curTop, &agg)
-	}
-	return agg
+	return vp.finish(&agg)
 }
 
 // addStats accumulates one worker's counters into the aggregate.

@@ -20,7 +20,7 @@ import (
 
 func TestChaosStallWatchdogReabsorbs(t *testing.T) {
 	ord := parallel.NewSplitOrdered[Cut](1, 4)
-	st := &stealState{ord: ord, tasks: make(chan stealTask), done: make(chan struct{})}
+	st := &stealState{ord: ord, tasks: make(chan workUnit), done: make(chan struct{})}
 	// Donor's own token plus one phantom peer: the stall release must not be
 	// the one that closes done (the donor still holds its own token).
 	st.active.Store(2)
@@ -38,7 +38,7 @@ func TestChaosStallWatchdogReabsorbs(t *testing.T) {
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		e.sendTask(stealTask{seg: stolen}, 0, 9, resume)
+		e.sendTask(workUnit{seg: stolen}, 0, 9, resume)
 	}()
 	select {
 	case <-finished:

@@ -29,9 +29,9 @@ const (
 	StopDeadline
 	// StopCanceled: Options.Context was canceled.
 	StopCanceled
-	// StopError: a worker, steal task or the merge consumer failed — a
-	// contained panic or a steal-handoff stall. Stats.Err carries the
-	// first error, with the captured stack when it was a panic.
+	// StopError: a worker, the visitor or a snapshot write failed — a
+	// contained panic, a failed write or a steal-handoff stall. Stats.Err
+	// carries the first error, with the captured stack when it was a panic.
 	StopError
 )
 
@@ -65,8 +65,8 @@ func (s *Stats) RecordStop(r StopReason) {
 
 // PanicError is the first-error a contained panic is converted to: the
 // recovered value together with the stack of the panicking goroutine,
-// captured at the recovery boundary (shard, steal task, merge consumer, or
-// the serial search loop).
+// captured at the recovery boundary (a work unit, the serial search loop,
+// the visit point around the visitor, or the snapshot writer).
 type PanicError struct {
 	Value any
 	Stack []byte

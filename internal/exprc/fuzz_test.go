@@ -25,17 +25,17 @@ func FuzzExprCompile(f *testing.F) {
 		"in a\nr = min(abs(a - 1), max(a, 0x7f))\nout r",
 		"in a\nr = -~a << 3 >> 1\nout r",
 		"in a\nb = a / 0\nc = a % 0\nout b, c",
-		"r = undefined + 1",            // use before declaration
-		"in a\na = a",                  // reassignment
-		"in a\nr = a +",                // truncated expression
-		"in a\nr = (a",                 // unbalanced parens
-		"out r",                        // out of nothing
-		"in a\nr = a ? a\nout r",       // incomplete ternary
-		"in \xff\nr = 1",               // hostile identifier
-		"in a\nr = load(store(a, a))",  // store has no value? (parser decides)
+		"r = undefined + 1",           // use before declaration
+		"in a\na = a",                 // reassignment
+		"in a\nr = a +",               // truncated expression
+		"in a\nr = (a",                // unbalanced parens
+		"out r",                       // out of nothing
+		"in a\nr = a ? a\nout r",      // incomplete ternary
+		"in \xff\nr = 1",              // hostile identifier
+		"in a\nr = load(store(a, a))", // store has no value? (parser decides)
 		"# only a comment",
 		"",
-		"in a\nr = select(a)\nout r",   // wrong arity builtin
+		"in a\nr = select(a)\nout r", // wrong arity builtin
 		"in a\nr = a | | a\nout r",
 	} {
 		f.Add(seed)

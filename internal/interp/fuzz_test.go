@@ -25,14 +25,14 @@ func FuzzInterpRun(f *testing.F) {
 		mem   uint64
 	}{
 		{"node var name=a\nnode var name=b\nnode add preds=0,1\n", []byte{1, 2, 3, 4, 5, 6, 7, 8}, 0},
-		{"node var\nnode add preds=0\n", nil, 0},                        // underfed arity
-		{"node var\nnode div preds=0,0\n", []byte{0, 0, 0, 0}, 1},       // div by zero
+		{"node var\nnode add preds=0\n", nil, 0},                  // underfed arity
+		{"node var\nnode div preds=0,0\n", []byte{0, 0, 0, 0}, 1}, // div by zero
 		{"node const const=-2147483648\nnode var\nnode div preds=0,1\n", // MinInt32 / -1
 			[]byte{0xff, 0xff, 0xff, 0xff}, 2},
 		{"node var\nnode load preds=0 forbidden\nnode store preds=0,1\n", []byte{9, 0, 0, 0}, 3},
 		{"node var\nnode custom name=u preds=0 const=1\nnode extract preds=1 const=5\n", nil, 4},
-		{"node var\nnode extract preds=0 const=0\n", nil, 5},  // extract of a non-custom
-		{"node call name=f\n", nil, 6},                        // opaque call
+		{"node var\nnode extract preds=0 const=0\n", nil, 5}, // extract of a non-custom
+		{"node call name=f\n", nil, 6},                       // opaque call
 		{"node custom name=u const=1\nnode extract preds=0 const=0\nnode extract preds=0 const=1\n", nil, 7},
 		{"node var\nnode shl preds=0,0\nnode sar preds=1,0\nnode select preds=0,1,2\n", []byte{200, 1, 2, 3}, 8},
 		{"node const const=9223372036854775807\nnode neg preds=0\n", nil, 9}, // int64 const truncation

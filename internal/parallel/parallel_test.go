@@ -55,13 +55,18 @@ func TestForEachConcurrentWriters(t *testing.T) {
 	}
 }
 
+// The TestOrdered* tests pin SplitOrdered's behaviour as a plain ordered
+// merge, with no Split calls: per-index streams produced concurrently, out
+// of order, under the ascending-claim discipline the enumeration's
+// top-level sharding uses.
+
 // TestOrderedMergesInIndexOrder has six producers claim indices in the
 // mandated ascending order but complete them at scrambled times (jitter
 // sleeps), so streams finish out of order; the merged sequence must still
 // be sorted by index with per-index emit order preserved.
 func TestOrderedMergesInIndexOrder(t *testing.T) {
 	const n, perIndex = 50, 7
-	ord := NewOrdered[[2]int](n, 2)
+	o := NewSplitOrdered[[2]int](n, 2)
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	for w := 0; w < 6; w++ {
@@ -76,14 +81,14 @@ func TestOrderedMergesInIndexOrder(t *testing.T) {
 				// Scramble real-time completion order across workers.
 				time.Sleep(time.Duration((idx*37+11)%5) * time.Millisecond)
 				for k := 0; k < perIndex; k++ {
-					ord.Emit(idx, [2]int{idx, k})
+					o.Emit(o.Top(idx), [2]int{idx, k})
 				}
-				ord.Close(idx)
+				o.Close(o.Top(idx))
 			}
 		}()
 	}
 	var got [][2]int
-	ord.Drain(func(v [2]int) { got = append(got, v) })
+	o.Drain(func(v [2]int) { got = append(got, v) })
 	wg.Wait()
 
 	if len(got) != n*perIndex {
@@ -99,17 +104,17 @@ func TestOrderedMergesInIndexOrder(t *testing.T) {
 // TestOrderedEmptyStreams checks that indices with no values don't stall
 // the drain.
 func TestOrderedEmptyStreams(t *testing.T) {
-	ord := NewOrdered[int](10, 1)
+	o := NewSplitOrdered[int](10, 1)
 	go func() {
 		for i := 0; i < 10; i++ {
 			if i == 4 {
-				ord.Emit(i, 42)
+				o.Emit(o.Top(i), 42)
 			}
-			ord.Close(i)
+			o.Close(o.Top(i))
 		}
 	}()
 	var got []int
-	ord.Drain(func(v int) { got = append(got, v) })
+	o.Drain(func(v int) { got = append(got, v) })
 	if len(got) != 1 || got[0] != 42 {
 		t.Fatalf("got %v, want [42]", got)
 	}
@@ -119,14 +124,14 @@ func TestOrderedEmptyStreams(t *testing.T) {
 // blocks on its buffer instead of accumulating unboundedly, and unblocks
 // once the frontier arrives.
 func TestOrderedBackpressure(t *testing.T) {
-	ord := NewOrdered[int](2, 1)
+	o := NewSplitOrdered[int](2, 1)
 	blocked := make(chan struct{})
 	go func() {
-		ord.Emit(1, 0)
-		ord.Emit(1, 1) // buffer of index 1 is full: must block until index 0 closes
+		o.Emit(o.Top(1), 0)
+		o.Emit(o.Top(1), 1) // buffer of index 1 is full: must block until index 0 closes
 		close(blocked)
-		ord.Emit(1, 2)
-		ord.Close(1)
+		o.Emit(o.Top(1), 2)
+		o.Close(o.Top(1))
 	}()
 	time.Sleep(50 * time.Millisecond) // give the producer time to (wrongly) run ahead
 	select {
@@ -134,9 +139,9 @@ func TestOrderedBackpressure(t *testing.T) {
 		t.Fatal("producer ran past a full buffer with the frontier behind it")
 	default:
 	}
-	ord.Close(0)
+	o.Close(o.Top(0))
 	var got []int
-	ord.Drain(func(v int) { got = append(got, v) })
+	o.Drain(func(v int) { got = append(got, v) })
 	<-blocked
 	if len(got) != 3 {
 		t.Fatalf("drained %v", got)
@@ -149,20 +154,20 @@ func TestOrderedBackpressure(t *testing.T) {
 // buffer memory follows the values in flight, not the index count.
 func TestOrderedLazyAllocation(t *testing.T) {
 	const n = 1 << 12
-	ord := NewOrdered[int](n, 64)
+	o := NewSplitOrdered[int](n, 64)
 	live := func() int {
-		ord.mu.Lock()
-		defer ord.mu.Unlock()
+		o.mu.Lock()
+		defer o.mu.Unlock()
 		c := 0
-		for _, ch := range ord.chans {
-			if ch != nil {
+		for i := range o.base {
+			if o.base[i].ch != nil {
 				c++
 			}
 		}
 		return c
 	}
 	if got := live(); got != 0 {
-		t.Fatalf("NewOrdered materialized %d channels up front, want 0", got)
+		t.Fatalf("NewSplitOrdered materialized %d channels up front, want 0", got)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -170,13 +175,13 @@ func TestOrderedLazyAllocation(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
 			if i%97 == 0 {
-				ord.Emit(i, i) // every 97th index carries one value
+				o.Emit(o.Top(i), i) // every 97th index carries one value
 			}
-			ord.Close(i)
+			o.Close(o.Top(i))
 		}
 	}()
 	drained := 0
-	ord.Drain(func(v int) {
+	o.Drain(func(v int) {
 		if v%97 != 0 {
 			t.Errorf("unexpected value %d", v)
 		}
@@ -199,7 +204,7 @@ func TestOrderedLazyAllocation(t *testing.T) {
 // consumer that actually stopped would deadlock the test.
 func TestOrderedEarlyTerminatingConsumer(t *testing.T) {
 	const n, perIndex, wantOnly = 64, 50, 5
-	ord := NewOrdered[int](n, 1)
+	o := NewSplitOrdered[int](n, 1)
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	for w := 0; w < 4; w++ {
@@ -212,15 +217,15 @@ func TestOrderedEarlyTerminatingConsumer(t *testing.T) {
 					return
 				}
 				for k := 0; k < perIndex; k++ {
-					ord.Emit(idx, idx*perIndex+k)
+					o.Emit(o.Top(idx), idx*perIndex+k)
 				}
-				ord.Close(idx)
+				o.Close(o.Top(idx))
 			}
 		}()
 	}
 	kept := []int{}
 	total := 0
-	ord.Drain(func(v int) {
+	o.Drain(func(v int) {
 		total++
 		if len(kept) < wantOnly { // "stopped" consumer: discard the rest
 			kept = append(kept, v)
@@ -248,7 +253,7 @@ func TestOrderedEarlyTerminatingConsumer(t *testing.T) {
 // bug fails fast instead of hanging the suite.
 func TestOrderedAscendingClaimNoStarvation(t *testing.T) {
 	const n, perIndex = 200, 9
-	ord := NewOrdered[int](n, 1) // 1-slot buffers: maximal blocking pressure
+	o := NewSplitOrdered[int](n, 1) // 1-slot buffers: maximal blocking pressure
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	for w := 0; w < 8; w++ {
@@ -266,16 +271,16 @@ func TestOrderedAscendingClaimNoStarvation(t *testing.T) {
 					time.Sleep(time.Duration(8-idx) * time.Millisecond)
 				}
 				for k := 0; k < perIndex; k++ {
-					ord.Emit(idx, idx)
+					o.Emit(o.Top(idx), idx)
 				}
-				ord.Close(idx)
+				o.Close(o.Top(idx))
 			}
 		}(w)
 	}
 	done := make(chan []int, 1)
 	go func() {
 		var got []int
-		ord.Drain(func(v int) { got = append(got, v) })
+		o.Drain(func(v int) { got = append(got, v) })
 		done <- got
 	}()
 	select {
@@ -295,8 +300,9 @@ func TestOrderedAscendingClaimNoStarvation(t *testing.T) {
 }
 
 // TestSplitOrderedWithoutSplitsMatchesOrdered checks the degenerate case:
-// with no Split calls, SplitOrdered is exactly Ordered — per-index streams
-// merged in index order, empty segments skipped, lazy channels released.
+// with no Split calls, SplitOrdered is a plain ordered merge — per-index
+// streams merged in index order, empty segments (every third index here)
+// skipped without stalling the drain.
 func TestSplitOrderedWithoutSplitsMatchesOrdered(t *testing.T) {
 	const n = 40
 	o := NewSplitOrdered[int](n, 2)
@@ -449,8 +455,8 @@ func TestSplitOrderedConcurrentRecursiveSplits(t *testing.T) {
 	}
 }
 
-// TestSplitOrderedEarlyDiscard mirrors the Ordered early-termination test
-// for the splittable merge: a consumer that discards after a prefix still
+// TestSplitOrderedEarlyDiscard mirrors the early-termination test with
+// splits: a consumer that discards after a prefix still
 // drains every segment, including ones spliced in mid-drain.
 func TestSplitOrderedEarlyDiscard(t *testing.T) {
 	const n = 16
