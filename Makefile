@@ -18,12 +18,15 @@ test: build vet
 # only proves state ownership under the race detector. -short trims the
 # mid-size oracle/regression instances whose deadline-budgeted runs would
 # dominate the race sweep without adding concurrency coverage (the full
-# instances run race-free in `test` and `diff-oracle`). The root package's
-# public-API tests run at GOMAXPROCS 1 and 4: DefaultOptions leaves
-# Parallelism at 0 (one worker per GOMAXPROCS), so -cpu 4 drives them
-# through the sharded enumeration.
+# instances run race-free in `test` and `diff-oracle`). The enumeration,
+# the merge machinery and the root package's public-API tests run at
+# GOMAXPROCS 1 and 4, so steals and merge drains also interleave under a
+# preemptive multi-P schedule; DefaultOptions leaves Parallelism at 0 (one
+# worker per GOMAXPROCS), so -cpu 4 drives the root tests through the
+# sharded enumeration.
 test-race:
-	$(GO) test -race -short ./internal/parallel/ ./internal/enum/ ./internal/bench/
+	$(GO) test -race -short -cpu 1,4 ./internal/parallel/ ./internal/enum/
+	$(GO) test -race -short ./internal/bench/
 	$(GO) test -race -cpu 1,4 .
 
 # Fail-safe certification: the deterministic fault-injection sweep

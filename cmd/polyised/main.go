@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -37,7 +36,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		budget     = flag.String("budget", "0", "memory budget for cached graphs + dedup tables (bytes; suffixes KiB/MiB/GiB; 0 = unlimited)")
+		budget     = flag.String("budget", "0", "memory budget for cached graphs (bytes; suffixes KiB/MiB/GiB; 0 = unlimited)")
 		maxConc    = flag.Int("max-concurrent", 0, "max concurrent enumerations (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue", 0, "admission queue depth beyond the slot pool (0 = slot count)")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for durable run snapshots (empty disables durable runs)")
@@ -46,7 +45,6 @@ func main() {
 		maxLine    = flag.Int("max-line", 1<<16, "graph submission cap: bytes per line (0 = unlimited)")
 		deadline   = flag.Duration("default-deadline", 0, "deadline applied to requests that set none (0 = none)")
 		maxCuts    = flag.Int("max-cuts-ceiling", 0, "hard cap on any request's max_cuts (0 = none)")
-		dedupDef   = flag.Int("dedup-budget", -1, "default per-request dedup-table budget in bytes (0 = unbudgeted, -1 = auto: budget/2/max-concurrent)")
 		writeTO    = flag.Duration("write-timeout", 30*time.Second, "per-write deadline for streamed responses")
 		drainTO    = flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight runs")
 	)
@@ -56,28 +54,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("polyised: -budget: %v", err)
 	}
-	if *dedupDef < 0 {
-		// Auto: size the per-request dedup reservation so a full slot pool
-		// fits inside the memory budget with headroom left for the graph
-		// cache. With no budget, dedup stays unbudgeted.
-		*dedupDef = 0
-		if budgetBytes > 0 {
-			conc := *maxConc
-			if conc <= 0 {
-				conc = runtime.GOMAXPROCS(0)
-			}
-			*dedupDef = int(budgetBytes / int64(2*conc))
-		}
-	}
 	svc := session.NewService(session.Config{
-		MaxConcurrent:      *maxConc,
-		QueueDepth:         *queueDepth,
-		MemoryBudget:       budgetBytes,
-		Limits:             graphio.Limits{MaxNodes: *maxNodes, MaxPreds: *maxPreds, MaxLineBytes: *maxLine},
-		DefaultDeadline:    *deadline,
-		MaxCutsCeiling:     *maxCuts,
-		DedupBudgetDefault: *dedupDef,
-		CheckpointDir:      *ckptDir,
+		MaxConcurrent:   *maxConc,
+		QueueDepth:      *queueDepth,
+		MemoryBudget:    budgetBytes,
+		Limits:          graphio.Limits{MaxNodes: *maxNodes, MaxPreds: *maxPreds, MaxLineBytes: *maxLine},
+		DefaultDeadline: *deadline,
+		MaxCutsCeiling:  *maxCuts,
+		CheckpointDir:   *ckptDir,
 	})
 	srv := &http.Server{
 		Addr:    *addr,

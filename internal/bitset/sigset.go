@@ -93,43 +93,12 @@ func (s *DigestSet) Insert(k [2]uint64) bool {
 	return true
 }
 
-// Bytes reports the memory footprint of the backing table: 16 bytes per
-// slot. It is the quantity Options.MaxDedupBytes budgets.
-func (s *DigestSet) Bytes() int { return len(s.slots) * 16 }
-
-// WouldGrowPast reports whether inserting one more absent key would double
-// the backing table beyond maxBytes. Callers enforcing a memory budget test
-// this BEFORE Insert: when it reports true the table is at its last
-// affordable size and the run must degrade instead of growing.
-func (s *DigestSet) WouldGrowPast(maxBytes int) bool {
-	return 4*(s.n+1) >= 3*len(s.slots) && 2*len(s.slots)*16 > maxBytes
-}
-
 // Len returns the number of distinct keys inserted.
 func (s *DigestSet) Len() int {
 	if s.hasZero {
 		return s.n + 1
 	}
 	return s.n
-}
-
-// AppendDigests appends every key in the set to dst and returns the
-// extended slice: the zero digest first when present, then the non-zero
-// keys in backing-table order. Table order is deterministic for a given
-// insertion history but is NOT insertion order; callers needing a canonical
-// listing must sort. The checkpoint subsystem uses this to serialize a
-// dedup table so a resumed run can suppress exactly the cuts the
-// interrupted run already delivered.
-func (s *DigestSet) AppendDigests(dst [][2]uint64) [][2]uint64 {
-	if s.hasZero {
-		dst = append(dst, [2]uint64{})
-	}
-	for _, k := range s.slots {
-		if k[0]|k[1] != 0 {
-			dst = append(dst, k)
-		}
-	}
-	return dst
 }
 
 // Reset empties the set, keeping the backing array.

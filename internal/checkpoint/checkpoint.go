@@ -1,10 +1,11 @@
 // Package checkpoint defines the durable on-disk snapshot format that makes
 // long enumeration runs crash-tolerant. A snapshot captures the enumeration
 // state at a serial-order visit point — the count of cuts already delivered,
-// the top-level frontier position, the global dedup digest table and the
-// partial work counters — together with the identities needed to refuse a
-// wrong resume: a content hash of the input graph and a fingerprint of the
-// semantically relevant Options.
+// the top-level frontier position, how many cuts of that position's subtree
+// were already delivered, and the partial work counters — together with the
+// identities needed to refuse a wrong resume: a content hash of the input
+// graph and a fingerprint of the semantically relevant Options. Its size is
+// fixed: it does not grow with the cut count.
 //
 // The format is deliberately dumb: a fixed magic, a version number,
 // little-endian fixed-width fields, and a trailing SHA-256 over everything
@@ -18,9 +19,9 @@
 // seed-loop state are all pure functions of the search position (rebuildS —
 // the invariant that makes work-stealing possible makes checkpointing
 // possible too) and are recomputed on resume by replaying the in-progress
-// top-level subtree with the restored dedup table suppressing
-// already-delivered cuts. Serial and parallel runs write the same snapshot
-// shape. See docs/ALGORITHM.md §12 for the resume-identity argument.
+// top-level subtree and skipping its first TopDelivered cuts. Serial and
+// parallel runs write the same snapshot shape. See docs/ALGORITHM.md §12
+// for the resume-identity argument.
 package checkpoint
 
 import (
@@ -42,7 +43,7 @@ const Magic = "polyckpt"
 // Version is the current format version. Decode rejects any other value
 // with a *VersionError; there is no cross-version migration — a snapshot is
 // a resumable run state, not an archival format.
-const Version = 2
+const Version = 3
 
 // Counters mirrors the work counters of enum.Stats at the snapshot point.
 // They are advisory — resume replays some pre-snapshot work, so counters of
@@ -94,16 +95,12 @@ type Snapshot struct {
 	// cut; every earlier position is fully visited, and resume restarts
 	// the top-level loop here.
 	CurTop int
+	// TopDelivered is how many cuts of the CurTop subtree were delivered
+	// (0 ≤ TopDelivered ≤ Visited): resume replays that subtree and skips
+	// this many of its cuts.
+	TopDelivered int64
 	// Stats holds the advisory work counters at the snapshot point.
 	Stats Counters
-	// HasZero and Digests are the dedup table contents: the 128-bit
-	// digests that suppress re-delivery of pre-snapshot cuts on resume.
-	// Serial snapshots carry every candidate digest; parallel snapshots
-	// carry the delivered cuts' digests — the resume semantics are
-	// identical either way (a replayed non-delivered candidate that is
-	// not in the table re-validates to the same verdict).
-	HasZero bool
-	Digests [][2]uint64
 }
 
 // FormatError reports a structurally invalid snapshot: wrong magic, a
@@ -201,16 +198,8 @@ func ParseDigest(s string) ([2]uint64, error) {
 	return d, nil
 }
 
-// flag bits of the snapshot header.
-const (
-	flagDone    = 1 << 0
-	flagHasZero = 1 << 1
-)
-
-// maxSliceLen bounds decoded slice lengths: a length field larger than this
-// is rejected as malformed before any allocation. Generous for real runs
-// (a billion digests would be 16 GiB on disk anyway).
-const maxSliceLen = 1 << 30
+// flagDone is the header flag bit of Snapshot.Done.
+const flagDone = 1 << 0
 
 // Encode writes s to w in format Version. Only WriteFile should normally be
 // used by run integrations; Encode exists for tests and tooling.
@@ -231,20 +220,13 @@ func Encode(w io.Writer, s *Snapshot) error {
 	if s.Done {
 		flags |= flagDone
 	}
-	if s.HasZero {
-		flags |= flagHasZero
-	}
 	buf.WriteByte(flags)
 	buf.WriteByte(s.Reason)
 	w64(uint64(s.Visited))
 	w32(uint32(s.CurTop))
+	w64(uint64(s.TopDelivered))
 	for _, c := range s.Stats.fields() {
 		w64(uint64(*c))
-	}
-	w32(uint32(len(s.Digests)))
-	for _, d := range s.Digests {
-		w64(d[0])
-		w64(d[1])
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	buf.Write(sum[:])
@@ -291,23 +273,12 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-// sliceLen reads a length field and validates that `elem` bytes per element
-// are actually present, so corrupt lengths fail before allocation.
-func (d *decoder) sliceLen(elem int) int {
-	n := d.u32()
-	if d.err || n > maxSliceLen || d.off+int(n)*elem > len(d.b) {
-		d.err = true
-		return 0
-	}
-	return int(n)
-}
-
 // Decode reads one snapshot from r, verifying magic, version and the
 // integrity hash before interpreting any field. All failures are typed:
-// *FormatError (structure, or a negative Visited or counter — a sealed
-// hostile file would otherwise rewind the resumed run's global count),
-// *VersionError (version skew), *CorruptError (hash mismatch). It never
-// panics on arbitrary input.
+// *FormatError (structure, a negative Visited or counter — a sealed
+// hostile file would otherwise rewind the resumed run's global count — or a
+// TopDelivered outside [0, Visited]), *VersionError (version skew),
+// *CorruptError (hash mismatch). It never panics on arbitrary input.
 func Decode(r io.Reader) (*Snapshot, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -335,29 +306,25 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	s.OptHash = d.u64()
 	flags := d.u8()
 	s.Done = flags&flagDone != 0
-	s.HasZero = flags&flagHasZero != 0
 	s.Reason = d.u8()
 	s.Visited = int64(d.u64())
 	s.CurTop = int(d.u32())
+	s.TopDelivered = int64(d.u64())
 	counters := s.Stats.fields()
 	for _, c := range counters {
 		*c = int64(d.u64())
 	}
-	if n := d.sliceLen(16); n > 0 {
-		s.Digests = make([][2]uint64, n)
-		for i := range s.Digests {
-			s.Digests[i][0] = d.u64()
-			s.Digests[i][1] = d.u64()
-		}
-	}
 	if d.err {
-		return nil, &FormatError{Reason: "inconsistent length field"}
+		return nil, &FormatError{Reason: "truncated body"}
 	}
 	if d.off != len(body) {
 		return nil, &FormatError{Reason: "trailing bytes after snapshot"}
 	}
 	if s.Visited < 0 {
 		return nil, &FormatError{Reason: "negative visited count"}
+	}
+	if s.TopDelivered < 0 || s.TopDelivered > s.Visited {
+		return nil, &FormatError{Reason: "frontier delivered count outside [0, visited]"}
 	}
 	for _, c := range counters {
 		if *c < 0 {

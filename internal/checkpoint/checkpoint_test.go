@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,9 +19,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden snapshot file")
 
 // sampleSnapshot is a fixed, fully-populated snapshot: every field class is
-// exercised (flags, counters, the zero digest). It doubles as the
-// golden-file content, so it must never change — format evolution means a
-// new Version and a new golden file, not edits here.
+// exercised (flags, frontier, counters). It doubles as the golden-file
+// content, so it must never change — format evolution means a new Version
+// and a new golden file, not edits here.
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
 		GraphHash: [2]uint64{0x0123456789abcdef, 0xfedcba9876543210},
@@ -29,13 +30,14 @@ func sampleSnapshot() *Snapshot {
 		Reason:    3,
 		Visited:   12345,
 		CurTop:    17,
+		// Only the frontier count is new in v3; it sits between CurTop
+		// and the counters.
+		TopDelivered: 42,
 		Stats: Counters{
 			Valid: 12345, Candidates: 99999, Duplicates: 4242, Invalid: 777,
 			LTRuns: 31337, SeedsPruned: 11, OutputsTried: 2024, Steals: 9,
 			LastLevelTables: 512, LastLevelLookups: 4096,
 		},
-		HasZero: true,
-		Digests: [][2]uint64{{0, 0}, {1, 2}, {0xffffffffffffffff, 3}, {4, 5}},
 	}
 }
 
@@ -72,12 +74,12 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGolden pins the byte-exact v2 encoding against a committed file, in
+// TestGolden pins the byte-exact v3 encoding against a committed file, in
 // both directions: today's encoder must reproduce the golden bytes, and
 // today's decoder must read them back to the sample snapshot. Any failure
 // means the format changed without a version bump.
 func TestGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "snapshot_v2.golden")
+	golden := filepath.Join("testdata", "snapshot_v3.golden")
 	raw := encodeToBytes(t, sampleSnapshot())
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -92,7 +94,7 @@ func TestGolden(t *testing.T) {
 		t.Fatalf("missing golden file (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(raw, want) {
-		t.Fatalf("encoding diverged from committed golden file (%d vs %d bytes): the v2 format changed without a version bump", len(raw), len(want))
+		t.Fatalf("encoding diverged from committed golden file (%d vs %d bytes): the v3 format changed without a version bump", len(raw), len(want))
 	}
 	got, err := Decode(bytes.NewReader(want))
 	if err != nil {
@@ -106,13 +108,27 @@ func TestGolden(t *testing.T) {
 // TestV1Refused pins the v1→v2 break: the committed v1 golden file is
 // refused as version skew, before any of its fields are interpreted.
 func TestV1Refused(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.golden"))
+	refusedAsVersion(t, 1)
+}
+
+// TestV2Refused pins the v2→v3 break: a v2 snapshot carries the dedup
+// digests its resume relied on, which this build no longer reads, so the
+// committed v2 golden file is refused as version skew.
+func TestV2Refused(t *testing.T) {
+	refusedAsVersion(t, 2)
+}
+
+// refusedAsVersion decodes the committed golden file of format version v
+// and requires a *VersionError naming v.
+func refusedAsVersion(t *testing.T, v uint32) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("snapshot_v%d.golden", v)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ve *VersionError
-	if _, err := Decode(bytes.NewReader(raw)); !errors.As(err, &ve) || ve.Got != 1 {
-		t.Fatalf("v1 snapshot: err = %v, want *VersionError{Got: 1}", err)
+	if _, err := Decode(bytes.NewReader(raw)); !errors.As(err, &ve) || ve.Got != v {
+		t.Fatalf("v%d snapshot: err = %v, want *VersionError{Got: %d}", v, err, v)
 	}
 }
 
@@ -173,31 +189,23 @@ func TestCorrupted(t *testing.T) {
 	}
 }
 
-// TestInconsistentLengths patches length fields to values the remaining
-// bytes cannot satisfy (rehashing so the corruption check passes): the
-// bounds-checked decoder must reject them before allocating.
+// TestInconsistentLengths seals bodies whose length disagrees with the
+// fixed v3 layout (rehashing so the corruption check passes): a body cut
+// short anywhere and one with trailing bytes must both be refused as
+// *FormatError, never read past or half-decoded.
 func TestInconsistentLengths(t *testing.T) {
-	s := sampleSnapshot()
-	raw := encodeToBytes(t, s)
-	// The digest-count field follows magic, version, hash pair, N, opt
-	// hash, 2 flag bytes, visited, curtop and 10 counters.
-	digestCountOff := len(Magic) + 4 + 16 + 4 + 8 + 2 + 8 + 4 + 10*8
-	if got := binary.LittleEndian.Uint32(raw[digestCountOff:]); got != uint32(len(s.Digests)) {
-		t.Fatalf("test offset arithmetic is stale: read %d at digest count, want %d", got, len(s.Digests))
-	}
-	for _, n := range []uint32{uint32(len(s.Digests)) + 1, 1 << 29, 0xffffffff} {
-		bad := append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint32(bad[digestCountOff:], n)
-		var fe *FormatError
-		if _, err := Decode(bytes.NewReader(rehash(bad))); !errors.As(err, &fe) {
-			t.Fatalf("digest count %d: err = %v, want *FormatError", n, err)
+	raw := encodeToBytes(t, sampleSnapshot())
+	body := raw[:len(raw)-sha256.Size]
+	var fe *FormatError
+	for n := len(Magic) + 4; n < len(body); n++ {
+		if _, err := Decode(bytes.NewReader(rehash(append(body[:n:n], make([]byte, sha256.Size)...)))); !errors.As(err, &fe) {
+			t.Fatalf("body cut to %d of %d bytes: err = %v, want *FormatError", n, len(body), err)
 		}
 	}
 	// Trailing garbage between the last field and the hash.
-	padded := append([]byte(nil), raw[:len(raw)-sha256.Size]...)
+	padded := append([]byte(nil), body...)
 	padded = append(padded, 0xaa, 0xbb)
-	var fe *FormatError
-	if _, err := Decode(bytes.NewReader(rehash(padded))); !errors.As(err, &fe) {
+	if _, err := Decode(bytes.NewReader(rehash(append(padded, make([]byte, sha256.Size)...)))); !errors.As(err, &fe) {
 		t.Fatalf("trailing bytes: err = %v, want *FormatError", err)
 	}
 }
@@ -209,7 +217,7 @@ func TestInconsistentLengths(t *testing.T) {
 func TestNegativeCounts(t *testing.T) {
 	raw := encodeToBytes(t, sampleSnapshot())
 	visitedOff := len(Magic) + 4 + 16 + 4 + 8 + 2
-	counterOff := visitedOff + 8 + 4
+	counterOff := visitedOff + 8 + 4 + 8
 	if got := binary.LittleEndian.Uint64(raw[visitedOff:]); got != uint64(sampleSnapshot().Visited) {
 		t.Fatalf("test offset arithmetic is stale: read %d at Visited", got)
 	}
@@ -225,6 +233,34 @@ func TestNegativeCounts(t *testing.T) {
 			if _, err := Decode(bytes.NewReader(rehash(bad))); !errors.As(err, &fe) {
 				t.Fatalf("value %d at offset %d: err = %v, want *FormatError", v, off, err)
 			}
+		}
+	}
+}
+
+// TestTopDeliveredOutOfRange patches the frontier's delivered count below
+// 0 and above Visited in a correctly sealed snapshot: either would make a
+// resume skip cuts it never delivered, or skip past the frontier subtree,
+// so the decoder refuses both.
+func TestTopDeliveredOutOfRange(t *testing.T) {
+	s := sampleSnapshot()
+	raw := encodeToBytes(t, s)
+	off := len(Magic) + 4 + 16 + 4 + 8 + 2 + 8 + 4
+	if got := binary.LittleEndian.Uint64(raw[off:]); got != uint64(s.TopDelivered) {
+		t.Fatalf("test offset arithmetic is stale: read %d at TopDelivered", got)
+	}
+	for _, v := range []int64{-1, -1 << 63, s.Visited + 1, 1<<63 - 1} {
+		bad := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(bad[off:], uint64(v))
+		var fe *FormatError
+		if _, err := Decode(bytes.NewReader(rehash(bad))); !errors.As(err, &fe) {
+			t.Fatalf("TopDelivered %d: err = %v, want *FormatError", v, err)
+		}
+	}
+	for _, v := range []int64{0, s.Visited} {
+		ok := *s
+		ok.TopDelivered = v
+		if _, err := Decode(bytes.NewReader(encodeToBytes(t, &ok))); err != nil {
+			t.Fatalf("TopDelivered %d: %v", v, err)
 		}
 	}
 }
@@ -279,7 +315,7 @@ func TestGraphDigest(t *testing.T) {
 // FuzzCheckpoint mirrors graphio.FuzzRead: arbitrary bytes must either
 // decode to a snapshot with non-negative counts that re-encodes and
 // re-decodes to itself, or fail with a typed error — never panic, never
-// loop. The committed v1 golden file seeds the version-skew path.
+// loop. The committed v1 and v2 golden files seed the version-skew path.
 func FuzzCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
@@ -299,6 +335,11 @@ func FuzzCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1)
+	v2, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := Decode(bytes.NewReader(raw))
 		if err != nil {
@@ -310,8 +351,8 @@ func FuzzCheckpoint(f *testing.F) {
 			}
 			return
 		}
-		if s.Visited < 0 {
-			t.Fatalf("decoded a negative Visited %d", s.Visited)
+		if s.Visited < 0 || s.TopDelivered < 0 || s.TopDelivered > s.Visited {
+			t.Fatalf("decoded out-of-range counts Visited=%d TopDelivered=%d", s.Visited, s.TopDelivered)
 		}
 		for _, c := range s.Stats.fields() {
 			if *c < 0 {

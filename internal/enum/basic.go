@@ -25,7 +25,7 @@ func EnumerateBasic(g *dfg.Graph, opt Options, visit func(Cut) bool) Stats {
 		visit:   visit,
 		md:      multidom.New(g),
 		val:     NewValidator(g, opt),
-		seen:    newSigSet(),
+		seen:    bitset.NewDigestSet(),
 		gendoms: make(map[int][][]int),
 		S:       bitset.New(g.N()),
 		I:       bitset.New(g.N()),
@@ -62,7 +62,7 @@ type basicEnum struct {
 	pdt   *domtree.Tree
 	val   *Validator
 	stats Stats
-	seen  *sigSet
+	seen  *bitset.DigestSet // this algorithm derives a cut many times: dedup by digest
 
 	gendoms map[int][][]int // memoized generalized dominators per output
 
@@ -183,11 +183,6 @@ func (e *basicEnum) checkCandidate() {
 		}
 	}
 	if e.S.Intersects(e.g.ForbiddenSet()) {
-		return
-	}
-	if e.opt.MaxDedupBytes > 0 && e.seen.WouldGrowPast(e.opt.MaxDedupBytes) {
-		e.stats.RecordStop(StopBudget)
-		e.stopped = true
 		return
 	}
 	if !e.seen.Insert(e.S.Hash128()) {

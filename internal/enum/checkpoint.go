@@ -15,34 +15,28 @@ package enum
 //  1. Cut validity is a pure function of the vertex set S, which is itself
 //     a pure function of the (outs, Ilist) choice stacks (rebuildS — the
 //     PR 6 stealing invariant).
-//  2. The exploration order is independent of dedup contents and visitor
-//     verdicts: the search visits candidate (outs, Ilist) nodes in a fixed
-//     order; dedup and validation only decide delivery, never traversal.
+//  2. The exploration order is independent of visitor verdicts, and so is
+//     delivery: the search visits candidate (outs, Ilist) nodes in a fixed
+//     order, and whether a node delivers a cut depends on that node alone
+//     (the canonical derivation test and validation, see checkCut).
 //  3. Every snapshot is taken at the serial-order visit point, so "the
 //     first Visited cuts of the serial order" describes the delivered
 //     prefix exactly, at any worker count.
 //
 // Therefore a resume needs only: the top-level position of the last
 // delivered cut (CurTop; every earlier position is fully visited), the
-// dedup digests of what was already delivered, and the delivered count. It
-// restarts the top-level loop at CurTop; the in-progress subtree is
-// REPLAYED, and the restored digest table suppresses re-delivery of its
-// pre-snapshot cuts — the dedup table is the skip mechanism, not just an
-// optimization. By facts 1 and 2 the replay walks the same nodes to the
-// same verdicts, so the first novel delivery is exactly the cut the
-// interrupted run would have delivered next. Replay is the only resume
-// mechanism, and it costs a few percent of dominator analyses over the
-// remaining work (EXPERIMENTS.md, "Resume replay cost"). Serial and
-// parallel runs share one visit point (visitPoint), which owns the
-// delivered count, the frontier, the budgets at delivery and every
-// snapshot.
-//
-// Dedup-scope compatibility across the seam: serial tables hold every
-// candidate digest, the parallel merge's table only delivered cuts'. Both
-// resume directions are sound because a digest NOT in the table is simply
-// re-validated — and by fact 1 an invalid candidate re-validates to
-// invalid — so only the Duplicates/Invalid attribution can shift, which
-// the Stats contract already leaves free.
+// number of cuts of that position's subtree already delivered
+// (TopDelivered), and the delivered count. It restarts the top-level loop
+// at CurTop; the in-progress subtree is REPLAYED, and the visit point
+// skips its first TopDelivered deliveries. By facts 1 and 2 the replay
+// walks the same nodes to the same verdicts, so the first delivery past
+// the skip is exactly the cut the interrupted run would have delivered
+// next. Replay is the only resume mechanism, and it costs a few percent of
+// dominator analyses over the remaining work (EXPERIMENTS.md, "Resume
+// replay cost"). A snapshot is a fixed-size record whatever the cut count.
+// Serial and parallel runs share one visit point (visitPoint), which owns
+// the delivered count, the frontier, the skip, the budgets at delivery and
+// every snapshot.
 
 import (
 	"errors"
@@ -129,43 +123,40 @@ func (ck *ckptWriter) write(s *checkpoint.Snapshot) (err error) {
 }
 
 // visitPoint is a run's serial-order visit point: the one place where a
-// deduplicated valid cut reaches the caller's visitor, and so the one place
-// where the delivery budgets bind and snapshots are taken. A serial run's
-// worker delivers from checkCut; a parallel run's merge delivers after its
-// global dedup, in drain order, which is serial order. Either way the
-// visitor has received exactly the first `visited` cuts of the serial
-// order, which is what a snapshot records.
+// valid cut reaches the caller's visitor, and so the one place where the
+// delivery budgets bind and snapshots are taken. A serial run's worker
+// delivers from checkCut; a parallel run's merge delivers in drain order,
+// which is serial order. Either way the visitor has received exactly the
+// first `visited` cuts of the serial order, which is what a snapshot
+// records.
 type visitPoint struct {
 	opt     Options
 	visit   func(Cut) bool
 	ck      *ckptWriter // nil unless Options.CheckpointPath is set
-	seen    *sigSet     // the global dedup table: the serial worker's, or the merge's
 	st      *Stats      // where stops are recorded; its counters ride in snapshots
 	visited int         // cuts delivered in the logical run, resume prefix included
 	curTop  int         // top-level position of the last delivered cut: the resume frontier
+	topDone int         // cuts of curTop's subtree delivered so far
+	skip    int         // replayed deliveries still to drop on a resume
 }
 
-// newVisitPoint builds the visit point of one run over the dedup table
-// seen, recording stops into st. snap, when non-nil, seeds it from a
-// resume snapshot: the digests suppress re-delivery from the replayed
-// frontier subtree, the delivered count keeps MaxCuts and CheckpointEvery
-// counting across the seam, the frontier is the snapshot's, and the
-// counters become st's baseline. A snapshot that already holds MaxCuts
-// cuts records StopBudget here, and the caller must not start the search.
-// Rejecting at delivery would be too late: the serial worker inserts a
-// candidate's digest before delivering it, and a digest the table holds
-// but the visitor never received is suppressed on every later resume.
-func newVisitPoint(g *dfg.Graph, opt Options, visit func(Cut) bool, seen *sigSet, st *Stats, snap *checkpoint.Snapshot) *visitPoint {
-	vp := &visitPoint{opt: opt, visit: visit, seen: seen, st: st}
+// newVisitPoint builds the visit point of one run, recording stops into
+// st. snap, when non-nil, seeds it from a resume snapshot: the frontier
+// subtree's delivered count becomes the number of replayed deliveries to
+// skip, the delivered count keeps MaxCuts and CheckpointEvery counting
+// across the seam, the frontier is the snapshot's, and the counters become
+// st's baseline. A snapshot that already holds MaxCuts cuts records
+// StopBudget here, and the caller must not start the search.
+func newVisitPoint(g *dfg.Graph, opt Options, visit func(Cut) bool, st *Stats, snap *checkpoint.Snapshot) *visitPoint {
+	vp := &visitPoint{opt: opt, visit: visit, st: st}
 	if opt.CheckpointPath != "" {
 		vp.ck = newCkptWriter(g, opt)
 	}
 	if snap != nil {
-		for _, d := range snap.Digests {
-			seen.Insert(d)
-		}
 		*st = statsFromCounters(snap.Stats)
 		vp.visited, vp.curTop = int(snap.Visited), snap.CurTop
+		vp.topDone = int(snap.TopDelivered)
+		vp.skip = vp.topDone
 		if opt.MaxCuts > 0 && vp.visited >= opt.MaxCuts {
 			st.RecordStop(StopBudget)
 		}
@@ -173,12 +164,20 @@ func newVisitPoint(g *dfg.Graph, opt Options, visit func(Cut) bool, seen *sigSet
 	return vp
 }
 
-// deliver hands c, a deduplicated valid cut from top-level position top,
-// to the visitor and applies the visit-point policy: panic containment
+// deliver hands c, a valid cut from top-level position top, to the visitor
+// and applies the visit-point policy: the resume skip, panic containment
 // around the visitor, MaxCuts, the CheckpointStop poll and the
 // CheckpointEvery snapshot. It reports whether the run may go on; on false
 // the reason is already recorded in st.
 func (vp *visitPoint) deliver(c Cut, top int) (ok bool) {
+	if top != vp.curTop {
+		vp.curTop, vp.topDone, vp.skip = top, 0, 0
+	} else if vp.skip > 0 {
+		// A replayed cut of the resume frontier's subtree that the
+		// interrupted run already delivered.
+		vp.skip--
+		return true
+	}
 	defer func() {
 		if v := recover(); v != nil {
 			vp.fail(&PanicError{Value: v, Stack: debug.Stack()})
@@ -186,7 +185,7 @@ func (vp *visitPoint) deliver(c Cut, top int) (ok bool) {
 		}
 	}()
 	vp.visited++
-	vp.curTop = top
+	vp.topDone++
 	if !vp.visit(c) {
 		vp.st.RecordStop(StopVisitor)
 		return false
@@ -226,37 +225,36 @@ func (vp *visitPoint) fail(err error) {
 }
 
 // snapshot builds the run's snapshot at the visit point: the delivered
-// count, curTop, the counters of st, and the digests of the dedup table,
-// which suppress the replayed curTop subtree's pre-snapshot deliveries on
-// resume.
+// count, curTop and how many of its subtree's cuts were delivered, and the
+// counters of st.
 func (vp *visitPoint) snapshot(st Stats) *checkpoint.Snapshot {
 	st.Valid = vp.visited
 	return &checkpoint.Snapshot{
-		GraphHash: vp.ck.gHash,
-		GraphN:    vp.ck.gN,
-		OptHash:   vp.ck.optHash,
-		Reason:    uint8(st.StopReason),
-		Visited:   int64(vp.visited),
-		CurTop:    vp.curTop,
-		Stats:     countersOf(st),
-		Digests:   vp.seen.AppendDigests(nil),
+		GraphHash:    vp.ck.gHash,
+		GraphN:       vp.ck.gN,
+		OptHash:      vp.ck.optHash,
+		Reason:       uint8(st.StopReason),
+		Visited:      int64(vp.visited),
+		CurTop:       vp.curTop,
+		TopDelivered: int64(vp.topDone),
+		Stats:        countersOf(st),
 	}
 }
 
 // finish ends the run once the search has unwound and returns its Stats,
 // st, with Valid set to the delivered count. With checkpointing on it
 // writes the final snapshot: resumable at curTop when the run stopped, or
-// marked Done (no dedup table, nothing to resume) when it exhausted the
-// search space. Nothing that runs after a stop changes visited, curTop or
-// the dedup table, and a contained panic unwinds without running frame
-// epilogues, so the unwound state is the stop-time state. A failed write
-// becomes the run's error unless it already has one.
+// marked Done (nothing to resume) when it exhausted the search space.
+// Nothing that runs after a stop changes visited, curTop or topDone, and a
+// contained panic unwinds without running frame epilogues, so the unwound
+// state is the stop-time state. A failed write becomes the run's error
+// unless it already has one.
 func (vp *visitPoint) finish(st *Stats) Stats {
 	st.Valid = vp.visited
 	if vp.ck != nil {
 		snap := vp.snapshot(*st)
 		if st.StopReason == StopNone {
-			snap.Done, snap.CurTop, snap.Digests = true, vp.ck.gN, nil
+			snap.Done, snap.CurTop, snap.TopDelivered = true, vp.ck.gN, 0
 		}
 		if err := vp.ck.write(snap); err != nil && st.Err == nil {
 			st.Err = err
@@ -310,11 +308,8 @@ func statsFromCounters(c checkpoint.Counters) Stats {
 // Counting is global across the seam: the returned Stats.Valid, a MaxCuts
 // cap and the CheckpointEvery cadence all count cuts of the whole logical
 // run, snapshot prefix included. The work counters (Candidates, LTRuns, …)
-// are advisory on a resumed run — the replay of the in-progress subtree
-// re-executes pre-snapshot work — and a pre-snapshot candidate replayed
-// against a dedup table that only tracked deliveries can shift attribution
-// between Duplicates and Invalid, exactly the freedom the Stats contract
-// already grants across worker counts.
+// are advisory on a resumed run: the replay of the in-progress subtree
+// re-executes pre-snapshot work.
 //
 // Errors: ErrCompleted when the snapshot records a finished run, a
 // *checkpoint.MismatchError when g or the semantic Options differ from the
@@ -345,8 +340,8 @@ func ResumeEnumerate(g *dfg.Graph, opt Options, snap *checkpoint.Snapshot, visit
 	if snap.CurTop < 0 || snap.CurTop > g.N() {
 		return Stats{}, &checkpoint.FormatError{Reason: "frontier position out of range"}
 	}
-	if snap.Visited < 0 {
-		return Stats{}, &checkpoint.FormatError{Reason: "negative visited count"}
+	if snap.Visited < 0 || snap.TopDelivered < 0 || snap.TopDelivered > snap.Visited {
+		return Stats{}, &checkpoint.FormatError{Reason: "delivered counts out of range"}
 	}
 	var stats Stats
 	if w := parallel.Workers(opt.Parallelism); w > 1 && g.N() > 1 {

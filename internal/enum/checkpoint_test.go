@@ -328,8 +328,7 @@ func TestResumeValidation(t *testing.T) {
 // TestCrashResumeEverySite is the crash-resume chaos matrix: an injected
 // panic at every protocol site of a checkpointing run, then a resume from
 // the snapshot the contained crash left behind — at the OTHER worker count,
-// so every crash/resume pair also crosses the serial↔parallel dedup-scope
-// seam. The invariant: crashed prefix + resumed suffix ≡ serial, no
+// so every crash/resume pair also crosses the serial↔parallel seam. The invariant: crashed prefix + resumed suffix ≡ serial, no
 // duplicate and no missing cuts. SiteCheckpointWrite crashes inside the
 // snapshot writer itself, proving the previous snapshot survives a failed
 // atomic write.
@@ -402,5 +401,38 @@ func TestCrashResumeEverySite(t *testing.T) {
 	}
 	if fired < 4 {
 		t.Fatalf("only %d crash injections fired — the matrix is near-vacuous", fired)
+	}
+}
+
+// TestSnapshotSizeIndependentOfCuts pins the fixed snapshot size: a
+// snapshot records counts and a frontier, never the delivered cuts, so a
+// run stopped after one cut, one stopped halfway and a completed run all
+// leave files of one size, serial or parallel.
+func TestSnapshotSizeIndependentOfCuts(t *testing.T) {
+	g := workload.MiBenchLike(rand.New(rand.NewSource(6)), 60, workload.DefaultProfile())
+	sopt := enum.DefaultOptions()
+	sopt.Parallelism = 1
+	total := len(visitSequence(g, sopt))
+	if total < 100 {
+		t.Fatalf("test graph yields only %d cuts", total)
+	}
+	size := int64(-1)
+	for _, workers := range []int{1, 4} {
+		for _, maxCuts := range []int{1, total / 2, 0} {
+			path := filepath.Join(t.TempDir(), "size.ckpt")
+			opt := ckptOpt(path, workers, 0)
+			opt.MaxCuts = maxCuts
+			if _, stats := runCollect(g, opt); stats.Err != nil {
+				t.Fatal(stats.Err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size >= 0 && fi.Size() != size {
+				t.Fatalf("workers=%d MaxCuts=%d: snapshot of %d bytes, earlier ones %d", workers, maxCuts, fi.Size(), size)
+			}
+			size = fi.Size()
+		}
 	}
 }

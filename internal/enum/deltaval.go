@@ -260,6 +260,32 @@ func (d *DeltaValidator) NumOutputs() int {
 	return d.outs.Count()
 }
 
+// Canonical reports whether the search reached the current maintained cut
+// S by its canonical derivation: the chosen outputs ascend and are exactly
+// O(S), and the chosen inputs are exactly I(S) = predU \ S. Together with
+// the derivation rules of pickInputs, this holds at exactly one search node
+// per valid cut (docs/ALGORITHM.md §5), so the test replaces any record of
+// the cuts already delivered. It reads only the maintained aggregates and
+// syncs the mirror first.
+func (d *DeltaValidator) Canonical(outs []int, inputs *bitset.Set) bool {
+	d.sync()
+	if len(outs) != d.outs.Count() {
+		return false
+	}
+	for k, o := range outs {
+		if !d.outs.Has(o) || (k > 0 && o < outs[k-1]) {
+			return false
+		}
+	}
+	sw, pw := d.S.Words(), d.predU.Words()
+	for i, w := range inputs.Words() {
+		if pw[i]&^sw[i] != w {
+			return false
+		}
+	}
+	return true
+}
+
 // Validate checks the current maintained cut S against the §3 problem
 // statement, mirroring Validator.Validate bit for bit (the property tests
 // enforce the agreement): non-empty, disjoint from F and the roots, within

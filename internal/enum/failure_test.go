@@ -22,7 +22,7 @@ import (
 )
 
 // failGraph is the shared mid-size instance: rich enough to shard, steal
-// and exceed dedup budgets, small enough to enumerate in milliseconds.
+// and hit cut budgets, small enough to enumerate in milliseconds.
 func failGraph(t *testing.T, seed int64, n int) (*dfg.Graph, []string) {
 	t.Helper()
 	g := workload.MiBenchLike(rand.New(rand.NewSource(seed)), n, workload.DefaultProfile())
@@ -259,38 +259,6 @@ func TestFailureContextExpiredBeforeSteal(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-}
-
-// TestFailureDedupBudget drives the enumeration into Options.MaxDedupBytes:
-// the run must stop with StopBudget (graceful degradation, not an error)
-// and the visited cuts must be a serial-order prefix at every worker count.
-func TestFailureDedupBudget(t *testing.T) {
-	g, serial := failGraph(t, 3, 60)
-	for _, workers := range []int{1, 4, g.N()} {
-		opt := enum.DefaultOptions()
-		opt.Parallelism = workers
-		opt.KeepCuts = true
-		opt.MaxDedupBytes = 1024
-		var got []string
-		stats := runBounded(t, "budgeted run", func() enum.Stats {
-			return enum.Enumerate(g, opt, func(c enum.Cut) bool {
-				got = append(got, c.String())
-				return true
-			})
-		})
-		if stats.StopReason != enum.StopBudget {
-			t.Fatalf("workers=%d: StopReason = %v, want %v", workers, stats.StopReason, enum.StopBudget)
-		}
-		if stats.Err != nil {
-			t.Fatalf("workers=%d: budget stop is not an error, got %v", workers, stats.Err)
-		}
-		if len(got) == 0 || len(got) >= len(serial) {
-			t.Fatalf("workers=%d: budget of 1KiB visited %d of %d cuts — did not bind", workers, len(got), len(serial))
-		}
-		if !isPrefix(got, serial) {
-			t.Fatalf("workers=%d: budget-stopped cuts are not a serial-order prefix", workers)
-		}
 	}
 }
 

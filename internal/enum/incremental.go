@@ -36,9 +36,10 @@ import (
 // input pushes that invalidate most of S.
 //
 // Every candidate S with at most Nout outputs (internal outputs included,
-// per the output–output pruning) is validated against the full §3 problem
-// statement and deduplicated, so the visitor sees each valid cut exactly
-// once. The visitor may return false to stop early.
+// per the output–output pruning) that the search reached by its canonical
+// derivation is validated against the full §3 problem statement. Each
+// valid cut has exactly one canonical derivation, so the visitor sees it
+// exactly once. The visitor may return false to stop early.
 //
 // Options.Parallelism selects between the serial algorithm (1, the paper's
 // configuration) and the sharded parallel one (0 = one shard worker per
@@ -59,7 +60,7 @@ func Enumerate(g *dfg.Graph, opt Options, visit func(Cut) bool) Stats {
 func enumerateSerial(g *dfg.Graph, opt Options, visit func(Cut) bool, snap *checkpoint.Snapshot) Stats {
 	sh := newEnumShared(g, opt)
 	e := sh.newWorker(nil, nil)
-	vp := newVisitPoint(g, opt, visit, e.seen, &e.stats, snap)
+	vp := newVisitPoint(g, opt, visit, &e.stats, snap)
 	e.visit = func(c Cut) bool { return vp.deliver(c, e.topPos) }
 	e.stopped = e.stats.StopReason != StopNone // a resume already at its MaxCuts cap
 	func() {
@@ -165,10 +166,10 @@ func permanentOutput(g *dfg.Graph, v int) bool {
 
 // newWorker allocates one enumeration worker with private mutable state (the
 // clone-per-shard ownership the parallel enumeration relies on): validator,
-// dedup map, every bitset scratch buffer and the flow solver are owned
-// exclusively by the returned worker. ext, when non-nil, is an external stop
-// flag polled during the search (used to cancel sibling shards after an
-// early visitor stop).
+// every bitset scratch buffer and the flow solver are owned exclusively by
+// the returned worker. ext, when non-nil, is an external stop flag polled
+// during the search (used to cancel sibling shards after an early visitor
+// stop).
 func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum {
 	n := sh.g.N()
 	S := bitset.New(n)
@@ -184,7 +185,6 @@ func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum
 		stop:    NewStopper(sh.opt),
 		dval:    NewDeltaValidator(sh.g, sh.opt, S),
 		tr:      sh.g.NewTraverser(),
-		seen:    newSigSet(),
 		S:       S,
 		Iuser:   bitset.New(n),
 		outSet:  bitset.New(n),
@@ -199,7 +199,6 @@ type incEnum struct {
 	dval  *DeltaValidator // incremental validation engine, worker-owned
 	tr    *dfg.Traverser  // word-parallel traversal kernels, worker-owned
 	stats Stats
-	seen  *sigSet
 	ext   *atomic.Bool // external stop flag; nil in serial runs
 
 	S      *bitset.Set // current cut (user capacity)
@@ -609,9 +608,9 @@ func (e *incEnum) reachableFromInput(o int) bool {
 
 // pickInputs implements PICK-INPUTS for output o: one reduced-graph
 // analysis either shows the chosen inputs already dominate o (condition 1)
-// — then the cut is checked — or yields every vertex w completing a
-// multiple-vertex dominator of o. Afterwards, if budget remains, the seed
-// set is extended with further ancestors of o.
+// — then, at a phase start, the cut is checked — or yields every vertex w
+// completing a multiple-vertex dominator of o. Afterwards, if budget
+// remains, the seed set is extended with further ancestors of o.
 //
 // Seed candidates are restricted to vertices on a surviving source→o path:
 // blocking anything else leaves every path (and therefore every reduced
@@ -676,10 +675,14 @@ func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phas
 		}
 	}
 	if !reachable {
-		// I dominates o already (the PICK-OUTPUT "if I dominates o" branch;
-		// with seed recursion this also catches seed sets that complete the
-		// domination by themselves).
-		e.checkCut(depth, oTopo, ninLeft, noutLeft)
+		// I dominates o already (the PICK-OUTPUT "if I dominates o" branch).
+		// After a seed push the same input set is derived again with its
+		// smallest member, lastIn, as the completion — the canonical
+		// derivation (docs/ALGORITHM.md §5) — so only a phase start checks
+		// the cut here.
+		if pBack == nil {
+			e.checkCut(depth, oTopo, ninLeft, noutLeft)
+		}
 		return true
 	}
 	if ninLeft <= 0 {
@@ -697,10 +700,15 @@ func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phas
 	found := false
 
 	// Completion step: every reduced-graph dominator of o extends I to a
-	// multiple-vertex dominator of o.
+	// multiple-vertex dominator of o. The completion is the phase's
+	// smallest input: the chain ascends, so it stops at the first vertex
+	// above the phase's last (smallest) seed.
 	for _, u := range chain {
 		if e.stopped {
 			return found
+		}
+		if pBack != nil && u > lastIn {
+			break
 		}
 		if e.outSet.Has(u) {
 			continue // a chosen output cannot double as an input
@@ -952,10 +960,13 @@ func (e *incEnum) resetChoice() {
 // then recurse into further output choices. The admission checks run on the
 // incremental validation engine: the real-output count is a population
 // count on the delta-maintained O(S) (the from-scratch OutputsInto sweep
-// this replaced was the single hottest per-candidate cost), and the full
-// §3 validation runs staged on the same maintained aggregates. A novel
-// valid cut goes to e.visit: the run's visit point in a serial run, the
-// worker's merge segment in a parallel one.
+// this replaced was the single hottest per-candidate cost), the canonical
+// derivation test compares the chosen outputs and inputs with the
+// maintained O(S) and I(S), and the full §3 validation runs staged on the
+// same aggregates. Each valid cut passes the canonical test at exactly one
+// search node, so it reaches e.visit once, with no record of earlier cuts:
+// the run's visit point in a serial run, the worker's merge segment in a
+// parallel one.
 func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
 	if h := faultinject.OnCheckCut; h != nil {
 		h()
@@ -968,20 +979,7 @@ func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
 	e.stats.Candidates++
 	realOuts := e.dval.NumOutputs()
 	if realOuts <= e.opt.MaxOutputs && !e.S.Empty() && !e.S.Intersects(e.g.ForbiddenSet()) {
-		if h := faultinject.OnDedupInsert; h != nil {
-			h()
-		}
-		if e.opt.MaxDedupBytes > 0 && e.seen.WouldGrowPast(e.opt.MaxDedupBytes) {
-			// Graceful degradation: the dedup table is at its last
-			// affordable size, so admitting this candidate could double it
-			// past the budget. Stop with exact partial stats instead.
-			// Parallel workers run with the budget cleared: it binds the
-			// merge's global table, which fills in serial order, while the
-			// worker tables are transient scopes reset at every work unit.
-			e.stopExternal(StopBudget)
-			return
-		}
-		if !e.seen.Insert(e.S.Hash128()) {
+		if !e.dval.Canonical(e.outs, e.Iuser) {
 			e.stats.Duplicates++
 		} else {
 			var cut Cut

@@ -14,17 +14,22 @@
 // # Completeness guarantees
 //
 // Both algorithms validate every candidate cut directly against the problem
-// statement of §3 and deduplicate by a 128-bit vertex-set digest, so no
-// configuration can ever produce an invalid or repeated cut. Completeness —
-// every valid cut is produced — holds under DefaultOptions and is verified
-// by measurement at two tiers: against the brute-force oracle over all
-// vertex subsets to n ≈ 16 (any Options), and against the pruned-exhaustive
-// oracle (baseline.DiffOracle, `make diff-oracle`) to n ≈ 240 on the
-// MiBench-like corpus, including the pinned regression instances of the
-// historical n ≥ 140 gap. That gap was a collision class in the dedup
-// digest, not a search deficiency — the dedup layer is as
-// completeness-critical as the search, which is why the oracle compares by
-// full signature and triages digest collisions explicitly. The two
+// statement of §3, so no configuration can ever produce an invalid cut.
+// Neither repeats a cut, by different means. EnumerateBasic derives a cut
+// many times and drops repeats by a 128-bit vertex-set digest. Enumerate
+// keeps no record of delivered cuts at all: each valid cut is identified by
+// its (O, I) pair (theorem 3), and the search admits a candidate only at
+// its canonical derivation — outputs chosen in ascending order, each
+// output phase's inputs pushed in descending order with the smallest as
+// the completion — which exists exactly once per valid cut
+// (docs/ALGORITHM.md §5). Completeness — every valid cut is produced —
+// holds under DefaultOptions and is verified by measurement at two tiers:
+// against the brute-force oracle over all vertex subsets to n ≈ 16 (any
+// exact Options), and against the pruned-exhaustive oracle
+// (baseline.DiffOracle, `make diff-oracle`) to n ≈ 240 on the MiBench-like
+// corpus, including the pinned regression instances of the historical
+// n ≥ 140 gap. That gap was a collision class in the dedup digest Enumerate
+// then used, not a search deficiency (docs/ALGORITHM.md §7). The two
 // approximate §5.3 prunings (PruneDominatorInput, PruneForbiddenAncestors)
 // are the only knobs that trade completeness away and are off by default.
 // How many cuts they lose has not been measured yet (ROADMAP.md, item
@@ -101,12 +106,9 @@ type Options struct {
 	// stops early — selection built on the enumeration is bit-for-bit
 	// reproducible regardless of parallelism. The differential harness and
 	// the pinned sequence digests of the gap-regression corpus enforce
-	// this. Stats are NOT part of that contract. For runs that complete,
-	// Valid, Candidates, LTRuns, OutputsTried and SeedsPruned match the
-	// serial run exactly and only attribution can shift between Duplicates
-	// and Invalid (their sum is preserved): a candidate repeated across
-	// two dedup scopes is re-validated instead of being caught by the
-	// serial run's global dedup. After an early visitor stop the work
+	// this. For runs that complete, every Stats counter except Steals
+	// matches the serial run exactly: each candidate's verdict depends on
+	// its own search node alone. After an early visitor stop the work
 	// counters are NOT preserved — workers already past the stopped prefix
 	// report Candidates/OutputsTried/etc. a serial run would never have
 	// started, and only Valid is exact: it counts precisely the cuts the
@@ -146,7 +148,9 @@ type Options struct {
 	// forbidden seed ends the slot). Implemented literally, this test is NOT
 	// exact — it loses cuts whose dominators use an incomparable seed (the
 	// test suite demonstrates this) — so unlike the paper we keep it OFF by
-	// default and expose it only for the ablation study.
+	// default and expose it only for the ablation study. A cut it prunes
+	// away is lost even when another derivation would reach it: each cut
+	// is delivered only at its canonical derivation (docs/ALGORITHM.md §5).
 	PruneDominatorInput bool
 
 	// PruneForbiddenAncestors enables the paper's aggressive form of the
@@ -177,17 +181,6 @@ type Options struct {
 	// Parallelism determinism contract); EnumerateContext is the
 	// convenience wrapper that also returns an error.
 	Context context.Context
-
-	// MaxDedupBytes, when positive, bounds the memory of the global dedup
-	// digest table (the open-addressing set that makes every cut unique):
-	// the serial run's table, or the merge stage's in parallel runs. When
-	// an insert would grow it past the budget the run ends early with
-	// StopReason = StopBudget and exact partial stats, instead of growing
-	// without bound on adversarial graphs. The table fills in serial cut
-	// order at every worker count, so degradation delivers the longest
-	// affordable serial-order prefix. (The transient per-worker scoped
-	// tables, reset at every subtree, are not budgeted.)
-	MaxDedupBytes int
 
 	// MaxCuts, when positive, stops the run once the visitor has received
 	// that many cuts, with StopReason = StopBudget. The delivered prefix
@@ -261,8 +254,12 @@ func DefaultOptions() Options {
 // implementation: the standard Nin=4/Nout=2 constraint with every §5.3
 // pruning enabled, including the two approximate ones
 // (PruneDominatorInput, PruneForbiddenAncestors). Enumeration under these
-// options is fast but may miss valid cuts; the size of that loss has not
-// been measured yet (ROADMAP.md, item 4(c)).
+// options is fast but may miss valid cuts: an approximate pruning that
+// cuts off a cut's canonical derivation loses the cut, since no other
+// derivation delivers it. On the n=140 gap instance paper mode finds
+// 4 200 of the 4 565 exact cuts (EXPERIMENTS.md, "Canonical
+// derivations"); a measurement across the corpus is still open
+// (ROADMAP.md, item 4(c)).
 func PaperOptions() Options {
 	o := DefaultOptions()
 	o.PruneDominatorInput = true
@@ -275,7 +272,7 @@ func PaperOptions() Options {
 type Stats struct {
 	Valid        int // distinct valid cuts reported
 	Candidates   int // candidate cuts submitted to validation
-	Duplicates   int // candidates that repeated an already-seen vertex set
+	Duplicates   int // candidates rejected as non-canonical derivations (EnumerateBasic: repeated vertex sets)
 	Invalid      int // candidates that failed validation
 	LTRuns       int // reduced-graph dominator analyses served: swept, or looked up in a last-level table
 	SeedsPruned  int // seed vertices skipped by §5.3 prunings

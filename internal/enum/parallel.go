@@ -8,8 +8,8 @@ package enum
 // starts and ends empty). That makes first-output positions the natural
 // initial shard grain: workers claim positions dynamically, each running
 // the exact serial algorithm on its own clone-per-shard state (validator,
-// dedup map, bitset scratch, flow solver), and a merge stage reassembles
-// the per-position cut streams in position order.
+// bitset scratch, flow solver), and a merge stage reassembles the
+// per-position cut streams in position order.
 //
 // Subtree sizes are heavily skewed, though — one fat first-output subtree
 // bounds the speedup of pure position sharding at any worker count. So once
@@ -28,46 +28,37 @@ package enum
 //
 // Determinism. The serial enumeration visits cuts in a well-defined order:
 // the concatenation, over first-output positions, of each subtree's
-// discovery sequence, with a global first-occurrence dedup. The parallel
-// enumeration reproduces that order exactly at every worker count and under
-// every steal schedule. Order is preserved structurally rather than by
+// sequence of canonical derivations. Whether a search node delivers a cut
+// depends on that node alone (checkCut's canonical derivation test), so no
+// worker needs to know what any other delivered. The parallel enumeration
+// reproduces that order exactly at every worker count and under every
+// steal schedule. Order is preserved structurally rather than by
 // numbering: the merge (parallel.SplitOrdered) drains a linked list of
 // stream segments that starts as one segment per first-output position, and
 // every split splices the stolen range's segment — followed by the donor's
 // resume segment — at exactly the list position where the stolen output
 // belongs in the serial sequence (see maybeSplit for why splicing at the
-// donor's current segment is the right spot). Dedup splits the same way:
-// each worker dedups within the ranges it actually ran (the map resets per
-// work unit), and the merge performs the global dedup with first-wins
-// semantics while draining in list order, which is serial order, before
-// handing each novel cut to the run's visit point (visitPoint, shared with
-// serial runs). A cut seen by both the donor and a thief of the same
-// subtree is emitted twice and collapses in the merge exactly as a
-// cross-subtree repeat does. The visitor therefore sees the same cuts, in
-// the same order, as Parallelism=1 — including the same prefix when it
-// stops the enumeration early. Under any external stop — Options.Deadline,
-// Options.Context cancellation, a resource budget, a contained panic or a
-// handoff stall — the visited sequence is still a prefix of the serial
-// order (a stopping worker raises the shared stop before any truncated
-// segment closes; see checkStop), though not necessarily the same prefix a
-// serial run stopped the same way would reach — workers progress at
-// different rates.
+// donor's current segment is the right spot). The merge hands each cut, in
+// list order, to the run's visit point (visitPoint, shared with serial
+// runs). The visitor therefore sees the same cuts, in the same order, as
+// Parallelism=1 — including the same prefix when it stops the enumeration
+// early. Under any external stop — Options.Deadline, Options.Context
+// cancellation, a resource budget, a contained panic or a handoff stall —
+// the visited sequence is still a prefix of the serial order (a stopping
+// worker raises the shared stop before any truncated segment closes; see
+// checkStop), though not necessarily the same prefix a serial run stopped
+// the same way would reach — workers progress at different rates.
 //
-// Stats. For runs that complete, Candidates, LTRuns, OutputsTried and
-// SeedsPruned partition exactly across workers — every search-tree node is
-// executed exactly once by somebody holding the same state the serial run
-// would hold — and the merge fixes Valid to the count of cuts actually
-// delivered to the visitor, so all of those equal the serial counters;
-// Duplicates+Invalid mass is likewise preserved, though attribution can
-// shift between the two (a candidate repeating an already-INVALID vertex
-// set from another dedup scope is re-validated where the serial global
-// dedup would have counted a Duplicate). After an early visitor stop the
-// counters are NOT preserved: workers already past the stopped prefix
-// report work a serial run would never have started, so Candidates etc.
-// may exceed the serial-stopped values, while Valid still counts exactly
-// the visited cuts. Steals counts accepted stolen units and is zero in
-// serial runs; it is scheduling-dependent and excluded from the
-// determinism contract.
+// Stats. For runs that complete, every counter except Steals equals the
+// serial run's: every search-tree node is executed exactly once by
+// somebody holding the same state the serial run would hold, and each
+// node's verdict (Duplicates, Invalid or delivered) is a function of that
+// state alone. After an early visitor stop the counters are NOT preserved:
+// workers already past the stopped prefix report work a serial run would
+// never have started, so Candidates etc. may exceed the serial-stopped
+// values, while Valid still counts exactly the visited cuts. Steals counts
+// accepted stolen units and is zero in serial runs; it is
+// scheduling-dependent and excluded from the determinism contract.
 
 import (
 	"runtime/debug"
@@ -380,9 +371,9 @@ func (e *incEnum) runUnit(u workUnit) {
 	e.steal.ord.Close(e.curSeg)
 }
 
-// runUnitBody is the contained interior of a work unit: a fresh dedup
-// scope, state reconstruction from the choice prefixes, and the range loop,
-// under the parallel panic boundary.
+// runUnitBody is the contained interior of a work unit: state
+// reconstruction from the choice prefixes and the range loop, under the
+// parallel panic boundary.
 func (e *incEnum) runUnitBody(u workUnit) {
 	defer e.containPanic()
 	if u.stolen {
@@ -394,9 +385,6 @@ func (e *incEnum) runUnitBody(u workUnit) {
 		}
 		e.stats.Steals++
 	}
-	// Fresh dedup scope per unit; the merge reconciles repeats across
-	// scopes in serial order.
-	e.seen.Reset()
 	e.outs = append(e.outs[:0], u.outs...)
 	e.outSet.Clear()
 	for _, o := range e.outs {
@@ -415,8 +403,8 @@ func (e *incEnum) runUnitBody(u workUnit) {
 // count (≥ 2). The caller guarantees g is frozen and has at least 2 nodes.
 // snap, when non-nil, resumes from a snapshot: workers start claiming
 // top-level positions at the snapshot frontier and the merge's visit point
-// is seeded from it, so the replayed frontier subtree re-emits only novel
-// cuts (see ResumeEnumerate).
+// is seeded from it, so it skips the replayed frontier subtree's
+// already-delivered cuts (see ResumeEnumerate).
 func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers int, snap *checkpoint.Snapshot) Stats {
 	n := g.N()
 	if workers > n {
@@ -430,12 +418,8 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 	// Shards must hand cuts across goroutines, so their node sets are
 	// always cloned regardless of the caller's KeepCuts; the visitor
 	// contract ("shared scratch, valid only during the call" when KeepCuts
-	// is off) is trivially satisfied by the clone. MaxDedupBytes binds the
-	// merge's global table, not the workers' per-unit scopes.
-	sopt := opt
-	sopt.KeepCuts = true
-	sopt.MaxDedupBytes = 0
-	sh.opt = sopt
+	// is off) is trivially satisfied by the clone.
+	sh.opt.KeepCuts = true
 
 	st := &stealState{
 		ord:   parallel.NewSplitOrdered[Cut](n, streamBuf(n)),
@@ -443,9 +427,8 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 		done:  make(chan struct{}),
 	}
 	st.active.Store(int64(workers))
-	seen := newSigSet()
 	var mStats Stats // the merge's stop reason, first error and resume baseline
-	vp := newVisitPoint(g, opt, visit, seen, &mStats, snap)
+	vp := newVisitPoint(g, opt, visit, &mStats, snap)
 	startTop := vp.curTop
 	var stop atomic.Bool
 	stop.Store(mStats.StopReason != StopNone) // a resume already at its MaxCuts cap
@@ -507,38 +490,16 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 		}()
 	}
 
-	// Merge stage: drain the segment list in order, dedup across scopes
-	// (first occurrence wins, matching the serial global dedup), and hand
-	// each novel cut to the visit point until it stops the run. Draining
-	// continues after a stop so blocked producers always finish, but
-	// post-stop cuts are discarded without deduping — under a dedup budget
-	// the global table must not keep growing, and post-stop Duplicates
-	// attribution is outside the Stats contract anyway; `discarded` keeps
-	// the arithmetic exact for the pre-stop prefix.
-	emitted, unique, discarded := 0, 0, 0
+	// Merge stage: drain the segment list in order and hand each cut to the
+	// visit point until it stops the run. Draining continues after a stop so
+	// blocked producers always finish; post-stop cuts are discarded.
 	st.ord.DrainWithIndex(func(top int, c Cut) {
-		emitted++
-		if stop.Load() {
-			discarded++
-			return
-		}
-		if opt.MaxDedupBytes > 0 && seen.WouldGrowPast(opt.MaxDedupBytes) {
-			mStats.RecordStop(StopBudget)
-			stop.Store(true)
-			discarded++
-			return
-		}
-		if !seen.Insert(c.Nodes.Hash128()) {
-			return
-		}
-		unique++
-		if !vp.deliver(c, top) {
+		if !stop.Load() && !vp.deliver(c, top) {
 			stop.Store(true)
 		}
 	})
 	wg.Wait()
 
-	agg.Duplicates += emitted - discarded - unique
 	addStats(&agg, mStats)
 	return vp.finish(&agg)
 }

@@ -17,8 +17,8 @@ const (
 	StopNone StopReason = iota
 	// StopVisitor: the visitor returned false.
 	StopVisitor
-	// StopBudget: a resource budget was reached (Options.MaxDedupBytes or
-	// Options.MaxCuts). The stats are exact for the emitted prefix.
+	// StopBudget: the cut budget Options.MaxCuts was reached. The stats
+	// are exact for the emitted prefix.
 	StopBudget
 	// StopCheckpoint: Options.CheckpointStop was closed; the run wrote a
 	// final snapshot (when Options.CheckpointPath is set) and stopped

@@ -223,9 +223,9 @@ func TestValidateZeroAlloc(t *testing.T) {
 
 // TestEnumerateSteadyStateAllocs pins the steady-state behaviour of the
 // whole visit loop: after a warm-up enumeration on the same worker (scratch
-// buffers, per-depth snapshots and the dedup table all grown), re-running
-// every top-level subtree — the depth-0 range [pos, pos+1) every run loop
-// enters — must allocate nothing.
+// buffers and per-depth snapshots all grown), re-running every top-level
+// subtree — the depth-0 range [pos, pos+1) every run loop enters — must
+// allocate nothing.
 func TestEnumerateSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := randValGraph(r, 100)
@@ -242,33 +242,5 @@ func TestEnumerateSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, run)
 	if allocs > 0 {
 		t.Fatalf("steady-state visit loop allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-func TestSigSet(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	s := newSigSet()
-	ref := make(map[[2]uint64]bool)
-	keys := make([][2]uint64, 0, 4096)
-	keys = append(keys, [2]uint64{0, 0}) // zero key is representable
-	for i := 0; i < 4000; i++ {
-		keys = append(keys, [2]uint64{r.Uint64() >> uint(r.Intn(64)), r.Uint64() >> uint(r.Intn(64))})
-	}
-	for round := 0; round < 3; round++ {
-		for _, k := range keys {
-			want := !ref[k]
-			if got := s.Insert(k); got != want {
-				t.Fatalf("round %d: Insert(%v) = %v, want %v", round, k, got, want)
-			}
-			ref[k] = true
-		}
-		if s.Len() != len(ref) {
-			t.Fatalf("round %d: Len = %d, want %d", round, s.Len(), len(ref))
-		}
-		s.Reset()
-		if s.Len() != 0 {
-			t.Fatalf("round %d: Len after Reset = %d", round, s.Len())
-		}
-		clear(ref)
 	}
 }

@@ -28,7 +28,6 @@
 //     segment unless containment releases it.
 //   - MergeSplice: parallel.SplitOrdered.Split, before the segment list is
 //     modified — a panic here must leave the merge list intact.
-//   - DedupInsert: a digest-set insert on the candidate admission path.
 //   - CheckpointWrite: a durable snapshot about to be persisted
 //     (enum.Options.CheckpointPath) — a panic here kills the run in the
 //     middle of its checkpoint cadence, which is exactly the window the
@@ -69,7 +68,6 @@ var (
 	OnStealPublish    func()
 	OnStealClaim      func()
 	OnMergeSplice     func()
-	OnDedupInsert     func()
 	OnCheckpointWrite func()
 	OnCacheInsert     func()
 	OnCacheEvict      func()
@@ -97,7 +95,6 @@ const (
 	SiteStealPublish
 	SiteStealClaim
 	SiteMergeSplice
-	SiteDedupInsert
 	SiteCheckpointWrite
 	SiteCacheInsert
 	SiteCacheEvict
@@ -118,8 +115,6 @@ func (s Site) String() string {
 		return "stealClaim"
 	case SiteMergeSplice:
 		return "mergeSplice"
-	case SiteDedupInsert:
-		return "dedupInsert"
 	case SiteCheckpointWrite:
 		return "checkpointWrite"
 	case SiteCacheInsert:
@@ -203,7 +198,6 @@ func Install(injs ...Injection) *Plan {
 	OnStealPublish = func() { p.fire(SiteStealPublish) }
 	OnStealClaim = func() { p.fire(SiteStealClaim) }
 	OnMergeSplice = func() { p.fire(SiteMergeSplice) }
-	OnDedupInsert = func() { p.fire(SiteDedupInsert) }
 	OnCheckpointWrite = func() { p.fire(SiteCheckpointWrite) }
 	OnCacheInsert = func() { p.fire(SiteCacheInsert) }
 	OnCacheEvict = func() { p.fire(SiteCacheEvict) }
@@ -220,7 +214,6 @@ func Uninstall() {
 	OnStealPublish = nil
 	OnStealClaim = nil
 	OnMergeSplice = nil
-	OnDedupInsert = nil
 	OnCheckpointWrite = nil
 	OnCacheInsert = nil
 	OnCacheEvict = nil

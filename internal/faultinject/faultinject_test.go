@@ -12,7 +12,6 @@ func TestSiteStrings(t *testing.T) {
 		SiteStealPublish:    "stealPublish",
 		SiteStealClaim:      "stealClaim",
 		SiteMergeSplice:     "mergeSplice",
-		SiteDedupInsert:     "dedupInsert",
 		SiteCheckpointWrite: "checkpointWrite",
 		SiteCacheInsert:     "cacheInsert",
 		SiteCacheEvict:      "cacheEvict",
@@ -44,7 +43,7 @@ func TestInstallUninstall(t *testing.T) {
 		}
 	}
 	// Counting hooks are wired for every site even with no injections.
-	hooks := []func(){OnPickInputs, OnCheckCut, OnStealPublish, OnStealClaim, OnMergeSplice, OnDedupInsert, OnCheckpointWrite,
+	hooks := []func(){OnPickInputs, OnCheckCut, OnStealPublish, OnStealClaim, OnMergeSplice, OnCheckpointWrite,
 		OnCacheInsert, OnCacheEvict, OnAdmission, OnResponseWrite}
 	if len(hooks) != int(NumSites) {
 		t.Fatalf("test drives %d hooks, package declares %d sites", len(hooks), NumSites)
@@ -61,7 +60,7 @@ func TestInstallUninstall(t *testing.T) {
 	}
 	Uninstall()
 	if OnPickInputs != nil || OnCheckCut != nil || OnStealPublish != nil ||
-		OnStealClaim != nil || OnMergeSplice != nil || OnDedupInsert != nil ||
+		OnStealClaim != nil || OnMergeSplice != nil ||
 		OnCheckpointWrite != nil || OnCacheInsert != nil || OnCacheEvict != nil ||
 		OnAdmission != nil || OnResponseWrite != nil || ForceFallback != nil {
 		t.Fatal("Uninstall left a hook installed")

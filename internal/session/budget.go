@@ -3,9 +3,8 @@ package session
 import "sync"
 
 // Budget is a shared byte allowance. The cache charges resident graphs
-// against it and every running enumeration charges its dedup-table
-// reservation, so one number bounds the process's dominant memory
-// consumers. Reservations are all-or-nothing — TryReserve never
+// against it, so one number bounds the process's dominant memory
+// consumer. Reservations are all-or-nothing — TryReserve never
 // oversubscribes and never blocks, leaving the policy of what to do about a
 // refusal (evict, shed) to the caller.
 type Budget struct {

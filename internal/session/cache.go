@@ -22,8 +22,8 @@ type CacheStats struct {
 // GraphID (checkpoint.GraphDigest), charged against the shared Budget by
 // dfg.Graph.FootprintBytes, and refcounted: a graph acquired by a running
 // request is pinned; only idle (refcount-zero) entries are evictable, in
-// LRU order. Eviction is triggered by reservation pressure — from a new
-// graph or a dedup-table reservation — never by time.
+// LRU order. Eviction is triggered by reservation pressure from a new
+// graph, never by time.
 //
 // The concurrency contract leans on dfg.Graph immutability after Freeze:
 // Acquire hands the same *dfg.Graph to any number of concurrent
@@ -116,18 +116,6 @@ func (c *Cache) Release(id GraphID) {
 		e.idle = c.idle.PushFront(id)
 	}
 }
-
-// ReserveBytes charges n bytes of non-cache memory (a dedup table) to the
-// shared budget, evicting idle graphs under pressure. Balanced by
-// ReleaseBytes.
-func (c *Cache) ReserveBytes(n int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reserveEvicting(n)
-}
-
-// ReleaseBytes returns a ReserveBytes charge.
-func (c *Cache) ReleaseBytes(n int64) { c.budget.Release(n) }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {

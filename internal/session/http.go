@@ -34,8 +34,8 @@ type HandlerConfig struct {
 //	GET  /v1/stats                      service counters
 //
 // Enumeration parameters ride in the query string: nin, nout, max_cuts,
-// dedup_bytes, deadline_ms, connected, run (making the request durable
-// under that id), checkpoint_every.
+// deadline_ms, connected, run (making the request durable under that id),
+// checkpoint_every.
 //
 // Typed service errors map onto statuses: *graphio.LimitError → 413,
 // *OverloadError → 429 (503 under shutdown) with Retry-After,
@@ -157,7 +157,6 @@ func requestFromHTTP(r *http.Request) (Request, error) {
 		intq("nin", &req.Options.MaxInputs),
 		intq("nout", &req.Options.MaxOutputs),
 		intq("max_cuts", &req.MaxCuts),
-		intq("dedup_bytes", &req.DedupBudget),
 		intq("checkpoint_every", &req.CheckpointEvery),
 	); err != nil {
 		return Request{}, err

@@ -204,33 +204,55 @@ func TestServicePoisonRequestIsIsolated(t *testing.T) {
 	}
 }
 
-func TestServiceDedupBudgetShedsWhenUnaffordable(t *testing.T) {
+// TestServiceSubmitShedsOnMemory covers the memory shed end to end:
+// SubmitGraph refuses, through Cache.Put, a graph the budget cannot hold
+// with *OverloadError{CauseMemory} — one larger than the whole budget, and
+// one that fits only by evicting a graph a running request pins. An
+// enumeration reserves no memory of its own, so the budget holds exactly
+// the cached graphs throughout.
+func TestServiceSubmitShedsOnMemory(t *testing.T) {
 	g := workload.MiBenchLike(rand.New(rand.NewSource(9)), 40, workload.DefaultProfile())
-	s := NewService(Config{MemoryBudget: g.FootprintBytes() + 1024})
+	other := workload.MiBenchLike(rand.New(rand.NewSource(10)), 40, workload.DefaultProfile())
+	huge := workload.MiBenchLike(rand.New(rand.NewSource(11)), 200, workload.DefaultProfile())
+	s := NewService(Config{MemoryBudget: max(g.FootprintBytes(), other.FootprintBytes()) + 1024})
+	submit := func(h *dfg.Graph) error {
+		var buf bytes.Buffer
+		if err := graphio.Write(&buf, h); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := s.SubmitGraph(&buf)
+		return err
+	}
+	isMemoryShed := func(err error) bool {
+		var over *OverloadError
+		return errors.As(err, &over) && over.Cause == CauseMemory
+	}
+	if err := submit(huge); !isMemoryShed(err) {
+		t.Fatalf("graph larger than the budget: err = %v, want *OverloadError(memory)", err)
+	}
 	id := submitGraph(t, s, g)
-	// A dedup reservation bigger than the whole budget can never fit, even
-	// after evicting the (pinned-free) cache — but the graph itself is
-	// pinned by the request, so eviction cannot free it.
-	_, err := s.Enumerate(context.Background(), Request{
-		Graph:       id,
-		Options:     enum.DefaultOptions(),
-		DedupBudget: int(s.budget.Total()) * 2,
-	}, func(enum.Cut) bool { return true })
-	var over *OverloadError
-	if !errors.As(err, &over) || over.Cause != CauseMemory {
-		t.Fatalf("err = %v, want *OverloadError(memory)", err)
+	// While a request pins g, other fits only by evicting it: refused.
+	var pinnedErr error
+	opt := enum.DefaultOptions()
+	opt.Parallelism = 1
+	if _, err := s.Enumerate(context.Background(), Request{Graph: id, Options: opt}, func(enum.Cut) bool {
+		pinnedErr = submit(other)
+		if used, cached := s.budget.Used(), s.Cache().Stats().Bytes; used != cached {
+			t.Errorf("mid-run budget used %d != cached bytes %d", used, cached)
+		}
+		return false
+	}); err != nil {
+		t.Fatalf("pinning request: %v", err)
 	}
-	// An affordable request still runs, and the budget drains back to just
-	// the cached graph afterwards.
-	if _, err := s.Enumerate(context.Background(), Request{
-		Graph:       id,
-		Options:     enum.DefaultOptions(),
-		DedupBudget: 512,
-	}, func(enum.Cut) bool { return true }); err != nil {
-		t.Fatalf("affordable request: %v", err)
+	if !isMemoryShed(pinnedErr) {
+		t.Fatalf("graph needing a pinned graph's room: err = %v, want *OverloadError(memory)", pinnedErr)
 	}
-	if used, cached := s.budget.Used(), s.Cache().Stats().Bytes; used != cached {
-		t.Fatalf("budget used %d != cached bytes %d after requests drained", used, cached)
+	// Unpinned, g is evictable and other fits.
+	if err := submit(other); err != nil {
+		t.Fatalf("submit after the request released its graph: %v", err)
+	}
+	if used, cached := s.budget.Used(), s.Cache().Stats().Bytes; used != cached || cached != other.FootprintBytes() {
+		t.Fatalf("budget used %d, cached bytes %d, want both %d", used, cached, other.FootprintBytes())
 	}
 }
 

@@ -11,11 +11,12 @@
 //     concurrent enumerations share safely (everything a Freeze computes is
 //     immutable; the lazily built Augmented structures are sync.Once-guarded).
 //
-//   - One global memory budget. Cached graphs and the live dedup tables of
-//     running enumerations draw reservations from a single Budget, so the
-//     process's dominant memory consumers are bounded by one number. Under
-//     pressure the cache evicts idle (refcount-zero) graphs in LRU order;
-//     when eviction cannot free enough, the request is refused with a typed
+//   - One global memory budget. Cached graphs draw reservations from a
+//     single Budget; an enumeration keeps no record of the cuts it has
+//     delivered, so its memory does not grow with the cut count and the
+//     cache is the process's dominant memory consumer. Under pressure the
+//     cache evicts idle (refcount-zero) graphs in LRU order; when eviction
+//     cannot free enough, the submission is refused with a typed
 //     OverloadError instead of growing without bound.
 //
 //   - Admission control. A bounded slot pool caps concurrent enumerations
@@ -82,8 +83,8 @@ type Config struct {
 	// a request arriving past the queue is shed immediately. 0 means a
 	// queue as deep as the slot pool.
 	QueueDepth int
-	// MemoryBudget bounds, in bytes, the cached graphs plus the live dedup
-	// tables of running enumerations, together. 0 means unlimited.
+	// MemoryBudget bounds, in bytes, the cached graphs. 0 means
+	// unlimited.
 	MemoryBudget int64
 	// Limits caps graph submissions (graphio.ReadLimited). Zero fields are
 	// unlimited — production configs should set all three.
@@ -94,10 +95,6 @@ type Config struct {
 	// MaxCutsCeiling caps any request's MaxCuts (and applies when a
 	// request sets none). 0 means no ceiling.
 	MaxCutsCeiling int
-	// DedupBudgetDefault is the per-request dedup-table reservation used
-	// when a request does not set one. 0 means unbudgeted dedup (only
-	// sensible with MemoryBudget == 0).
-	DedupBudgetDefault int
 	// CheckpointDir is where Durable runs park their snapshots; empty
 	// refuses Durable requests.
 	CheckpointDir string
@@ -127,14 +124,11 @@ type Request struct {
 	// Graph addresses the cached graph (SubmitGraph's return).
 	Graph GraphID
 	// Options carries the enumeration configuration. The budget fields
-	// (MaxCuts, MaxDedupBytes, Deadline, Context, Checkpoint*) are owned
+	// (MaxCuts, Deadline, Context, Checkpoint*) are owned
 	// by the service and overwritten from the fields below.
 	Options enum.Options
 	// MaxCuts caps delivered cuts; capped by Config.MaxCutsCeiling.
 	MaxCuts int
-	// DedupBudget is the dedup-table reservation in bytes; 0 takes
-	// Config.DedupBudgetDefault.
-	DedupBudget int
 	// Deadline bounds the run; 0 takes Config.DefaultDeadline.
 	Deadline time.Duration
 	// Durable parks the run on shutdown (and checkpoints periodically)
@@ -421,22 +415,6 @@ func (s *Service) run(ctx context.Context, req Request, snap *checkpoint.Snapsho
 		opt.Deadline = time.Now().Add(dl)
 	} else if s.cfg.DefaultDeadline > 0 {
 		opt.Deadline = time.Now().Add(s.cfg.DefaultDeadline)
-	}
-
-	// The dedup table draws from the same budget as the graph cache: the
-	// reservation may evict idle graphs, and an unaffordable reservation
-	// sheds the request instead of letting the table grow unaccounted.
-	dedup := req.DedupBudget
-	if dedup == 0 {
-		dedup = s.cfg.DedupBudgetDefault
-	}
-	if dedup > 0 {
-		if !s.cache.ReserveBytes(int64(dedup)) {
-			s.shed.Add(1)
-			return enum.Stats{}, &OverloadError{Cause: CauseMemory, RetryAfter: s.cfg.RetryAfter}
-		}
-		defer s.cache.ReleaseBytes(int64(dedup))
-		opt.MaxDedupBytes = dedup
 	}
 
 	opt.CheckpointPath, opt.CheckpointEvery = "", 0

@@ -2,8 +2,8 @@ package session
 
 // The soak test: chaos under load for the whole session layer. A saturated
 // service handles a mixed storm — healthy enumerations, capped runs,
-// poison (panicking) visitors, oversized submissions, unaffordable budget
-// requests, mid-run cancellations, HTTP streaming clients — while delay
+// poison (panicking) visitors, oversized submissions, graphs the memory
+// budget cannot hold, mid-run cancellations, HTTP streaming clients — while delay
 // injections perturb the session fault sites (cache insert/evict,
 // admission, response write). The invariants, checked continuously or per
 // request:
@@ -63,19 +63,22 @@ func TestSoak(t *testing.T) {
 		}
 	}
 
-	// Budget: two graphs plus a little dedup headroom — tight enough that
-	// the storm constantly evicts and occasionally sheds on memory.
-	const dedupSlice = 1 << 15
-	budget := 2*maxFootprint + 4*dedupSlice
+	// Budget: two and a half graphs — tight enough that the storm
+	// constantly evicts. A graph within the node limit but larger than the
+	// whole budget is the memory-shed class.
+	budget := 2*maxFootprint + maxFootprint/2
+	huge := workload.MiBenchLike(rand.New(rand.NewSource(998)), 190, workload.DefaultProfile())
+	if huge.FootprintBytes() <= budget {
+		t.Fatalf("memory-shed graph needs %d bytes, within the %d-byte budget", huge.FootprintBytes(), budget)
+	}
 	dir := t.TempDir()
 	s := NewService(Config{
-		MaxConcurrent:      4,
-		QueueDepth:         4,
-		MemoryBudget:       budget,
-		Limits:             graphio.Limits{MaxNodes: 120, MaxPreds: 16, MaxLineBytes: 512},
-		DedupBudgetDefault: dedupSlice,
-		CheckpointDir:      dir,
-		RetryAfter:         10 * time.Millisecond,
+		MaxConcurrent: 4,
+		QueueDepth:    4,
+		MemoryBudget:  budget,
+		Limits:        graphio.Limits{MaxNodes: 200, MaxPreds: 16, MaxLineBytes: 512},
+		CheckpointDir: dir,
+		RetryAfter:    10 * time.Millisecond,
 	})
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{WriteTimeout: 10 * time.Second}))
 	defer ts.Close()
@@ -143,10 +146,6 @@ func TestSoak(t *testing.T) {
 				case 0, 1: // healthy full run: bit-exact or a legal refusal
 					var got []string
 					_, err := enumerateRetrying(req, collectStrings(&got))
-					var over *OverloadError
-					if errors.As(err, &over) && over.Cause == CauseMemory {
-						continue // tight budget may legally refuse dedup space
-					}
 					var nf *NotFoundError
 					if errors.As(err, &nf) {
 						// Evicted under pressure: resubmit (content address
@@ -183,19 +182,17 @@ func TestSoak(t *testing.T) {
 					_, err := enumerateRetrying(req, func(enum.Cut) bool { panic("soak poison") })
 					var pe *enum.PanicError
 					var nf *NotFoundError
-					var over *OverloadError
-					// A memory shed or eviction can legally refuse the
-					// request before the visitor ever runs; otherwise the
-					// panic must surface contained and typed.
-					if !errors.As(err, &pe) && !errors.As(err, &nf) &&
-						!(errors.As(err, &over) && over.Cause == CauseMemory) {
+					// An eviction can legally refuse the request before the
+					// visitor ever runs; otherwise the panic must surface
+					// contained and typed.
+					if !errors.As(err, &pe) && !errors.As(err, &nf) {
 						t.Errorf("poison request: err = %v, want *enum.PanicError", err)
 						return
 					}
-				case 4: // bad-request classes: oversized submit, unaffordable budget
+				case 4: // bad-request classes: oversized submit, unaffordable graph
 					if r.Intn(2) == 0 {
 						var buf bytes.Buffer
-						graphio.Write(&buf, workload.MiBenchLike(rand.New(rand.NewSource(999)), 121, workload.DefaultProfile()))
+						graphio.Write(&buf, workload.MiBenchLike(rand.New(rand.NewSource(999)), 201, workload.DefaultProfile()))
 						_, _, err := s.SubmitGraph(&buf)
 						var le *graphio.LimitError
 						if !errors.As(err, &le) {
@@ -203,12 +200,12 @@ func TestSoak(t *testing.T) {
 							return
 						}
 					} else {
-						req.DedupBudget = int(budget) * 2
-						_, err := s.Enumerate(context.Background(), req, func(enum.Cut) bool { return true })
+						var buf bytes.Buffer
+						graphio.Write(&buf, huge)
+						_, _, err := s.SubmitGraph(&buf)
 						var over *OverloadError
-						var nf *NotFoundError
-						if !errors.As(err, &over) && !errors.As(err, &nf) {
-							t.Errorf("unaffordable budget: err = %v, want *OverloadError", err)
+						if !errors.As(err, &over) || over.Cause != CauseMemory {
+							t.Errorf("unaffordable graph: err = %v, want *OverloadError(memory)", err)
 							return
 						}
 					}
@@ -264,7 +261,7 @@ func TestSoak(t *testing.T) {
 		t.Errorf("Running = %d after storm drained", st.Running)
 	}
 	if used, cached := s.budget.Used(), s.Cache().Stats().Bytes; used != cached {
-		t.Errorf("budget used %d != cache bytes %d after storm (leaked dedup reservation?)", used, cached)
+		t.Errorf("budget used %d != cache bytes %d after storm", used, cached)
 	}
 
 	// Restart leg: park a durable run via shutdown, resume on a fresh

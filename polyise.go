@@ -31,10 +31,10 @@
 // is strict and differentially tested: at any worker count the visitor
 // receives exactly the cuts a serial run would produce, in exactly the
 // serial order — including the same prefix under an early stop — so
-// results, selections and iterative flows are bit-for-bit reproducible.
-// Only the Duplicates/Invalid split of Stats may shift (cross-shard
-// duplicate candidates are re-validated instead of skipped). To reproduce
-// the paper's serial measurements, set Options.Parallelism = 1.
+// results, selections and iterative flows are bit-for-bit reproducible,
+// and a complete run's Stats match the serial run's in every counter but
+// Steals. To reproduce the paper's serial measurements, set
+// Options.Parallelism = 1.
 //
 // The subpackages under internal implement the substrates: Lengauer–Tarjan
 // dominators, multiple-vertex dominator enumeration, the [15]-style
@@ -128,8 +128,8 @@ func Enumerate(g *Graph, opt Options, visit func(Cut) bool) Stats {
 // into Options.Context and returns a non-nil error when the run ended
 // abnormally — ctx.Err() on cancellation or deadline expiry through the
 // context, Stats.Err for a contained panic or a stalled worker handoff.
-// Early stops the caller asked for (Options.Deadline, MaxCuts,
-// MaxDedupBytes, a false-returning visitor) are not errors; inspect
+// Early stops the caller asked for (Options.Deadline, MaxCuts, a
+// false-returning visitor) are not errors; inspect
 // Stats.StopReason to distinguish them. Whatever the cause, the visitor
 // has by then received an exact prefix of the serial enumeration order.
 func EnumerateContext(ctx context.Context, g *Graph, opt Options, visit func(Cut) bool) (Stats, error) {
@@ -145,7 +145,7 @@ type StopReason = enum.StopReason
 const (
 	StopNone       = enum.StopNone       // ran to completion
 	StopVisitor    = enum.StopVisitor    // the visitor returned false
-	StopBudget     = enum.StopBudget     // MaxCuts or MaxDedupBytes reached
+	StopBudget     = enum.StopBudget     // MaxCuts reached
 	StopCheckpoint = enum.StopCheckpoint // Options.CheckpointStop closed; run parked
 	StopDeadline   = enum.StopDeadline   // Options.Deadline passed
 	StopCanceled   = enum.StopCanceled   // Options.Context canceled

@@ -1,13 +1,12 @@
 //go:build ignore
 
 // resumecost measures what a checkpoint resume costs. A resume replays the
-// top-level subtree that was in progress at the snapshot, and the restored
-// dedup table suppresses the cuts already delivered (docs/ALGORITHM.md
-// §12); the replay re-runs dominator analyses the interrupted run had
-// already done. For budget stops at 10 %, 20 %, …, 90 % of one block's cuts
-// the tool takes the final snapshot, resumes from it serially, checks that
-// the resumed suffix is the uninterrupted run's, and prints one markdown
-// row per stop point:
+// top-level subtree that was in progress at the snapshot and skips the
+// cuts of it already delivered (docs/ALGORITHM.md §12); the replay re-runs
+// dominator analyses the interrupted run had already done. For budget
+// stops at 10 %, 20 %, …, 90 % of one block's cuts the tool takes the final
+// snapshot, resumes from it serially, checks that the resumed suffix is the
+// uninterrupted run's, and prints one markdown row per stop point:
 //
 //   - remaining: LTRuns of the uninterrupted run after the stop point;
 //   - resumed: LTRuns the resumed run did itself;
