@@ -29,6 +29,25 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// NewRows returns count empty sets with capacity for n bits each, carved
+// from one backing array: a row family such as a reachability matrix costs
+// two allocations instead of one per row. Each row's slice is capped at its
+// own words, so rows never alias one another.
+func NewRows(count, n int) []*Set {
+	if n < 0 {
+		n = 0
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*w)
+	sets := make([]Set, count)
+	rows := make([]*Set, count)
+	for i := range rows {
+		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+		rows[i] = &sets[i]
+	}
+	return rows
+}
+
 // Cap returns the capacity the set was created with.
 func (s *Set) Cap() int { return s.n }
 

@@ -30,6 +30,31 @@ func TestAddHasRemove(t *testing.T) {
 	}
 }
 
+// TestNewRowsIndependent pins that rows carved from one backing array
+// behave as separately allocated sets: filling one row, including its last
+// word, leaves its neighbours empty.
+func TestNewRowsIndependent(t *testing.T) {
+	rows := NewRows(3, 130)
+	if len(rows) != 3 {
+		t.Fatalf("len = %d, want 3", len(rows))
+	}
+	for i := 0; i < 130; i++ {
+		rows[1].Add(i)
+	}
+	rows[1].Union(rows[1].Clone())
+	for _, r := range []int{0, 2} {
+		if rows[r].Cap() != 130 || !rows[r].Empty() {
+			t.Fatalf("row %d: cap %d, members %v", r, rows[r].Cap(), rows[r].Members())
+		}
+	}
+	if got := rows[1].Count(); got != 130 {
+		t.Fatalf("row 1 Count = %d, want 130", got)
+	}
+	if got := len(NewRows(0, 64)); got != 0 {
+		t.Fatalf("NewRows(0, 64) has %d rows", got)
+	}
+}
+
 func TestEmptyAndClear(t *testing.T) {
 	s := New(100)
 	if !s.Empty() {

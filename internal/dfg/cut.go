@@ -98,11 +98,12 @@ func (g *Graph) Outputs(S *bitset.Set) []int {
 // IsConvex reports whether S is a convex cut (definition 2): no path leaves
 // S and re-enters it.
 func (g *Graph) IsConvex(S *bitset.Set) bool {
+	c := g.closures()
 	for v := 0; v < g.N(); v++ {
 		if S.Has(v) {
 			continue
 		}
-		if g.reachTo[v].Intersects(S) && g.reachFrom[v].Intersects(S) {
+		if c.reachTo[v].Intersects(S) && c.reachFrom[v].Intersects(S) {
 			return false
 		}
 	}

@@ -82,7 +82,8 @@ var growFallbackNum, growFallbackDen = 1, 3
 // enclosing search (the S-stopping argument below relies on it).
 func (t *Traverser) GrowCut(S, delta *bitset.Set, o int, inputs *bitset.Set) {
 	g := t.g
-	cone := g.reachTo[o] // B(∅, o) \ {o}, memoized by Freeze
+	reachTo := g.closures().reachTo
+	cone := reachTo[o] // B(∅, o) \ {o}, memoized with the closures
 	if !inputs.Intersects(cone) {
 		// No input can sever any ancestor of o from o, so B(I, o) is the
 		// whole cone: one OR, clipped against the vertices already in S.
@@ -111,7 +112,7 @@ func (t *Traverser) GrowCut(S, delta *bitset.Set, o int, inputs *bitset.Set) {
 	unc.Clear()
 	inputs.ForEach(func(i int) bool {
 		if cone.Has(i) {
-			unc.UnionWords(g.reachTo[i].Words())
+			unc.UnionWords(reachTo[i].Words())
 			unc.Add(i)
 		}
 		return true
@@ -170,7 +171,7 @@ func (t *Traverser) GrowCut(S, delta *bitset.Set, o int, inputs *bitset.Set) {
 func (t *Traverser) ShrinkCut(S, removed *bitset.Set, w int, outs []int, outSet, inputs *bitset.Set) {
 	g := t.g
 	region := t.region
-	region.CopyIntersect(g.reachTo[w], S) // removal candidates besides w itself
+	region.CopyIntersect(g.ReachTo(w), S) // removal candidates besides w itself
 
 	if faultinject.ForcedFallback() || region.Count()*shrinkFallbackDen > S.Count()*shrinkFallbackNum {
 		// Non-monotone worst case: most of S is upstream of w, so the
@@ -230,7 +231,7 @@ func (t *Traverser) ShrinkCut(S, removed *bitset.Set, w int, outs []int, outSet,
 func (t *Traverser) ShrinkReachInto(dst, src *bitset.Set, o, w int, inputs *bitset.Set) {
 	g := t.g
 	region := t.region
-	region.CopyIntersect(g.reachTo[w], src) // removal candidates besides w itself
+	region.CopyIntersect(g.ReachTo(w), src) // removal candidates besides w itself
 
 	if faultinject.ForcedFallback() || region.Count()*shrinkFallbackDen > src.Count()*shrinkFallbackNum {
 		t.seed1[0] = o

@@ -49,18 +49,14 @@ type Graph struct {
 	liveOut  map[int]bool // user-marked Oext members (beyond structural sinks)
 
 	// Everything below is computed by Freeze.
-	iext      *bitset.Set // roots
-	oext      *bitset.Set // structural sinks ∪ liveOut
-	forb      *bitset.Set // forbUser (Iext are additionally forbidden implicitly)
-	topo      []int
-	topoPos   []int
-	reachFrom []*bitset.Set // reachFrom[v]: u such that v→…→u, v excluded
-	reachTo   []*bitset.Set // reachTo[w]: u such that u→…→w, w excluded
-	ffReach   []*bitset.Set // like reachFrom, but paths may not cross F
-	forbPred  []*bitset.Set // forbidden predecessors of each node
-	depth     []int         // longest-path depth from any root (roots = 0)
-	entries   []int         // Iext ∪ user-forbidden: the virtual source's successors
-	entrySet  *bitset.Set   // the same, as a bitset
+	iext     *bitset.Set // roots
+	oext     *bitset.Set // structural sinks ∪ liveOut
+	forb     *bitset.Set // forbUser (Iext are additionally forbidden implicitly)
+	topo     []int
+	topoPos  []int
+	depth    []int       // longest-path depth from any root (roots = 0)
+	entries  []int       // Iext ∪ user-forbidden: the virtual source's successors
+	entrySet *bitset.Set // the same, as a bitset
 
 	// Flat bitset adjacency matrices for the word-parallel traversal engine
 	// (traverse.go): row v of predBits/succBits holds v's predecessor/
@@ -78,11 +74,39 @@ type Graph struct {
 
 	augOnce sync.Once
 	aug     *Aug
+
+	// The reachability closures are O(n²) bits and only the cut analyses
+	// read them, so they are built on first use (closures) instead of by
+	// Freeze: a graph that is only executed, rewritten or serialised — a
+	// collapsed block under the semantic oracle — never pays for them.
+	closOnce sync.Once
+	clos     closureRows
+}
+
+// closureRows are the reachability closures of a frozen graph, one row
+// per node.
+type closureRows struct {
+	reachFrom []*bitset.Set // reachFrom[v]: u such that v→…→u, v excluded
+	reachTo   []*bitset.Set // reachTo[w]: u such that u→…→w, w excluded
+	ffReach   []*bitset.Set // like reachFrom, but paths may not cross F
+	forbPred  []*bitset.Set // forbidden predecessors of each node
 }
 
 // New returns an empty, mutable graph.
 func New() *Graph {
 	return &Graph{}
+}
+
+// newSized returns an empty, mutable graph with room for n nodes, for
+// rewrites that know the size of the graph they build.
+func newSized(n int) *Graph {
+	return &Graph{
+		ops:   make([]Op, 0, n),
+		names: make([]string, 0, n),
+		value: make([]int64, 0, n),
+		preds: make([][]int, 0, n),
+		succs: make([][]int, 0, n),
+	}
 }
 
 // N returns the number of nodes.
@@ -231,56 +255,6 @@ func (g *Graph) Freeze() error {
 		g.topoPos[v] = v
 	}
 
-	// Reachability by dynamic programming over the topological order.
-	g.reachFrom = make([]*bitset.Set, n)
-	g.reachTo = make([]*bitset.Set, n)
-	for v := 0; v < n; v++ {
-		g.reachFrom[v] = bitset.New(n)
-		g.reachTo[v] = bitset.New(n)
-	}
-	for i := n - 1; i >= 0; i-- {
-		v := g.topo[i]
-		for _, s := range g.succs[v] {
-			g.reachFrom[v].Add(s)
-			g.reachFrom[v].Union(g.reachFrom[s])
-		}
-	}
-	for i := 0; i < n; i++ {
-		w := g.topo[i]
-		for _, p := range g.preds[w] {
-			g.reachTo[w].Add(p)
-			g.reachTo[w].Union(g.reachTo[p])
-		}
-	}
-
-	// Forbidden-free reachability: paths whose interior avoids F. A path may
-	// START at a forbidden vertex (forbidden vertices can feed a cut as
-	// inputs), so propagation stops at forbidden vertices but still records
-	// them as directly reachable.
-	g.ffReach = make([]*bitset.Set, n)
-	for v := 0; v < n; v++ {
-		g.ffReach[v] = bitset.New(n)
-	}
-	for i := n - 1; i >= 0; i-- {
-		v := g.topo[i]
-		for _, s := range g.succs[v] {
-			g.ffReach[v].Add(s)
-			if !g.forb.Has(s) {
-				g.ffReach[v].Union(g.ffReach[s])
-			}
-		}
-	}
-
-	g.forbPred = make([]*bitset.Set, n)
-	for v := 0; v < n; v++ {
-		g.forbPred[v] = bitset.New(n)
-		for _, p := range g.preds[v] {
-			if g.forb.Has(p) {
-				g.forbPred[v].Add(p)
-			}
-		}
-	}
-
 	g.depth = make([]int, n)
 	for _, v := range g.topo {
 		d := 0
@@ -327,6 +301,66 @@ func (g *Graph) Freeze() error {
 	return nil
 }
 
+// closures returns the reachability closures, building them on the first
+// call. It panics on a graph that is not frozen.
+func (g *Graph) closures() *closureRows {
+	g.closOnce.Do(g.buildClosures)
+	return &g.clos
+}
+
+// buildClosures computes the closures of a frozen graph. On a graph that
+// is not frozen it panics before assigning anything, so the rows stay nil
+// and every later lookup panics too instead of reading empty closures.
+func (g *Graph) buildClosures() {
+	if !g.frozen {
+		panic(ErrNotFrozen)
+	}
+	n := len(g.ops)
+	c := &g.clos
+
+	// Reachability by dynamic programming over the topological order.
+	c.reachFrom = bitset.NewRows(n, n)
+	c.reachTo = bitset.NewRows(n, n)
+	for i := n - 1; i >= 0; i-- {
+		v := g.topo[i]
+		for _, s := range g.succs[v] {
+			c.reachFrom[v].Add(s)
+			c.reachFrom[v].Union(c.reachFrom[s])
+		}
+	}
+	for i := 0; i < n; i++ {
+		w := g.topo[i]
+		for _, p := range g.preds[w] {
+			c.reachTo[w].Add(p)
+			c.reachTo[w].Union(c.reachTo[p])
+		}
+	}
+
+	// Forbidden-free reachability: paths whose interior avoids F. A path may
+	// START at a forbidden vertex (forbidden vertices can feed a cut as
+	// inputs), so propagation stops at forbidden vertices but still records
+	// them as directly reachable.
+	c.ffReach = bitset.NewRows(n, n)
+	for i := n - 1; i >= 0; i-- {
+		v := g.topo[i]
+		for _, s := range g.succs[v] {
+			c.ffReach[v].Add(s)
+			if !g.forb.Has(s) {
+				c.ffReach[v].Union(c.ffReach[s])
+			}
+		}
+	}
+
+	c.forbPred = bitset.NewRows(n, n)
+	for v := 0; v < n; v++ {
+		for _, p := range g.preds[v] {
+			if g.forb.Has(p) {
+				c.forbPred[v].Add(p)
+			}
+		}
+	}
+}
+
 // MustFreeze calls Freeze and panics on error.
 func (g *Graph) MustFreeze() *Graph {
 	if err := g.Freeze(); err != nil {
@@ -359,10 +393,11 @@ func (g *Graph) FootprintBytes() int64 {
 			}
 		}
 	}
-	perSet(g.reachFrom)
-	perSet(g.reachTo)
-	perSet(g.ffReach)
-	perSet(g.forbPred)
+	if g.frozen {
+		// The four closure families, charged whether or not they are built
+		// yet: any enumeration of the graph builds them.
+		b += 4 * n * (int64(g.stride)*wordB + 24)
+	}
 	perSet([]*bitset.Set{g.iext, g.oext, g.forb, g.entrySet})
 	b += int64(len(g.predBits)+len(g.succBits)) * wordB
 	b += int64(len(g.entries)) * 8
@@ -480,18 +515,18 @@ func (g *Graph) TopoPos(v int) int { return g.topoPos[v] }
 func (g *Graph) Depth(v int) int { return g.depth[v] }
 
 // Reaches reports whether there is a non-empty path from v to w.
-func (g *Graph) Reaches(v, w int) bool { return g.reachFrom[v].Has(w) }
+func (g *Graph) Reaches(v, w int) bool { return g.closures().reachFrom[v].Has(w) }
 
 // ReachFrom returns the set of nodes reachable from v (v excluded);
 // read-only.
-func (g *Graph) ReachFrom(v int) *bitset.Set { return g.reachFrom[v] }
+func (g *Graph) ReachFrom(v int) *bitset.Set { return g.closures().reachFrom[v] }
 
 // ReachTo returns the set of nodes that reach w (w excluded); read-only.
-func (g *Graph) ReachTo(w int) *bitset.Set { return g.reachTo[w] }
+func (g *Graph) ReachTo(w int) *bitset.Set { return g.closures().reachTo[w] }
 
 // ForbiddenPreds returns the forbidden predecessors of v as a bitset;
 // read-only.
-func (g *Graph) ForbiddenPreds(v int) *bitset.Set { return g.forbPred[v] }
+func (g *Graph) ForbiddenPreds(v int) *bitset.Set { return g.closures().forbPred[v] }
 
 // HasForbiddenBetween reports whether some path v→…→w passes through a
 // forbidden node strictly between v and w. Such (input, output) pairs can
@@ -507,8 +542,9 @@ func (g *Graph) HasForbiddenBetween(v, w int) bool {
 	if f.Empty() {
 		return false
 	}
-	rf := g.reachFrom[v]
-	rt := g.reachTo[w]
+	c := g.closures()
+	rf := c.reachFrom[v]
+	rt := c.reachTo[w]
 	found := false
 	f.ForEach(func(x int) bool {
 		if rf.Has(x) && rt.Has(x) {
@@ -525,17 +561,18 @@ func (g *Graph) HasForbiddenBetween(v, w int) bool {
 // itself. dst must have capacity N(). It returns dst for convenience.
 func (g *Graph) BetweenInto(dst *bitset.Set, V []int, w int) *bitset.Set {
 	dst.Clear()
+	c := g.closures()
 	any := false
 	for _, v := range V {
-		if g.reachFrom[v].Has(w) {
-			dst.Union(g.reachFrom[v])
+		if c.reachFrom[v].Has(w) {
+			dst.Union(c.reachFrom[v])
 			any = true
 		}
 	}
 	if !any {
 		return dst
 	}
-	dst.Intersect(g.reachTo[w])
+	dst.Intersect(c.reachTo[w])
 	dst.Add(w)
 	// Exclude start vertices (a DAG has no self paths, but a start vertex can
 	// lie between another start vertex and w).
@@ -548,11 +585,12 @@ func (g *Graph) BetweenInto(dst *bitset.Set, V []int, w int) *bitset.Set {
 // BetweenSingleInto computes B({v}, w) into dst and returns it.
 func (g *Graph) BetweenSingleInto(dst *bitset.Set, v, w int) *bitset.Set {
 	dst.Clear()
-	if !g.reachFrom[v].Has(w) {
+	c := g.closures()
+	if !c.reachFrom[v].Has(w) {
 		return dst
 	}
-	dst.Copy(g.reachFrom[v])
-	dst.Intersect(g.reachTo[w])
+	dst.Copy(c.reachFrom[v])
+	dst.Intersect(c.reachTo[w])
 	dst.Add(w)
 	return dst
 }
@@ -563,5 +601,5 @@ func (g *Graph) BetweenSingleInto(dst *bitset.Set, v, w int) *bitset.Set {
 // output it dominates along such a path, because everything after the input
 // on its private path lies inside the cut (§5.3, output–input pruning).
 func (g *Graph) ReachesForbiddenFree(v, w int) bool {
-	return g.ffReach[v].Has(w)
+	return g.closures().ffReach[v].Has(w)
 }

@@ -164,6 +164,35 @@ func TestReachability(t *testing.T) {
 	}
 }
 
+// TestClosuresOnFirstUse pins the lazily built reachability closures:
+// concurrent first lookups on a freshly frozen graph share one build, and
+// a lookup before Freeze panics with ErrNotFrozen.
+func TestClosuresOnFirstUse(t *testing.T) {
+	g := diamond(t)
+	rows := make(chan *bitset.Set, 4)
+	for i := 0; i < cap(rows); i++ {
+		go func() { rows <- g.ReachTo(4) }()
+	}
+	first := <-rows
+	for i := 1; i < cap(rows); i++ {
+		if r := <-rows; r != first {
+			t.Fatal("concurrent first lookups built separate closures")
+		}
+	}
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(first.Members(), want) {
+		t.Fatalf("ReachTo(e) = %v, want %v", first.Members(), want)
+	}
+
+	u := New()
+	u.MustAddNode(OpVar, "a")
+	defer func() {
+		if v := recover(); v != ErrNotFrozen {
+			t.Fatalf("lookup before Freeze: recovered %v, want ErrNotFrozen", v)
+		}
+	}()
+	u.Reaches(0, 0)
+}
+
 func TestBetween(t *testing.T) {
 	g := diamond(t)
 	dst := bitset.New(g.N())

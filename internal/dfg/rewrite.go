@@ -105,10 +105,15 @@ func (g *Graph) CollapseCut(S *bitset.Set, name string, latencyCycles int) (*Gra
 
 	sort.Ints(inputs) // the documented operand order of the custom node
 
-	out := New()
-	mapping := make(map[int]int)
-	// replaced[o] for outputs of S: the node consumers read instead.
-	replaced := make(map[int]int)
+	out := newSized(g.N() - S.Count() + 1 + len(outputs))
+	// ids[v] is the new id of survivor v (-1 until emitted); replaced[o]
+	// for outputs of S is the node consumers read instead. Both are dense
+	// slices: CollapseCut runs once per certified cut in the oracle sweeps.
+	ids := make([]int, g.N())
+	for v := range ids {
+		ids[v] = -1
+	}
+	replaced := make([]int, g.N())
 
 	// Collapsing creates new dependences (every consumer of an output now
 	// depends on every input), so plain topological emission of survivors
@@ -162,7 +167,7 @@ func (g *Graph) CollapseCut(S *bitset.Set, name string, latencyCycles int) (*Gra
 		return nil
 	}
 	emitNode = func(v int) (int, error) {
-		if id, ok := mapping[v]; ok {
+		if id := ids[v]; id >= 0 {
 			return id, nil
 		}
 		if S.Has(v) {
@@ -202,7 +207,7 @@ func (g *Graph) CollapseCut(S *bitset.Set, name string, latencyCycles int) (*Gra
 				return 0, err
 			}
 		}
-		mapping[v] = id
+		ids[v] = id
 		return id, nil
 	}
 
@@ -242,6 +247,12 @@ func (g *Graph) CollapseCut(S *bitset.Set, name string, latencyCycles int) (*Gra
 	}
 	if out.N() != want {
 		return nil, nil, fmt.Errorf("dfg: collapse accounting: got %d nodes, want %d", out.N(), want)
+	}
+	mapping := make(map[int]int, g.N()-S.Count())
+	for v, id := range ids {
+		if id >= 0 {
+			mapping[v] = id
+		}
 	}
 	return out, mapping, nil
 }

@@ -13,6 +13,9 @@ package semoracle
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"polyise/internal/dfg"
@@ -112,6 +115,13 @@ func (r CutReport) String() string {
 // (cfg.Seed, k) only, so any reported divergence replays exactly under the
 // same config regardless of worker count (enumeration order is the serial
 // order at any parallelism).
+//
+// The checks of different cuts are independent, so they run on
+// GOMAXPROCS goroutines fed in enumeration order, and the outcomes are
+// folded in cut order afterwards: the report is the one a serial sweep
+// produces. Under a Budget, every cut visited before the deadline is
+// certified, so the sweep overruns it by the checks still queued then (at
+// most two per checker).
 func CheckCuts(name string, g *dfg.Graph, cfg CutConfig) CutReport {
 	rep := CutReport{Name: name, N: g.N(), Envs: cfg.Envs}
 	if rep.Envs <= 0 {
@@ -125,23 +135,70 @@ func CheckCuts(name string, g *dfg.Graph, cfg CutConfig) CutReport {
 	if cfg.Budget > 0 {
 		opt.Deadline = time.Now().Add(cfg.Budget)
 	}
-	// The cut is checked inside the visit, so retaining node sets across
-	// calls is unnecessary.
+	// Each visited cut is cloned for its checker, so the enumerator need
+	// not retain node sets itself.
 	opt.KeepCuts = false
 
+	type job struct {
+		k int
+		c enum.Cut
+	}
+	type outcome struct {
+		examples []string // "cut k … env=…" per diverging environment
+		err      error
+	}
+	var (
+		mu       sync.Mutex
+		outcomes []outcome // indexed by cut; appended by the visitor
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+	)
+	workers := runtime.GOMAXPROCS(0)
+	jobs := make(chan job, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				var o outcome
+				mismatches, err := CheckCut(g, j.c, rep.Envs, cfg.Seed^(int64(j.k)+1)*0x9e3779b9)
+				if err != nil {
+					o.err = fmt.Errorf("cut %d %v: %w", j.k, j.c, err)
+					failed.Store(true)
+				}
+				for _, m := range mismatches {
+					o.examples = append(o.examples, fmt.Sprintf("cut %d %v %s", j.k, j.c, m))
+				}
+				mu.Lock()
+				outcomes[j.k] = o
+				mu.Unlock()
+			}
+		}()
+	}
 	stats := enum.Enumerate(g, opt, func(c enum.Cut) bool {
-		k := rep.Cuts
-		rep.Cuts++
-		mismatches, err := CheckCut(g, c, rep.Envs, cfg.Seed^(int64(k)+1)*0x9e3779b9)
-		if err != nil {
-			rep.Err = fmt.Errorf("cut %d %v: %w", k, c, err)
+		if failed.Load() {
 			return false
 		}
-		for _, m := range mismatches {
-			rep.record(fmt.Sprintf("cut %d %v %s", k, c, m))
-		}
+		mu.Lock()
+		k := len(outcomes)
+		outcomes = append(outcomes, outcome{})
+		mu.Unlock()
+		jobs <- job{k: k, c: c.Clone()}
 		return true
 	})
+	close(jobs)
+	wg.Wait()
+
+	for k, o := range outcomes {
+		rep.Cuts = k + 1
+		if o.err != nil {
+			rep.Err = o.err // a serial sweep stops at its first pipeline error
+			break
+		}
+		for _, m := range o.examples {
+			rep.record(m)
+		}
+	}
 	rep.Stop = stats.StopReason
 	if rep.Err == nil && stats.Err != nil {
 		rep.Err = stats.Err
@@ -164,6 +221,15 @@ func CheckCut(g *dfg.Graph, c enum.Cut, envs int, seed int64) ([]string, error) 
 	if err != nil {
 		return nil, fmt.Errorf("collapse: %w", err)
 	}
+	// The survivors in ascending original id, so every environment compares
+	// them in the same order and reports the lowest diverging node.
+	survivors := make([][2]int, 0, len(cmap))
+	for orig := 0; orig < g.N(); orig++ {
+		if nid, ok := cmap[orig]; ok {
+			survivors = append(survivors, [2]int{orig, nid})
+		}
+	}
+	customs := map[string]interp.CustomFn{"oracle": fn}
 	var mismatches []string
 	rng := rand.New(rand.NewSource(seed))
 	roots := len(g.Roots())
@@ -182,12 +248,13 @@ func CheckCut(g *dfg.Graph, c enum.Cut, envs int, seed int64) ([]string, error) 
 		resB, err := interp.Run(collapsed, interp.Env{
 			RootValues: vals, // root order is preserved by CollapseCut
 			Mem:        memB,
-			Customs:    map[string]interp.CustomFn{"oracle": fn},
+			Customs:    customs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("env %d: collapsed: %w", e, err)
 		}
-		for orig, nid := range cmap {
+		for _, sv := range survivors {
+			orig, nid := sv[0], sv[1]
 			if resA.Values[orig] != resB.Values[nid] {
 				mismatches = append(mismatches, fmt.Sprintf("env=%d node %d: %d vs %d",
 					e, orig, resA.Values[orig], resB.Values[nid]))
