@@ -99,10 +99,10 @@ coverage-floor:
 	./scripts/check_coverage.sh
 
 # Docs-drift gate: every backticked Go identifier and file path referenced
-# by docs/ALGORITHM.md must still exist in the tree, so the paper-to-code
-# map cannot silently rot.
+# by docs/ALGORITHM.md and README.md must still exist in the tree, so the
+# paper-to-code map and the front page cannot silently rot.
 docs-check:
-	./scripts/check_docs_refs.sh docs/ALGORITHM.md
+	./scripts/check_docs_refs.sh docs/ALGORITHM.md README.md
 
 # Paper-figure reproductions plus the serial-vs-parallel speedup pair
 # (BenchmarkParallelEnumerate, BenchmarkCorpusCuts).

@@ -1,11 +1,13 @@
-// worstcase reproduces the heart of the paper's figure 5 observation on the
-// figure 4 family: tree-shaped data-flow graphs blow up the classic
-// exhaustive enumeration (reference [15], provably O(1.6^n) for this
-// shape) while the polynomial algorithm stays tame.
+// worstcase runs the paper's figure 5 comparison on the figure 4 family:
+// tree-shaped data-flow graphs, where a [4]-style exhaustive enumeration
+// is provably O(1.6^n) and the paper expects the polynomial algorithm to
+// win.
 //
 // For each tree depth the program runs both algorithms under the same
-// Nin=4/Nout=2 constraint and prints their run times side by side; the
-// widening gap is the paper's headline result.
+// Nin=4/Nout=2 constraint and prints their run times side by side. The
+// ratio column is exhaustive time over polynomial time. Measured serially,
+// the [15]-style pruned search used here is faster at every depth
+// (ratio below 1), with identical cut counts.
 package main
 
 import (
@@ -27,14 +29,6 @@ func main() {
 		polyCuts, polyTime := run(func(v func(polyise.Cut) bool) {
 			polyise.Enumerate(g, opt, v)
 		})
-		if depth > 5 {
-			// The exhaustive search is O(1.6^n): at depth 6 (127 nodes) it
-			// would run for hours — which is exactly the paper's point.
-			fmt.Printf("depth-%d %6d %12d %16v %14s\n",
-				depth, g.N(), polyCuts, polyTime.Round(time.Microsecond),
-				"(skipped: exponential)")
-			continue
-		}
 		exCuts, exTime := run(func(v func(polyise.Cut) bool) {
 			polyise.PrunedExhaustiveSearch(g, opt, v)
 		})

@@ -128,12 +128,3 @@ func (s *atasu) leaf() {
 		s.stopped = true
 	}
 }
-
-// CollectAtasu runs AtasuSearch and returns all valid cuts sorted
-// deterministically.
-func CollectAtasu(g *dfg.Graph, opt enum.Options) ([]enum.Cut, enum.Stats) {
-	opt.KeepCuts = true
-	return enum.Collect(func(visit func(enum.Cut) bool) enum.Stats {
-		return AtasuSearch(g, opt, visit)
-	})
-}

@@ -46,18 +46,11 @@ type OracleReport struct {
 	Missing, Extra           []string
 	MissingTotal, ExtraTotal int
 
-	// DigestCollisions is the built-in triage for the failure class that
-	// caused the original gap: for each missing cut whose 128-bit dedup
-	// digest equals that of a different cut the enumeration did report,
-	// one "missing ⇄ reported" line. A non-empty list means the loss is in
-	// the deduplication layer, not in the search itself.
-	DigestCollisions []string
-
 	// BasicDisagrees notes missing cuts that EnumerateBasic (the
 	// reference figure 2 algorithm, run only when cuts are missing and
 	// the budget allows) also fails to produce — localizing a loss to the
-	// shared layers (validation, dedup) rather than the incremental
-	// search order.
+	// shared layers (validation) rather than the incremental search
+	// order.
 	BasicDisagrees []string
 }
 
@@ -96,9 +89,6 @@ func (r OracleReport) String() string {
 	for _, x := range r.Extra {
 		s += "\n  extra   " + x
 	}
-	for _, c := range r.DigestCollisions {
-		s += "\n  digest collision: " + c
-	}
 	for _, b := range r.BasicDisagrees {
 		s += "\n  basic also misses: " + b
 	}
@@ -112,13 +102,10 @@ func (r OracleReport) String() string {
 // whose PolyStop/PrunedStop say so, whose counts are partial and which
 // carries no verdict.
 //
-// Cut identity is the full vertex-set signature (Cut.String), NOT the
-// 128-bit dedup digest: the digest is itself part of what the oracle
-// audits. On disagreement the report triages each missing cut: a digest
-// equal to a different reported cut's digest convicts the deduplication
-// layer (the root cause of the original n ≥ 140 gap), and a re-check
-// against EnumerateBasic separates incremental-search losses from losses
-// in the layers both algorithms share.
+// Cut identity is the full vertex-set signature (Cut.String). On
+// disagreement a re-check against EnumerateBasic separates
+// incremental-search losses from losses in the layers both algorithms
+// share.
 func DiffOracle(name string, g *dfg.Graph, opt enum.Options, budget time.Duration) OracleReport {
 	rep := OracleReport{Name: name, N: g.N()}
 	if budget > 0 {
@@ -168,29 +155,15 @@ func DiffOracle(name string, g *dfg.Graph, opt enum.Options, budget time.Duratio
 		}
 	}
 	if rep.MissingTotal > 0 {
-		rep.triage(g, opt, poly, missing, budget)
+		rep.triage(g, opt, missing, budget)
 	}
 	return rep
 }
 
-// triage explains missing cuts: digest collisions against the reported
-// set, then (budget permitting) a cross-check against the basic
-// algorithm. Example lists are capped at OracleMaxExamples.
-func (r *OracleReport) triage(g *dfg.Graph, opt enum.Options, poly, missing []enum.Cut, budget time.Duration) {
-	byDigest := make(map[[2]uint64]string, len(poly))
-	for _, c := range poly {
-		byDigest[c.Nodes.Hash128()] = c.String()
-	}
-	for _, m := range missing {
-		if len(r.DigestCollisions) >= OracleMaxExamples {
-			break
-		}
-		if partner, ok := byDigest[m.Nodes.Hash128()]; ok && partner != m.String() {
-			r.DigestCollisions = append(r.DigestCollisions,
-				fmt.Sprintf("%s ⇄ %s", m.String(), partner))
-		}
-	}
-
+// triage explains missing cuts by a cross-check against the basic
+// algorithm, budget permitting. The example list is capped at
+// OracleMaxExamples.
+func (r *OracleReport) triage(g *dfg.Graph, opt enum.Options, missing []enum.Cut, budget time.Duration) {
 	if budget > 0 {
 		opt.Deadline = time.Now().Add(budget)
 	}

@@ -128,14 +128,6 @@ func (p ComparePoint) SpeedupOfPoly() float64 {
 	return float64(p.Atasu.Duration) / float64(p.Poly.Duration)
 }
 
-// SpeedupVsModern compares against the modernized [15]-style search.
-func (p ComparePoint) SpeedupVsModern() float64 {
-	if p.Poly.Duration <= 0 {
-		return math.Inf(1)
-	}
-	return float64(p.Pruned.Duration) / float64(p.Poly.Duration)
-}
-
 // CompareCorpus runs the three algorithms over a corpus with a per-run
 // budget. Blocks are sharded across opt.Parallelism workers (0 = auto); the
 // result slice is indexed like blocks, so the output is deterministic

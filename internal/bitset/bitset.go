@@ -287,52 +287,6 @@ func (s *Set) Next(i int) int {
 	return -1
 }
 
-// hashmix is the 64-bit finalizer of MurmurHash3 (fmix64): a full-avalanche
-// bijection, so every input bit affects every output bit.
-func hashmix(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// Hash128 returns a 128-bit digest of the set contents, used as a cheap
-// deduplication key where allocating Signature strings would dominate.
-// Each word is avalanched (hashmix) before being folded into two
-// independently keyed accumulator lanes, with the second lane consuming a
-// rotation of the mix so a cancellation in one lane cannot carry to the
-// other.
-//
-// The avalanche step is load-bearing, not an optimization: folding raw
-// words FNV-style — h = (h ^ w) * prime — has a structural collision class
-// that silently dropped ~1–3% of valid cuts from the enumeration on graphs
-// of 128+ vertices. An XOR difference confined to bit 63 of a word passes
-// through multiplication by any odd constant as exactly a bit-63 flip
-// ((x ± 2^63)·p ≡ x·p ± 2^63 mod 2^64), so toggling the top bit of two
-// different words — e.g. exchanging vertex 63 for vertex 127 — cancels in
-// both lanes regardless of the primes, giving distinct sets identical
-// digests. TestHash128TopBitPairs pins the fix; EXPERIMENTS.md "Resolved:
-// the n ≥ 140 completeness gap" tells the full story. With per-word
-// avalanche no low-entropy difference survives to fold time, and residual
-// collision probability is the generic ~2^-128.
-func (s *Set) Hash128() [2]uint64 {
-	const (
-		offset1 = 0xcbf29ce484222325
-		prime1  = 0x100000001b3
-		offset2 = 0x6c62272e07bb0142
-		prime2  = 0x3f4e5a7b9d1c8e63
-	)
-	h1, h2 := uint64(offset1), uint64(offset2)
-	for _, w := range s.words {
-		m := hashmix(w)
-		h1 = (h1 ^ m) * prime1
-		h2 = (h2 ^ bits.RotateLeft64(m, 27)) * prime2
-	}
-	return [2]uint64{hashmix(h1), hashmix(h2)}
-}
-
 // Signature returns a deterministic string key identifying the set contents.
 // It is used to deduplicate cuts by their vertex set.
 func (s *Set) Signature() string {

@@ -5,14 +5,25 @@ import (
 	"testing"
 )
 
-// The digest is the enumeration's only duplicate detector: a collision
-// between two distinct valid cuts silently drops whichever is enumerated
-// second. These tests pin the collision classes that actually bit (see the
-// Hash128 doc comment and EXPERIMENTS.md "Resolved: the n ≥ 140
-// completeness gap") and a randomized birthday-style sanity sweep.
+// Hasher128 is the one 128-bit digest left: checkpoint.GraphDigest folds a
+// graph's adjacency rows through it, and that digest is both the snapshot's
+// guard against resuming on different input and the session layer's
+// content-addressed graph id. Two graphs whose rows differ by a top-bit
+// pair would alias. These tests pin the collision classes that actually
+// bit when a digest of this shape deduplicated cuts (see the Hasher128 doc
+// comment and EXPERIMENTS.md "Resolved: the n ≥ 140 completeness gap") and
+// a randomized birthday-style sanity sweep.
+
+// digest folds one set through a fresh Hasher128, the way GraphDigest
+// folds each adjacency row.
+func digest(s *Set) [2]uint64 {
+	h := NewHasher128()
+	h.Set(s)
+	return h.Sum()
+}
 
 // TestHash128TopBitPairs pins the structural collision class of the
-// pre-fix word-FNV digest: any two sets that differ only by toggling bit
+// pre-fix word-FNV cut digest: any two sets that differ only by toggling bit
 // 63 of two different words (e.g. {63} vs {127}) hashed identically,
 // because a top-bit XOR difference commutes with multiplication by an odd
 // constant and the second toggle cancels the first in both lanes. Every
@@ -25,7 +36,7 @@ func TestHash128TopBitPairs(t *testing.T) {
 			b := New(n)
 			a.Add(wa*64 + 63)
 			b.Add(wb*64 + 63)
-			if a.Hash128() == b.Hash128() {
+			if digest(a) == digest(b) {
 				t.Errorf("top-bit pair collision: {%d} vs {%d}", wa*64+63, wb*64+63)
 			}
 			// The original failure shape: the pair embedded in a shared
@@ -34,7 +45,7 @@ func TestHash128TopBitPairs(t *testing.T) {
 				a.Add(extra)
 				b.Add(extra)
 			}
-			if a.Hash128() == b.Hash128() {
+			if digest(a) == digest(b) {
 				t.Errorf("embedded top-bit pair collision: words %d/%d", wa, wb)
 			}
 		}
@@ -48,7 +59,7 @@ func TestHash128GapInstanceShape(t *testing.T) {
 	b := New(140)
 	a.Add(63)
 	b.Add(127)
-	if a.Hash128() == b.Hash128() {
+	if digest(a) == digest(b) {
 		t.Fatal("{63} and {127} still collide — the n ≥ 140 completeness gap is back")
 	}
 }
@@ -59,11 +70,11 @@ func TestHash128SingleBitDistinct(t *testing.T) {
 	const n = 256
 	seen := map[[2]uint64]int{}
 	empty := New(n)
-	seen[empty.Hash128()] = -1
+	seen[digest(empty)] = -1
 	for v := 0; v < n; v++ {
 		s := New(n)
 		s.Add(v)
-		h := s.Hash128()
+		h := digest(s)
 		if prev, dup := seen[h]; dup {
 			t.Fatalf("digest collision between {%d} and {%d}", v, prev)
 		}
@@ -82,7 +93,7 @@ func TestHash128TwoBitDistinct(t *testing.T) {
 			s := New(n)
 			s.Add(a)
 			s.Add(b)
-			h := s.Hash128()
+			h := digest(s)
 			if prev, dup := seen[h]; dup {
 				t.Fatalf("digest collision between {%d,%d} and {%d,%d}", a, b, prev[0], prev[1])
 			}
@@ -104,7 +115,7 @@ func TestHash128RandomSets(t *testing.T) {
 			s.Add(r.Intn(n))
 		}
 		sig := s.Signature()
-		h := s.Hash128()
+		h := digest(s)
 		if prev, dup := seen[h]; dup && prev != sig {
 			t.Fatalf("digest collision between %s and %s", prev, sig)
 		}

@@ -362,11 +362,6 @@ func (t *Traverser) ForwardClosure(dst, allowed *bitset.Set) {
 	t.closure(dst, t.g.succBits, allowed)
 }
 
-// BackwardClosure is ForwardClosure over predecessor edges.
-func (t *Traverser) BackwardClosure(dst, allowed *bitset.Set) {
-	t.closure(dst, t.g.predBits, allowed)
-}
-
 // prepAllowed loads t.allowed with within \ avoid (or U \ avoid when within
 // is nil) and returns it.
 func (t *Traverser) prepAllowed(avoid, within *bitset.Set) *bitset.Set {

@@ -247,9 +247,6 @@ func (s *Solver) eval(v int32) int32 {
 // blocked or unreachable vertices.
 func (s *Solver) IDom(v int) int { return int(s.idom[v]) }
 
-// Reached returns how many vertices the last Run reached.
-func (s *Solver) Reached() int { return s.reached }
-
 // Reachable reports whether v was reached from the root in the last Run.
 func (s *Solver) Reachable(v int) bool { return s.dfnum[v] != none }
 

@@ -67,9 +67,6 @@ func (t *Tree) Root() int { return t.root }
 // IDom returns the immediate dominator of v, or -1.
 func (t *Tree) IDom(v int) int { return int(t.idom[v]) }
 
-// InTree reports whether v was reachable when the tree was built.
-func (t *Tree) InTree(v int) bool { return t.pre[v] != none }
-
 // Dominates reports whether a dominates v, reflexively, in O(1).
 func (t *Tree) Dominates(a, v int) bool {
 	if t.pre[a] == none || t.pre[v] == none {
@@ -82,9 +79,6 @@ func (t *Tree) Dominates(a, v int) bool {
 func (t *Tree) StrictlyDominates(a, v int) bool {
 	return a != v && t.Dominates(a, v)
 }
-
-// Children returns the tree children of v; read-only.
-func (t *Tree) Children(v int) []int32 { return t.children[v] }
 
 // Walk calls f on the chain of strict dominators of v from the innermost
 // outward, stopping at (and excluding) the root or when f returns false.

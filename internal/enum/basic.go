@@ -25,7 +25,7 @@ func EnumerateBasic(g *dfg.Graph, opt Options, visit func(Cut) bool) Stats {
 		visit:   visit,
 		md:      multidom.New(g),
 		val:     NewValidator(g, opt),
-		seen:    bitset.NewDigestSet(),
+		seen:    make(map[string]struct{}),
 		gendoms: make(map[int][][]int),
 		S:       bitset.New(g.N()),
 		I:       bitset.New(g.N()),
@@ -62,7 +62,9 @@ type basicEnum struct {
 	pdt   *domtree.Tree
 	val   *Validator
 	stats Stats
-	seen  *bitset.DigestSet // this algorithm derives a cut many times: dedup by digest
+	// Different dominator choices can rebuild the same cut, so repeats are
+	// dropped by exact vertex set (Set.Signature).
+	seen map[string]struct{}
 
 	gendoms map[int][][]int // memoized generalized dominators per output
 
@@ -185,10 +187,12 @@ func (e *basicEnum) checkCandidate() {
 	if e.S.Intersects(e.g.ForbiddenSet()) {
 		return
 	}
-	if !e.seen.Insert(e.S.Hash128()) {
+	sig := e.S.Signature()
+	if _, dup := e.seen[sig]; dup {
 		e.stats.Duplicates++
 		return
 	}
+	e.seen[sig] = struct{}{}
 	var cut Cut
 	if !e.val.Validate(e.S, &cut) {
 		e.stats.Invalid++

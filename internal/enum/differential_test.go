@@ -144,8 +144,8 @@ func oracleBudget(t *testing.T) time.Duration {
 }
 
 // runOracle runs one budgeted poly-versus-pruned-exhaustive comparison and
-// fails the test on any disagreement, with the oracle's own triage (digest
-// collisions, basic-algorithm cross-check) in the failure message.
+// fails the test on any disagreement, with the oracle's own triage (the
+// basic-algorithm cross-check) in the failure message.
 func runOracle(t *testing.T, name string, g *dfg.Graph, budget time.Duration) baseline.OracleReport {
 	t.Helper()
 	opt := enum.DefaultOptions()

@@ -3,6 +3,7 @@ package enum_test
 import (
 	"testing"
 
+	"polyise/internal/bitset"
 	"polyise/internal/enum"
 	"polyise/internal/workload"
 )
@@ -13,7 +14,7 @@ import (
 // pass through multiplication by an odd constant as exactly a bit-63 flip
 // ((x ± 2^63)·p ≡ x·p ± 2^63 mod 2^64), so toggling the top bit of two
 // different words cancels in both lanes whatever the primes. See the
-// Hash128 doc comment in internal/bitset and docs/ALGORITHM.md §7.
+// Hasher128 doc comment in internal/bitset and docs/ALGORITHM.md §7.
 func legacyHash128(words []uint64) [2]uint64 {
 	const (
 		offset1 = 0xcbf29ce484222325
@@ -33,10 +34,11 @@ func legacyHash128(words []uint64) [2]uint64 {
 // instance (n=140/seed 5), that the search was complete all along and the
 // loss sat in the dedup layer: among the instance's 4 565 valid cuts the
 // legacy digest collides for dozens of distinct pairs (the first victim is
-// cut {127} colliding with cut {63}), while the fixed Hash128 keeps all
-// 4 565 digests distinct. If this test starts failing on the "fixed" side,
-// the dedup layer is eating cuts again — run `make diff-oracle` and read
-// the DigestCollisions triage.
+// cut {127} colliding with cut {63}), while the avalanched Hasher128 keeps
+// all 4 565 digests distinct. No enumeration deduplicates by digest any
+// more, but checkpoint.GraphDigest folds adjacency rows — vertex sets of
+// the same shape — through Hasher128, so a failure on the "fixed" side
+// means distinct graphs can alias there.
 func TestGapRootCauseDigestCollision(t *testing.T) {
 	gi := workload.GapRegressionInstances()[0]
 	g := gi.Graph()
@@ -58,7 +60,9 @@ func TestGapRootCauseDigestCollision(t *testing.T) {
 		} else {
 			legacy[lh] = sig
 		}
-		fh := c.Nodes.Hash128()
+		h := bitset.NewHasher128()
+		h.Set(c.Nodes)
+		fh := h.Sum()
 		if prev, ok := fixed[fh]; ok && prev != sig {
 			t.Fatalf("fixed digest collision between %s and %s", prev, sig)
 		}

@@ -15,9 +15,11 @@
 //
 // Both algorithms validate every candidate cut directly against the problem
 // statement of §3, so no configuration can ever produce an invalid cut.
-// Neither repeats a cut, by different means. EnumerateBasic derives a cut
-// many times and drops repeats by a 128-bit vertex-set digest. Enumerate
-// keeps no record of delivered cuts at all: each valid cut is identified by
+// Neither repeats a cut, by different means, and neither decides identity
+// by hash. EnumerateBasic derives a cut many times and drops repeats by
+// exact vertex set (bitset.Set.Signature); the generalized dominators it
+// couples come from multidom, which derives each one once. Enumerate keeps
+// no record of delivered cuts at all: each valid cut is identified by
 // its (O, I) pair (theorem 3), and the search admits a candidate only at
 // its canonical derivation — outputs chosen in ascending order, each
 // output phase's inputs pushed in descending order with the smallest as
@@ -32,8 +34,9 @@
 // then used, not a search deficiency (docs/ALGORITHM.md §7). The two
 // approximate §5.3 prunings (PruneDominatorInput, PruneForbiddenAncestors)
 // are the only knobs that trade completeness away and are off by default.
-// How many cuts they lose has not been measured yet (ROADMAP.md, item
-// 4(c)).
+// EXPERIMENTS.md ("Canonical derivations") records what they lose on the
+// pinned instances; a per-size-cluster measurement is ROADMAP.md item
+// 5(c).
 //
 // # The incremental search-state engine
 //
@@ -221,17 +224,6 @@ type Options struct {
 	// "shut down" into "park the run on disk". Polled at the same sampled
 	// sites as Deadline, and at every delivered cut.
 	CheckpointStop <-chan struct{}
-
-	// StealStallTimeout bounds how long a parallel donor waits for a
-	// claimed thief to accept a steal handoff before declaring the
-	// protocol's liveness broken and failing the run with a *StallError
-	// (see the watchdog note in internal/enum/parallel.go). Zero means
-	// the 10 s default. Under the handoff discipline a healthy send
-	// completes in microseconds, so the timeout only matters as a
-	// diagnosability bound; long-running services tighten it per request
-	// so a broken run is reported quickly instead of occupying a slot for
-	// the full default.
-	StealStallTimeout time.Duration
 }
 
 // DefaultOptions returns the paper's standard configuration: Nin=4, Nout=2,
@@ -259,7 +251,7 @@ func DefaultOptions() Options {
 // derivation delivers it. On the n=140 gap instance paper mode finds
 // 4 200 of the 4 565 exact cuts (EXPERIMENTS.md, "Canonical
 // derivations"); a measurement across the corpus is still open
-// (ROADMAP.md, item 4(c)).
+// (ROADMAP.md, item 5(c)).
 func PaperOptions() Options {
 	o := DefaultOptions()
 	o.PruneDominatorInput = true

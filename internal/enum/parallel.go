@@ -255,24 +255,15 @@ func (e *incEnum) maybeSplit() {
 // broken. Under the handoff discipline the claimed thief is parked in its
 // task select and committed to receive, so on a healthy run the send
 // completes in microseconds; the timeout only fires if an invariant is
-// broken, and then a diagnosable StallError beats an invisible hang.
-// Options.StealStallTimeout overrides it per run (the watchdog's own tests
-// and the session layer's per-request tightening both go through that
-// field — no global state).
-const defaultStealStallTimeout = 10 * time.Second
-
-// stallTimeout resolves the run's effective watchdog bound.
-func (e *incEnum) stallTimeout() time.Duration {
-	if e.opt.StealStallTimeout > 0 {
-		return e.opt.StealStallTimeout
-	}
-	return defaultStealStallTimeout
-}
+// broken, and then a diagnosable StallError beats an invisible hang. A
+// variable rather than a constant so the watchdog's own test can shorten
+// it.
+var defaultStealStallTimeout = 10 * time.Second
 
 // sendTask hands t to the claimed hungry worker, guarded by the stall
 // watchdog. The claimed thief is committed to receive (see stealState), so
 // the send normally completes at once; if it does not within
-// stallTimeout(), the donor reabsorbs the donated range instead of
+// defaultStealStallTimeout, the donor reabsorbs the donated range instead of
 // hanging: the frame's end is restored so the donor runs the positions
 // itself, the stolen and resume segments close empty (order-correct — the
 // donor's current segment precedes both in the merge list, so its output
@@ -281,11 +272,10 @@ func (e *incEnum) stallTimeout() time.Duration {
 func (e *incEnum) sendTask(t workUnit, ri, oldEnd int, resume *parallel.Seg[Cut]) {
 	st := e.steal
 	st.active.Add(1) // the task's liveness token; the receiver inherits it
-	timeout := e.stallTimeout()
 	if e.stallTimer == nil {
-		e.stallTimer = time.NewTimer(timeout)
+		e.stallTimer = time.NewTimer(defaultStealStallTimeout)
 	} else {
-		e.stallTimer.Reset(timeout)
+		e.stallTimer.Reset(defaultStealStallTimeout)
 	}
 	select {
 	case st.tasks <- t:
@@ -304,7 +294,7 @@ func (e *incEnum) sendTask(t workUnit, ri, oldEnd int, resume *parallel.Seg[Cut]
 	if st.active.Add(-1) == 0 {
 		close(st.done)
 	}
-	e.fail(&StallError{Timeout: timeout})
+	e.fail(&StallError{Timeout: defaultStealStallTimeout})
 }
 
 // popRangeSegs runs at a pickOutputRange frame's epilogue: for every split

@@ -25,11 +25,14 @@ func TestChaosStallWatchdogReabsorbs(t *testing.T) {
 	// the one that closes done (the donor still holds its own token).
 	st.active.Store(2)
 
+	// No test in this package runs in parallel, so the shortened bound
+	// cannot leak into a concurrently running enumeration.
+	saved := defaultStealStallTimeout
+	defaultStealStallTimeout = 50 * time.Millisecond
+	defer func() { defaultStealStallTimeout = saved }()
+
 	var ext atomic.Bool
-	// The watchdog bound comes from the Options, not package state, so the
-	// shortened test timeout cannot leak into a concurrently running
-	// enumeration.
-	e := &incEnum{steal: st, ext: &ext, opt: Options{StealStallTimeout: 50 * time.Millisecond}}
+	e := &incEnum{steal: st, ext: &ext}
 	e.curSeg = ord.Top(0)
 	stolen, resume := ord.Split(e.curSeg)
 	e.ranges = append(e.ranges, posRange{cur: 2, end: 5})

@@ -9,10 +9,14 @@
 // everything it dominates) from the graph, and read the single-vertex
 // dominators of o off a Lengauer–Tarjan run on the reduced graph (§5.2).
 //
+// Enumerate derives each dominator exactly once — from its own largest
+// member as the completion of the remaining seeds — so it needs no dedup
+// table.
+//
 // The Enumerator wraps a reusable solver over the augmented graph of one
 // DFG. Package enum drives the same machinery incrementally with the §5.3
 // prunings; the full enumeration here is the reference implementation used
-// by tests and by standalone dominator queries.
+// by EnumerateBasic, by tests and by standalone dominator queries.
 package multidom
 
 import (
@@ -40,10 +44,8 @@ type Enumerator struct {
 	visited  *bitset.Set // reachesAvoiding BFS marks
 	queue    []int32     // reachesAvoiding BFS worklist
 	checkSet *bitset.Set // Check's member set
-	candBits *bitset.Set // candidate set digests for dedup
 	doms     []int       // ReducedDominators result buffer
 	cand     []int       // candidate member list buffer
-	seen     *bitset.DigestSet
 }
 
 // New creates an Enumerator for g (which must be frozen).
@@ -56,8 +58,6 @@ func New(g *dfg.Graph) *Enumerator {
 		seeds:    bitset.New(aug.N),
 		visited:  bitset.New(aug.N),
 		checkSet: bitset.New(aug.N),
-		candBits: bitset.New(aug.N),
-		seen:     bitset.NewDigestSet(),
 	}
 }
 
@@ -157,11 +157,16 @@ func (e *Enumerator) ReducedDominators(seeds *bitset.Set, o int, out []int) ([]i
 // members, each sorted ascending, in deterministic order (lexicographic on
 // the sorted member lists). Candidates are generated with the Dubrova
 // seed-set method and verified with Check, so redundant separator supersets
-// are filtered out. Candidate sets are deduplicated by their Hash128 digest
-// in a reused open-addressing DigestSet — the string-keyed map this
-// replaces allocated a key per candidate and dominated the enumeration on
-// dominator-rich graphs — and a candidate is digested exactly once even
-// when the seed-set method regenerates it, whether or not it passed Check.
+// are filtered out.
+//
+// Each candidate is derived exactly once: seeds are pushed in ascending id
+// order, and a completion u is accepted only when it exceeds every seed, so
+// a dominator D can only arise from seeds D∖{max D} and completion max D.
+// That derivation always exists. By definition 5's condition 2, max D has
+// a private root→o path avoiding the rest of D, so o stays reachable on
+// every prefix of the ascending seed walk; once D∖{max D} is blocked, every
+// remaining root→o path meets max D, so max D dominates o. No dedup table
+// is needed, and Check runs at most once per candidate.
 func (e *Enumerator) Enumerate(o, maxSize int) [][]int {
 	if maxSize <= 0 {
 		return nil
@@ -171,7 +176,6 @@ func (e *Enumerator) Enumerate(o, maxSize int) [][]int {
 	// a cut) but never the virtual source/sink or o itself.
 	anc := e.g.ReachTo(o).Members()
 
-	e.seen.Reset()
 	seeds := e.seeds
 	seeds.Clear()
 	var out [][]int
@@ -188,14 +192,11 @@ func (e *Enumerator) Enumerate(o, maxSize int) [][]int {
 			return
 		}
 		for _, u := range e.doms {
-			e.candBits.Copy(seeds)
-			e.candBits.Add(u)
-			if !e.seen.Insert(e.candBits.Hash128()) {
-				continue
+			if len(cur) > 0 && u <= cur[len(cur)-1] {
+				continue // derived from its own largest member instead
 			}
 			cand := append(e.cand[:0], cur...)
 			cand = append(cand, u)
-			sort.Ints(cand)
 			e.cand = cand
 			if e.Check(cand, o) {
 				out = append(out, append([]int(nil), cand...))

@@ -321,14 +321,60 @@ func randDFG(r *rand.Rand, n int) *dfg.Graph {
 	return g
 }
 
+// randBinaryDFG builds a random DAG in which every non-root operation has
+// two distinct operands.
+func randBinaryDFG(r *rand.Rand, n int) *dfg.Graph {
+	g := dfg.New()
+	for i := 0; i < n; i++ {
+		if i < 2 || r.Intn(3) == 0 {
+			g.MustAddNode(dfg.OpVar, "")
+			continue
+		}
+		a, b := r.Intn(i), r.Intn(i-1)
+		if b >= a {
+			b++
+		}
+		g.MustAddNode(dfg.OpAdd, "", a, b)
+	}
+	g.MustFreeze()
+	return g
+}
+
+// deepest returns the first vertex with the largest ancestor cone.
+func deepest(g *dfg.Graph) int {
+	o := 0
+	for v := 1; v < g.N(); v++ {
+		if g.ReachTo(v).Count() > g.ReachTo(o).Count() {
+			o = v
+		}
+	}
+	return o
+}
+
+// TestQuickEnumerateMatchesBruteForce checks Enumerate against subset
+// brute force for dominators of up to four members, so the once-rule
+// (completion above every seed) is exercised at seed levels one to three:
+// a set it failed to derive would be missing here.
 func TestQuickEnumerateMatchesBruteForce(t *testing.T) {
+	size4 := 0
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randDFG(r, 4+r.Intn(10))
-		e := New(g)
 		o := r.Intn(g.N())
-		k := 1 + r.Intn(3)
+		k := 1 + r.Intn(4)
+		if r.Intn(2) == 0 {
+			// randDFG rarely has four-member dominators. The deepest
+			// vertex of an all-binary graph often has several.
+			g = randBinaryDFG(r, 8+r.Intn(10))
+			o, k = deepest(g), 4
+		}
+		e := New(g)
 		got := e.Enumerate(o, k)
+		for _, d := range got {
+			if len(d) == 4 {
+				size4++
+			}
+		}
 		want := bruteEnumerate(g, e, o, k)
 		if len(got) == 0 && len(want) == 0 {
 			return true
@@ -342,6 +388,10 @@ func TestQuickEnumerateMatchesBruteForce(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+	if size4 == 0 {
+		t.Fatal("no four-member dominator was drawn, so the third seed level went unchecked")
+	}
+	t.Logf("%d four-member dominators checked", size4)
 }
 
 func TestQuickCheckMatchesNaive(t *testing.T) {

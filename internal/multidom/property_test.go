@@ -14,8 +14,9 @@ import (
 // dominator sets of size ≤ maxSize must be exactly the subsets of o's
 // candidate pool (its augmented-graph ancestors, ReachTo) that Check
 // accepts. The Dubrova seed-set generation, the redundant-superset
-// filtering and the digest-based dedup all sit between those two
-// functions, so any pruning bug shows up as a missing or extra set here.
+// filtering and the once-rule (each set derived only from its largest
+// member) all sit between those two functions, so any pruning bug shows up
+// as a missing or extra set here.
 func TestEnumerateMatchesCheckExhaustively(t *testing.T) {
 	const maxSize = 3
 	for seed := int64(0); seed < 12; seed++ {

@@ -101,9 +101,6 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to shed requests; 0 means
 	// one second.
 	RetryAfter time.Duration
-	// StallTimeout overrides enum.Options.StealStallTimeout per request so
-	// a broken run frees its slot quickly; 0 keeps the library default.
-	StallTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -403,9 +400,6 @@ func (s *Service) run(ctx context.Context, req Request, snap *checkpoint.Snapsho
 	opt := req.Options
 	opt.Context = ctx
 	opt.CheckpointStop = s.drain
-	if s.cfg.StallTimeout > 0 && opt.StealStallTimeout == 0 {
-		opt.StealStallTimeout = s.cfg.StallTimeout
-	}
 
 	opt.MaxCuts = req.MaxCuts
 	if s.cfg.MaxCutsCeiling > 0 && (opt.MaxCuts == 0 || opt.MaxCuts > s.cfg.MaxCutsCeiling) {
