@@ -34,9 +34,10 @@ test-race:
 # the race detector. Every injected panic, delay, forced fallback, budget
 # hit and cancellation must end in a bit-identical serial prefix or a clean
 # typed error — the hard -timeout turns any hang into a failure instead of
-# a stuck CI job.
+# a stuck CI job. The enum step runs at GOMAXPROCS 1 and 4, so the injected
+# faults also land under preemptive multi-P schedules.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestFailure' ./internal/enum/ -timeout 10m -count 1
+	$(GO) test -race -cpu 1,4 -run 'TestChaos|TestFailure' ./internal/enum/ -timeout 10m -count 1
 	$(GO) test -race ./internal/faultinject/ -timeout 2m -count 1
 
 # Crash-resume certification: the kill-and-resume matrix under the race
@@ -62,15 +63,15 @@ crash:
 # error, the memory budget must never be exceeded (with eviction actually
 # observed), and a durable run parked by shutdown must resume bit-exactly
 # on a fresh service. The rest of the session suite (cache, admission,
-# HTTP mapping) rides along; the hard -timeout turns any hang into a
-# failure.
+# HTTP mapping) rides along, at GOMAXPROCS 1 and 4; the hard -timeout
+# turns any hang into a failure.
 soak:
-	$(GO) test -race ./internal/session/ -timeout 10m -count 1
+	$(GO) test -race -cpu 1,4 ./internal/session/ -timeout 10m -count 1
 
 # Mid-size completeness evidence: diff the polynomial enumeration against
 # the pruned-exhaustive oracle on the pinned gap instances (n=140/seed 5 →
 # 4 565 cuts, n=220/seed 17 → 7 891) and fresh random blocks up to n ≈ 240,
-# plus the bit-for-bit sequence-identity regression (including the ~1 min
+# plus the bit-for-bit sequence-identity regression (including the ~25 s
 # basic-algorithm cross-check at n=220). diff-oracle-quick is the CI
 # version: oracle comparisons only, at a budget that still completes every
 # instance on the recording machine.

@@ -29,13 +29,7 @@ func AtasuSearch(g *dfg.Graph, opt enum.Options, visit func(enum.Cut) bool) enum
 		state: make([]int8, g.N()),
 		S:     bitset.New(g.N()),
 	}
-	order := make([]int, g.N())
-	copy(order, g.Topo())
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	s.order = order
-	s.walk(0)
+	s.walk(g.N() - 1)
 	return s.stats
 }
 
@@ -46,7 +40,6 @@ type atasu struct {
 	val   *enum.Validator
 	stats enum.Stats
 
-	order    []int
 	state    []int8
 	S        *bitset.Set
 	inCount  int
@@ -58,7 +51,9 @@ type atasu struct {
 	stop enum.Stopper
 }
 
-func (s *atasu) walk(pos int) {
+// walk decides vertex v, then every earlier one: ids are a topological
+// order, so all of v's successors are already decided.
+func (s *atasu) walk(v int) {
 	if r := s.stop.Poll(); r != enum.StopNone {
 		s.stats.RecordStop(r)
 		s.stopped = true
@@ -66,11 +61,10 @@ func (s *atasu) walk(pos int) {
 	if s.stopped {
 		return
 	}
-	if pos == len(s.order) {
+	if v < 0 {
 		s.leaf()
 		return
 	}
-	v := s.order[pos]
 
 	// Inclusion branch (forbidden vertices and roots can only be excluded).
 	if !s.g.IsForbidden(v) {
@@ -90,7 +84,7 @@ func (s *atasu) walk(pos int) {
 			s.S.Add(v)
 			s.inCount++
 			s.outCount += d
-			s.walk(pos + 1)
+			s.walk(v - 1)
 			s.outCount -= d
 			s.inCount--
 			s.S.Remove(v)
@@ -105,7 +99,7 @@ func (s *atasu) walk(pos int) {
 
 	// Exclusion branch.
 	s.state[v] = excluded
-	s.walk(pos + 1)
+	s.walk(v - 1)
 	s.state[v] = undecided
 }
 

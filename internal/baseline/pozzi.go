@@ -50,7 +50,6 @@ func PrunedSearch(g *dfg.Graph, opt enum.Options, visit func(enum.Cut) bool) enu
 	for v := 0; v < g.N(); v++ {
 		s.remainSucc[v] = len(g.Succs(v))
 	}
-	s.order = g.Topo()
 	s.walk(0)
 	return s.stats
 }
@@ -68,7 +67,6 @@ type pruned struct {
 	val   *enum.Validator
 	stats enum.Stats
 
-	order []int
 	state []int8
 	// bad[v]: v is excluded and the cut reaches v through excluded
 	// vertices — including any successor of v would break convexity.
@@ -92,7 +90,9 @@ type pruned struct {
 	stop enum.Stopper
 }
 
-func (s *pruned) walk(pos int) {
+// walk decides vertex v, then every later one: ids are a topological
+// order, so all of v's predecessors are already decided.
+func (s *pruned) walk(v int) {
 	if r := s.stop.Poll(); r != enum.StopNone {
 		s.stats.RecordStop(r)
 		s.stopped = true
@@ -100,11 +100,10 @@ func (s *pruned) walk(pos int) {
 	if s.stopped {
 		return
 	}
-	if pos == len(s.order) {
+	if v == s.g.N() {
 		s.leaf()
 		return
 	}
-	v := s.order[pos]
 
 	// Inclusion branch (never for forbidden vertices or roots).
 	if !s.g.IsForbidden(v) {
@@ -145,7 +144,7 @@ func (s *pruned) walk(pos int) {
 			}
 		}
 		if convex && s.fixedInputs+newInputs <= s.opt.MaxInputs {
-			s.include(v, pos)
+			s.include(v)
 		} else {
 			s.stats.SeedsPruned++
 		}
@@ -155,12 +154,12 @@ func (s *pruned) walk(pos int) {
 		return
 	}
 	// Exclusion branch.
-	s.exclude(v, pos)
+	s.exclude(v)
 }
 
 // include decides v ∈ S, maintaining input counts and deferred output
 // accounting, then recurses and undoes.
-func (s *pruned) include(v, pos int) {
+func (s *pruned) include(v int) {
 	var marked []int
 	for _, p := range s.g.Preds(v) {
 		if s.state[p] != included && !s.isInput[p] {
@@ -182,7 +181,7 @@ func (s *pruned) include(v, pos int) {
 	undo := s.settlePreds(v, false)
 
 	if s.outCount <= s.opt.MaxOutputs {
-		s.walk(pos + 1)
+		s.walk(v + 1)
 	} else {
 		s.stats.SeedsPruned++
 	}
@@ -202,7 +201,7 @@ func (s *pruned) include(v, pos int) {
 
 // exclude decides v ∉ S, maintaining convexity propagation and settling
 // the output status of v's included predecessors, then recurses and undoes.
-func (s *pruned) exclude(v, pos int) {
+func (s *pruned) exclude(v int) {
 	// v is bad (would break convexity above it) when the cut reaches it:
 	// directly from an included predecessor or through a bad excluded one.
 	bad := false
@@ -219,7 +218,7 @@ func (s *pruned) exclude(v, pos int) {
 	undo := s.settlePreds(v, true)
 
 	if s.outCount <= s.opt.MaxOutputs {
-		s.walk(pos + 1)
+		s.walk(v + 1)
 	} else {
 		s.stats.SeedsPruned++
 	}

@@ -189,16 +189,6 @@ func (s *Set) IntersectionCount(t *Set) int {
 	return c
 }
 
-// SubsetOf reports whether every element of s is also in t.
-func (s *Set) SubsetOf(t *Set) bool {
-	for i, w := range s.words {
-		if w&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether s and t contain exactly the same elements.
 func (s *Set) Equal(t *Set) bool {
 	if len(s.words) != len(t.words) {
@@ -266,27 +256,6 @@ func (s *Set) Compare(t *Set) int {
 	return 0
 }
 
-// Next returns the smallest element ≥ i, or -1 if none exists.
-func (s *Set) Next(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> uint(i%wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
-}
-
 // Signature returns a deterministic string key identifying the set contents.
 // It is used to deduplicate cuts by their vertex set.
 func (s *Set) Signature() string {
@@ -314,16 +283,6 @@ func (s *Set) String() string {
 	})
 	b.WriteByte('}')
 	return b.String()
-}
-
-// UnionOf returns a new set that is the union of the given sets; all must
-// share the capacity n.
-func UnionOf(n int, sets ...*Set) *Set {
-	out := New(n)
-	for _, t := range sets {
-		out.Union(t)
-	}
-	return out
 }
 
 // FromMembers builds a set of capacity n from the given members.

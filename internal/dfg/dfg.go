@@ -7,12 +7,17 @@
 // example memory operations) that may never belong to a cut, although they
 // may still feed one as inputs.
 //
+// Node ids are a topological order: AddNode only accepts existing
+// predecessors, so every edge goes from a smaller id to a larger one, and
+// every pass that needs a topological order loops over the ids.
+//
 // After Freeze the graph becomes immutable and exposes the precomputed
-// structures the enumeration algorithm relies on (§5.4): a topological
-// order, full reachability in both directions as bitset matrices, per-node
-// forbidden-predecessor masks, and the augmented rooted graph obtained by
-// adding a virtual source (predecessor of every root and every forbidden
-// vertex) and a virtual sink (successor of every Oext vertex).
+// structures the enumeration algorithm relies on (§5.4): full reachability
+// in both directions as bitset matrices, per-node forbidden-predecessor
+// masks, flat adjacency rows, and the entry set of the augmented graph — the
+// successors of a virtual source that precedes every root and every
+// forbidden vertex (package domtree adds the matching virtual sink after
+// every Oext vertex).
 package dfg
 
 import (
@@ -52,9 +57,6 @@ type Graph struct {
 	iext     *bitset.Set // roots
 	oext     *bitset.Set // structural sinks ∪ liveOut
 	forb     *bitset.Set // forbUser (Iext are additionally forbidden implicitly)
-	topo     []int
-	topoPos  []int
-	depth    []int       // longest-path depth from any root (roots = 0)
 	entries  []int       // Iext ∪ user-forbidden: the virtual source's successors
 	entrySet *bitset.Set // the same, as a bitset
 
@@ -65,15 +67,12 @@ type Graph struct {
 	predBits []uint64
 	succBits []uint64
 
-	// maxSucc[v] is v's highest successor id (-1 for sinks). With the
-	// identity topological order it bounds the highest position any
-	// masked-row scan of v's successors can return, so the running-max
-	// dominator sweeps in package enum skip the scan entirely whenever
-	// maxSucc[v] cannot beat the running maximum.
+	// maxSucc[v] is v's highest successor id (-1 for sinks). Ids being the
+	// topological order, it bounds the highest position any masked-row scan
+	// of v's successors can return, so the running-max dominator sweeps in
+	// package enum skip the scan entirely whenever maxSucc[v] cannot beat
+	// the running maximum.
 	maxSucc []int32
-
-	augOnce sync.Once
-	aug     *Aug
 
 	// The reachability closures are O(n²) bits and only the cut analyses
 	// read them, so they are built on first use (closures) instead of by
@@ -204,9 +203,9 @@ func (g *Graph) check(v int) error {
 	return nil
 }
 
-// Freeze finalizes the graph: it derives Iext, Oext and F, computes the
-// topological order, the reachability matrices, per-node forbidden
-// predecessor masks and node depths. After Freeze the graph is immutable.
+// Freeze finalizes the graph: it derives Iext, Oext, F and the entry set,
+// and builds the flat adjacency rows. After Freeze the graph is immutable;
+// the reachability closures follow on first use.
 func (g *Graph) Freeze() error {
 	if g.frozen {
 		return nil
@@ -239,33 +238,6 @@ func (g *Graph) Freeze() error {
 		g.oext.Add(v)
 	}
 
-	// Node ids are a topological order by construction: AddNode only accepts
-	// already-existing predecessors, so every edge goes from a smaller id to
-	// a larger one and the graph is acyclic. Freeze pins topo to the
-	// identity permutation rather than deriving a fresh order, because the
-	// traversal engine exploits id ≡ position: bit index i of an adjacency
-	// row IS topological position i, so "highest successor position inside a
-	// region" reduces to a highest-set-bit scan of one masked row — the
-	// operation the incremental dominator sweeps of package enum are built
-	// on (see analyzePaths and mandatoryInto there).
-	g.topo = make([]int, n)
-	g.topoPos = make([]int, n)
-	for v := 0; v < n; v++ {
-		g.topo[v] = v
-		g.topoPos[v] = v
-	}
-
-	g.depth = make([]int, n)
-	for _, v := range g.topo {
-		d := 0
-		for _, p := range g.preds[v] {
-			if g.depth[p]+1 > d {
-				d = g.depth[p] + 1
-			}
-		}
-		g.depth[v] = d
-	}
-
 	// Successors of the augmented graph's virtual source (§3): every root
 	// and every user-forbidden vertex. Traversals of the reduced graph all
 	// start here, so the list is computed once instead of scanning all
@@ -277,7 +249,12 @@ func (g *Graph) Freeze() error {
 
 	// Adjacency rows as flat bit matrices, the substrate of the
 	// word-parallel traversal kernels (§5.4: set operations on flat bit
-	// matrices are what make the enumeration practical).
+	// matrices are what make the enumeration practical). Node ids being
+	// the topological order, bit index i of a row IS topological position
+	// i: "highest successor position inside a region" reduces to a
+	// highest-set-bit scan of one masked row — the operation the
+	// incremental dominator sweeps of package enum are built on (see
+	// analyzePaths and mandatoryInto there).
 	g.stride = (n + 63) / 64
 	g.predBits = make([]uint64, n*g.stride)
 	g.succBits = make([]uint64, n*g.stride)
@@ -321,15 +298,13 @@ func (g *Graph) buildClosures() {
 	// Reachability by dynamic programming over the topological order.
 	c.reachFrom = bitset.NewRows(n, n)
 	c.reachTo = bitset.NewRows(n, n)
-	for i := n - 1; i >= 0; i-- {
-		v := g.topo[i]
+	for v := n - 1; v >= 0; v-- {
 		for _, s := range g.succs[v] {
 			c.reachFrom[v].Add(s)
 			c.reachFrom[v].Union(c.reachFrom[s])
 		}
 	}
-	for i := 0; i < n; i++ {
-		w := g.topo[i]
+	for w := 0; w < n; w++ {
 		for _, p := range g.preds[w] {
 			c.reachTo[w].Add(p)
 			c.reachTo[w].Union(c.reachTo[p])
@@ -341,8 +316,7 @@ func (g *Graph) buildClosures() {
 	// inputs), so propagation stops at forbidden vertices but still records
 	// them as directly reachable.
 	c.ffReach = bitset.NewRows(n, n)
-	for i := n - 1; i >= 0; i-- {
-		v := g.topo[i]
+	for v := n - 1; v >= 0; v-- {
 		for _, s := range g.succs[v] {
 			c.ffReach[v].Add(s)
 			if !g.forb.Has(s) {
@@ -376,12 +350,11 @@ func (g *Graph) Frozen() bool { return g.frozen }
 // derived reachability closures and flat adjacency matrices, which are
 // O(n²) bits and dwarf everything else on large blocks, plus the per-node
 // slices. The estimate is what a cache charges against its byte budget; it
-// deliberately excludes the lazily built Augmented() structures (their
-// construction is budgeted by whoever triggers it) and allocator overhead.
+// excludes allocator overhead.
 func (g *Graph) FootprintBytes() int64 {
 	const wordB = 8
 	n := int64(len(g.ops))
-	b := n * (1 /*ops*/ + 16 /*names header*/ + 8 /*value*/ + 2*24 /*preds,succs headers*/ + 3*8 /*topo,topoPos,depth,maxSucc≈*/)
+	b := n * (1 /*ops*/ + 16 /*names header*/ + 8 /*value*/ + 2*24 /*preds,succs headers*/ + 4 /*maxSucc*/)
 	for v := range g.preds {
 		b += int64(len(g.preds[v])+len(g.succs[v])) * 8
 		b += int64(len(g.names[v]))
@@ -468,7 +441,7 @@ func (g *Graph) SuccRow(v int) []uint64 {
 }
 
 // MaxSucc returns v's highest successor id, or -1 when v has no successors.
-// Under the identity topological order this is also the highest position a
+// Ids being the topological order, this is also the highest position a
 // successor of v can occupy, which lets region sweeps skip masked row scans
 // that cannot change their running maximum. Available after Freeze.
 func (g *Graph) MaxSucc(v int) int { return int(g.maxSucc[v]) }
@@ -505,15 +478,6 @@ func (g *Graph) RootSet() *bitset.Set { return g.iext }
 // OextSet returns Oext as a bitset; read-only.
 func (g *Graph) OextSet() *bitset.Set { return g.oext }
 
-// Topo returns a topological order of the nodes; read-only.
-func (g *Graph) Topo() []int { return g.topo }
-
-// TopoPos returns the position of v in the topological order.
-func (g *Graph) TopoPos(v int) int { return g.topoPos[v] }
-
-// Depth returns the longest-path distance of v from any root.
-func (g *Graph) Depth(v int) int { return g.depth[v] }
-
 // Reaches reports whether there is a non-empty path from v to w.
 func (g *Graph) Reaches(v, w int) bool { return g.closures().reachFrom[v].Has(w) }
 
@@ -527,73 +491,6 @@ func (g *Graph) ReachTo(w int) *bitset.Set { return g.closures().reachTo[w] }
 // ForbiddenPreds returns the forbidden predecessors of v as a bitset;
 // read-only.
 func (g *Graph) ForbiddenPreds(v int) *bitset.Set { return g.closures().forbPred[v] }
-
-// HasForbiddenBetween reports whether some path v→…→w passes through a
-// forbidden node strictly between v and w. Such (input, output) pairs can
-// never appear together in a valid cut (§5.3, output–input pruning).
-func (g *Graph) HasForbiddenBetween(v, w int) bool {
-	if !g.Reaches(v, w) {
-		return false
-	}
-	// interior(v,w) = reachFrom(v) ∩ reachTo(w); test intersection with F
-	// without materializing: iterate words via IntersectionCount on a scratch
-	// set would allocate, so walk forbidden members instead when F is small.
-	f := g.forb
-	if f.Empty() {
-		return false
-	}
-	c := g.closures()
-	rf := c.reachFrom[v]
-	rt := c.reachTo[w]
-	found := false
-	f.ForEach(func(x int) bool {
-		if rf.Has(x) && rt.Has(x) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// BetweenInto computes B(V, w) of definition 6 into dst: every node lying on
-// a path from some v ∈ V to w, excluding the start vertices and including w
-// itself. dst must have capacity N(). It returns dst for convenience.
-func (g *Graph) BetweenInto(dst *bitset.Set, V []int, w int) *bitset.Set {
-	dst.Clear()
-	c := g.closures()
-	any := false
-	for _, v := range V {
-		if c.reachFrom[v].Has(w) {
-			dst.Union(c.reachFrom[v])
-			any = true
-		}
-	}
-	if !any {
-		return dst
-	}
-	dst.Intersect(c.reachTo[w])
-	dst.Add(w)
-	// Exclude start vertices (a DAG has no self paths, but a start vertex can
-	// lie between another start vertex and w).
-	for _, v := range V {
-		dst.Remove(v)
-	}
-	return dst
-}
-
-// BetweenSingleInto computes B({v}, w) into dst and returns it.
-func (g *Graph) BetweenSingleInto(dst *bitset.Set, v, w int) *bitset.Set {
-	dst.Clear()
-	c := g.closures()
-	if !c.reachFrom[v].Has(w) {
-		return dst
-	}
-	dst.Copy(c.reachFrom[v])
-	dst.Intersect(c.reachTo[w])
-	dst.Add(w)
-	return dst
-}
 
 // ReachesForbiddenFree reports whether a path v→…→w exists whose interior
 // avoids every forbidden vertex (v itself may be forbidden — forbidden

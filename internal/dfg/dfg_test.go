@@ -116,30 +116,6 @@ func TestMarkForbiddenAndCalls(t *testing.T) {
 	}
 }
 
-func TestTopoAndDepth(t *testing.T) {
-	g := diamond(t)
-	pos := make([]int, g.N())
-	for i, v := range g.Topo() {
-		pos[v] = i
-		if g.TopoPos(v) != i {
-			t.Fatalf("TopoPos(%d) = %d, want %d", v, g.TopoPos(v), i)
-		}
-	}
-	for v := 0; v < g.N(); v++ {
-		for _, p := range g.Preds(v) {
-			if pos[p] >= pos[v] {
-				t.Fatalf("topo order violated: pred %d after %d", p, v)
-			}
-		}
-	}
-	wantDepth := []int{0, 0, 1, 1, 2}
-	for v, want := range wantDepth {
-		if g.Depth(v) != want {
-			t.Errorf("Depth(%d) = %d, want %d", v, g.Depth(v), want)
-		}
-	}
-}
-
 func TestReachability(t *testing.T) {
 	g := diamond(t)
 	cases := []struct {
@@ -191,72 +167,6 @@ func TestClosuresOnFirstUse(t *testing.T) {
 		}
 	}()
 	u.Reaches(0, 0)
-}
-
-func TestBetween(t *testing.T) {
-	g := diamond(t)
-	dst := bitset.New(g.N())
-	// B({b}, e) must contain c, d, e but not a or b.
-	g.BetweenSingleInto(dst, 1, 4)
-	if want := []int{2, 3, 4}; !reflect.DeepEqual(dst.Members(), want) {
-		t.Fatalf("B({b},e) = %v, want %v", dst.Members(), want)
-	}
-	// B({a}, e) goes only through c.
-	g.BetweenSingleInto(dst, 0, 4)
-	if want := []int{2, 4}; !reflect.DeepEqual(dst.Members(), want) {
-		t.Fatalf("B({a},e) = %v, want %v", dst.Members(), want)
-	}
-	// No path: B({e}, a) empty.
-	g.BetweenSingleInto(dst, 4, 0)
-	if !dst.Empty() {
-		t.Fatalf("B({e},a) = %v, want empty", dst.Members())
-	}
-	// Multi-source version unions path sets and removes sources.
-	g.BetweenInto(dst, []int{0, 1}, 4)
-	if want := []int{2, 3, 4}; !reflect.DeepEqual(dst.Members(), want) {
-		t.Fatalf("B({a,b},e) = %v, want %v", dst.Members(), want)
-	}
-}
-
-func TestBetweenExcludesSourceThatIsOnPath(t *testing.T) {
-	// chain a→b→c; B({a,b},c) must not contain b even though b lies on the
-	// path a→c (definition 6 excludes starting vertices).
-	g := New()
-	a := g.MustAddNode(OpVar, "a")
-	b := g.MustAddNode(OpNot, "b", a)
-	c := g.MustAddNode(OpNeg, "c", b)
-	g.MustFreeze()
-	dst := bitset.New(g.N())
-	g.BetweenInto(dst, []int{a, b}, c)
-	if want := []int{c}; !reflect.DeepEqual(dst.Members(), want) {
-		t.Fatalf("B({a,b},c) = %v, want %v", dst.Members(), want)
-	}
-}
-
-func TestHasForbiddenBetween(t *testing.T) {
-	// a → ld → x → e  and a → y → e, with ld forbidden.
-	g := New()
-	a := g.MustAddNode(OpVar, "a")
-	ld := g.MustAddNode(OpLoad, "ld", a)
-	x := g.MustAddNode(OpAdd, "x", ld, ld)
-	y := g.MustAddNode(OpMul, "y", a, a)
-	e := g.MustAddNode(OpSub, "e", x, y)
-	if err := g.MarkForbidden(ld); err != nil {
-		t.Fatal(err)
-	}
-	g.MustFreeze()
-	if !g.HasForbiddenBetween(a, x) {
-		t.Error("path a→ld→x should report forbidden between")
-	}
-	if g.HasForbiddenBetween(a, y) {
-		t.Error("path a→y has no forbidden interior")
-	}
-	if g.HasForbiddenBetween(ld, e) {
-		t.Error("ld→x→e interior {x} is not forbidden")
-	}
-	if !g.HasForbiddenBetween(a, e) {
-		t.Error("some path a→e passes through forbidden ld")
-	}
 }
 
 func TestReachesForbiddenFree(t *testing.T) {
@@ -362,26 +272,4 @@ func dfsReaches(g *Graph, v, w int) bool {
 		}
 	}
 	return false
-}
-
-func TestQuickDepthConsistent(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randGraph(r, 2+r.Intn(60))
-		for v := 0; v < g.N(); v++ {
-			want := 0
-			for _, p := range g.Preds(v) {
-				if g.Depth(p)+1 > want {
-					want = g.Depth(p) + 1
-				}
-			}
-			if g.Depth(v) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -43,7 +43,7 @@ func (g *Graph) ExtractCut(S *bitset.Set) (*Graph, map[int]int, error) {
 		}
 		mapping[in] = id
 	}
-	for _, v := range g.Topo() {
+	for v := range g.ops {
 		if !S.Has(v) {
 			continue
 		}
@@ -226,7 +226,7 @@ func (g *Graph) CollapseCut(S *bitset.Set, name string, latencyCycles int) (*Gra
 			return nil, nil, err
 		}
 	}
-	for _, v := range g.Topo() {
+	for v := range g.ops {
 		if S.Has(v) {
 			continue
 		}

@@ -341,8 +341,8 @@ func (t *Traverser) UnionSuccRows(dst, src *bitset.Set) {
 }
 
 // HighestMaskedBit returns the highest bit index set in row ∧ mask, or -1
-// when the intersection is empty. With the identity topological order that
-// Freeze pins (bit index ≡ topological position), applying it to an
+// when the intersection is empty. Ids being the topological order (bit
+// index ≡ topological position), applying it to an
 // adjacency row masked by a region gives the highest-positioned neighbour
 // inside the region — the load-bearing query of the running-max dominator
 // sweeps in package enum (analyzePaths, mandatoryInto).

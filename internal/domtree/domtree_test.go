@@ -9,23 +9,40 @@ import (
 	"polyise/internal/dfg"
 )
 
-// adjacency builds succ/pred lists from an edge list.
-func adjacency(n int, edges [][2]int) (succs, preds [][]int32) {
-	succs = make([][]int32, n)
-	preds = make([][]int32, n)
-	for _, e := range edges {
-		succs[e[0]] = append(succs[e[0]], int32(e[1]))
-		preds[e[1]] = append(preds[e[1]], int32(e[0]))
+// augmented materialises the augmented graph of g as explicit successor
+// lists, independently of the solver: vertex n is the virtual source
+// (feeding every root and user-forbidden vertex), n+1 the virtual sink (fed
+// by every live-out vertex). With reverse set the edges are flipped, the
+// graph the postdominator pass works on.
+func augmented(g *dfg.Graph, reverse bool) [][]int {
+	n := g.N()
+	succs := make([][]int, n+2)
+	edge := func(a, b int) {
+		if reverse {
+			a, b = b, a
+		}
+		succs[a] = append(succs[a], b)
 	}
-	return
+	for v := 0; v < n; v++ {
+		for _, s := range g.Succs(v) {
+			edge(v, s)
+		}
+		if g.IsRoot(v) || g.IsUserForbidden(v) {
+			edge(n, v)
+		}
+		if g.IsLiveOut(v) {
+			edge(v, n+1)
+		}
+	}
+	return succs
 }
 
-// bruteDominates is the oracle: a dominates v iff v is unreachable from root
-// when a is removed (and v is reachable at all). Reflexive.
-func bruteDominates(n, root int, succs [][]int32, blocked *bitset.Set, a, v int) bool {
+// bruteDominates is the oracle: a dominates v iff v is reachable from root,
+// and unreachable once a is removed too. Reflexive.
+func bruteDominates(root int, succs [][]int, blocked *bitset.Set, a, v int) bool {
 	reach := func(skip int) []bool {
-		seen := make([]bool, n)
-		if root == skip || (blocked != nil && blocked.Has(root)) {
+		seen := make([]bool, len(succs))
+		if root == skip {
 			return seen
 		}
 		stack := []int{root}
@@ -34,12 +51,11 @@ func bruteDominates(n, root int, succs [][]int32, blocked *bitset.Set, a, v int)
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, s := range succs[x] {
-				si := int(s)
-				if si == skip || seen[si] || (blocked != nil && blocked.Has(si)) {
+				if s == skip || seen[s] || (blocked != nil && s < blocked.Cap() && blocked.Has(s)) {
 					continue
 				}
-				seen[si] = true
-				stack = append(stack, si)
+				seen[s] = true
+				stack = append(stack, s)
 			}
 		}
 		return seen
@@ -53,140 +69,143 @@ func bruteDominates(n, root int, succs [][]int32, blocked *bitset.Set, a, v int)
 	return !reach(a)[v]
 }
 
+// chainDominates answers Dominates by walking the solver's idom chain.
+func chainDominates(s *Solver, a, v int) bool {
+	if !s.Reachable(v) {
+		return false
+	}
+	for x := v; x != -1; x = s.IDom(x) {
+		if x == a {
+			return true
+		}
+	}
+	return false
+}
+
+// chain builds a→b→c→d.
+func chain() *dfg.Graph {
+	g := dfg.New()
+	a := g.MustAddNode(dfg.OpVar, "a")
+	b := g.MustAddNode(dfg.OpNot, "b", a)
+	c := g.MustAddNode(dfg.OpNeg, "c", b)
+	g.MustAddNode(dfg.OpAbs, "d", c)
+	return g.MustFreeze()
+}
+
+// diamond builds a→{b,c}→d.
+func diamond() *dfg.Graph {
+	g := dfg.New()
+	a := g.MustAddNode(dfg.OpVar, "a")
+	b := g.MustAddNode(dfg.OpNot, "b", a)
+	c := g.MustAddNode(dfg.OpNeg, "c", a)
+	g.MustAddNode(dfg.OpAdd, "d", b, c)
+	return g.MustFreeze()
+}
+
 func TestLinearChain(t *testing.T) {
-	// 0→1→2→3: idom(i) = i-1.
-	succs, preds := adjacency(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	s := NewSolver(4, 0, succs, preds)
-	s.Run(nil)
-	want := []int{-1, 0, 1, 2}
-	for v, w := range want {
+	g := chain()
+	s := NewSolver(g)
+	s.Dominators(nil)
+	// source(4) → 0 → 1 → 2 → 3 → sink(5).
+	for v, w := range []int{4, 0, 1, 2, -1, 3} {
 		if s.IDom(v) != w {
 			t.Errorf("IDom(%d) = %d, want %d", v, s.IDom(v), w)
+		}
+	}
+	s.Postdominators(nil)
+	for v, w := range []int{1, 2, 3, 5, 0, -1} {
+		if s.IDom(v) != w {
+			t.Errorf("postdom IDom(%d) = %d, want %d", v, s.IDom(v), w)
 		}
 	}
 }
 
 func TestDiamond(t *testing.T) {
-	// 0→{1,2}→3: idom(3) = 0.
-	succs, preds := adjacency(4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	s := NewSolver(4, 0, succs, preds)
-	s.Run(nil)
+	g := diamond()
+	s := NewSolver(g)
+	s.Dominators(nil)
 	if s.IDom(1) != 0 || s.IDom(2) != 0 || s.IDom(3) != 0 {
 		t.Fatalf("diamond idoms = %d %d %d, want 0 0 0", s.IDom(1), s.IDom(2), s.IDom(3))
 	}
-}
-
-func TestClassicLengauerTarjanGraph(t *testing.T) {
-	// The example from the Lengauer–Tarjan paper (13 vertices). Vertices:
-	// R=0 A=1 B=2 C=3 D=4 E=5 F=6 G=7 H=8 I=9 J=10 K=11 L=12
-	edges := [][2]int{
-		{0, 1}, {0, 2}, {0, 3},
-		{1, 4}, {2, 1}, {2, 4}, {2, 5},
-		{3, 6}, {3, 7}, {4, 12}, {5, 8},
-		{6, 9}, {7, 9}, {7, 10}, {8, 5}, {8, 11},
-		{9, 11}, {10, 9}, {11, 9}, {11, 0}, {12, 8},
-	}
-	succs, preds := adjacency(13, edges)
-	s := NewSolver(13, 0, succs, preds)
-	s.Run(nil)
-	// Known immediate dominators for this graph (root R).
-	want := map[int]int{
-		1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 3, 7: 3,
-		8: 0, 9: 0, 10: 7, 11: 0, 12: 4,
-	}
-	for v, w := range want {
-		if s.IDom(v) != w {
-			t.Errorf("IDom(%d) = %d, want %d", v, s.IDom(v), w)
-		}
+	s.Postdominators(nil)
+	if s.IDom(0) != 3 || s.IDom(1) != 3 || s.IDom(2) != 3 {
+		t.Fatalf("diamond postdom idoms = %d %d %d, want 3 3 3", s.IDom(0), s.IDom(1), s.IDom(2))
 	}
 }
 
 func TestUnreachableAndBlocked(t *testing.T) {
-	// 0→1, 2→1 where 2 is unreachable from 0.
-	succs, preds := adjacency(3, [][2]int{{0, 1}, {2, 1}})
-	s := NewSolver(3, 0, succs, preds)
-	n := s.Run(nil)
-	if n != 2 {
-		t.Fatalf("reached = %d, want 2", n)
-	}
-	if s.Reachable(2) || s.IDom(2) != -1 {
-		t.Error("vertex 2 should be unreachable")
-	}
-	// Diamond with 1 blocked: idom(3) = 2.
-	succs, preds = adjacency(4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	s = NewSolver(4, 0, succs, preds)
-	s.Run(bitset.FromMembers(4, 1))
+	g := diamond()
+	s := NewSolver(g)
+	// b blocked: idom(d) = c.
+	s.Dominators(bitset.FromMembers(g.N(), 1))
 	if s.IDom(3) != 2 {
 		t.Fatalf("blocked diamond IDom(3) = %d, want 2", s.IDom(3))
 	}
-	if s.Reachable(1) {
+	if s.Reachable(1) || s.IDom(1) != -1 {
 		t.Error("blocked vertex reported reachable")
 	}
-	// Blocking the root reaches nothing.
-	if got := s.Run(bitset.FromMembers(4, 0)); got != 0 {
-		t.Fatalf("reached with blocked root = %d, want 0", got)
+	// Blocking the only root reaches nothing but the source.
+	s.Dominators(bitset.FromMembers(g.N(), 0))
+	for v := 0; v < g.N()+2; v++ {
+		if s.Reachable(v) != (v == s.Source()) {
+			t.Errorf("root blocked: Reachable(%d) = %v", v, s.Reachable(v))
+		}
+	}
+	// Blocking the sink's only predecessor cuts the postdominator tree off
+	// at the sink.
+	s.Postdominators(bitset.FromMembers(g.N(), 3))
+	for v := 0; v < g.N()+2; v++ {
+		if s.Reachable(v) != (v == s.Sink()) {
+			t.Errorf("sink pred blocked: Reachable(%d) = %v", v, s.Reachable(v))
+		}
 	}
 }
 
 func TestSolverReuse(t *testing.T) {
-	succs, preds := adjacency(4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	s := NewSolver(4, 0, succs, preds)
-	s.Run(bitset.FromMembers(4, 1))
+	g := diamond()
+	s := NewSolver(g)
+	s.Dominators(bitset.FromMembers(g.N(), 1))
 	if s.IDom(3) != 2 {
 		t.Fatalf("first run IDom(3) = %d, want 2", s.IDom(3))
 	}
-	s.Run(nil)
+	s.Dominators(nil)
 	if s.IDom(3) != 0 {
 		t.Fatalf("second run IDom(3) = %d, want 0", s.IDom(3))
 	}
-	s.Run(bitset.FromMembers(4, 2))
+	s.Dominators(bitset.FromMembers(g.N(), 2))
 	if s.IDom(3) != 1 {
 		t.Fatalf("third run IDom(3) = %d, want 1", s.IDom(3))
 	}
 }
 
-func TestDominatesAndDominatorsOf(t *testing.T) {
-	succs, preds := adjacency(5, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 4}})
-	s := NewSolver(5, 0, succs, preds)
-	s.Run(nil)
-	if !s.Dominates(1, 4) || !s.Dominates(4, 4) || s.Dominates(2, 4) {
-		t.Error("Dominates answers wrong")
-	}
-	doms := s.DominatorsOf(4)
-	if len(doms) != 1 || doms[0] != 1 {
-		t.Fatalf("DominatorsOf(4) = %v, want [1]", doms)
-	}
-}
-
 func TestTreeQueries(t *testing.T) {
-	succs, preds := adjacency(6, [][2]int{
-		{0, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 4}, {4, 5},
-	})
-	s := NewSolver(6, 0, succs, preds)
-	s.Run(nil)
-	tr := s.BuildTree()
-	if tr.Root() != 0 {
-		t.Fatalf("root = %d", tr.Root())
-	}
-	for a := 0; a < 6; a++ {
-		for v := 0; v < 6; v++ {
-			if got, want := tr.Dominates(a, v), s.Dominates(a, v); got != want {
-				t.Errorf("tree Dominates(%d,%d) = %v, solver says %v", a, v, got, want)
+	// a→b→{c,d}→e→f: f's dominators are e, b, a and the source.
+	g := dfg.New()
+	a := g.MustAddNode(dfg.OpVar, "a")
+	b := g.MustAddNode(dfg.OpNot, "b", a)
+	c := g.MustAddNode(dfg.OpNeg, "c", b)
+	d := g.MustAddNode(dfg.OpAbs, "d", b)
+	e := g.MustAddNode(dfg.OpAdd, "e", c, d)
+	f := g.MustAddNode(dfg.OpNot, "f", e)
+	g.MustFreeze()
+	s := NewSolver(g)
+	s.Dominators(nil)
+	tr := s.Tree()
+	for x := 0; x < g.N()+2; x++ {
+		for v := 0; v < g.N()+2; v++ {
+			if got, want := tr.Dominates(x, v), chainDominates(s, x, v); got != want {
+				t.Errorf("tree Dominates(%d,%d) = %v, idom chain says %v", x, v, got, want)
 			}
 		}
 	}
-	if !tr.StrictlyDominates(1, 5) || tr.StrictlyDominates(5, 5) {
-		t.Error("StrictlyDominates wrong")
-	}
-	var chain []int
-	tr.Walk(5, func(d int) bool { chain = append(chain, d); return true })
-	if len(chain) != 2 || chain[0] != 4 || chain[1] != 1 {
-		t.Fatalf("Walk(5) = %v, want [4 1]", chain)
+	if !tr.Dominates(b, f) || tr.Dominates(c, f) || !tr.Dominates(s.Source(), f) || !tr.Dominates(f, s.Sink()) {
+		t.Error("Dominates wrong on the chain through the diamond")
 	}
 }
 
+// TestForwardReverseSolverOnDFG runs both passes on a ladder: three roots,
+// two middle layers, one sink.
 func TestForwardReverseSolverOnDFG(t *testing.T) {
-	// ladder DFG: 3 roots, two middle layers, one sink.
 	g := dfg.New()
 	a := g.MustAddNode(dfg.OpVar, "a")
 	b := g.MustAddNode(dfg.OpVar, "b")
@@ -195,117 +214,144 @@ func TestForwardReverseSolverOnDFG(t *testing.T) {
 	e := g.MustAddNode(dfg.OpMul, "e", b, c)
 	f := g.MustAddNode(dfg.OpSub, "f", d, e)
 	h := g.MustAddNode(dfg.OpOr, "h", f, e)
-	_ = h
 	g.MustFreeze()
-	aug := g.Augmented()
 
-	fs := ForwardSolver(g)
-	fs.Run(nil)
-	// Every node is reachable from the source.
-	for v := 0; v < aug.N; v++ {
-		if !fs.Reachable(v) {
+	s := NewSolver(g)
+	s.Dominators(nil)
+	// Every vertex is reachable from the source.
+	for v := 0; v < g.N()+2; v++ {
+		if !s.Reachable(v) {
 			t.Errorf("forward: %d unreachable", v)
 		}
 	}
 	// d's only single dominator is the source (a and b are siblings).
-	if fs.IDom(d) != aug.Source {
-		t.Errorf("IDom(d) = %d, want source %d", fs.IDom(d), aug.Source)
+	if s.IDom(d) != s.Source() {
+		t.Errorf("IDom(d) = %d, want source %d", s.IDom(d), s.Source())
 	}
-	// f is dominated by d? No: f's preds are d and e, so idom(f) = source.
-	if fs.IDom(f) != aug.Source {
-		t.Errorf("IDom(f) = %d, want source", fs.IDom(f))
+	// f's preds are d and e, so idom(f) = source.
+	if s.IDom(f) != s.Source() {
+		t.Errorf("IDom(f) = %d, want source", s.IDom(f))
+	}
+	// h is the only live-out vertex, so it dominates the sink.
+	if s.IDom(s.Sink()) != h {
+		t.Errorf("IDom(sink) = %d, want h=%d", s.IDom(s.Sink()), h)
 	}
 
-	rs := ReverseSolver(g)
-	rs.Run(nil)
+	s.Postdominators(nil)
 	// Every path from b (b→d→f→h, b→e→f→h, b→e→h) passes through h, so h
 	// postdominates b.
-	if rs.IDom(b) != h {
-		t.Errorf("postdom IDom(b) = %d, want h=%d", rs.IDom(b), h)
+	if s.IDom(b) != h {
+		t.Errorf("postdom IDom(b) = %d, want h=%d", s.IDom(b), h)
 	}
 	// h's immediate postdominator is the sink.
-	if rs.IDom(h) != aug.Sink {
-		t.Errorf("postdom IDom(h) = %d, want sink", rs.IDom(h))
+	if s.IDom(h) != s.Sink() {
+		t.Errorf("postdom IDom(h) = %d, want sink", s.IDom(h))
 	}
 	// d's unique successor is f, so f postdominates d.
-	if rs.IDom(d) != f {
-		t.Errorf("postdom IDom(d) = %d, want f=%d", rs.IDom(d), f)
+	if s.IDom(d) != f {
+		t.Errorf("postdom IDom(d) = %d, want f=%d", s.IDom(d), f)
+	}
+	// The source's paths to the sink all end in h.
+	if s.IDom(s.Source()) != h {
+		t.Errorf("postdom IDom(source) = %d, want h=%d", s.IDom(s.Source()), h)
 	}
 }
 
-func randomDigraph(r *rand.Rand, n int) (succs, preds [][]int32) {
-	var edges [][2]int
-	for v := 1; v < n; v++ {
-		// Ensure likely reachability: edge from a random earlier vertex.
-		edges = append(edges, [2]int{r.Intn(v), v})
-	}
-	extra := r.Intn(2 * n)
-	for i := 0; i < extra; i++ {
-		a, b := r.Intn(n), r.Intn(n)
-		if a != b {
-			edges = append(edges, [2]int{a, b})
+// randDFG builds a random DFG with forbidden loads and live-out vertices.
+func randDFG(r *rand.Rand, n int) *dfg.Graph {
+	g := dfg.New()
+	for i := 0; i < n; i++ {
+		if i == 0 || r.Intn(4) == 0 {
+			g.MustAddNode(dfg.OpVar, "")
+			continue
+		}
+		preds := make([]int, 1+r.Intn(3))
+		for j := range preds {
+			preds[j] = r.Intn(i)
+		}
+		op := dfg.OpAdd
+		if r.Intn(6) == 0 {
+			op = dfg.OpLoad
+		}
+		id := g.MustAddNode(op, "", preds...)
+		if op == dfg.OpLoad {
+			if err := g.MarkForbidden(id); err != nil {
+				panic(err)
+			}
+		}
+		if r.Intn(8) == 0 {
+			if err := g.MarkLiveOut(id); err != nil {
+				panic(err)
+			}
 		}
 	}
-	return adjacency(n, edges)
+	return g.MustFreeze()
 }
 
+// TestQuickAgainstBruteForce checks every Dominates(a, v) of both passes,
+// virtual vertices included, against path enumeration on the explicit
+// augmented graph, with random blocked sets.
 func TestQuickAgainstBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(24)
-		succs, preds := randomDigraph(r, n)
+		g := randDFG(r, 2+r.Intn(24))
+		n := g.N()
 		var blocked *bitset.Set
 		if r.Intn(2) == 0 {
 			blocked = bitset.New(n)
-			for i := 0; i < n/5; i++ {
-				v := r.Intn(n)
-				if v != 0 {
-					blocked.Add(v)
-				}
+			for i := 0; i < n/4; i++ {
+				blocked.Add(r.Intn(n))
 			}
 		}
-		s := NewSolver(n, 0, succs, preds)
-		s.Run(blocked)
-		tr := s.BuildTree()
-		for a := 0; a < n; a++ {
-			for v := 0; v < n; v++ {
-				want := bruteDominates(n, 0, succs, blocked, a, v)
-				if s.Dominates(a, v) != want || tr.Dominates(a, v) != want {
-					t.Logf("seed=%d n=%d a=%d v=%d want=%v got=%v/%v",
-						seed, n, a, v, want, s.Dominates(a, v), tr.Dominates(a, v))
-					return false
+		s := NewSolver(g)
+		for _, reverse := range []bool{false, true} {
+			root := s.Source()
+			if reverse {
+				root = s.Sink()
+				s.Postdominators(blocked)
+			} else {
+				s.Dominators(blocked)
+			}
+			tr := s.Tree()
+			succs := augmented(g, reverse)
+			for a := 0; a < n+2; a++ {
+				for v := 0; v < n+2; v++ {
+					want := bruteDominates(root, succs, blocked, a, v)
+					if tr.Dominates(a, v) != want || chainDominates(s, a, v) != want {
+						t.Logf("seed=%d n=%d reverse=%v a=%d v=%d want=%v got=%v/%v",
+							seed, n, reverse, a, v, want, tr.Dominates(a, v), chainDominates(s, a, v))
+						return false
+					}
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func BenchmarkSolverChain1000(b *testing.B) {
-	n := 1000
-	edges := make([][2]int, 0, n)
-	for v := 1; v < n; v++ {
-		edges = append(edges, [2]int{v - 1, v})
+	g := dfg.New()
+	g.MustAddNode(dfg.OpVar, "")
+	for v := 1; v < 1000; v++ {
+		g.MustAddNode(dfg.OpNot, "", v-1)
 	}
-	succs, preds := adjacency(n, edges)
-	s := NewSolver(n, 0, succs, preds)
+	g.MustFreeze()
+	s := NewSolver(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Run(nil)
+		s.Dominators(nil)
 	}
 }
 
 func BenchmarkSolverRandom1000(b *testing.B) {
-	r := rand.New(rand.NewSource(42))
-	succs, preds := randomDigraph(r, 1000)
-	s := NewSolver(1000, 0, succs, preds)
+	s := NewSolver(randDFG(rand.New(rand.NewSource(42)), 1000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Run(nil)
+		s.Dominators(nil)
 	}
 }

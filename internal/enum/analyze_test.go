@@ -1,7 +1,7 @@
 package enum
 
-// White-box tests for the crossing-count path analysis that replaces
-// Lengauer–Tarjan inside PICK-INPUTS: its reduced-graph dominator chains
+// White-box tests for the crossing-count path analysis that replaces the
+// dominator solver inside PICK-INPUTS: its reduced-graph dominator chains
 // must match the real dominator solver on arbitrary graphs and blocked
 // sets.
 
@@ -33,20 +33,19 @@ func newAnalyzer(g *dfg.Graph) *incEnum {
 	return e
 }
 
-// oracle computes the reduced-graph dominators of o with the Lengauer–
-// Tarjan solver on the augmented graph.
+// oracle computes the reduced-graph dominators of o with the dominator
+// solver on the augmented graph.
 func oracle(g *dfg.Graph, blocked []int, o int) (reachable bool, doms []int) {
-	aug := g.Augmented()
-	solver := domtree.ForwardSolver(g)
-	b := bitset.New(aug.N)
+	solver := domtree.NewSolver(g)
+	b := bitset.New(g.N())
 	for _, v := range blocked {
 		b.Add(v)
 	}
-	solver.Run(b)
+	solver.Dominators(b)
 	if !solver.Reachable(o) {
 		return false, nil
 	}
-	for u := solver.IDom(o); u >= 0 && u != aug.Source; u = solver.IDom(u) {
+	for u := solver.IDom(o); u >= 0 && u != solver.Source(); u = solver.IDom(u) {
 		doms = append(doms, u)
 	}
 	sort.Ints(doms)

@@ -34,9 +34,7 @@ func EnumerateBasic(g *dfg.Graph, opt Options, visit func(Cut) bool) Stats {
 		outTest: bitset.New(g.N()),
 	}
 	e.stop = NewStopper(opt)
-	pds := domtree.ReverseSolver(g)
-	pds.Run(nil)
-	e.pdt = pds.BuildTree()
+	e.pdt = domtree.PostdominatorTree(g)
 	func() {
 		// Same failure semantics as Enumerate's serial path: a panic in
 		// the search or the visitor becomes Stats.Err + StopError, with

@@ -233,7 +233,7 @@ func (v *Validator) isConnectedCut() bool {
 func (v *Validator) internalDepth(S *bitset.Set) int {
 	g := v.g
 	max := int32(0)
-	for _, u := range g.Topo() {
+	for u := 0; u < g.N(); u++ {
 		if !S.Has(u) {
 			continue
 		}

@@ -449,9 +449,9 @@ func (d *DeltaValidator) isConnectedCut() bool {
 
 // internalDepth returns the number of edges on the longest path inside S.
 // Members are visited in ascending id order, which IS topological order
-// (Freeze pins the identity permutation), so every member's depth is
-// written before any in-S successor reads it — and unlike the reference,
-// only S's members are walked, not the whole vertex range.
+// (dfg.Graph.AddNode only accepts existing predecessors), so every member's
+// depth is written before any in-S successor reads it — and unlike the
+// reference, only S's members are walked, not the whole vertex range.
 func (d *DeltaValidator) internalDepth() int {
 	g := d.g
 	S := d.S

@@ -78,7 +78,7 @@ func (e *incEnum) mandatoryInto(dst *bitset.Set, v, o int, back *bitset.Set) {
 	}
 	// Running-max sweep with v as the only source: x lies on every v→o
 	// region path iff no region vertex before it has a region successor
-	// past it. Identity topological order (id ≡ position) makes the walk
+	// past it. Ids being the topological order (id ≡ position), the walk is
 	// one ascending pass over the region words, with each vertex's highest
 	// region successor a highest-set-bit scan of its masked row; v is the
 	// region's minimum and o its maximum, so they bracket the walk.

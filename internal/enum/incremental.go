@@ -18,7 +18,7 @@ import (
 // recursively, maintaining the cut S = (O ∪ ⋃_j B(I, o_j)) \ I of theorem 3
 // incrementally, and prunes the search with the techniques of §5.3. Input
 // selection follows Dubrova et al.: the chosen inputs act as the seed set,
-// and one Lengauer–Tarjan run on the graph minus the seeds yields every
+// and one dominator analysis of the graph minus the seeds yields every
 // vertex that completes a multiple-vertex dominator of the current output.
 //
 // One deliberate deviation from the paper: choosing a new input w may
@@ -109,9 +109,7 @@ type enumShared struct {
 
 func newEnumShared(g *dfg.Graph, opt Options) *enumShared {
 	sh := &enumShared{g: g, opt: opt}
-	pds := domtree.ReverseSolver(g)
-	pds.Run(nil)
-	sh.pdt = pds.BuildTree()
+	sh.pdt = domtree.PostdominatorTree(g)
 
 	// Entry points of the augmented graph: the virtual source precedes
 	// every root and every forbidden vertex (§3). Precomputed by Freeze.
@@ -135,7 +133,7 @@ func newEnumShared(g *dfg.Graph, opt Options) *enumShared {
 	// every user-forbidden ancestor f of v, the ancestors of f.
 	if opt.PruneForbiddenAncestors {
 		sh.badIn = make([]*bitset.Set, g.N())
-		for _, v := range g.Topo() {
+		for v := 0; v < g.N(); v++ {
 			b := bitset.New(g.N())
 			for _, p := range g.Preds(v) {
 				b.Union(sh.badIn[p])
@@ -337,18 +335,18 @@ func (e *incEnum) chainBuf(d int) []int {
 // onPath, the dominator chain and the reachability verdict all come out of
 // ONE ascending pass over back, with no forward closure at all. Three facts
 // make the fusion exact. First, ascending id order is ascending topological
-// order (Freeze pins the identity permutation), so every predecessor is
-// settled before its successors: v lies on a surviving source path exactly
-// when it is an entry of back or some predecessor of v is already on-path
-// (any prefix of a source→v path inside back stays inside back — each
-// prefix vertex reaches v and hence o avoiding I). Second, the entries of
-// back are on-path unconditionally (an entry in back is not an input and
-// carries a virtual-source edge), so the sweep's starting maximum — the
-// highest virtual-source successor — is known before the walk. Third, for
-// an on-path vertex every successor inside back is itself on-path (extend
-// the source path by the edge), so masking a successor row by back equals
-// masking it by the finished onPath, and the running maximum never reads a
-// bit the walk has not justified.
+// order (dfg.Graph.AddNode only accepts existing predecessors), so every
+// predecessor is settled before its successors: v lies on a surviving
+// source path exactly when it is an entry of back or some predecessor of v
+// is already on-path (any prefix of a source→v path inside back stays
+// inside back — each prefix vertex reaches v and hence o avoiding I).
+// Second, the entries of back are on-path unconditionally (an entry in back
+// is not an input and carries a virtual-source edge), so the sweep's
+// starting maximum — the highest virtual-source successor — is known before
+// the walk. Third, for an on-path vertex every successor inside back is
+// itself on-path (extend the source path by the edge), so masking a
+// successor row by back equals masking it by the finished onPath, and the
+// running maximum never reads a bit the walk has not justified.
 //
 // Dominators then fall out as in PR 3: restricted to surviving paths, v
 // dominates o exactly when no surviving edge "jumps over" its topological
@@ -461,16 +459,16 @@ func (e *incEnum) viable(ninLeft int) bool {
 // {o} ∪ B(I, o), then hand over to input selection (which also covers the
 // "I already dominates o" branch of figure 3).
 //
-// lastTopo carries the topological position of the previously chosen output
-// when the output–output pruning is on: an ancestor has a smaller position,
-// so requiring strictly increasing positions makes the "skip ancestors of
-// selected outputs" rule free and canonicalizes the choice order.
-func (e *incEnum) pickOutput(depth, lastTopo, ninLeft, noutLeft int) {
+// lastOut is the previously chosen output. With the output–output pruning
+// on, only later ids are tried: an ancestor has a smaller id, so requiring
+// strictly increasing ids makes the "skip ancestors of selected outputs"
+// rule free and canonicalizes the choice order.
+func (e *incEnum) pickOutput(depth, lastOut, ninLeft, noutLeft int) {
 	start := 0
 	if e.opt.PruneOutputOutput {
-		start = lastTopo + 1
+		start = lastOut + 1
 	}
-	e.pickOutputRange(depth, start, len(e.g.Topo()), ninLeft, noutLeft)
+	e.pickOutputRange(depth, start, e.g.N(), ninLeft, noutLeft)
 }
 
 // pickOutputRange runs PICK-OUTPUT's candidate loop over the topological
@@ -506,7 +504,6 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 			uncAll.Add(i)
 		}
 	}
-	topo := e.g.Topo()
 	ri := len(e.ranges)
 	e.ranges = append(e.ranges, posRange{
 		depth: depth, cur: start - 1, end: end,
@@ -516,12 +513,11 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 	// The frame must be addressed as e.ranges[ri] afresh after any
 	// recursion: deeper levels append to the slice and may move it.
 	for !e.stopped {
-		pos := e.ranges[ri].cur + 1
-		if pos >= e.ranges[ri].end { // end may have shrunk via a split
+		o := e.ranges[ri].cur + 1
+		if o >= e.ranges[ri].end { // end may have shrunk via a split
 			break
 		}
-		e.ranges[ri].cur = pos
-		o := topo[pos]
+		e.ranges[ri].cur = o
 		if !e.admissibleOutput(o) {
 			continue
 		}
@@ -542,7 +538,7 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 		e.outSet.Add(o)
 		e.growS(depth)
 		if e.viable(ninLeft) {
-			e.pickInputs(depth+1, pos, o, ninLeft, noutLeft-1, 0, len(e.Ilist), nil)
+			e.pickInputs(depth+1, o, ninLeft, noutLeft-1, 0, len(e.Ilist), nil)
 		}
 		e.undoGrowS(depth)
 		e.outSet.Remove(o)
@@ -629,7 +625,7 @@ func (e *incEnum) reachableFromInput(o int) bool {
 // pBack is the parent seed level's reaches-o frontier (nil at a phase
 // start); when present the just-pushed seed is Ilist's last entry and
 // analyzePaths derives the child frontier from it by delta.
-func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phaseStart int, pBack *bitset.Set) bool {
+func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart int, pBack *bitset.Set) bool {
 	if h := faultinject.OnPickInputs; h != nil {
 		h()
 	}
@@ -681,7 +677,7 @@ func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phas
 		// derivation (docs/ALGORITHM.md §5) — so only a phase start checks
 		// the cut here.
 		if pBack == nil {
-			e.checkCut(depth, oTopo, ninLeft, noutLeft)
+			e.checkCut(depth, o, ninLeft, noutLeft)
 		}
 		return true
 	}
@@ -720,7 +716,7 @@ func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phas
 		e.pushInput(u)
 		e.shrinkS(depth, u)
 		if e.viable(ninLeft - 1) {
-			e.checkCut(depth+1, oTopo, ninLeft-1, noutLeft)
+			e.checkCut(depth+1, o, ninLeft-1, noutLeft)
 		}
 		e.undoShrinkS(depth)
 		e.popInput(u)
@@ -753,8 +749,8 @@ func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phas
 			}
 		}
 		// Seed candidates walk the surviving-path vertices deepest-first
-		// (descending id ≡ reverse topological order, as Freeze pins the
-		// identity permutation), starting below the caller's seedStart.
+		// (descending id ≡ reverse topological order), starting below the
+		// caller's seedStart.
 		// Iterating the onPath members directly skips the off-path mass for
 		// free; the historical index of seed i in that walk is N-1-i, which
 		// is what the recursion's seedStart carries forward.
@@ -798,7 +794,7 @@ func (e *incEnum) pickInputs(depth, oTopo, o, ninLeft, noutLeft, seedStart, phas
 				e.shrinkS(depth, i)
 				sub := false
 				if e.viable(ninLeft - 1) {
-					sub = e.pickInputs(depth+1, oTopo, o, ninLeft-1, noutLeft, e.g.N()-i, phaseStart, back)
+					sub = e.pickInputs(depth+1, o, ninLeft-1, noutLeft, e.g.N()-i, phaseStart, back)
 				}
 				e.undoShrinkS(depth)
 				e.popInput(i)
@@ -967,7 +963,7 @@ func (e *incEnum) resetChoice() {
 // search node, so it reaches e.visit once, with no record of earlier cuts:
 // the run's visit point in a serial run, the worker's merge segment in a
 // parallel one.
-func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
+func (e *incEnum) checkCut(depth, o, ninLeft, noutLeft int) {
 	if h := faultinject.OnCheckCut; h != nil {
 		h()
 	}
@@ -999,7 +995,7 @@ func (e *incEnum) checkCut(depth, oTopo, ninLeft, noutLeft int) {
 		}
 	}
 	if noutLeft > 0 {
-		e.pickOutput(depth+1, oTopo, ninLeft, noutLeft)
+		e.pickOutput(depth+1, o, ninLeft, noutLeft)
 	}
 }
 

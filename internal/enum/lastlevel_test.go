@@ -116,7 +116,10 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 					continue
 				}
 				e.last.arm(chain)
-				for s := onPath.Next(0); s >= 0 && s < o; s = onPath.Next(s + 1) {
+				for s := 0; s < o; s++ {
+					if !onPath.Has(s) {
+						continue
+					}
 					e.Iuser.Add(s)
 					var wantReach bool
 					wantReach, want = e.analyzePaths(o, cBack, cOnPath, back, s, want[:0], true, nil)

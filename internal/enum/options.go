@@ -7,7 +7,7 @@
 // generalized dominator of each output. Enumerate is the incremental
 // POLY-ENUM-INCR of figure 3, which builds the cut S while choosing inputs
 // and outputs, interleaves Dubrova-style seed-set exploration with
-// Lengauer–Tarjan runs on reduced graphs, and applies the pruning techniques
+// dominator analyses of reduced graphs, and applies the pruning techniques
 // of §5.3. docs/ALGORITHM.md maps both figures onto this package pseudocode
 // line by line.
 //
@@ -53,8 +53,8 @@
 // changed in a per-depth undo journal, so backtracking is one word-
 // parallel Subtract/Union. Reduced-graph dominators are read off a
 // running-max sweep over the surviving-path region (analyzePaths), which
-// exploits the identity topological order dfg.Freeze pins: bit index ≡
-// topological position, so "does any surviving edge jump over v" is a
+// exploits vertex ids being a topological order (dfg.Graph.AddNode): bit
+// index ≡ topological position, so "does any surviving edge jump over v" is a
 // highest-set-bit scan per vertex. The from-scratch recomputation
 // (rebuildS) survives as the reference that property tests pin every
 // delta against.

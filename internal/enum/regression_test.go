@@ -48,7 +48,7 @@ var pinnedSeq = map[string]uint64{
 //
 // Tiering keeps the cost sane: short mode (the race-detector sweep) runs
 // only the n=140 instance without the basic cross-check; the basic
-// algorithm at n=220 (~1 min) runs only under `make diff-oracle`
+// algorithm at n=220 (~25 s) runs only under `make diff-oracle`
 // (POLYISE_ORACLE_BUDGET set).
 func TestGapRegressionSequenceIdentity(t *testing.T) {
 	full := os.Getenv("POLYISE_ORACLE_BUDGET") != ""

@@ -91,7 +91,7 @@ func scalarValidate(g *dfg.Graph, opt Options, S *bitset.Set, cut *Cut) bool {
 func scalarInternalDepth(g *dfg.Graph, S *bitset.Set) int {
 	depth := make(map[int]int, S.Count())
 	max := 0
-	for _, v := range g.Topo() {
+	for v := 0; v < g.N(); v++ {
 		if !S.Has(v) {
 			continue
 		}
@@ -234,7 +234,7 @@ func TestEnumerateSteadyStateAllocs(t *testing.T) {
 	sh := newEnumShared(g, opt)
 	e := sh.newWorker(func(Cut) bool { return true }, nil)
 	run := func() {
-		for pos := range g.Topo() {
+		for pos := 0; pos < g.N(); pos++ {
 			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
 		}
 	}

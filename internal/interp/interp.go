@@ -91,7 +91,7 @@ func Run(g *dfg.Graph, env Env) (Result, error) {
 	// are evaluated once, extracts select from the cache).
 	customResults := make(map[int][]int32)
 
-	for _, v := range g.Topo() {
+	for v := 0; v < g.N(); v++ {
 		preds := g.Preds(v)
 		if want := g.Op(v).Arity(); want > 0 && len(preds) < want {
 			return Result{}, fmt.Errorf("interp: node %d (%v) has %d operands, needs %d",

@@ -128,7 +128,7 @@ func (e *Estimator) Estimate(c enum.Cut) Estimate {
 	// Critical path through the cut in normalized delay units.
 	depth := make(map[int]float64, c.Nodes.Count())
 	maxDelay := 0.0
-	for _, v := range e.g.Topo() {
+	for v := 0; v < e.g.N(); v++ {
 		if !c.Nodes.Has(v) {
 			continue
 		}

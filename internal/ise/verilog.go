@@ -58,7 +58,7 @@ func writeVerilog(w io.Writer, g *dfg.Graph, nodes *bitset.Set, inputs, outputs 
 		return portName(p, "in")
 	}
 
-	for _, v := range g.Topo() {
+	for v := 0; v < g.N(); v++ {
 		if !nodes.Has(v) {
 			continue
 		}

@@ -30,12 +30,12 @@ func TestQueryPathsAllocFree(t *testing.T) {
 		t.Skip("no suitable output in random graph")
 	}
 	anc := g.ReachTo(o).Members()
-	seeds := bitset.New(e.aug.N)
+	seeds := bitset.New(g.N())
 	seeds.Add(anc[0])
 	V := []int{anc[0], anc[len(anc)-1]}
 	doms := make([]int, 0, g.N())
 
-	// Warm-up: grows the solver arena, BFS queue and scratch sets.
+	// Warm-up: grows the BFS queue and scratch buffers.
 	e.Separates(seeds, o)
 	e.Check(V, o)
 	doms, _ = e.ReducedDominators(seeds, o, doms[:0])

@@ -7,16 +7,17 @@
 // the rest of V. Dubrova et al. (ISCAS 2004) showed k-vertex dominators can
 // be enumerated in O(n^k): fix a seed set of k−1 vertices, delete it (with
 // everything it dominates) from the graph, and read the single-vertex
-// dominators of o off a Lengauer–Tarjan run on the reduced graph (§5.2).
+// dominators of o off a dominator solve on the reduced graph (§5.2).
 //
 // Enumerate derives each dominator exactly once — from its own largest
 // member as the completion of the remaining seeds — so it needs no dedup
 // table.
 //
-// The Enumerator wraps a reusable solver over the augmented graph of one
-// DFG. Package enum drives the same machinery incrementally with the §5.3
-// prunings; the full enumeration here is the reference implementation used
-// by EnumerateBasic, by tests and by standalone dominator queries.
+// The Enumerator wraps a reusable dominator solver (package domtree) over
+// the augmented graph of one DFG. Package enum drives the same machinery
+// incrementally with the §5.3 prunings; the full enumeration here is the
+// reference implementation used by EnumerateBasic, by tests and by
+// standalone dominator queries.
 package multidom
 
 import (
@@ -31,17 +32,16 @@ import (
 // Not safe for concurrent use.
 //
 // All query entry points run allocation-free in steady state: the solver
-// reuses its arena across reduced-graph runs (domtree.Solver.Reset), and
-// the traversal/check scratch below is owned by the Enumerator instead of
-// being allocated per call (the AllocsPerRun regression test pins this).
+// reuses its arrays across reduced-graph runs, and the traversal/check
+// scratch below is owned by the Enumerator instead of being allocated per
+// call (the AllocsPerRun regression test pins this).
 type Enumerator struct {
 	g      *dfg.Graph
-	aug    *dfg.Aug
 	solver *domtree.Solver
 
 	// scratch
 	seeds    *bitset.Set // current seed set during Enumerate
-	visited  *bitset.Set // reachesAvoiding BFS marks
+	visited  *bitset.Set // reachesAvoiding BFS marks, the virtual source included
 	queue    []int32     // reachesAvoiding BFS worklist
 	checkSet *bitset.Set // Check's member set
 	doms     []int       // ReducedDominators result buffer
@@ -50,14 +50,13 @@ type Enumerator struct {
 
 // New creates an Enumerator for g (which must be frozen).
 func New(g *dfg.Graph) *Enumerator {
-	aug := g.Augmented()
+	n := g.N()
 	return &Enumerator{
 		g:        g,
-		aug:      aug,
-		solver:   domtree.ForwardSolver(g),
-		seeds:    bitset.New(aug.N),
-		visited:  bitset.New(aug.N),
-		checkSet: bitset.New(aug.N),
+		solver:   domtree.NewSolver(g),
+		seeds:    bitset.New(n),
+		visited:  bitset.New(n + 1),
+		checkSet: bitset.New(n),
 	}
 }
 
@@ -66,7 +65,8 @@ func (e *Enumerator) Graph() *dfg.Graph { return e.g }
 
 // reachesAvoiding reports whether `to` is reachable from `from` in the
 // augmented graph when every vertex in avoid (except `from` itself) is
-// blocked. from may be the virtual source.
+// blocked. from may be the virtual source g.N(), whose successors are
+// g.Entries(); `to` is a user vertex, so the virtual sink is never needed.
 func (e *Enumerator) reachesAvoiding(from, to int, avoid *bitset.Set) bool {
 	if from == to {
 		return true
@@ -76,18 +76,21 @@ func (e *Enumerator) reachesAvoiding(from, to int, avoid *bitset.Set) bool {
 	e.visited.Add(from)
 	e.queue = append(e.queue, int32(from))
 	for len(e.queue) > 0 {
-		v := e.queue[len(e.queue)-1]
+		v := int(e.queue[len(e.queue)-1])
 		e.queue = e.queue[:len(e.queue)-1]
-		for _, s := range e.aug.Succs[v] {
-			si := int(s)
-			if si == to {
+		succs := e.g.Entries()
+		if v < e.g.N() {
+			succs = e.g.Succs(v)
+		}
+		for _, s := range succs {
+			if s == to {
 				return true
 			}
-			if e.visited.Has(si) || (avoid != nil && avoid.Has(si)) {
+			if e.visited.Has(s) || (avoid != nil && avoid.Has(s)) {
 				continue
 			}
-			e.visited.Add(si)
-			e.queue = append(e.queue, s)
+			e.visited.Add(s)
+			e.queue = append(e.queue, int32(s))
 		}
 	}
 	return false
@@ -101,7 +104,7 @@ func (e *Enumerator) Separates(V *bitset.Set, o int) bool {
 		// not interesting dominators; treat per condition 1 literally.
 		return true
 	}
-	return !e.reachesAvoiding(e.aug.Source, o, V)
+	return !e.reachesAvoiding(e.g.N(), o, V)
 }
 
 // Check reports whether V is a generalized dominator of o per definition 5:
@@ -114,7 +117,7 @@ func (e *Enumerator) Check(V []int, o int) bool {
 	vs := e.checkSet
 	vs.Clear()
 	for _, w := range V {
-		if w == o || w == e.aug.Source || w == e.aug.Sink {
+		if w == o || w < 0 || w >= e.g.N() {
 			return false
 		}
 		vs.Add(w)
@@ -128,7 +131,7 @@ func (e *Enumerator) Check(V []int, o int) bool {
 	for _, w := range V {
 		vs.Remove(w)
 		// Private path: source→w avoiding V\{w}, then w→o avoiding V\{w}.
-		ok := e.reachesAvoiding(e.aug.Source, w, vs) && e.reachesAvoiding(w, o, vs)
+		ok := e.reachesAvoiding(e.g.N(), w, vs) && e.reachesAvoiding(w, o, vs)
 		vs.Add(w)
 		if !ok {
 			return false
@@ -137,17 +140,17 @@ func (e *Enumerator) Check(V []int, o int) bool {
 	return true
 }
 
-// ReducedDominators runs Lengauer–Tarjan with the given seed vertices
+// ReducedDominators folds the dominator tree with the given seed vertices
 // blocked and appends to out every vertex u (u ≠ o, u ≠ source) that
 // single-dominates o in the reduced graph: each seeds ∪ {u} is a candidate
 // generalized dominator of o. If o is unreachable in the reduced graph, it
 // returns (out, false): the seeds already separate o.
 func (e *Enumerator) ReducedDominators(seeds *bitset.Set, o int, out []int) ([]int, bool) {
-	e.solver.Run(seeds)
+	e.solver.Dominators(seeds)
 	if !e.solver.Reachable(o) {
 		return out, false
 	}
-	for u := e.solver.IDom(o); u != -1 && u != e.aug.Source; u = e.solver.IDom(u) {
+	for u := e.solver.IDom(o); u != -1 && u != e.solver.Source(); u = e.solver.IDom(u) {
 		out = append(out, u)
 	}
 	return out, true

@@ -39,7 +39,21 @@ func ladder(t testing.TB) *dfg.Graph {
 // naiveCheck verifies definition 5 with plain path enumeration on the
 // augmented graph, independent of the Enumerator's BFS helpers.
 func naiveCheck(g *dfg.Graph, V []int, o int) bool {
-	aug := g.Augmented()
+	// Successors in the augmented graph: the virtual source g.N() feeds every
+	// root and user-forbidden vertex; the sink plays no part in root→o paths.
+	source := g.N()
+	succs := func(v int) []int {
+		if v < source {
+			return g.Succs(v)
+		}
+		var out []int
+		for u := 0; u < g.N(); u++ {
+			if g.IsRoot(u) || g.IsUserForbidden(u) {
+				out = append(out, u)
+			}
+		}
+		return out
+	}
 	inV := make(map[int]bool, len(V))
 	for _, v := range V {
 		if v == o || v >= g.N() || inV[v] {
@@ -61,11 +75,11 @@ func naiveCheck(g *dfg.Graph, V []int, o int) bool {
 			paths = append(paths, cp)
 			return
 		}
-		for _, s := range aug.Succs[v] {
-			walk(int(s), path)
+		for _, s := range succs(v) {
+			walk(s, path)
 		}
 	}
-	walk(aug.Source, nil)
+	walk(source, nil)
 	// Condition 1: every path meets V.
 	for _, p := range paths {
 		hit := false
@@ -140,7 +154,7 @@ func TestCheckRejectsDegenerate(t *testing.T) {
 func TestSeparates(t *testing.T) {
 	g := ladder(t)
 	e := New(g)
-	n := g.Augmented().N
+	n := g.N()
 	// {f, g} separates h (both preds blocked).
 	if !e.Separates(bitset.FromMembers(n, 5, 6), 7) {
 		t.Error("{f,g} should separate h")
@@ -204,7 +218,7 @@ func TestEnumerateDoesNotReturnSupersets(t *testing.T) {
 			if len(sub) == 0 || len(sub) == len(D) {
 				continue
 			}
-			vs := bitset.New(g.Augmented().N)
+			vs := bitset.New(g.N())
 			for _, v := range sub {
 				vs.Add(v)
 			}
@@ -218,7 +232,7 @@ func TestEnumerateDoesNotReturnSupersets(t *testing.T) {
 func TestReducedDominators(t *testing.T) {
 	g := ladder(t)
 	e := New(g)
-	n := g.Augmented().N
+	n := g.N()
 	// With no seeds, h (7) has no single-vertex user dominator (two disjoint
 	// path families through f and g do share e? path a→d→f→h avoids e; and
 	// every path through... no single vertex covers all).

@@ -143,21 +143,24 @@ func requestFromHTTP(r *http.Request) (Request, error) {
 	}
 	q := r.URL.Query()
 	req := Request{Graph: id, Options: enum.DefaultOptions()}
-	intq := func(key string, dst *int) error {
+	// intq reads an integer parameter that must be at least min. The port
+	// budgets start at 1: a zero budget admits no cut, and its empty stream
+	// would end in a terminal record that reads as a complete result.
+	intq := func(key string, min int, dst *int) error {
 		if v := q.Get(key); v != "" {
 			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return fmt.Errorf("session: bad %s=%q", key, v)
+			if err != nil || n < min {
+				return fmt.Errorf("session: bad %s=%q: want an integer >= %d", key, v, min)
 			}
 			*dst = n
 		}
 		return nil
 	}
 	if err := errors.Join(
-		intq("nin", &req.Options.MaxInputs),
-		intq("nout", &req.Options.MaxOutputs),
-		intq("max_cuts", &req.MaxCuts),
-		intq("checkpoint_every", &req.CheckpointEvery),
+		intq("nin", 1, &req.Options.MaxInputs),
+		intq("nout", 1, &req.Options.MaxOutputs),
+		intq("max_cuts", 0, &req.MaxCuts),
+		intq("checkpoint_every", 0, &req.CheckpointEvery),
 	); err != nil {
 		return Request{}, err
 	}

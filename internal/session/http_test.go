@@ -179,6 +179,23 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad query: status %d, want 400", resp.StatusCode)
 	}
+
+	// A zero port budget → 400 naming the parameter, not an empty stream
+	// that reads as complete.
+	for _, c := range []struct{ query, param string }{
+		{"nin=0&nout=2", "nin"},
+		{"nin=4&nout=0", "nout"},
+	} {
+		resp, err = http.Post(ts.URL+"/v1/graphs/"+id+"/enumerate?"+c.query, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.param+"=") {
+			t.Fatalf("%s: status %d body %q, want 400 naming %s", c.query, resp.StatusCode, body, c.param)
+		}
+	}
 }
 
 func TestHTTPOverloadAndShutdownStatuses(t *testing.T) {

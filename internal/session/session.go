@@ -9,7 +9,7 @@
 //     so a client submits a graph once and every later request addresses it
 //     by id. Identical submissions deduplicate to one cached instance, which
 //     concurrent enumerations share safely (everything a Freeze computes is
-//     immutable; the lazily built Augmented structures are sync.Once-guarded).
+//     immutable; the lazily built reachability closures are sync.Once-guarded).
 //
 //   - One global memory budget. Cached graphs draw reservations from a
 //     single Budget; an enumeration keeps no record of the cuts it has

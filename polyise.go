@@ -36,7 +36,7 @@
 // Steals. To reproduce the paper's serial measurements, set
 // Options.Parallelism = 1.
 //
-// The subpackages under internal implement the substrates: Lengauer–Tarjan
+// The subpackages under internal implement the substrates: DAG (post)
 // dominators, multiple-vertex dominator enumeration, the [15]-style
 // baseline search, workload generators, the benchmark harness and the
 // worker-pool/ordered-merge machinery (internal/parallel). This package
