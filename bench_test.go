@@ -109,6 +109,41 @@ func BenchmarkTreeWorstCase(b *testing.B) {
 	}
 }
 
+// BenchmarkDeepBlocks runs the four blocks of the perfbench `deep`
+// workload, in their canonical numbering, serially at Nin=4/Nout=2: the
+// n=140 gap-regression instance, a 160-node MiBench-like block (seed 2),
+// the depth-6 figure 4 tree and the 4-stage butterfly. `make profile`
+// runs it under the CPU profiler, so re-profiling the deep search is one
+// command.
+func BenchmarkDeepBlocks(b *testing.B) {
+	gap := workload.GapRegressionInstances()[0]
+	if gap.Name != "mibench-n140-seed5" {
+		b.Fatalf("gap instance 0 is %s", gap.Name)
+	}
+	blocks := []struct {
+		name string
+		g    *polyise.Graph
+		cuts int
+	}{
+		{gap.Name, gap.Graph(), gap.WantCuts},
+		{"mibench-n160-seed2", workload.MiBenchLike(rand.New(rand.NewSource(2)), 160, workload.DefaultProfile()), 4497},
+		{"tree-depth6", workload.Tree(6, 2), 1911},
+		{"butterfly-4", workload.Butterfly(4), 1800},
+	}
+	for _, blk := range blocks {
+		b.Run(blk.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				polyise.Enumerate(blk.g, opts(), func(polyise.Cut) bool { n++; return true })
+				if n != blk.cuts {
+					b.Fatalf("%d cuts, want %d", n, blk.cuts)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkScaling backs the polynomial-complexity claim (§5): run time of
 // the enumeration across a size sweep at the paper's Nin=4/Nout=2. The
 // fitted exponent (see cmd/compare -mode scaling and EXPERIMENTS.md) must

@@ -26,14 +26,14 @@ import (
 // through w), because theorem 3 subtracts the final input set. The paper
 // claims S only ever grows, but that discipline loses cuts whose inputs lie
 // inside an earlier B(I, o) — see the {d,g} example in the tests — so S is
-// maintained exactly across every push. Exact maintenance no longer means
-// from-scratch recomputation: each output or input push applies a journaled
-// delta to S (dfg.Traverser.GrowCut / ShrinkCut) whose cost follows the
-// region the push actually changes, and each pop replays the journal
-// backward — see the "incremental search-state engine" note in the package
-// comment. rebuildS, the from-scratch recomputation, remains the reference
-// the property tests pin the deltas to and the fallback for non-monotone
-// input pushes that invalidate most of S.
+// kept exact wherever it is read. Exact maintenance does not mean
+// from-scratch recomputation: each output push, and each input push a cut
+// check needs, applies a journaled delta to S (dfg.Traverser.GrowCut /
+// ShrinkCut) whose cost follows the region the push changes, and each pop
+// replays the journal backward — see the "incremental search-state engine"
+// note in the package comment. rebuildS, the from-scratch recomputation,
+// remains the reference the property tests pin the deltas to and the
+// fallback for non-monotone input pushes that invalidate most of S.
 //
 // Every candidate S with at most Nout outputs (internal outputs included,
 // per the output–output pruning) that the search reached by its canonical
@@ -207,13 +207,15 @@ type incEnum struct {
 
 	entries []int         // roots ∪ user-forbidden: virtual-source successors
 	permOut *bitset.Set   // shared: vertices that are outputs forever once in S
-	badIn   []*bitset.Set // shared: per-output forbidden-ancestor exclusions
+	badIn   []*bitset.Set // shared: per-output forbidden-ancestor exclusions (§5.3, approximate)
 
 	journal []*bitset.Set // per-depth undo journal: the delta each push applied to S
 	paths   []*bitset.Set // per-depth on-path sets
 	backs   []*bitset.Set // per-depth reaches-o sets
 	uncs    []*bitset.Set // per-depth input-ancestor sets for the quick-offending reject
 	chains  [][]int       // per-depth dominator-chain buffers
+	pending int           // the last Ilist entries are seeds not yet applied to S
+	shrinks int           // shrinkS calls, the cut-shrink work a test pins
 	last    lastLevel     // the live two-inputs-left seed loop's chains (lastlevel.go)
 	seed1   [1]int        // scratch: single-seed kernel calls
 	fs      *flowScratch
@@ -273,12 +275,49 @@ func (e *incEnum) undoGrowS(d int) {
 // of S), with the removed vertices journaled at depth d. The caller must
 // have pushed w into Iuser already. Undo with undoShrinkS(d).
 func (e *incEnum) shrinkS(d, w int) {
+	e.shrinks++
 	e.tr.ShrinkCut(e.S, e.journalBuf(d), w, e.outs, e.outSet, e.Iuser)
 }
 
 // undoShrinkS pops the input push journaled at depth d.
 func (e *incEnum) undoShrinkS(d int) {
 	e.S.Union(e.journal[d])
+}
+
+// pushSeed pushes seed w but defers its shrinkS to flushSeeds: in an input
+// phase only the cut checks below a completion read S, so a seed whose
+// subtree checks no cut never pays for it. Undo with popSeed.
+func (e *incEnum) pushSeed(w int) {
+	e.pushInput(w)
+	e.pending++
+}
+
+// popSeed pops the seed pushed at depth d: still pending, it is the last
+// one (deeper seeds are popped first); flushed, its shrink is undone.
+func (e *incEnum) popSeed(d, w int) {
+	if e.pending > 0 {
+		e.pending--
+	} else {
+		e.undoShrinkS(d)
+	}
+	e.popInput(w)
+}
+
+// flushSeeds applies the pending seeds' shrinks in push order before a
+// completion at depth d. They end Ilist, pushed at depths d-len..d-1, and
+// each is journaled at its own depth. ShrinkCut must see only the inputs
+// pushed so far (its fallback rebuilds S from them), so the seeds leave
+// Iuser first and rejoin one at a time.
+func (e *incEnum) flushSeeds(d int) {
+	seeds := e.Ilist[len(e.Ilist)-e.pending:]
+	for _, v := range seeds {
+		e.Iuser.Remove(v)
+	}
+	for k, v := range seeds {
+		e.Iuser.Add(v)
+		e.shrinkS(d-len(seeds)+k, v)
+	}
+	e.pending = 0
 }
 
 // uncBuf returns the quick-offending scratch buffer for recursion depth d
@@ -713,6 +752,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 			continue
 		}
 		found = true
+		e.flushSeeds(depth)
 		e.pushInput(u)
 		e.shrinkS(depth, u)
 		if e.viable(ninLeft - 1) {
@@ -790,14 +830,10 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 				if e.pruneSeed(i, o) {
 					continue
 				}
-				e.pushInput(i)
-				e.shrinkS(depth, i)
-				sub := false
-				if e.viable(ninLeft - 1) {
-					sub = e.pickInputs(depth+1, o, ninLeft-1, noutLeft, e.g.N()-i, phaseStart, back)
-				}
-				e.undoShrinkS(depth)
-				e.popInput(i)
+				// No viable() guard: ninLeft-1 ≥ 1 inputs stay, so it holds.
+				e.pushSeed(i)
+				sub := e.pickInputs(depth+1, o, ninLeft-1, noutLeft, e.g.N()-i, phaseStart, back)
+				e.popSeed(depth, i)
 				if sub {
 					found = true
 					lastValid = i
@@ -824,20 +860,11 @@ func (e *incEnum) pruneInput(u, o int) bool {
 		e.stats.SeedsPruned++
 		return true
 	}
-	if e.opt.PruneForbiddenAncestors && e.badInputsFor(o).Has(u) {
+	if e.opt.PruneForbiddenAncestors && e.badIn[o].Has(u) {
 		e.stats.SeedsPruned++
 		return true
 	}
 	return false
-}
-
-// badInputsFor returns, per output, the paper's forbidden-ancestor input
-// exclusion (§5.3, approximate): the ancestors of every forbidden ancestor
-// of o. Precomputed once per graph in newEnumShared (only when
-// Options.PruneForbiddenAncestors is set) and shared read-only across
-// shards, which stops parallel workers from rebuilding identical sets.
-func (e *incEnum) badInputsFor(o int) *bitset.Set {
-	return e.badIn[o]
 }
 
 // forcedInputsWith lower-bounds |I(S)| for any cut that has v among its
@@ -852,7 +879,7 @@ func (e *incEnum) forcedInputsWith(v, o int) int {
 	return n
 }
 
-// pruneSeed applies the §5.3 input–input and output–input prunings to a
+// pruneSeed applies the §5.3 input–input prunings and pruneInput's to a
 // seed candidate i for output o.
 func (e *incEnum) pruneSeed(i, o int) bool {
 	if e.opt.PruneInputInput {
@@ -866,16 +893,9 @@ func (e *incEnum) pruneSeed(i, o int) bool {
 		}
 	}
 	if e.opt.PruneOutputInput {
-		if !e.g.ReachesForbiddenFree(i, o) {
-			e.stats.SeedsPruned++
-			return true
-		}
-		if e.forcedInputsWith(i, o) > e.opt.MaxInputs {
-			e.stats.SeedsPruned++
-			return true
-		}
+		return e.pruneInput(i, o)
 	}
-	if e.opt.PruneForbiddenAncestors && e.badInputsFor(o).Has(i) {
+	if e.opt.PruneForbiddenAncestors && e.badIn[o].Has(i) {
 		e.stats.SeedsPruned++
 		return true
 	}
@@ -948,6 +968,7 @@ func (e *incEnum) resetChoice() {
 	e.outSet.Clear()
 	e.Ilist = e.Ilist[:0]
 	e.Iuser.Clear()
+	e.pending = 0
 	e.S.Clear()
 }
 

@@ -12,28 +12,29 @@ import (
 // fail). Both derive from the parent's surviving-path region H and its
 // chain D: o stays reachable exactly when s is not in D, and the
 // dominators of o in H \ {s} are D \ {s} plus the partners of s — the
-// vertices v with {s, v} a separating pair of o in H. The separation rule
-// (docs/ALGORITHM.md §5, "Batched last input level") reads every pair off
-// H's forward dominator tree, so one table per parent replaces a frontier
-// derivation and a region sweep per child, and a child's lookup costs the
-// size of its answer.
+// vertices v with {s, v} a separating pair of o in H. The child reads
+// only the dominators below s, and the separation rule (docs/ALGORITHM.md
+// §5, "Batched last input level") reads their partners off H's forward
+// dominator tree as one tree path. So one table per parent replaces a
+// frontier derivation and a region sweep per child, and a child's lookup
+// costs the size of its answer.
 //
 // The parent's own sweep (analyzePaths) records the tree as it walks H;
 // arm hands the table the finished chain when the seed loop starts, and
-// the pairs are derived on the first child that needs them, so a parent
+// the L values are derived on the first child that needs them, so a parent
 // whose children all die before their analysis pays for no more than the
 // tree.
 //
 // The table is worker-owned, and one suffices: every descendant of a
 // two-inputs-left seed loop has at most one input left, so two such loops
-// are never live at once. The arrays are sized once per worker and the
-// lists only grow, so the steady state is allocation-free.
+// are never live at once. The arrays are sized once per worker, so the
+// steady state is allocation-free.
 //
 // Vertices are handled by rank, their position in H in ascending id order.
 // Ids are topological, so a tree parent always has the smaller rank.
 type lastLevel struct {
 	chain []int // D: the armed parent's dominator chain, ascending
-	built bool  // the pairs of the armed parent are derived
+	built bool  // the L values of the armed parent are derived
 	top   int   // highest entry of H: the virtual source's farthest edge
 	h     int32 // number of ranks: the vertices of H below o
 
@@ -45,11 +46,6 @@ type lastLevel struct {
 	reach []int32 // highest successor inside H, as a vertex
 	seg   []int32 // number of chain vertices below the vertex
 	lca   []int32 // L: LCA of the tails of the H-edges jumping over the vertex; -1 if none or the virtual source
-	upper []int32 // head of the vertex's upper-partner list in pairs, -1 if empty
-
-	// pairs holds the upper-partner lists: entry i is a partner rank and
-	// the index of the list's next entry (-1 ends it).
-	pairs [][2]int32
 	open  []int32 // scratch: the tails whose edges still jump ahead; at most one per rank
 }
 
@@ -60,12 +56,11 @@ const noVertex = -2
 // whose chain buffer starts empty; top is the highest entry of the region.
 func (t *lastLevel) begin(n, top int) {
 	if len(t.rank) < n {
-		buf := make([]int32, n+7*(n+1))
+		buf := make([]int32, n+6*(n+1))
 		t.rank, buf = buf[:n], buf[n:]
-		for _, p := range []*[]int32{&t.verts, &t.idom, &t.reach, &t.seg, &t.lca, &t.upper, &t.open} {
+		for _, p := range []*[]int32{&t.verts, &t.idom, &t.reach, &t.seg, &t.lca, &t.open} {
 			*p, buf = buf[:n+1], buf[n+1:]
 		}
-		t.pairs = make([][2]int32, 0, n)
 	}
 	t.top, t.h = top, 0
 }
@@ -122,7 +117,7 @@ func (t *lastLevel) ancestor(a, b int32) int32 {
 	return a
 }
 
-// build derives L per rank and the upper-partner lists.
+// build derives L per rank.
 func (t *lastLevel) build() {
 	t.built = true
 	h := t.h
@@ -134,7 +129,7 @@ func (t *lastLevel) build() {
 	low := t.rank[t.top]
 	open := t.open[:0]
 	for a := int32(0); a < low; a++ {
-		t.lca[a], t.upper[a] = -1, -1
+		t.lca[a] = -1
 		if t.reach[a] > int32(t.top) {
 			open = append(open, a)
 		}
@@ -153,21 +148,10 @@ func (t *lastLevel) build() {
 				}
 			}
 		}
-		t.lca[r], t.upper[r] = max(l, -1), -1 // no tail at all: r is a chain vertex
+		t.lca[r] = max(l, -1) // no tail at all: r is a chain vertex
 		open = append(open[:keep], r)
 	}
 	t.open = open
-
-	// The lower partners of r are the tree path from L(r) up to the chain
-	// vertex below r; r is an upper partner of each of them. Descending r,
-	// prepended, keeps every list ascending.
-	t.pairs = t.pairs[:0]
-	for r := h - 1; r >= low; r-- {
-		for x, floor := t.lca[r], t.floor(r); x > floor; x = t.idom[x] {
-			t.pairs = append(t.pairs, [2]int32{r, t.upper[x]})
-			t.upper[x] = int32(len(t.pairs) - 1)
-		}
-	}
 }
 
 // onChain reports whether the seed s is on the armed chain D, that is,
@@ -177,23 +161,15 @@ func (t *lastLevel) onChain(s int) bool {
 	return int(k) < len(t.chain) && t.chain[k] == s
 }
 
-// floor returns the rank of the chain vertex right below rank r, -1 for
-// none.
-func (t *lastLevel) floor(r int32) int32 {
-	if k := t.seg[r]; k > 0 {
-		return t.rank[t.chain[k-1]]
-	}
-	return -1
-}
-
-// chainFor appends to dst, in ascending order, the reduced-graph dominator
-// chain of o once seed s (an H vertex outside D, below o) is blocked too:
-// D \ {s} ∪ partners(s). By the separation rule, v < s is a partner exactly
-// when v is an ancestor-or-self of L(s), and v > s exactly when s is an
-// ancestor-or-self of L(v). Partners lie strictly between the chain
+// chainFor appends to dst, in ascending order, the reduced-graph
+// dominators of o below s once seed s (an H vertex outside D, below o) is
+// blocked too: the members of D below s and the lower partners of s. By
+// the separation rule, v < s is a partner exactly when v is an
+// ancestor-or-self of L(s). Partners lie strictly between the chain
 // vertices that bracket s — a chain vertex between the two would make the
 // lower one a dominator — so the lower partners are the tree path from
-// L(s) up to the chain vertex below s, and the upper partners are s's list.
+// L(s) up to the chain vertex below s. The child's completion loop stops
+// at the first vertex above its last seed s, so the rest is never read.
 func (t *lastLevel) chainFor(s int, dst []int) []int {
 	if !t.built {
 		t.build()
@@ -201,15 +177,15 @@ func (t *lastLevel) chainFor(s int, dst []int) []int {
 	r := t.rank[s]
 	k := int(t.seg[r])
 	dst = append(dst, t.chain[:k]...)
-	mark := len(dst)
-	for x, floor := t.lca[r], t.floor(r); x > floor; x = t.idom[x] {
+	mark, floor := len(dst), int32(-1) // floor: rank of the chain vertex below s
+	if k > 0 {
+		floor = t.rank[t.chain[k-1]]
+	}
+	for x := t.lca[r]; x > floor; x = t.idom[x] {
 		dst = append(dst, int(t.verts[x]))
 	}
 	for i, j := mark, len(dst)-1; i < j; i, j = i+1, j-1 {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
-	for i := t.upper[r]; i >= 0; i = t.pairs[i][1] {
-		dst = append(dst, int(t.verts[t.pairs[i][0]]))
-	}
-	return append(dst, t.chain[k:]...)
+	return dst
 }

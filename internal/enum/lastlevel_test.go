@@ -86,9 +86,11 @@ func lastLevelCorpus() []namedGraph {
 // analysis it replaces: for random parent states (output o, a blocked
 // input set), the table recorded by the parent's sweep and armed with its
 // chain must give, for every seed s on a surviving path, the reachability
-// verdict and the dominator chain that analyzePaths computes for the child
-// with s blocked. The child also skips the seed-alive check, which for s
-// itself rests on s keeping a successor that reaches o.
+// verdict that analyzePaths computes for the child with s blocked, and
+// exactly the members below s of the child's dominator chain — the part
+// the child's completion loop reads before it stops at the first vertex
+// above s. The child also skips the seed-alive check, which for s itself
+// rests on s keeping a successor that reaches o.
 func TestLastLevelChainsMatchSweep(t *testing.T) {
 	for _, blk := range lastLevelCorpus() {
 		t.Run(blk.name, func(t *testing.T) {
@@ -98,7 +100,7 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 			e := newAnalyzer(g)
 			back, onPath := bitset.New(n), bitset.New(n)
 			cBack, cOnPath := bitset.New(n), bitset.New(n)
-			var chain, want, got []int
+			var chain, full, want, got []int
 			children, partnered := 0, 0
 			for trial := 0; trial < 300; trial++ {
 				o := r.Intn(n)
@@ -122,7 +124,7 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 					}
 					e.Iuser.Add(s)
 					var wantReach bool
-					wantReach, want = e.analyzePaths(o, cBack, cOnPath, back, s, want[:0], true, nil)
+					wantReach, full = e.analyzePaths(o, cBack, cOnPath, back, s, full[:0], true, nil)
 					e.Iuser.Remove(s)
 					if gotReach := !e.last.onChain(s); gotReach != wantReach {
 						t.Fatalf("o=%d I=%v s=%d: reachable %v, sweep %v", o, e.Iuser.Members(), s, gotReach, wantReach)
@@ -134,12 +136,18 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 						continue
 					}
 					children++
+					want = want[:0]
+					for _, v := range full {
+						if v < s {
+							want = append(want, v)
+						}
+					}
 					got = e.last.chainFor(s, got[:0])
 					if !slices.Equal(got, want) {
-						t.Fatalf("o=%d I=%v s=%d: chainFor %v, sweep %v (parent chain %v)",
-							o, e.Iuser.Members(), s, got, want, chain)
+						t.Fatalf("o=%d I=%v s=%d: chainFor %v, sweep below s %v (sweep %v, parent chain %v)",
+							o, e.Iuser.Members(), s, got, want, full, chain)
 					}
-					if len(want) > len(chain) {
+					if len(full) > len(chain) {
 						partnered++
 					}
 				}
@@ -178,6 +186,34 @@ func TestLastLevelCounters(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("workers=%d: counters %+v, want %+v", workers, got, want)
+		}
+	}
+}
+
+// TestShrinkCutWork pins the cut-shrink work of a serial run on both gap
+// instances: every completion shrinks S, but a seed push shrinks it only
+// when a completion below it checks a cut (flushSeeds), so most seeds —
+// those whose subtrees die in analysis — never pay for the kernel.
+func TestShrinkCutWork(t *testing.T) {
+	want := map[string]int{"mibench-n140-seed5": 15791, "mibench-n220-seed17": 37635}
+	for _, gi := range workload.GapRegressionInstances() {
+		w, ok := want[gi.Name]
+		if !ok {
+			t.Fatalf("no shrinkS pin for gap instance %s", gi.Name)
+		}
+		if testing.Short() && gi.N > 150 {
+			continue // the race run's budget; the non-race run pins it
+		}
+		g := gi.Graph()
+		opt := DefaultOptions()
+		opt.Parallelism = 1
+		cuts := 0
+		e := newEnumShared(g, opt).newWorker(func(Cut) bool { cuts++; return true }, nil)
+		for pos := 0; pos < g.N(); pos++ {
+			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
+		}
+		if cuts != gi.WantCuts || e.shrinks != w {
+			t.Errorf("%s: %d cuts with %d shrinkS calls, want %d with %d", gi.Name, cuts, e.shrinks, gi.WantCuts, w)
 		}
 	}
 }

@@ -51,13 +51,14 @@
 // the from-scratch rebuild when that region is most of S
 // (dfg.Traverser.ShrinkCut). Each push records exactly the vertices it
 // changed in a per-depth undo journal, so backtracking is one word-
-// parallel Subtract/Union. Reduced-graph dominators are read off a
+// parallel Subtract/Union. A seed push defers its shrink until a cut is
+// checked below it (flushSeeds). Reduced-graph dominators are read off a
 // running-max sweep over the surviving-path region (analyzePaths), which
 // exploits vertex ids being a topological order (dfg.Graph.AddNode): bit
-// index ≡ topological position, so "does any surviving edge jump over v" is a
-// highest-set-bit scan per vertex. The from-scratch recomputation
-// (rebuildS) survives as the reference that property tests pin every
-// delta against.
+// index ≡ topological position, so "does any surviving edge jump over v"
+// is a highest-set-bit scan per vertex. The from-scratch recomputation
+// (rebuildS) survives as the reference that property tests pin every delta
+// against.
 //
 // Since PR 5 the sharing extends past S to the per-output analysis and the
 // admission checks themselves. The reaches-o frontier of PICK-INPUTS is
