@@ -241,85 +241,6 @@ type incEnum struct {
 	topPos int
 }
 
-// journalBuf returns the undo-journal buffer for recursion depth d. Each
-// active search-tree push owns the buffer of its own depth: it records the
-// exact set of vertices the push added to (output push) or removed from
-// (input push) the maintained cut S, so the pop is a single word-parallel
-// Subtract/Union instead of a snapshot restore or a from-scratch rebuild.
-func (e *incEnum) journalBuf(d int) *bitset.Set {
-	for len(e.journal) <= d {
-		e.journal = append(e.journal, bitset.New(e.g.N()))
-	}
-	return e.journal[d]
-}
-
-// growS pushes the most recently chosen output onto the maintained cut:
-// S gains {o} ∪ B(I, o) via the delta kernel, with the added vertices
-// journaled at depth d. The incremental validation engine needs no
-// notification — it mirrors S lazily at the next admission check (see
-// deltaval.go), so pushes on branches that never reach CHECK-CUT cost it
-// nothing. Undo with undoGrowS(d).
-func (e *incEnum) growS(d int) {
-	o := e.outs[len(e.outs)-1]
-	e.tr.GrowCut(e.S, e.journalBuf(d), o, e.Iuser)
-}
-
-// undoGrowS pops the output push journaled at depth d.
-func (e *incEnum) undoGrowS(d int) {
-	e.S.Subtract(e.journal[d])
-}
-
-// shrinkS pushes input w onto the maintained cut: w and every vertex whose
-// last surviving path ran through w leave S via the delta kernel (which
-// falls back to the from-scratch rebuild when the affected region is most
-// of S), with the removed vertices journaled at depth d. The caller must
-// have pushed w into Iuser already. Undo with undoShrinkS(d).
-func (e *incEnum) shrinkS(d, w int) {
-	e.shrinks++
-	e.tr.ShrinkCut(e.S, e.journalBuf(d), w, e.outs, e.outSet, e.Iuser)
-}
-
-// undoShrinkS pops the input push journaled at depth d.
-func (e *incEnum) undoShrinkS(d int) {
-	e.S.Union(e.journal[d])
-}
-
-// pushSeed pushes seed w but defers its shrinkS to flushSeeds: in an input
-// phase only the cut checks below a completion read S, so a seed whose
-// subtree checks no cut never pays for it. Undo with popSeed.
-func (e *incEnum) pushSeed(w int) {
-	e.pushInput(w)
-	e.pending++
-}
-
-// popSeed pops the seed pushed at depth d: still pending, it is the last
-// one (deeper seeds are popped first); flushed, its shrink is undone.
-func (e *incEnum) popSeed(d, w int) {
-	if e.pending > 0 {
-		e.pending--
-	} else {
-		e.undoShrinkS(d)
-	}
-	e.popInput(w)
-}
-
-// flushSeeds applies the pending seeds' shrinks in push order before a
-// completion at depth d. They end Ilist, pushed at depths d-len..d-1, and
-// each is journaled at its own depth. ShrinkCut must see only the inputs
-// pushed so far (its fallback rebuilds S from them), so the seeds leave
-// Iuser first and rejoin one at a time.
-func (e *incEnum) flushSeeds(d int) {
-	seeds := e.Ilist[len(e.Ilist)-e.pending:]
-	for _, v := range seeds {
-		e.Iuser.Remove(v)
-	}
-	for k, v := range seeds {
-		e.Iuser.Add(v)
-		e.shrinkS(d-len(seeds)+k, v)
-	}
-	e.pending = 0
-}
-
 // uncBuf returns the quick-offending scratch buffer for recursion depth d
 // (depth-indexed because deeper pickOutput levels run while an outer
 // level's loop still needs its own set).
@@ -465,35 +386,6 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 	return false, chain // o itself never became on-path: I dominates o
 }
 
-// rebuildS recomputes the exact cut identified by the chosen outputs and
-// inputs: every vertex that reaches a chosen output along a path avoiding
-// the chosen inputs (theorems 2 and 3), as one word-parallel backward
-// frontier traversal. The search itself maintains S by journaled deltas
-// (growS/shrinkS); rebuildS is the reference semantics those deltas are
-// property-tested against, and ShrinkCut falls back to the same
-// from-scratch rebuild when an input push invalidates most of S.
-func (e *incEnum) rebuildS() {
-	e.tr.CutNodesInto(e.S, e.outs, e.Iuser)
-}
-
-// viable applies the §5.3 "pruning while building S" test, adapted to the
-// exact (non-monotone) maintenance of S: vertices leave S only when a new
-// input joins I, either because the vertex itself becomes the input or
-// because the input severs its last avoiding path. So with no input budget
-// left, a forbidden vertex (or implicitly forbidden root) inside S, or more
-// permanent outputs than Nout, is fatal; with budget remaining it merely
-// obligates at least one more input. (Stronger counting — one forced input
-// per offending vertex — would be unsound: a single well-placed input can
-// evict several vertices from S at once.)
-func (e *incEnum) viable(ninLeft int) bool {
-	if !e.opt.PruneWhileBuildingS {
-		return true
-	}
-	offending := e.S.Intersects(e.g.ForbiddenSet()) || e.S.Intersects(e.g.RootSet()) ||
-		e.S.IntersectionCount(e.permOut) > e.opt.MaxOutputs
-	return !offending || ninLeft > 0
-}
-
 // pickOutput implements PICK-OUTPUT: choose the next output o, grow S by
 // {o} ∪ B(I, o), then hand over to input selection (which also covers the
 // "I already dominates o" branch of figure 3).
@@ -585,50 +477,6 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 	}
 	e.ranges = e.ranges[:ri]
 	e.popRangeSegs(ri)
-}
-
-// quickOffending reports whether growing S for output o is certain to
-// produce a cut containing a root or forbidden vertex: an entry vertex of
-// o's cone outside S that reaches no chosen input (uncAll: the inputs and
-// their ancestor cones) cannot be severed — any path of its to o stays in
-// the cone, and an input on it would be one of its descendants, putting it
-// in uncAll — so it must join B(I, o). One fused word-parallel scan; when
-// it fires, the viable() rejection the grow kernel's work would have fed is
-// taken for free. (o itself needs no test: admissibleOutput already
-// excluded forbidden and root candidates.)
-func (e *incEnum) quickOffending(o int, uncAll *bitset.Set) bool {
-	cw := e.g.ReachTo(o).Words()
-	ew := e.g.EntrySet().Words()
-	sw := e.S.Words()
-	uw := uncAll.Words()
-	for i, c := range cw {
-		if c&ew[i]&^sw[i]&^uw[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// admissibleOutput filters output candidates: not forbidden, not a root,
-// not already in the cut or chosen, and not related by ancestry or
-// postdominance to a chosen output.
-func (e *incEnum) admissibleOutput(o int) bool {
-	if e.g.IsForbidden(o) || e.S.Has(o) || e.outSet.Has(o) || e.Iuser.Has(o) {
-		return false
-	}
-	for _, prev := range e.outs {
-		// Ancestors of chosen outputs end up inside the cut, so they never
-		// need to be chosen (§5.3, output–output pruning). The topological
-		// ordering already guarantees this when the pruning is on; check
-		// explicitly for the unpruned configuration.
-		if e.g.Reaches(o, prev) {
-			return false
-		}
-		if e.pdt.Dominates(prev, o) || e.pdt.Dominates(o, prev) {
-			return false
-		}
-	}
-	return true
 }
 
 // reachableFromInput reports whether some chosen input reaches o.
@@ -900,16 +748,6 @@ func (e *incEnum) pruneSeed(i, o int) bool {
 		return true
 	}
 	return false
-}
-
-func (e *incEnum) pushInput(w int) {
-	e.Iuser.Add(w)
-	e.Ilist = append(e.Ilist, w)
-}
-
-func (e *incEnum) popInput(w int) {
-	e.Iuser.Remove(w)
-	e.Ilist = e.Ilist[:len(e.Ilist)-1]
 }
 
 // checkStop aborts the search when the external stop flag is raised or a
