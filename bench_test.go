@@ -114,7 +114,9 @@ func BenchmarkTreeWorstCase(b *testing.B) {
 // n=140 gap-regression instance, a 160-node MiBench-like block (seed 2),
 // the depth-6 figure 4 tree and the 4-stage butterfly. `make profile`
 // runs it under the CPU profiler, so re-profiling the deep search is one
-// command.
+// command. Next to the time it reports the last-level ledger of one
+// enumeration: its analyses (lt_runs/op), the last-level tables built
+// (tables/op) and the children served or decided from them (lookups/op).
 func BenchmarkDeepBlocks(b *testing.B) {
 	gap := workload.GapRegressionInstances()[0]
 	if gap.Name != "mibench-n140-seed5" {
@@ -133,13 +135,17 @@ func BenchmarkDeepBlocks(b *testing.B) {
 	for _, blk := range blocks {
 		b.Run(blk.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var st polyise.Stats
 			for i := 0; i < b.N; i++ {
 				n := 0
-				polyise.Enumerate(blk.g, opts(), func(polyise.Cut) bool { n++; return true })
+				st = polyise.Enumerate(blk.g, opts(), func(polyise.Cut) bool { n++; return true })
 				if n != blk.cuts {
 					b.Fatalf("%d cuts, want %d", n, blk.cuts)
 				}
 			}
+			b.ReportMetric(float64(st.LTRuns), "lt_runs/op")
+			b.ReportMetric(float64(st.LastLevelTables), "tables/op")
+			b.ReportMetric(float64(st.LastLevelLookups), "lookups/op")
 		})
 	}
 }

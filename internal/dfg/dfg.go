@@ -87,7 +87,7 @@ type Graph struct {
 type closureRows struct {
 	reachFrom []*bitset.Set // reachFrom[v]: u such that v→…→u, v excluded
 	reachTo   []*bitset.Set // reachTo[w]: u such that u→…→w, w excluded
-	ffReach   []*bitset.Set // like reachFrom, but paths may not cross F
+	ffReachTo []*bitset.Set // like reachTo, but path interiors avoid F
 	forbPred  []*bitset.Set // forbidden predecessors of each node
 }
 
@@ -311,16 +311,16 @@ func (g *Graph) buildClosures() {
 		}
 	}
 
-	// Forbidden-free reachability: paths whose interior avoids F. A path may
-	// START at a forbidden vertex (forbidden vertices can feed a cut as
-	// inputs), so propagation stops at forbidden vertices but still records
-	// them as directly reachable.
-	c.ffReach = bitset.NewRows(n, n)
-	for v := n - 1; v >= 0; v-- {
-		for _, s := range g.succs[v] {
-			c.ffReach[v].Add(s)
-			if !g.forb.Has(s) {
-				c.ffReach[v].Union(c.ffReach[s])
+	// Forbidden-free reachability, stored by target: paths whose interior
+	// avoids F. A path may START at a forbidden vertex (forbidden vertices
+	// can feed a cut as inputs), so every predecessor is recorded, but only
+	// a predecessor outside F passes on its own row.
+	c.ffReachTo = bitset.NewRows(n, n)
+	for w := 0; w < n; w++ {
+		for _, p := range g.preds[w] {
+			c.ffReachTo[w].Add(p)
+			if !g.forb.Has(p) {
+				c.ffReachTo[w].Union(c.ffReachTo[p])
 			}
 		}
 	}
@@ -498,5 +498,9 @@ func (g *Graph) ForbiddenPreds(v int) *bitset.Set { return g.closures().forbPred
 // output it dominates along such a path, because everything after the input
 // on its private path lies inside the cut (§5.3, output–input pruning).
 func (g *Graph) ReachesForbiddenFree(v, w int) bool {
-	return g.closures().ffReach[v].Has(w)
+	return g.closures().ffReachTo[w].Has(v)
 }
+
+// ForbiddenFreeReachTo returns the set of nodes v with ReachesForbiddenFree(v,
+// w); read-only.
+func (g *Graph) ForbiddenFreeReachTo(w int) *bitset.Set { return g.closures().ffReachTo[w] }

@@ -57,6 +57,48 @@ func PostdominatorTree(g *dfg.Graph) *Tree {
 	return s.Tree()
 }
 
+// PostdominanceRelation returns, for each vertex v of g, the vertices
+// related to v by postdominance in g's augmented graph: those v
+// postdominates and those that postdominate v (Solver.Related).
+func PostdominanceRelation(g *dfg.Graph) []*bitset.Set {
+	s := NewSolver(g)
+	s.Postdominators(nil)
+	return s.Related()
+}
+
+// Related returns, for each user vertex v, the user vertices related to v
+// in the tree of the last run: v's ancestors and descendants, and v itself
+// when reached. Row u has v exactly when Tree().Dominates(u, v) or
+// Tree().Dominates(v, u). The rows cost one union per tree edge in each
+// direction: every vertex follows its (post)dominator in pass order, so
+// the first pass hands each row its parent's ancestors and the second,
+// backward, folds each finished row into its parent's.
+func (s *Solver) Related() []*bitset.Set {
+	n := s.g.N()
+	at := func(i int) int { return i } // pass order: ascending ids forward
+	if int(s.root) != s.Source() {
+		at = func(i int) int { return n - 1 - i }
+	}
+	rows := bitset.NewRows(n, n)
+	for i := 0; i < n; i++ {
+		v := at(i)
+		if s.depth[v] < 0 {
+			continue
+		}
+		rows[v].Add(v)
+		if d := int(s.idom[v]); d < n {
+			rows[v].Union(rows[d])
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		v := at(i)
+		if d := int(s.idom[v]); d >= 0 && d < n {
+			rows[d].Union(rows[v])
+		}
+	}
+	return rows
+}
+
 // Source returns the id of the virtual source.
 func (s *Solver) Source() int { return s.g.N() }
 

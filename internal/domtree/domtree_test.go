@@ -289,8 +289,8 @@ func randDFG(r *rand.Rand, n int) *dfg.Graph {
 }
 
 // TestQuickAgainstBruteForce checks every Dominates(a, v) of both passes,
-// virtual vertices included, against path enumeration on the explicit
-// augmented graph, with random blocked sets.
+// virtual vertices included, and every Related row against path
+// enumeration on the explicit augmented graph, with random blocked sets.
 func TestQuickAgainstBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -313,6 +313,7 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 				s.Dominators(blocked)
 			}
 			tr := s.Tree()
+			rel := s.Related()
 			succs := augmented(g, reverse)
 			for a := 0; a < n+2; a++ {
 				for v := 0; v < n+2; v++ {
@@ -321,6 +322,14 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 						t.Logf("seed=%d n=%d reverse=%v a=%d v=%d want=%v got=%v/%v",
 							seed, n, reverse, a, v, want, tr.Dominates(a, v), chainDominates(s, a, v))
 						return false
+					}
+					if a < n && v < n {
+						related := want || bruteDominates(root, succs, blocked, v, a)
+						if rel[v].Has(a) != related {
+							t.Logf("seed=%d n=%d reverse=%v: Related row %d has %d = %v, want %v",
+								seed, n, reverse, v, a, rel[v].Has(a), related)
+							return false
+						}
 					}
 				}
 			}

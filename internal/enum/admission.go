@@ -60,9 +60,56 @@ func (e *incEnum) admissibleOutput(o int) bool {
 		if e.g.Reaches(o, prev) {
 			return false
 		}
-		if e.pdt.Dominates(prev, o) || e.pdt.Dominates(o, prev) {
+		if e.pdRel[prev].Has(o) {
 			return false
 		}
 	}
 	return true
+}
+
+// inputRejectsInto sets m to the completions of output o that the §5.3
+// output–input pruning rejects, for one lookup per candidate; empty when
+// the pruning is off. An input's private path to the output lies inside
+// the cut after the input, so a forbidden-free path to o must exist: the
+// base is the complement of o's forbidden-free ancestor row. Every
+// forbidden direct predecessor of o must be an input too (it can neither
+// join the cut nor be severed from o), so with Nin of them only they
+// remain admissible, and with more than Nin none is. With
+// PruneForbiddenAncestors the ancestors of o's forbidden ancestors go too.
+func (e *incEnum) inputRejectsInto(m *bitset.Set, o int) {
+	if !e.opt.PruneOutputInput {
+		m.Clear()
+		return
+	}
+	fp := e.g.ForbiddenPreds(o)
+	switch c := fp.Count(); {
+	case c > e.opt.MaxInputs:
+		m.Clear()
+		m.ComplementOf(m)
+	case c == e.opt.MaxInputs:
+		m.ComplementOf(fp) // fp ⊆ preds(o): each has a forbidden-free path
+	default:
+		m.ComplementOf(e.g.ForbiddenFreeReachTo(o))
+	}
+	if e.opt.PruneForbiddenAncestors {
+		m.Union(e.badIn[o])
+	}
+}
+
+// seedRejectsInto sets m to the seeds of output o's seed loop that the
+// §5.3 prunings reject, for one lookup per candidate: the completions
+// inRej rejects (inputRejectsInto), the forbidden-ancestor exclusion when
+// that stands alone, and, for the input–input pruning, every vertex
+// related by postdominance to a chosen input — two such inputs can never
+// coexist in a valid cut under the technical condition.
+func (e *incEnum) seedRejectsInto(m *bitset.Set, o int, inRej *bitset.Set) {
+	m.Copy(inRej)
+	if e.opt.PruneForbiddenAncestors && !e.opt.PruneOutputInput {
+		m.Union(e.badIn[o])
+	}
+	if e.opt.PruneInputInput {
+		for _, v := range e.Ilist {
+			m.Union(e.pdRel[v])
+		}
+	}
 }

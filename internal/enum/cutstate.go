@@ -12,10 +12,7 @@ import "polyise/internal/bitset"
 // (input push) the maintained cut S, so the pop is a single word-parallel
 // Subtract/Union instead of a snapshot restore or a from-scratch rebuild.
 func (e *incEnum) journalBuf(d int) *bitset.Set {
-	for len(e.journal) <= d {
-		e.journal = append(e.journal, bitset.New(e.g.N()))
-	}
-	return e.journal[d]
+	return e.bufAt(&e.journal, d)
 }
 
 // growS pushes the most recently chosen output onto the maintained cut:

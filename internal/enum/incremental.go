@@ -101,7 +101,7 @@ func EnumerateContext(ctx context.Context, g *dfg.Graph, opt Options, visit func
 type enumShared struct {
 	g       *dfg.Graph
 	opt     Options
-	pdt     *domtree.Tree
+	pdRel   []*bitset.Set // per vertex: the vertices related to it by postdominance
 	entries []int         // roots ∪ user-forbidden: virtual-source successors
 	permOut *bitset.Set   // vertices that can never stop being outputs once in S
 	badIn   []*bitset.Set // per-output forbidden-ancestor exclusions (PruneForbiddenAncestors)
@@ -109,7 +109,7 @@ type enumShared struct {
 
 func newEnumShared(g *dfg.Graph, opt Options) *enumShared {
 	sh := &enumShared{g: g, opt: opt}
-	sh.pdt = domtree.PostdominatorTree(g)
+	sh.pdRel = domtree.PostdominanceRelation(g)
 
 	// Entry points of the augmented graph: the virtual source precedes
 	// every root and every forbidden vertex (§3). Precomputed by Freeze.
@@ -175,7 +175,7 @@ func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum
 		g:       sh.g,
 		opt:     sh.opt,
 		visit:   visit,
-		pdt:     sh.pdt,
+		pdRel:   sh.pdRel,
 		entries: sh.entries,
 		permOut: sh.permOut,
 		badIn:   sh.badIn,
@@ -193,7 +193,6 @@ type incEnum struct {
 	g     *dfg.Graph
 	opt   Options
 	visit func(Cut) bool
-	pdt   *domtree.Tree
 	dval  *DeltaValidator // incremental validation engine, worker-owned
 	tr    *dfg.Traverser  // word-parallel traversal kernels, worker-owned
 	stats Stats
@@ -206,21 +205,24 @@ type incEnum struct {
 	outSet *bitset.Set
 
 	entries []int         // roots ∪ user-forbidden: virtual-source successors
+	pdRel   []*bitset.Set // shared: per-vertex postdominance relation rows
 	permOut *bitset.Set   // shared: vertices that are outputs forever once in S
 	badIn   []*bitset.Set // shared: per-output forbidden-ancestor exclusions (§5.3, approximate)
 
-	journal []*bitset.Set // per-depth undo journal: the delta each push applied to S
-	paths   []*bitset.Set // per-depth on-path sets
-	backs   []*bitset.Set // per-depth reaches-o sets
-	uncs    []*bitset.Set // per-depth input-ancestor sets for the quick-offending reject
-	chains  [][]int       // per-depth dominator-chain buffers
-	pending int           // the last Ilist entries are seeds not yet applied to S
-	shrinks int           // shrinkS calls, the cut-shrink work a test pins
-	last    lastLevel     // the live two-inputs-left seed loop's chains (lastlevel.go)
-	seed1   [1]int        // scratch: single-seed kernel calls
-	fs      *flowScratch
-	stopped bool
-	stop    Stopper // shared cancel/deadline poll primitive (stop.go)
+	journal  []*bitset.Set // per-depth undo journal: the delta each push applied to S
+	paths    []*bitset.Set // per-depth on-path sets
+	backs    []*bitset.Set // per-depth reaches-o sets
+	uncs     []*bitset.Set // per-depth input-ancestor sets for the quick-offending reject
+	chains   [][]int       // per-depth dominator-chain buffers
+	inRejs   []*bitset.Set // per chosen output: the completions §5.3 rejects for it
+	seedRejs []*bitset.Set // per-depth: the seeds §5.3 rejects in the seed loop
+	pending  int           // the last Ilist entries are seeds not yet applied to S
+	shrinks  int           // shrinkS calls, the cut-shrink work a test pins
+	last     lastLevel     // the live two-inputs-left seed loop's chains (lastlevel.go)
+	seed1    [1]int        // scratch: single-seed kernel calls
+	fs       *flowScratch
+	stopped  bool
+	stop     Stopper // shared cancel/deadline poll primitive (stop.go)
 
 	// Work-stealing state, nil/empty in serial runs (see parallel.go for
 	// the protocol). curSeg is the merge segment the worker currently emits
@@ -241,30 +243,14 @@ type incEnum struct {
 	topPos int
 }
 
-// uncBuf returns the quick-offending scratch buffer for recursion depth d
-// (depth-indexed because deeper pickOutput levels run while an outer
-// level's loop still needs its own set).
-func (e *incEnum) uncBuf(d int) *bitset.Set {
-	for len(e.uncs) <= d {
-		e.uncs = append(e.uncs, bitset.New(e.g.N()))
+// bufAt returns the scratch set at index d of a per-depth (or per-output)
+// family, growing the family as needed. Indexed because deeper recursion
+// levels run while an outer level still needs its own set.
+func (e *incEnum) bufAt(bufs *[]*bitset.Set, d int) *bitset.Set {
+	for len(*bufs) <= d {
+		*bufs = append(*bufs, bitset.New(e.g.N()))
 	}
-	return e.uncs[d]
-}
-
-// pathBuf returns the on-path buffer for recursion depth d.
-func (e *incEnum) pathBuf(d int) *bitset.Set {
-	for len(e.paths) <= d {
-		e.paths = append(e.paths, bitset.New(e.g.N()))
-	}
-	return e.paths[d]
-}
-
-// backBuf returns the reaches-o buffer for recursion depth d.
-func (e *incEnum) backBuf(d int) *bitset.Set {
-	for len(e.backs) <= d {
-		e.backs = append(e.backs, bitset.New(e.g.N()))
-	}
-	return e.backs[d]
+	return (*bufs)[d]
 }
 
 // chainBuf returns the (emptied) dominator-chain buffer for recursion depth
@@ -319,13 +305,7 @@ func (e *incEnum) chainBuf(d int) []int {
 // the reachability verdict and back; o is source-reachable avoiding I
 // exactly when an entry survives in back, so the sweep — and onPath
 // entirely — is skipped for one word-parallel intersection test.
-//
-// When tree is non-nil (a seed level with two inputs left; chain must then
-// start empty) the sweep also records the forward dominator tree of the
-// region into the last-level table (lastlevel.go): the on-path test
-// becomes the fold of the on-path predecessors' LCA, which is empty
-// exactly when none exists.
-func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn int, chain []int, needChain bool, tree *lastLevel) (bool, []int) {
+func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn int, chain []int, needChain bool) (bool, []int) {
 	g := e.g
 
 	if pBack != nil {
@@ -346,37 +326,24 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 	bw := back.Words()
 	opw := onPath.Words()
 	runMax := dfg.HighestMaskedBit(g.EntrySet().Words(), bw)
-	if tree != nil {
-		tree.begin(g.N(), runMax)
-	}
 	for wi, w := range bw {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			v := wi<<6 + b
 			w &= w - 1
-			idom := int32(-1) // an entry hangs off the virtual source
 			if opw[wi]&(1<<uint(b)) == 0 {
-				if tree == nil {
-					if !g.PredsIntersect(v, onPath) {
-						continue // on no surviving source path
-					}
-				} else if idom = tree.predLCA(g.PredRow(v), opw); idom == noVertex {
-					continue
+				if !g.PredsIntersect(v, onPath) {
+					continue // on no surviving source path
 				}
 				opw[wi] |= 1 << uint(b)
 			}
 			if v == o {
 				return true, chain
 			}
-			below := len(chain)
 			if runMax <= v {
 				chain = append(chain, v)
 			}
-			if tree != nil {
-				p := dfg.HighestMaskedBit(g.SuccRow(v), bw)
-				tree.add(v, idom, p, below)
-				runMax = max(runMax, p)
-			} else if g.MaxSucc(v) > runMax {
+			if g.MaxSucc(v) > runMax {
 				if p := dfg.HighestMaskedBit(g.SuccRow(v), bw); p > runMax {
 					runMax = p
 				}
@@ -428,7 +395,7 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 	quickRej := e.opt.PruneWhileBuildingS && ninLeft <= 0
 	var uncAll *bitset.Set
 	if quickRej {
-		uncAll = e.uncBuf(depth)
+		uncAll = e.bufAt(&e.uncs, depth)
 		uncAll.Clear()
 		for _, i := range e.Ilist {
 			uncAll.UnionWords(e.g.ReachTo(i).Words())
@@ -526,27 +493,27 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 	if pBack != nil {
 		lastIn = e.Ilist[len(e.Ilist)-1]
 	}
-	onPath := e.pathBuf(depth)
-	back := e.backBuf(depth)
-	// A seed level with two inputs left records its dominator tree in the
-	// last-level table (lastlevel.go), which then serves its children: a
-	// child with one input left below a seed loop needs no analysis.
-	var tree *lastLevel
-	if ninLeft == 2 {
-		tree = &e.last
-	}
+	onPath := e.bufAt(&e.paths, depth)
+	back := e.bufAt(&e.backs, depth)
+	// A child with one input left below a seed loop reaches here only when
+	// the parent could not decide it alone (lastLevel.classify): lastIn is
+	// not on the parent's chain, so o stays reachable, and the last-level
+	// table serves the chain. It needs no frontier either, because the
+	// seed-alive check cannot fail: seeds are pushed in descending id
+	// order, so every other seed of the phase lies above lastIn and keeps
+	// its paths to o, and lastIn, on a surviving path, keeps one through a
+	// successor.
 	served := pBack != nil && ninLeft == 1
-	var reachable bool
+	reachable := true
 	var chain []int
 	if served {
-		// No frontier either, because the seed-alive check cannot fail
-		// here: seeds are pushed in descending id order, so every other
-		// seed of the phase lies above lastIn and keeps its paths to o,
-		// and lastIn, on a surviving path, keeps one through a successor.
-		reachable = !e.last.onChain(lastIn)
+		if !e.last.built {
+			e.stats.LastLevelTables++
+		}
+		e.stats.LastLevelLookups++
+		chain = e.last.chainFor(lastIn, e.chainBuf(depth))
 	} else {
-		reachable, chain = e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth), ninLeft > 0, tree)
-		e.chains[depth] = chain // keep any capacity growth for reuse
+		reachable, chain = e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth), ninLeft > 0)
 		for _, v := range e.Ilist[phaseStart:] {
 			// Alive ⟺ some successor of v still reaches o avoiding I; o
 			// itself is a member of back, so one row intersection answers
@@ -557,6 +524,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 			}
 		}
 	}
+	e.chains[depth] = chain // keep any capacity growth for reuse
 	if !reachable {
 		// I dominates o already (the PICK-OUTPUT "if I dominates o" branch).
 		// After a seed push the same input set is derived again with its
@@ -571,13 +539,9 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 	if ninLeft <= 0 {
 		return false
 	}
-	if served {
-		if !e.last.built {
-			e.stats.LastLevelTables++
-		}
-		e.stats.LastLevelLookups++
-		chain = e.last.chainFor(lastIn, e.chainBuf(depth))
-		e.chains[depth] = chain
+	inRej := e.bufAt(&e.inRejs, len(e.outs)-1)
+	if pBack == nil {
+		e.inputRejectsInto(inRej, o)
 	}
 
 	found := false
@@ -596,7 +560,8 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		if e.outSet.Has(u) {
 			continue // a chosen output cannot double as an input
 		}
-		if e.pruneInput(u, o) {
+		if inRej.Has(u) {
+			e.stats.SeedsPruned++
 			continue
 		}
 		found = true
@@ -642,8 +607,10 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		// Iterating the onPath members directly skips the off-path mass for
 		// free; the historical index of seed i in that walk is N-1-i, which
 		// is what the recursion's seedStart carries forward.
+		rej := e.bufAt(&e.seedRejs, depth)
+		e.seedRejectsInto(rej, o, inRej)
 		if ninLeft == 2 {
-			e.last.arm(chain)
+			e.last.arm(e.g, onPath, back, chain)
 		}
 		lastValid := -1
 		maxID := e.g.N() - 1 - seedStart
@@ -675,8 +642,25 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 						continue // replacements come from the seed's ancestors
 					}
 				}
-				if e.pruneSeed(i, o) {
+				if rej.Has(i) {
+					e.stats.SeedsPruned++
 					continue
+				}
+				if ninLeft == 2 {
+					// The child's analysis, where the parent can decide it
+					// in O(1) (lastLevel.classify): the child's one LTRuns,
+					// no push and no call.
+					switch e.last.classify(i) {
+					case childDominated:
+						// Blocking i cuts o off: the child only reports it.
+						e.stats.LTRuns++
+						found, lastValid = true, i
+						continue
+					case childEmpty:
+						e.stats.LTRuns++
+						e.stats.LastLevelLookups++
+						continue
+					}
 				}
 				// No viable() guard: ninLeft-1 ≥ 1 inputs stay, so it holds.
 				e.pushSeed(i)
@@ -690,64 +674,6 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		}
 	}
 	return found
-}
-
-// pruneInput applies the §5.3 output–input prunings to a completion
-// candidate u for output o.
-func (e *incEnum) pruneInput(u, o int) bool {
-	if !e.opt.PruneOutputInput {
-		return false
-	}
-	// An input's private path to the output lies inside the cut after the
-	// input, so a forbidden-free u→o path must exist.
-	if !e.g.ReachesForbiddenFree(u, o) {
-		e.stats.SeedsPruned++
-		return true
-	}
-	if e.forcedInputsWith(u, o) > e.opt.MaxInputs {
-		e.stats.SeedsPruned++
-		return true
-	}
-	if e.opt.PruneForbiddenAncestors && e.badIn[o].Has(u) {
-		e.stats.SeedsPruned++
-		return true
-	}
-	return false
-}
-
-// forcedInputsWith lower-bounds |I(S)| for any cut that has v among its
-// inputs and o among its outputs: every forbidden direct predecessor of o
-// must be an input (it can neither join the cut nor be severed from o).
-func (e *incEnum) forcedInputsWith(v, o int) int {
-	fp := e.g.ForbiddenPreds(o)
-	n := fp.Count()
-	if !fp.Has(v) {
-		n++
-	}
-	return n
-}
-
-// pruneSeed applies the §5.3 input–input prunings and pruneInput's to a
-// seed candidate i for output o.
-func (e *incEnum) pruneSeed(i, o int) bool {
-	if e.opt.PruneInputInput {
-		// Two inputs related by postdominance can never coexist in a valid
-		// cut under the technical condition (§5.3, input–input pruning).
-		for _, v := range e.Ilist {
-			if e.pdt.Dominates(i, v) || e.pdt.Dominates(v, i) {
-				e.stats.SeedsPruned++
-				return true
-			}
-		}
-	}
-	if e.opt.PruneOutputInput {
-		return e.pruneInput(i, o)
-	}
-	if e.opt.PruneForbiddenAncestors && e.badIn[o].Has(i) {
-		e.stats.SeedsPruned++
-		return true
-	}
-	return false
 }
 
 // checkStop aborts the search when the external stop flag is raised or a

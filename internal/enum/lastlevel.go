@@ -2,10 +2,13 @@ package enum
 
 import (
 	"math/bits"
+
+	"polyise/internal/bitset"
+	"polyise/internal/dfg"
 )
 
-// lastLevel batches the dominator analyses of the last input level. A seed
-// level with two inputs left pushes one seed s at a time and recurses into a
+// lastLevel resolves the last input level inside its parent. A seed level
+// with two inputs left pushes one seed s at a time and would recurse into a
 // child with one input left, whose only uses of its analysis are the
 // reachability verdict and the chain of reduced-graph dominators of o once
 // s is blocked as well (pickInputs shows why its seed-alive check cannot
@@ -15,15 +18,20 @@ import (
 // vertices v with {s, v} a separating pair of o in H. The child reads
 // only the dominators below s, and the separation rule (docs/ALGORITHM.md
 // §5, "Batched last input level") reads their partners off H's forward
-// dominator tree as one tree path. So one table per parent replaces a
-// frontier derivation and a region sweep per child, and a child's lookup
-// costs the size of its answer.
+// dominator tree as one tree path.
 //
-// The parent's own sweep (analyzePaths) records the tree as it walks H;
-// arm hands the table the finished chain when the seed loop starts, and
-// the L values are derived on the first child that needs them, so a parent
-// whose children all die before their analysis pays for no more than the
-// tree.
+// Most children are decided in O(1) by classify, before any push: a seed
+// on D leaves o unreachable, and a seed below the highest entry of H has
+// nothing below it to complete with (no dominator of o lies below an entry
+// of H, whose virtual-source edge jumps over every vertex under it). Only
+// the rest are served, by chainFor, from a table built on the first such
+// child: build ranks H, folds its dominator tree and derives one L value
+// per rank. A parent whose children all resolve in O(1) builds nothing.
+//
+// arm hands the table the parent's finished analysis when the seed loop
+// starts: its on-path set, reaches-o set and chain, all held in the
+// parent's depth buffers, which no child touches — a served child runs no
+// analysis, and its completions' cut checks recurse deeper.
 //
 // The table is worker-owned, and one suffices: every descendant of a
 // two-inputs-left seed loop has at most one input left, so two such loops
@@ -33,10 +41,13 @@ import (
 // Vertices are handled by rank, their position in H in ascending id order.
 // Ids are topological, so a tree parent always has the smaller rank.
 type lastLevel struct {
-	chain []int // D: the armed parent's dominator chain, ascending
-	built bool  // the L values of the armed parent are derived
-	top   int   // highest entry of H: the virtual source's farthest edge
-	h     int32 // number of ranks: the vertices of H below o
+	g      *dfg.Graph
+	onPath *bitset.Set // H and o: the armed parent's surviving-path vertices
+	back   *bitset.Set // the armed parent's vertices reaching o
+	chain  []int       // D: the armed parent's dominator chain, ascending
+	next   int         // chain[:next]: the members not above the last classified seed
+	top    int         // highest entry of H: the virtual source's farthest edge
+	built  bool        // the tree and L values of the armed parent are derived
 
 	rank []int32 // vertex → rank
 
@@ -44,47 +55,49 @@ type lastLevel struct {
 	verts []int32 // rank → vertex
 	idom  []int32 // immediate dominator; -1 is the virtual source
 	reach []int32 // highest successor inside H, as a vertex
-	seg   []int32 // number of chain vertices below the vertex
 	lca   []int32 // L: LCA of the tails of the H-edges jumping over the vertex; -1 if none or the virtual source
 	open  []int32 // scratch: the tails whose edges still jump ahead; at most one per rank
 }
 
+// The verdicts of classify on a child of the armed parent.
+const (
+	childServed    = iota // the child needs its chain: chainFor serves it
+	childDominated        // the seed is on D: the inputs dominate o, no chain
+	childEmpty            // no dominator of o lies below the seed: empty chain
+)
+
 // noVertex is predLCA's verdict for a vertex with no on-path predecessor.
 const noVertex = -2
 
-// begin readies the table for a parent sweep over a graph of n vertices
-// whose chain buffer starts empty; top is the highest entry of the region.
-func (t *lastLevel) begin(n, top int) {
-	if len(t.rank) < n {
-		buf := make([]int32, n+6*(n+1))
-		t.rank, buf = buf[:n], buf[n:]
-		for _, p := range []*[]int32{&t.verts, &t.idom, &t.reach, &t.seg, &t.lca, &t.open} {
-			*p, buf = buf[:n+1], buf[n+1:]
-		}
+// arm makes an analysis of g the live parent once its seed loop starts:
+// onPath, back and chain are its buffers, which must stay intact until the
+// loop ends.
+func (t *lastLevel) arm(g *dfg.Graph, onPath, back *bitset.Set, chain []int) {
+	t.g, t.onPath, t.back, t.chain = g, onPath, back, chain
+	t.next, t.built = len(chain), false
+	t.top = dfg.HighestMaskedBit(g.EntrySet().Words(), back.Words())
+}
+
+// classify decides the child of seed s (an H vertex below o) without its
+// analysis where it can. Seeds must come in descending order after arm —
+// the seed loop's order — so the cursor over D only moves down.
+func (t *lastLevel) classify(s int) int {
+	for t.next > 0 && t.chain[t.next-1] > s {
+		t.next--
 	}
-	t.top, t.h = top, 0
-}
-
-// add records the sweep's next on-path vertex v below o: its immediate
-// dominator's rank, its highest successor inside H and the number of chain
-// vertices below it.
-func (t *lastLevel) add(v int, idom int32, reach, below int) {
-	h := t.h
-	t.rank[v] = h
-	t.verts[h], t.idom[h], t.reach[h], t.seg[h] = int32(v), idom, int32(reach), int32(below)
-	t.h++
-}
-
-// arm makes the recorded sweep the live parent once its seed loop starts;
-// chain is the sweep's dominator chain, for the output the sweep ended at.
-func (t *lastLevel) arm(chain []int) {
-	t.chain, t.built = chain, false
+	switch {
+	case t.next > 0 && t.chain[t.next-1] == s:
+		return childDominated
+	case s < t.top:
+		return childEmpty
+	}
+	return childServed
 }
 
 // predLCA folds the dominator-tree LCA over the predecessors of a vertex
-// whose row ∧ on-path words are given, settled in ascending order; it
-// stops early at the virtual source and returns noVertex when no
-// predecessor is on-path.
+// whose row ∧ on-path words are given, in ascending order; it stops early
+// at the virtual source and returns noVertex when no predecessor is
+// on-path.
 func (t *lastLevel) predLCA(row, onPath []uint64) int32 {
 	d := int32(noVertex)
 	for i, r := range row {
@@ -117,10 +130,44 @@ func (t *lastLevel) ancestor(a, b int32) int32 {
 	return a
 }
 
-// build derives L per rank.
-func (t *lastLevel) build() {
+// build ranks the vertices of H up to s, folds their forward dominator
+// tree and derives L per rank. The children come in descending seed order,
+// so the first served one, s, is the highest any of them reads.
+func (t *lastLevel) build(s int) {
 	t.built = true
-	h := t.h
+	g := t.g
+	if n := g.N(); len(t.rank) < n {
+		buf := make([]int32, n+5*(n+1))
+		t.rank, buf = buf[:n], buf[n:]
+		for _, p := range []*[]int32{&t.verts, &t.idom, &t.reach, &t.lca, &t.open} {
+			*p, buf = buf[:n+1], buf[n+1:]
+		}
+	}
+
+	// One ascending pass over H: every predecessor is ranked before its
+	// successors, so a vertex's immediate dominator is the LCA of its
+	// on-path predecessors, or the virtual source for an entry.
+	bw, opw, ew := t.back.Words(), t.onPath.Words(), g.EntrySet().Words()
+	h := int32(0)
+sweep:
+	for wi, w := range opw {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &= w - 1
+			v := wi<<6 + b
+			if v > s {
+				break sweep
+			}
+			idom := int32(-1)
+			if ew[wi]&(1<<uint(b)) == 0 {
+				idom = t.predLCA(g.PredRow(v), opw)
+			}
+			reach := dfg.HighestMaskedBit(g.SuccRow(v), bw)
+			t.rank[v] = h
+			t.verts[h], t.idom[h], t.reach[h] = int32(v), idom, int32(reach)
+			h++
+		}
+	}
 
 	// The virtual source jumps over every vertex below the highest entry,
 	// so only the ranks from that entry's on have an L: fold the tails
@@ -154,34 +201,27 @@ func (t *lastLevel) build() {
 	t.open = open
 }
 
-// onChain reports whether the seed s is on the armed chain D, that is,
-// whether blocking s leaves o unreachable.
-func (t *lastLevel) onChain(s int) bool {
-	k := t.seg[t.rank[s]]
-	return int(k) < len(t.chain) && t.chain[k] == s
-}
-
 // chainFor appends to dst, in ascending order, the reduced-graph
-// dominators of o below s once seed s (an H vertex outside D, below o) is
-// blocked too: the members of D below s and the lower partners of s. By
-// the separation rule, v < s is a partner exactly when v is an
-// ancestor-or-self of L(s). Partners lie strictly between the chain
-// vertices that bracket s — a chain vertex between the two would make the
-// lower one a dominator — so the lower partners are the tree path from
-// L(s) up to the chain vertex below s. The child's completion loop stops
-// at the first vertex above its last seed s, so the rest is never read.
+// dominators of o below s once seed s is blocked too; s must be the seed
+// of the last classify, with verdict childServed. They are the members of
+// D below s and the lower partners of s. By the separation rule, v < s is
+// a partner exactly when v is an ancestor-or-self of L(s). Partners lie
+// strictly between the chain vertices that bracket s — a chain vertex
+// between the two would make the lower one a dominator — so the lower
+// partners are the tree path from L(s) up to the chain vertex below s.
+// The child's completion loop stops at the first vertex above its last
+// seed s, so the rest is never read.
 func (t *lastLevel) chainFor(s int, dst []int) []int {
 	if !t.built {
-		t.build()
+		t.build(s)
 	}
-	r := t.rank[s]
-	k := int(t.seg[r])
+	k := t.next // classify left the cursor at the members below s
 	dst = append(dst, t.chain[:k]...)
 	mark, floor := len(dst), int32(-1) // floor: rank of the chain vertex below s
 	if k > 0 {
 		floor = t.rank[t.chain[k-1]]
 	}
-	for x := t.lca[r]; x > floor; x = t.idom[x] {
+	for x := t.lca[t.rank[s]]; x > floor; x = t.idom[x] {
 		dst = append(dst, int(t.verts[x]))
 	}
 	for i, j := mark, len(dst)-1; i < j; i, j = i+1, j-1 {

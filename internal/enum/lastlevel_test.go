@@ -82,16 +82,19 @@ func lastLevelCorpus() []namedGraph {
 	return out
 }
 
-// TestLastLevelChainsMatchSweep pins the batched last input level to the
-// analysis it replaces: for random parent states (output o, a blocked
-// input set), the table recorded by the parent's sweep and armed with its
-// chain must give, for every seed s on a surviving path, the reachability
-// verdict that analyzePaths computes for the child with s blocked, and
-// exactly the members below s of the child's dominator chain — the part
+// TestLastLevelChainsMatchSweep pins the last input level to the analysis
+// it replaces: for random parent states (output o, a blocked input set),
+// the table armed with the parent's sweep must, for every seed s on a
+// surviving path taken in the seed loop's descending order, classify the
+// child as the analysis of the child with s blocked does — dominated
+// exactly when that analysis finds o unreachable, empty only when its
+// chain has no member below s — and a served child's chainFor must give
+// exactly the members below s of the child's dominator chain, the part
 // the child's completion loop reads before it stops at the first vertex
 // above s. The child also skips the seed-alive check, which for s itself
 // rests on s keeping a successor that reaches o.
 func TestLastLevelChainsMatchSweep(t *testing.T) {
+	var verdicts [3]int
 	for _, blk := range lastLevelCorpus() {
 		t.Run(blk.name, func(t *testing.T) {
 			g := blk.g
@@ -113,35 +116,43 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 					e.Iuser.Add(anc[r.Intn(len(anc))])
 				}
 				var reach bool
-				reach, chain = e.analyzePaths(o, back, onPath, nil, -1, chain[:0], true, &e.last)
+				reach, chain = e.analyzePaths(o, back, onPath, nil, -1, chain[:0], true)
 				if !reach {
 					continue
 				}
-				e.last.arm(chain)
-				for s := 0; s < o; s++ {
+				e.last.arm(g, onPath, back, chain)
+				for s := o - 1; s >= 0; s-- {
 					if !onPath.Has(s) {
 						continue
 					}
 					e.Iuser.Add(s)
 					var wantReach bool
-					wantReach, full = e.analyzePaths(o, cBack, cOnPath, back, s, full[:0], true, nil)
+					wantReach, full = e.analyzePaths(o, cBack, cOnPath, back, s, full[:0], true)
 					e.Iuser.Remove(s)
-					if gotReach := !e.last.onChain(s); gotReach != wantReach {
-						t.Fatalf("o=%d I=%v s=%d: reachable %v, sweep %v", o, e.Iuser.Members(), s, gotReach, wantReach)
-					}
 					if !g.SuccsIntersect(s, cBack) {
 						t.Fatalf("o=%d I=%v s=%d: the seed lost every path to o", o, e.Iuser.Members(), s)
 					}
-					if !wantReach {
-						continue
-					}
-					children++
 					want = want[:0]
 					for _, v := range full {
 						if v < s {
 							want = append(want, v)
 						}
 					}
+					verdict := e.last.classify(s)
+					verdicts[verdict]++
+					if (verdict == childDominated) == wantReach {
+						t.Fatalf("o=%d I=%v s=%d: verdict %d, sweep reachable %v", o, e.Iuser.Members(), s, verdict, wantReach)
+					}
+					switch verdict {
+					case childDominated:
+						continue
+					case childEmpty:
+						if len(want) > 0 {
+							t.Fatalf("o=%d I=%v s=%d: verdict empty, sweep below s %v", o, e.Iuser.Members(), s, want)
+						}
+						continue
+					}
+					children++
 					got = e.last.chainFor(s, got[:0])
 					if !slices.Equal(got, want) {
 						t.Fatalf("o=%d I=%v s=%d: chainFor %v, sweep below s %v (sweep %v, parent chain %v)",
@@ -153,19 +164,26 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 				}
 			}
 			if children == 0 {
-				t.Fatal("no last-level child was compared")
+				t.Fatal("no served last-level child was compared")
 			}
-			t.Logf("%d children compared, %d with separating-pair partners", children, partnered)
+			t.Logf("%d served children compared, %d with separating-pair partners", children, partnered)
 		})
+	}
+	t.Logf("verdicts: %d served, %d dominated, %d empty", verdicts[childServed], verdicts[childDominated], verdicts[childEmpty])
+	for v, c := range verdicts {
+		if c == 0 {
+			t.Errorf("verdict %d never occurred across the corpus", v)
+		}
 	}
 }
 
-// TestLastLevelCounters pins the last-level ledger and the admission
-// counters on the n=140 gap instance. Tables built, chains served,
-// candidates and their Duplicates (non-canonical) / Invalid verdicts are
-// exact work counts, like LTRuns (which still counts every served chain):
-// each is a function of the search node that produced it, so a complete
-// parallel run must reproduce the serial values.
+// TestLastLevelCounters pins the last-level ledger, the pruning counters
+// and the admission counters on the n=140 gap instance. Tables built,
+// chains served, seeds pruned, outputs tried, candidates and their
+// Duplicates (non-canonical) / Invalid verdicts are exact work counts,
+// like LTRuns (which still counts every last-level child, decided in the
+// parent or served): each is a function of the search node that produced
+// it, so a complete parallel run must reproduce the serial values.
 func TestLastLevelCounters(t *testing.T) {
 	gi := workload.GapRegressionInstances()[0]
 	if gi.Name != "mibench-n140-seed5" {
@@ -174,7 +192,8 @@ func TestLastLevelCounters(t *testing.T) {
 	g := gi.Graph()
 	want := Stats{
 		Valid: gi.WantCuts, Candidates: 8570, Duplicates: 198, Invalid: 739,
-		LTRuns: 365475, LastLevelTables: 26646, LastLevelLookups: 328921,
+		LTRuns: 365475, SeedsPruned: 111942, OutputsTried: 16497,
+		LastLevelTables: 8989, LastLevelLookups: 328921,
 	}
 	for _, workers := range []int{1, 3} {
 		opt := DefaultOptions()
@@ -182,7 +201,8 @@ func TestLastLevelCounters(t *testing.T) {
 		st := Enumerate(g, opt, func(Cut) bool { return true })
 		got := Stats{
 			Valid: st.Valid, Candidates: st.Candidates, Duplicates: st.Duplicates, Invalid: st.Invalid,
-			LTRuns: st.LTRuns, LastLevelTables: st.LastLevelTables, LastLevelLookups: st.LastLevelLookups,
+			LTRuns: st.LTRuns, SeedsPruned: st.SeedsPruned, OutputsTried: st.OutputsTried,
+			LastLevelTables: st.LastLevelTables, LastLevelLookups: st.LastLevelLookups,
 		}
 		if got != want {
 			t.Fatalf("workers=%d: counters %+v, want %+v", workers, got, want)
