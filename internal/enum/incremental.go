@@ -483,11 +483,9 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 	if h := faultinject.OnPickInputs; h != nil {
 		h()
 	}
-	e.checkStop()
-	if e.stopped {
+	if !e.poll() {
 		return false
 	}
-	e.maybeSplit()
 	e.stats.LTRuns++
 	lastIn := -1
 	if pBack != nil {
@@ -647,18 +645,21 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 					continue
 				}
 				if ninLeft == 2 {
-					// The child's analysis, where the parent can decide it
-					// in O(1) (lastLevel.classify): the child's one LTRuns,
-					// no push and no call.
-					switch e.last.classify(i) {
-					case childDominated:
-						// Blocking i cuts o off: the child only reports it.
+					// The child, where the parent can decide it in O(1)
+					// (lastLevel.classify): its polls and its one LTRuns,
+					// but no push and no call.
+					if v := e.last.classify(i); v != childServed {
+						if !e.poll() {
+							return found
+						}
 						e.stats.LTRuns++
-						found, lastValid = true, i
-						continue
-					case childEmpty:
-						e.stats.LTRuns++
-						e.stats.LastLevelLookups++
+						if v == childDominated {
+							// Blocking i cuts o off: the child only
+							// reports it.
+							found, lastValid = true, i
+						} else {
+							e.stats.LastLevelLookups++
+						}
 						continue
 					}
 				}
@@ -674,6 +675,28 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		}
 	}
 	return found
+}
+
+// poll is the prologue of every search node — a PICK-INPUTS call, a
+// last-level child its parent decides, a CHECK-CUT — so stop latency and
+// steal responsiveness follow the search's steps: it polls the stop
+// sources (checkStop) and then a hungry peer (maybeSplit), and reports
+// whether the run goes on. A serial run without stop sources has nothing
+// to poll, and that check inlines.
+func (e *incEnum) poll() bool {
+	if e.ext == nil && e.steal == nil && e.stop.idle {
+		return !e.stopped
+	}
+	return e.pollSources()
+}
+
+func (e *incEnum) pollSources() bool {
+	e.checkStop()
+	if e.stopped {
+		return false
+	}
+	e.maybeSplit()
+	return true
 }
 
 // checkStop aborts the search when the external stop flag is raised or a
@@ -752,11 +775,9 @@ func (e *incEnum) checkCut(depth, o, ninLeft, noutLeft int) {
 	if h := faultinject.OnCheckCut; h != nil {
 		h()
 	}
-	e.checkStop()
-	if e.stopped {
+	if !e.poll() {
 		return
 	}
-	e.maybeSplit()
 	e.stats.Candidates++
 	realOuts := e.dval.NumOutputs()
 	if realOuts <= e.opt.MaxOutputs && !e.S.Empty() && !e.S.Intersects(e.g.ForbiddenSet()) {

@@ -267,15 +267,17 @@ type Stats struct {
 	Candidates   int // candidate cuts submitted to validation
 	Duplicates   int // candidates rejected as non-canonical derivations (EnumerateBasic: repeated vertex sets)
 	Invalid      int // candidates that failed validation
-	LTRuns       int // reduced-graph dominator analyses served: swept, or looked up in a last-level table
+	LTRuns       int // reduced-graph dominator analyses: swept, decided in a last-level parent, or served from its table
 	SeedsPruned  int // seed vertices skipped by §5.3 prunings
 	OutputsTried int // output choices explored
 	Steals       int // stolen interior ranges executed (0 in serial runs)
 
 	// LastLevelTables counts the last-level tables built: one per
-	// two-inputs-left seed loop with a child that needed a chain.
-	// LastLevelLookups counts the last-level analyses served from a table
-	// instead of a region sweep; each is also one LTRuns.
+	// two-inputs-left seed loop with a child its parent could not decide
+	// in O(1) (a seed on the parent's chain, or one below the region's
+	// highest entry). LastLevelLookups counts the one-input-left children
+	// given a chain without a region sweep: served from a table, or
+	// decided empty in the parent; each is also one LTRuns.
 	LastLevelTables  int
 	LastLevelLookups int
 

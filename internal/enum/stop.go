@@ -107,6 +107,7 @@ type Stopper struct {
 	done     <-chan struct{} // Context.Done(), nil when no context
 	ckpt     <-chan struct{} // Options.CheckpointStop, nil when unset
 	deadline time.Time
+	idle     bool // no source configured: Poll never stops the run
 	tick     uint32
 }
 
@@ -117,14 +118,15 @@ func NewStopper(opt Options) Stopper {
 	if opt.Context != nil {
 		s.done = opt.Context.Done()
 	}
+	s.idle = s.done == nil && s.ckpt == nil && s.deadline.IsZero()
 	return s
 }
 
 // Poll reports why the run must stop, or StopNone. Only every 4096th call
-// samples the clock and channels; with no source configured it is two
-// loads.
+// samples the clock and channels; with no source configured it is one
+// load.
 func (s *Stopper) Poll() StopReason {
-	if s.done == nil && s.ckpt == nil && s.deadline.IsZero() {
+	if s.idle {
 		return StopNone
 	}
 	s.tick++
