@@ -85,7 +85,7 @@ func (e *incEnum) inputRejectsInto(m *bitset.Set, o int) {
 	switch c := fp.Count(); {
 	case c > e.opt.MaxInputs:
 		m.Clear()
-		m.ComplementOf(m)
+		m.ComplementOf(m) // every vertex
 	case c == e.opt.MaxInputs:
 		m.ComplementOf(fp) // fp ⊆ preds(o): each has a forbidden-free path
 	default:
