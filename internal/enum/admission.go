@@ -2,8 +2,8 @@ package enum
 
 import "polyise/internal/bitset"
 
-// Admission: the §5.3 tests that reject an output or a cut state before
-// the search pays for it.
+// Admission: the §5.3 tests that reject an output, an input candidate or
+// a cut state before the search pays for it.
 
 // viable applies the §5.3 "pruning while building S" test, adapted to the
 // exact (non-monotone) maintenance of S: vertices leave S only when a new

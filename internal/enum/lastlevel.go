@@ -25,8 +25,9 @@ import (
 // nothing below it to complete with (no dominator of o lies below an entry
 // of H, whose virtual-source edge jumps over every vertex under it). Only
 // the rest are served, by chainFor, from a table built on the first such
-// child: build ranks H, folds its dominator tree and derives one L value
-// per rank. A parent whose children all resolve in O(1) builds nothing.
+// child: build ranks H up to that child's seed, folds its dominator tree
+// and derives one L value per rank. A parent whose children all resolve
+// in O(1) builds nothing.
 //
 // arm hands the table the parent's finished analysis when the seed loop
 // starts: its on-path set, reaches-o set and chain, all held in the
