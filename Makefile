@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check bench bench-json bench-json-quick bench-gate bench-scaling scenario-json profile perfbench fuzz ci
+.PHONY: build vet test test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check loc bench bench-json bench-json-quick bench-gate bench-scaling scenario-json profile perfbench fuzz ci
 
 build:
 	$(GO) build ./...
@@ -23,17 +23,18 @@ test: build vet
 # GOMAXPROCS 1 and 4, so steals and merge drains also interleave under a
 # preemptive multi-P schedule; DefaultOptions leaves Parallelism at 0 (one
 # worker per GOMAXPROCS), so -cpu 4 drives the root tests through the
-# sharded enumeration.
+# sharded enumeration. internal/dfg rides along for the closures a frozen
+# graph builds on first use under sync.Once (TestClosuresOnFirstUse).
 test-race:
-	$(GO) test -race -short -cpu 1,4 ./internal/parallel/ ./internal/enum/
+	$(GO) test -race -short -cpu 1,4 ./internal/parallel/ ./internal/enum/ ./internal/dfg/
 	$(GO) test -race -short ./internal/bench/
 	$(GO) test -race -cpu 1,4 .
 
 # Fail-safe certification: the deterministic fault-injection sweep
 # (internal/enum chaos_test.go, failure_test.go; internal/faultinject) under
-# the race detector. Every injected panic, delay, forced fallback, budget
-# hit and cancellation must end in a bit-identical serial prefix or a clean
-# typed error — the hard -timeout turns any hang into a failure instead of
+# the race detector. Every injected panic, delay, budget hit and
+# cancellation must end in a bit-identical serial prefix or a clean typed
+# error — the hard -timeout turns any hang into a failure instead of
 # a stuck CI job. The enum step runs at GOMAXPROCS 1 and 4, so the injected
 # faults also land under preemptive multi-P schedules.
 chaos:
@@ -104,6 +105,12 @@ coverage-floor:
 # paper-to-code map and the front page cannot silently rot.
 docs-check:
 	./scripts/check_docs_refs.sh docs/ALGORITHM.md README.md
+
+# Code size: non-blank, non-comment lines of the non-test Go files, per
+# package of the main module and in total (perfbench, a module of its own,
+# is not counted).
+loc:
+	./scripts/loc.sh
 
 # Paper-figure reproductions plus the serial-vs-parallel speedup pair
 # (BenchmarkParallelEnumerate, BenchmarkCorpusCuts).

@@ -15,13 +15,13 @@
 // a crash during a snapshot write leaves the previous snapshot intact.
 //
 // What is NOT in a snapshot is as deliberate as what is: the cut set S, the
-// choice stacks, the validator mirrors, the reaches frontiers and the
-// seed-loop state are all pure functions of the search position (rebuildS —
-// the invariant that makes work-stealing possible makes checkpointing
-// possible too) and are recomputed on resume by replaying the in-progress
-// top-level subtree and skipping its first TopDelivered cuts. Serial and
-// parallel runs write the same snapshot shape. See docs/ALGORITHM.md §12
-// for the resume-identity argument.
+// choice stacks, the reaches frontiers and the seed-loop state are all
+// pure functions of the search position (rebuildS — the invariant that
+// makes work-stealing possible makes checkpointing possible too) and are
+// recomputed on resume by replaying the in-progress top-level subtree and
+// skipping its first TopDelivered cuts. Serial and parallel runs write the
+// same snapshot shape. See docs/ALGORITHM.md §12 for the resume-identity
+// argument.
 package checkpoint
 
 import (

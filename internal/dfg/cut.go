@@ -127,21 +127,19 @@ func (g *Graph) IsConnectedCut(S *bitset.Set) bool {
 	ins := g.Inputs(S)
 	inSet := bitset.FromMembers(g.N(), ins...)
 	visited := bitset.New(g.N())
-	// inputsTo[k] = bitmask over ins of the inputs feeding outs[k].
-	inputsTo := make([]uint64, len(outs))
-	if len(ins) > 64 {
-		return false // cannot happen under any sane port constraint
-	}
+	// inputsTo[k] = the inputs feeding outs[k], as a set over vertex ids.
+	inputsTo := make([]*bitset.Set, len(outs))
 	for k, o := range outs {
-		for bi, i := range ins {
+		inputsTo[k] = bitset.New(g.N())
+		for _, i := range ins {
 			if g.inputFeeds(inSet, i, o, visited) {
-				inputsTo[k] |= 1 << uint(bi)
+				inputsTo[k].Add(i)
 			}
 		}
 	}
 	for a := 0; a < len(outs); a++ {
 		for b := a + 1; b < len(outs); b++ {
-			if inputsTo[a]&inputsTo[b] == 0 {
+			if !inputsTo[a].Intersects(inputsTo[b]) {
 				return false
 			}
 		}

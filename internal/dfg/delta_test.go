@@ -5,9 +5,7 @@ package dfg
 // inputs, the cut S maintained by GrowCut/ShrinkCut plus their undo
 // journals must stay identical to the from-scratch reference CutNodesInto
 // (package enum's rebuildS) after every single operation. Graph sizes cross
-// every closure stride class, and the ShrinkCut fallback threshold is
-// swept so both the confined incremental removal and the from-scratch
-// non-monotone fallback are exercised on the same sequences.
+// every closure stride class.
 
 import (
 	"math/rand"
@@ -92,7 +90,7 @@ func runDeltaSequence(t *testing.T, r *rand.Rand, g *Graph, steps int) bool {
 			}
 			removed := bitset.New(n)
 			inputs.Add(w)
-			tr.ShrinkCut(S, removed, w, outs, outSet, inputs)
+			tr.ShrinkCut(S, removed, outs, inputs)
 			stack = append(stack, deltaOp{isOutput: false, v: w, delta: removed})
 		}
 		if !checkAgainstRebuild(t, tr, S, outs, inputs, "after op") {
@@ -123,137 +121,77 @@ func runDeltaSequence(t *testing.T, r *rand.Rand, g *Graph, steps int) bool {
 }
 
 // TestDeltaCutMatchesRebuild pins the delta-maintained cut to the
-// from-scratch reference across random push/pop sequences, under both
-// ShrinkCut policies: the confined incremental removal (fallback disabled)
-// and the from-scratch fallback (forced), plus the production threshold.
+// from-scratch reference across random push/pop sequences.
 func TestDeltaCutMatchesRebuild(t *testing.T) {
-	savedNum, savedDen := shrinkFallbackNum, shrinkFallbackDen
-	defer func() { shrinkFallbackNum, shrinkFallbackDen = savedNum, savedDen }()
-
-	policies := []struct {
-		name     string
-		num, den int
-	}{
-		{"incremental-only", 1, 0}, // region*0 > |S|*1 never holds
-		{"fallback-always", 0, 1},  // region*1 > 0 holds for any non-empty region
-		{"production", savedNum, savedDen},
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randTraverseGraph(r, traverseSize(r)) // crosses stride 1–4 + generic
+		return runDeltaSequence(t, r, g, 40)
 	}
-	for _, pol := range policies {
-		t.Run(pol.name, func(t *testing.T) {
-			shrinkFallbackNum, shrinkFallbackDen = pol.num, pol.den
-			f := func(seed int64) bool {
-				r := rand.New(rand.NewSource(seed))
-				g := randTraverseGraph(r, traverseSize(r)) // crosses stride 1–4 + generic
-				return runDeltaSequence(t, r, g, 40)
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestGrowCutClipPolicies pins the clipped cone growth to the plain
-// backward traversal: the same randomized sequences must produce identical
-// cuts with the clip forced always-on (every blocked cone takes the
-// certain/uncertain split) and always-off (every blocked cone traverses),
-// mirroring the ShrinkCut policy sweep above.
-func TestGrowCutClipPolicies(t *testing.T) {
-	savedNum, savedDen := growFallbackNum, growFallbackDen
-	defer func() { growFallbackNum, growFallbackDen = savedNum, savedDen }()
-
-	policies := []struct {
-		name     string
-		num, den int
-	}{
-		{"clip-always", 1, 0},     // unc*0 > cn*1 never holds
-		{"traverse-always", 0, 1}, // unc*1 > 0 holds for any blocked cone
-	}
-	for _, pol := range policies {
-		t.Run(pol.name, func(t *testing.T) {
-			growFallbackNum, growFallbackDen = pol.num, pol.den
-			f := func(seed int64) bool {
-				r := rand.New(rand.NewSource(seed))
-				g := randTraverseGraph(r, traverseSize(r))
-				return runDeltaSequence(t, r, g, 40)
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Fatal(err)
-			}
-		})
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestShrinkReachMatchesReference pins ShrinkReachInto — the delta
 // derivation of a child analysis frontier — to the from-scratch confined
 // backward closure it replaces, across random graphs, outputs and
-// incrementally blocked vertices, under both fallback policies.
+// incrementally blocked vertices.
 func TestShrinkReachMatchesReference(t *testing.T) {
-	savedNum, savedDen := shrinkFallbackNum, shrinkFallbackDen
-	defer func() { shrinkFallbackNum, shrinkFallbackDen = savedNum, savedDen }()
-
-	run := func(t *testing.T) {
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
-			g := randTraverseGraph(r, traverseSize(r))
-			n := g.N()
-			tr := g.NewTraverser()
-			inputs := bitset.New(n)
-			parent := bitset.New(n)
-			child := bitset.New(n)
-			ref := bitset.New(n)
-			o := r.Intn(n)
-			// Parent frontier: everything reaching o (no inputs yet).
-			tr.ReachBackwardAvoiding(parent, []int{o}, inputs, nil)
-			// Block up to 4 frontier members one at a time, deriving each
-			// child from its parent and checking against the reference.
-			for round := 0; round < 4; round++ {
-				w := -1
-				for probe := 0; probe < 8; probe++ {
-					c := r.Intn(n)
-					if parent.Has(c) && c != o {
-						w = c
-						break
-					}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randTraverseGraph(r, traverseSize(r))
+		n := g.N()
+		tr := g.NewTraverser()
+		inputs := bitset.New(n)
+		parent := bitset.New(n)
+		child := bitset.New(n)
+		ref := bitset.New(n)
+		o := r.Intn(n)
+		// Parent frontier: everything reaching o (no inputs yet).
+		tr.ReachBackwardAvoiding(parent, []int{o}, inputs, nil)
+		// Block up to 4 frontier members one at a time, deriving each
+		// child from its parent and checking against the reference.
+		for round := 0; round < 4; round++ {
+			w := -1
+			for probe := 0; probe < 8; probe++ {
+				c := r.Intn(n)
+				if parent.Has(c) && c != o {
+					w = c
+					break
 				}
-				if w < 0 {
-					return true
-				}
-				inputs.Add(w)
-				tr.ShrinkReachInto(child, parent, o, w, inputs)
-				tr.ReachBackwardAvoiding(ref, []int{o}, inputs, parent)
-				if !child.Equal(ref) {
-					t.Logf("seed=%d o=%d w=%d: child %v != ref %v (parent %v)",
-						seed, o, w, child.Members(), ref.Members(), parent.Members())
-					return false
-				}
-				// The unconfined recomputation must agree too (the
-				// confinement argument of analyzePaths).
-				tr.ReachBackwardAvoiding(ref, []int{o}, inputs, nil)
-				if !child.Equal(ref) {
-					t.Logf("seed=%d o=%d w=%d: child %v != unconfined %v",
-						seed, o, w, child.Members(), ref.Members())
-					return false
-				}
-				parent.Copy(child)
 			}
-			return true
+			if w < 0 {
+				return true
+			}
+			inputs.Add(w)
+			tr.ShrinkReachInto(child, parent, o, w)
+			tr.ReachBackwardAvoiding(ref, []int{o}, inputs, parent)
+			if !child.Equal(ref) {
+				t.Logf("seed=%d o=%d w=%d: child %v != ref %v (parent %v)",
+					seed, o, w, child.Members(), ref.Members(), parent.Members())
+				return false
+			}
+			// The unconfined recomputation must agree too (the
+			// confinement argument of analyzePaths).
+			tr.ReachBackwardAvoiding(ref, []int{o}, inputs, nil)
+			if !child.Equal(ref) {
+				t.Logf("seed=%d o=%d w=%d: child %v != unconfined %v",
+					seed, o, w, child.Members(), ref.Members())
+				return false
+			}
+			parent.Copy(child)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-			t.Fatal(err)
-		}
+		return true
 	}
-
-	t.Run("production", run)
-	shrinkFallbackNum, shrinkFallbackDen = 1, 0 // never fall back
-	t.Run("incremental-only", run)
-	shrinkFallbackNum, shrinkFallbackDen = 0, 1 // always fall back
-	t.Run("fallback-always", run)
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestGrowCutConeFastPath forces the memoized-cone OR fast path (no input
-// inside the new output's ancestor cone) and the clipped-traversal slow
-// path on the same graph, checking both against the reference.
+// TestGrowCutConeFastPath drives the memoized-cone OR fast path (no input
+// inside the new output's ancestor cone) and the backward-closure path on
+// the same graph, checking both against the expected cut.
 func TestGrowCutConeFastPath(t *testing.T) {
 	// Chain a→b→c→d plus side root e feeding c: cone(d) = {a,b,c,e}.
 	g := New()

@@ -30,12 +30,10 @@ type Traverser struct {
 	next     *bitset.Set
 	allowed  *bitset.Set
 
-	// Scratch of the delta-maintenance kernels (delta.go).
-	region   *bitset.Set
-	rest     *bitset.Set
-	surv     *bitset.Set
-	scratchS *bitset.Set
-	seed1    [1]int
+	// Scratch of ShrinkReachInto (delta.go).
+	region *bitset.Set
+	rest   *bitset.Set
+	surv   *bitset.Set
 }
 
 // NewTraverser returns a Traverser over g. The graph must be frozen.
@@ -52,7 +50,6 @@ func (g *Graph) NewTraverser() *Traverser {
 		region:   bitset.New(n),
 		rest:     bitset.New(n),
 		surv:     bitset.New(n),
-		scratchS: bitset.New(n),
 	}
 }
 
@@ -253,91 +250,6 @@ func (t *Traverser) closureGeneric(dst *bitset.Set, rowBits []uint64, allowed *b
 		}
 		fr, nx = nx, fr
 	}
-}
-
-// unionRows ORs into dst the adjacency rows of every member of src — the
-// bulk primitive of the delta kernels (parent frontiers, aggregate
-// maintenance). Like closure, graphs of at most 256 vertices dispatch to
-// register-resident specializations; the scalar UnionWords loop per member
-// costs roughly twice as much per row.
-func (t *Traverser) unionRows(dst *bitset.Set, rowBits []uint64, src *bitset.Set) {
-	switch t.g.stride {
-	case 1:
-		dw := dst.Words()
-		d := dw[0]
-		for w := src.Words()[0]; w != 0; w &= w - 1 {
-			d |= rowBits[bits.TrailingZeros64(w)]
-		}
-		dw[0] = d
-		return
-	case 2:
-		dw := dst.Words()
-		d0, d1 := dw[0], dw[1]
-		for wi, f := range [2]uint64{src.Words()[0], src.Words()[1]} {
-			base := wi << 6
-			for w := f; w != 0; w &= w - 1 {
-				v := base + bits.TrailingZeros64(w)
-				d0 |= rowBits[2*v]
-				d1 |= rowBits[2*v+1]
-			}
-		}
-		dw[0], dw[1] = d0, d1
-		return
-	case 3:
-		sw := src.Words()
-		dw := dst.Words()
-		d0, d1, d2 := dw[0], dw[1], dw[2]
-		for wi, f := range [3]uint64{sw[0], sw[1], sw[2]} {
-			base := wi << 6
-			for w := f; w != 0; w &= w - 1 {
-				v := base + bits.TrailingZeros64(w)
-				d0 |= rowBits[3*v]
-				d1 |= rowBits[3*v+1]
-				d2 |= rowBits[3*v+2]
-			}
-		}
-		dw[0], dw[1], dw[2] = d0, d1, d2
-		return
-	case 4:
-		sw := src.Words()
-		dw := dst.Words()
-		d0, d1, d2, d3 := dw[0], dw[1], dw[2], dw[3]
-		for wi, f := range [4]uint64{sw[0], sw[1], sw[2], sw[3]} {
-			base := wi << 6
-			for w := f; w != 0; w &= w - 1 {
-				v := base + bits.TrailingZeros64(w)
-				r := rowBits[4*v : 4*v+4 : 4*v+4]
-				d0 |= r[0]
-				d1 |= r[1]
-				d2 |= r[2]
-				d3 |= r[3]
-			}
-		}
-		dw[0], dw[1], dw[2], dw[3] = d0, d1, d2, d3
-		return
-	}
-	stride := t.g.stride
-	dw := dst.Words()
-	for wi, f := range src.Words() {
-		base := wi << 6
-		for w := f; w != 0; w &= w - 1 {
-			v := base + bits.TrailingZeros64(w)
-			row := rowBits[v*stride : (v+1)*stride]
-			for i, r := range row {
-				dw[i] |= r
-			}
-		}
-	}
-}
-
-// UnionPredRows ORs into dst the predecessor rows of every member of src.
-func (t *Traverser) UnionPredRows(dst, src *bitset.Set) {
-	t.unionRows(dst, t.g.predBits, src)
-}
-
-// UnionSuccRows ORs into dst the successor rows of every member of src.
-func (t *Traverser) UnionSuccRows(dst, src *bitset.Set) {
-	t.unionRows(dst, t.g.succBits, src)
 }
 
 // HighestMaskedBit returns the highest bit index set in row ∧ mask, or -1

@@ -11,8 +11,7 @@ package enum_test
 //     and a visited sequence that is an exact prefix of the serial order.
 //
 // Never a hang, never a deadlocked merge, never an out-of-order cut.
-// Delay injections and forced delta-kernel fallbacks must not change the
-// result at all. `make chaos` runs every TestChaos* under -race with a
+// Delay injections must not change the result at all. `make chaos` runs every TestChaos* under -race with a
 // hard go-test timeout, and `make ci` includes it.
 
 import (
@@ -154,29 +153,6 @@ func TestChaosDelayPerturbation(t *testing.T) {
 			chaosRun(t, g, serial, workers, faultinject.Injection{
 				Site: site, Hit: 0, Action: faultinject.ActDelay, Delay: 50 * time.Microsecond,
 			})
-		}
-	}
-}
-
-// TestChaosForcedFallback forces every delta kernel (cut growth/shrink,
-// validator mirror resync) onto its from-scratch fallback path and
-// requires bit-identical results at every worker count: the fallbacks are
-// the semantic ground truth the delta paths must match, and under
-// concurrency this pins delta-vs-fallback identity end to end.
-func TestChaosForcedFallback(t *testing.T) {
-	g := workload.MiBenchLike(rand.New(rand.NewSource(4)), 60, workload.DefaultProfile())
-	sopt := enum.DefaultOptions()
-	sopt.Parallelism = 1
-	serial := visitSequence(g, sopt)
-
-	faultinject.ForceFallback = func() bool { return true }
-	defer faultinject.Uninstall()
-	for _, workers := range []int{1, 4, 60} {
-		opt := enum.DefaultOptions()
-		opt.Parallelism = workers
-		got := visitSequence(g, opt)
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d: forced-fallback run diverges (%d vs %d cuts)", workers, len(got), len(serial))
 		}
 	}
 }

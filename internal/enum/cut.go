@@ -30,33 +30,55 @@ func (c Cut) Clone() Cut {
 	return Cut{Nodes: c.Nodes.Clone(), Inputs: in, Outputs: out}
 }
 
-// Validator checks candidate vertex sets against the §3 problem statement,
-// deriving everything from S alone in O(|S|) adjacency-row sweeps. It owns
-// scratch storage (including a word-parallel dfg.Traverser), so it is
-// cheap — and in steady state allocation-free — to call repeatedly, but
-// not safe for concurrent use.
+// Validator checks candidate vertex sets against the §3 problem statement:
+// the admission half of CHECK-CUT (figure 3). It owns scratch storage
+// (including a word-parallel dfg.Traverser), so it is cheap — and in
+// steady state allocation-free — to call repeatedly, but not safe for
+// concurrent use: each enumeration worker owns its own.
 //
-// Since the incremental validation engine landed (deltaval.go), Validator
-// is the property-tested reference semantics rather than the incremental
-// enumeration's hot path — the same demotion rebuildS underwent in PR 3.
-// EnumerateBasic and the baseline searches still use it directly (their
-// candidates are not maintained incrementally), DeltaValidator is pinned
-// to it on randomized push/undo sequences, and the scalar implementations
-// on dfg.Graph (IsConvex, TechnicalConditionHolds, IsConnectedCut) remain
-// the reference below it in turn.
+// A check starts by loading S: one sweep over the adjacency rows of its
+// members computes three aggregates,
+//
+//	predU = ⋃_{u∈S} preds(u)   so  I(S)  = predU \ S  and the output
+//	                               frontier maxS = S \ predU
+//	succU = ⋃_{u∈S} succs(u)   so the input frontier minS = S \ succU
+//	outs  = O(S) per definition 1
+//
+// and every later stage reads them. The stages run cheapest-first: the
+// O(words) budget rejections (|I(S)| and |O(S)| against Nin/Nout) fire
+// before the frontier cone unions of the convexity test, which fire before
+// the only traversals — the shared root-reachability closure of the
+// technical condition and the per-input closures of the connectedness
+// restriction — and those are confined to the cut's ancestor cone
+// (∪ReachTo(S) ∪ S), outside which they cannot make progress anyway.
+//
+// The incremental search loads its maintained S once per candidate, reads
+// the output count and runs the canonical derivation test on the loaded
+// aggregates, then validates (see incEnum.checkCut). EnumerateBasic and
+// the baseline searches call Validate. The scalar implementations on
+// dfg.Graph (IsConvex, TechnicalConditionHolds, IsConnectedCut) are the
+// reference the property tests pin Validator to.
 type Validator struct {
 	g   *dfg.Graph
 	opt Options
 	tr  *dfg.Traverser
 
-	ins, outs *bitset.Set
+	// The loaded cut and its aggregates (see load).
+	S     *bitset.Set
+	predU *bitset.Set // ⋃ preds(u): I(S) = predU \ S, output frontier = S \ predU
+	succU *bitset.Set // ⋃ succs(u): input frontier = S \ succU
+	outs  *bitset.Set // O(S), definition 1
+
+	ins       *bitset.Set
 	down, up  *bitset.Set // ∪ReachFrom(S), ∪ReachTo(S) for the convexity gap
-	rootReach *bitset.Set // reachable from the virtual source avoiding I(S)
-	rootValid bool        // rootReach is current for this Validate call
-	reach     *bitset.Set // per-input forward closure (connectedness)
+	within    *bitset.Set // ∪ReachTo(S) ∪ S: confinement of the §3 traversals
+	frontier  *bitset.Set
+	rootReach *bitset.Set   // reachable from the virtual source avoiding I(S)
+	rootValid bool          // rootReach is current for this validation
+	reach     *bitset.Set   // per-input forward closure (connectedness)
+	inputsTo  []*bitset.Set // per output: the inputs feeding it (connectedness)
 
 	insBuf, outsBuf []int
-	inputsTo        []uint64
 	depthBuf        []int32
 }
 
@@ -67,10 +89,14 @@ func NewValidator(g *dfg.Graph, opt Options) *Validator {
 		g:         g,
 		opt:       opt,
 		tr:        g.NewTraverser(),
-		ins:       bitset.New(n),
+		predU:     bitset.New(n),
+		succU:     bitset.New(n),
 		outs:      bitset.New(n),
+		ins:       bitset.New(n),
 		down:      bitset.New(n),
 		up:        bitset.New(n),
+		within:    bitset.New(n),
+		frontier:  bitset.New(n),
 		rootReach: bitset.New(n),
 		reach:     bitset.New(n),
 		depthBuf:  make([]int32, n),
@@ -84,25 +110,83 @@ func NewValidator(g *dfg.Graph, opt Options) *Validator {
 // validator's scratch storage unless Options.KeepCuts is set, in which case
 // they are freshly allocated copies safe to retain.
 func (v *Validator) Validate(S *bitset.Set, cut *Cut) bool {
+	v.load(S)
+	return v.validate(cut)
+}
+
+// load makes S the validator's cut and computes its aggregates in one
+// sweep over the members' adjacency rows: predU and succU are row unions,
+// and a member is an output when it is live-out or its successor row
+// leaves S. S is aliased, not copied; the caller must not change it while
+// the later stages read it.
+func (v *Validator) load(S *bitset.Set) {
 	g := v.g
+	v.S = S
+	v.predU.Clear()
+	v.succU.Clear()
+	v.outs.Clear()
+	sw := S.Words()
+	S.ForEach(func(u int) bool {
+		v.predU.UnionWords(g.PredRow(u))
+		srow := g.SuccRow(u)
+		v.succU.UnionWords(srow)
+		out := g.IsLiveOut(u)
+		for i := 0; !out && i < len(srow); i++ {
+			out = srow[i]&^sw[i] != 0
+		}
+		if out {
+			v.outs.Add(u)
+		}
+		return true
+	})
+}
+
+// canonical reports whether the search reached the loaded cut S by its
+// canonical derivation: the chosen outputs ascend and are exactly O(S),
+// and the chosen inputs are exactly I(S) = predU \ S. Together with the
+// derivation rules of pickInputs, this holds at exactly one search node
+// per valid cut (docs/ALGORITHM.md §5), so the test replaces any record of
+// the cuts already delivered. The input half is implied by the search's
+// invariants (§5, F3); it stays as a guard that costs O(words).
+func (v *Validator) canonical(outs []int, inputs *bitset.Set) bool {
+	if len(outs) != v.outs.Count() {
+		return false
+	}
+	for k, o := range outs {
+		if !v.outs.Has(o) || (k > 0 && o < outs[k-1]) {
+			return false
+		}
+	}
+	sw, pw := v.S.Words(), v.predU.Words()
+	for i, w := range inputs.Words() {
+		if pw[i]&^sw[i] != w {
+			return false
+		}
+	}
+	return true
+}
+
+// validate runs the staged §3 checks on the loaded cut; see Validate.
+func (v *Validator) validate(cut *Cut) bool {
+	g := v.g
+	S := v.S
 	if S.Empty() {
 		return false
 	}
 	if S.Intersects(g.ForbiddenSet()) || S.Intersects(g.RootSet()) {
 		return false
 	}
-	v.tr.InputsInto(v.ins, S)
+	v.ins.CopyAndNot(v.predU, S)
 	v.insBuf = v.ins.AppendMembers(v.insBuf[:0])
 	v.rootValid = false
 	if len(v.insBuf) > v.opt.MaxInputs {
 		return false
 	}
-	v.tr.OutputsInto(v.outs, S)
 	v.outsBuf = v.outs.AppendMembers(v.outsBuf[:0])
 	if len(v.outsBuf) > v.opt.MaxOutputs {
 		return false
 	}
-	if !v.isConvex(S) {
+	if !v.isConvex() {
 		return false
 	}
 	if !v.technicalConditionHolds() {
@@ -111,7 +195,7 @@ func (v *Validator) Validate(S *bitset.Set, cut *Cut) bool {
 	if v.opt.ConnectedOnly && !v.isConnectedCut() {
 		return false
 	}
-	if v.opt.MaxDepth > 0 && v.internalDepth(S) > v.opt.MaxDepth {
+	if v.opt.MaxDepth > 0 && v.internalDepth() > v.opt.MaxDepth {
 		return false
 	}
 	if cut != nil {
@@ -127,25 +211,39 @@ func (v *Validator) Validate(S *bitset.Set, cut *Cut) bool {
 	return true
 }
 
-// isConvex is the word-parallel form of definition 2. S is convex exactly
-// when the gap region ReachFrom(S) ∩ ReachTo(S) \ S is empty: a vertex
-// there lies outside S on a path between two members. Restricting the test
-// to the gap region costs |S| row unions instead of a scan over all N
-// vertices.
-func (v *Validator) isConvex(S *bitset.Set) bool {
+// isConvex is the frontier-cone form of definition 2: S is convex exactly
+// when ReachFrom(S) ∩ ReachTo(S) \ S is empty. The member unions collapse
+// to S's frontiers: every member u sits on an S-internal predecessor chain
+// from some member m with no predecessor in S (the input frontier,
+// S \ succU), and m reaching u gives ReachFrom(m) ⊇ ReachFrom(u) ∪ {u};
+// dually for ReachTo and the output frontier S \ predU. So the gap region
+// of the full unions equals the gap region of the frontier unions, at
+// |minS| + |maxS| row unions instead of 2|S|. As a byproduct the ancestor
+// cone ∪ReachTo(S) ∪ S is recorded in v.within, confining the traversals
+// of the later stages.
+func (v *Validator) isConvex() bool {
 	g := v.g
+	S := v.S
 	v.down.Clear()
 	v.up.Clear()
-	S.ForEach(func(u int) bool {
-		v.down.Union(g.ReachFrom(u))
-		v.up.Union(g.ReachTo(u))
+	fr := v.frontier
+	fr.CopyAndNot(S, v.succU)
+	fr.ForEach(func(m int) bool {
+		v.down.UnionWords(g.ReachFrom(m).Words())
 		return true
 	})
+	fr.CopyAndNot(S, v.predU)
+	fr.ForEach(func(m int) bool {
+		v.up.UnionWords(g.ReachTo(m).Words())
+		return true
+	})
+	v.within.Copy(v.up)
+	v.within.Union(S)
 	return !v.down.AndNotAny(v.up, S)
 }
 
 // technicalConditionHolds implements the §3 condition on the inputs
-// computed by the enclosing Validate call (v.ins / v.insBuf): every input w
+// derived by the enclosing validation (v.ins / v.insBuf): every input w
 // needs a root path that reaches w while avoiding the other inputs.
 //
 // Two observations collapse the paper's per-input traversal pair into one
@@ -157,6 +255,9 @@ func (v *Validator) isConvex(S *bitset.Set) bool {
 // avoids every input; therefore it exists exactly when w itself is a
 // virtual-source entry or some predecessor of w is reachable from the
 // source avoiding all of I(S) — one forward closure shared by all inputs.
+// The closure is confined to the ancestor cone v.within: every vertex on a
+// simple source path to a predecessor p of an input is an ancestor of p,
+// hence an ancestor of some member of S.
 func (v *Validator) technicalConditionHolds() bool {
 	if len(v.insBuf) <= 1 {
 		return true
@@ -175,11 +276,11 @@ func (v *Validator) technicalConditionHolds() bool {
 }
 
 // ensureRootReach computes the forward closure from the virtual source
-// avoiding I(S) once per Validate call; the technical-condition and
-// connectedness checks share it.
+// avoiding I(S), confined to the cut's ancestor cone, once per validation;
+// the technical-condition and connectedness checks share it.
 func (v *Validator) ensureRootReach() {
 	if !v.rootValid {
-		v.tr.ReachForwardAvoiding(v.rootReach, v.g.Entries(), v.ins, nil)
+		v.tr.ReachForwardAvoiding(v.rootReach, v.g.Entries(), v.ins, v.within)
 		v.rootValid = true
 	}
 }
@@ -189,35 +290,39 @@ func (v *Validator) ensureRootReach() {
 // 1; see Graph.IsConnectedCut for the scalar reference). Per input the
 // scalar version runs a traversal pair per output; here one shared
 // root-reachability closure settles the root→input half for every input,
-// and one forward closure per feeding input covers all outputs at once.
+// and one forward closure per feeding input covers all outputs at once. The
+// closures are confined to v.within: every vertex on a path from an
+// input's successor to an output o ∈ S reaches o, so it lies in
+// ReachTo(o) ∪ {o}. Each output's feeding inputs are a set over vertex
+// ids, so the input count is not limited.
 func (v *Validator) isConnectedCut() bool {
 	if len(v.outsBuf) <= 1 {
 		return true
 	}
-	if len(v.insBuf) > 64 {
-		return false // cannot happen under any sane port constraint
-	}
 	g := v.g
-	v.inputsTo = v.inputsTo[:0]
-	for range v.outsBuf {
-		v.inputsTo = append(v.inputsTo, 0)
+	for len(v.inputsTo) < len(v.outsBuf) {
+		v.inputsTo = append(v.inputsTo, bitset.New(g.N()))
+	}
+	feeds := v.inputsTo[:len(v.outsBuf)]
+	for _, f := range feeds {
+		f.Clear()
 	}
 	v.ensureRootReach()
-	for bi, i := range v.insBuf {
+	for _, i := range v.insBuf {
 		rootFeeds := g.IsRoot(i) || g.IsUserForbidden(i) || g.PredsIntersect(i, v.rootReach)
 		if !rootFeeds {
 			continue
 		}
-		v.tr.ReachForwardAvoiding(v.reach, g.Succs(i), v.ins, nil)
+		v.tr.ReachForwardAvoiding(v.reach, g.Succs(i), v.ins, v.within)
 		for k, o := range v.outsBuf {
 			if v.reach.Has(o) {
-				v.inputsTo[k] |= 1 << uint(bi)
+				feeds[k].Add(i)
 			}
 		}
 	}
-	for a := 0; a < len(v.outsBuf); a++ {
-		for b := a + 1; b < len(v.outsBuf); b++ {
-			if v.inputsTo[a]&v.inputsTo[b] == 0 {
+	for a := range feeds {
+		for b := a + 1; b < len(feeds); b++ {
+			if !feeds[a].Intersects(feeds[b]) {
 				return false
 			}
 		}
@@ -226,17 +331,16 @@ func (v *Validator) isConnectedCut() bool {
 }
 
 // internalDepth returns the number of edges on the longest path that stays
-// inside S — the latency proxy used by the MaxDepth restriction. The
-// per-vertex depths live in a reusable scratch array; no clearing is needed
-// because every member's entry is written before any in-S successor reads
-// it (topological order).
-func (v *Validator) internalDepth(S *bitset.Set) int {
+// inside S — the latency proxy used by the MaxDepth restriction. Members
+// are visited in ascending id order, which is topological order
+// (dfg.Graph.AddNode only accepts existing predecessors), so every member's
+// depth is written before any in-S successor reads it; the scratch array
+// needs no clearing.
+func (v *Validator) internalDepth() int {
 	g := v.g
+	S := v.S
 	max := int32(0)
-	for u := 0; u < g.N(); u++ {
-		if !S.Has(u) {
-			continue
-		}
+	S.ForEach(func(u int) bool {
 		d := int32(0)
 		for _, p := range g.Preds(u) {
 			if S.Has(p) {
@@ -249,7 +353,8 @@ func (v *Validator) internalDepth(S *bitset.Set) int {
 		if d > max {
 			max = d
 		}
-	}
+		return true
+	})
 	return int(max)
 }
 

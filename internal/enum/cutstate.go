@@ -17,10 +17,7 @@ func (e *incEnum) journalBuf(d int) *bitset.Set {
 
 // growS pushes the most recently chosen output onto the maintained cut:
 // S gains {o} ∪ B(I, o) via the delta kernel, with the added vertices
-// journaled at depth d. The incremental validation engine needs no
-// notification — it mirrors S lazily at the next admission check (see
-// deltaval.go), so pushes on branches that never reach CHECK-CUT cost it
-// nothing. Undo with undoGrowS(d).
+// journaled at depth d. Undo with undoGrowS(d).
 func (e *incEnum) growS(d int) {
 	o := e.outs[len(e.outs)-1]
 	e.tr.GrowCut(e.S, e.journalBuf(d), o, e.Iuser)
@@ -31,14 +28,13 @@ func (e *incEnum) undoGrowS(d int) {
 	e.S.Subtract(e.journal[d])
 }
 
-// shrinkS pushes input w onto the maintained cut: w and every vertex whose
-// last surviving path ran through w leave S via the delta kernel (which
-// falls back to the from-scratch rebuild when the affected region is most
-// of S), with the removed vertices journaled at depth d. The caller must
-// have pushed w into Iuser already. Undo with undoShrinkS(d).
-func (e *incEnum) shrinkS(d, w int) {
+// shrinkS applies the input most recently pushed into Iuser to the
+// maintained cut: it and every vertex whose last surviving path ran
+// through it leave S via the delta kernel, with the removed vertices
+// journaled at depth d. Undo with undoShrinkS(d).
+func (e *incEnum) shrinkS(d int) {
 	e.shrinks++
-	e.tr.ShrinkCut(e.S, e.journalBuf(d), w, e.outs, e.outSet, e.Iuser)
+	e.tr.ShrinkCut(e.S, e.journalBuf(d), e.outs, e.Iuser)
 }
 
 // undoShrinkS pops the input push journaled at depth d.
@@ -68,8 +64,8 @@ func (e *incEnum) popSeed(d, w int) {
 // flushSeeds applies the pending seeds' shrinks in push order before a
 // completion at depth d. They end Ilist, pushed at depths d-len..d-1, and
 // each is journaled at its own depth. ShrinkCut must see only the inputs
-// pushed so far (its fallback rebuilds S from them), so the seeds leave
-// Iuser first and rejoin one at a time.
+// pushed so far (it recomputes S from them), so the seeds leave Iuser
+// first and rejoin one at a time.
 func (e *incEnum) flushSeeds(d int) {
 	seeds := e.Ilist[len(e.Ilist)-e.pending:]
 	for _, v := range seeds {
@@ -77,7 +73,7 @@ func (e *incEnum) flushSeeds(d int) {
 	}
 	for k, v := range seeds {
 		e.Iuser.Add(v)
-		e.shrinkS(d-len(seeds)+k, v)
+		e.shrinkS(d - len(seeds) + k)
 	}
 	e.pending = 0
 }
@@ -87,8 +83,7 @@ func (e *incEnum) flushSeeds(d int) {
 // the chosen inputs (theorems 2 and 3), as one word-parallel backward
 // frontier traversal. The search itself maintains S by journaled deltas
 // (growS/shrinkS); rebuildS is the reference semantics those deltas are
-// property-tested against, and ShrinkCut falls back to the same
-// from-scratch rebuild when an input push invalidates most of S.
+// property-tested against.
 func (e *incEnum) rebuildS() {
 	e.tr.CutNodesInto(e.S, e.outs, e.Iuser)
 }

@@ -32,8 +32,7 @@ import (
 // ShrinkCut) whose cost follows the region the push changes, and each pop
 // replays the journal backward — see the "incremental search-state engine"
 // note in the package comment. rebuildS, the from-scratch recomputation,
-// remains the reference the property tests pin the deltas to and the
-// fallback for non-monotone input pushes that invalidate most of S.
+// remains the reference the property tests pin the deltas to.
 //
 // Every candidate S with at most Nout outputs (internal outputs included,
 // per the output–output pruning) that the search reached by its canonical
@@ -181,7 +180,7 @@ func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum
 		badIn:   sh.badIn,
 		ext:     ext,
 		stop:    NewStopper(sh.opt),
-		dval:    NewDeltaValidator(sh.g, sh.opt, S),
+		val:     NewValidator(sh.g, sh.opt),
 		tr:      sh.g.NewTraverser(),
 		S:       S,
 		Iuser:   bitset.New(n),
@@ -193,8 +192,8 @@ type incEnum struct {
 	g     *dfg.Graph
 	opt   Options
 	visit func(Cut) bool
-	dval  *DeltaValidator // incremental validation engine, worker-owned
-	tr    *dfg.Traverser  // word-parallel traversal kernels, worker-owned
+	val   *Validator     // CHECK-CUT's §3 checks, worker-owned
+	tr    *dfg.Traverser // word-parallel traversal kernels, worker-owned
 	stats Stats
 	ext   *atomic.Bool // external stop flag; nil in serial runs
 
@@ -275,8 +274,7 @@ func (e *incEnum) chainBuf(d int) []int {
 // analysis is the single seed lastIn joining I, so back is *derived* from
 // the parent by the delta kernel (dfg.Traverser.ShrinkReachInto): it
 // shrinks by lastIn's severed ancestor region, confined to the region the
-// push actually changes, with the full confined traversal as fallback
-// past the threshold. At a phase start back is traversed fresh.
+// push actually changes. At a phase start back is traversed fresh.
 //
 // onPath, the dominator chain and the reachability verdict all come out of
 // ONE ascending pass over back, with no forward closure at all. Three facts
@@ -312,7 +310,7 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 		// Seed-extension level: derive back from the parent. (lastIn ∈
 		// pBack: seeds are chosen on-path, and o ∈ pBack stays — it is
 		// never an input, so only its ancestors can be severed.)
-		e.tr.ShrinkReachInto(back, pBack, o, lastIn, e.Iuser)
+		e.tr.ShrinkReachInto(back, pBack, o, lastIn)
 	} else {
 		// Phase start: traverse fresh, backward from o avoiding I.
 		e.seed1[0] = o
@@ -565,7 +563,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		found = true
 		e.flushSeeds(depth)
 		e.pushInput(u)
-		e.shrinkS(depth, u)
+		e.shrinkS(depth)
 		if e.viable(ninLeft - 1) {
 			e.checkCut(depth+1, o, ninLeft-1, noutLeft)
 		}
@@ -761,13 +759,11 @@ func (e *incEnum) resetChoice() {
 
 // checkCut implements CHECK-CUT: accept the current S when its real outputs
 // (internal ones included, per the output–output pruning) fit the budget,
-// then recurse into further output choices. The admission checks run on the
-// incremental validation engine: the real-output count is a population
-// count on the delta-maintained O(S) (the from-scratch OutputsInto sweep
-// this replaced was the single hottest per-candidate cost), the canonical
-// derivation test compares the chosen outputs and inputs with the
-// maintained O(S) and I(S), and the full §3 validation runs staged on the
-// same aggregates. Each valid cut passes the canonical test at exactly one
+// then recurse into further output choices. The validator loads S once:
+// the real-output count is a population count on the loaded O(S), the
+// canonical derivation test compares the chosen outputs and inputs with
+// the loaded O(S) and I(S), and the staged §3 validation reads the same
+// aggregates. Each valid cut passes the canonical test at exactly one
 // search node, so it reaches e.visit once, with no record of earlier cuts:
 // the run's visit point in a serial run, the worker's merge segment in a
 // parallel one.
@@ -779,13 +775,13 @@ func (e *incEnum) checkCut(depth, o, ninLeft, noutLeft int) {
 		return
 	}
 	e.stats.Candidates++
-	realOuts := e.dval.NumOutputs()
-	if realOuts <= e.opt.MaxOutputs && !e.S.Empty() && !e.S.Intersects(e.g.ForbiddenSet()) {
-		if !e.dval.Canonical(e.outs, e.Iuser) {
+	e.val.load(e.S)
+	if e.val.outs.Count() <= e.opt.MaxOutputs && !e.S.Empty() && !e.S.Intersects(e.g.ForbiddenSet()) {
+		if !e.val.canonical(e.outs, e.Iuser) {
 			e.stats.Duplicates++
 		} else {
 			var cut Cut
-			if e.dval.Validate(&cut) {
+			if e.val.validate(&cut) {
 				if e.opt.KeepCuts {
 					cut.Nodes = cut.Nodes.Clone()
 				}

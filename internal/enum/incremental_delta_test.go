@@ -14,7 +14,6 @@ import (
 	"testing/quick"
 
 	"polyise/internal/bitset"
-	"polyise/internal/faultinject"
 )
 
 // engineOp is one applied push, replayed backward to undo. A seed push
@@ -64,16 +63,11 @@ func (e *incEnum) undo(op engineOp) {
 // are drawn from the cut with every chosen input blocked, as the search
 // draws them from the surviving-path region, and outputs and completion
 // inputs are pushed only with no seed pending, as the search pushes them
-// only after a flush. The second run forces ShrinkCut onto its rebuild
-// fallback, which reads the input set, so it also checks that a flush
-// shows each shrink only the seeds pushed before it.
+// only after a flush. ShrinkCut recomputes S from the input set, so this
+// also checks that a flush shows each shrink only the seeds pushed before
+// it.
 func TestEngineDeltaSMatchesRebuildS(t *testing.T) {
 	t.Run("delta", func(t *testing.T) { checkEngineDeltaS(t) })
-	t.Run("fallback", func(t *testing.T) {
-		faultinject.ForceFallback = func() bool { return true }
-		defer faultinject.Uninstall()
-		checkEngineDeltaS(t)
-	})
 }
 
 func checkEngineDeltaS(t *testing.T) {
@@ -131,7 +125,7 @@ func checkEngineDeltaS(t *testing.T) {
 					continue
 				}
 				e.pushInput(w)
-				e.shrinkS(depth, w)
+				e.shrinkS(depth)
 				stack = append(stack, engineOp{v: w, depth: depth})
 				depth++
 			}

@@ -44,12 +44,11 @@
 // tree (§5.3), and since PR 3 the implementation shares state the same
 // way: nothing about the current search node is recomputed from scratch.
 // The cut S lives across pushes as journaled deltas — an output push grows
-// S by the memoized backward cone of the new output, clipped by a
-// traversal only where a chosen input blocks part of the cone
-// (dfg.Traverser.GrowCut), and an input push shrinks S by recomputing
-// survival only inside the new input's ancestor region, falling back to
-// the from-scratch rebuild when that region is most of S
-// (dfg.Traverser.ShrinkCut). Each push records exactly the vertices it
+// S by the memoized backward cone of the new output, or by a backward
+// closure through the cone when a chosen input blocks part of it
+// (dfg.Traverser.GrowCut), and an input push shrinks S to the backward
+// closure from the chosen outputs avoiding the inputs, confined to the old
+// S (dfg.Traverser.ShrinkCut). Each push records exactly the vertices it
 // changed in a per-depth undo journal, so backtracking is one word-
 // parallel Subtract/Union. A seed push defers its shrink until a cut is
 // checked below it (flushSeeds). Reduced-graph dominators are read off a
@@ -60,19 +59,18 @@
 // (rebuildS) survives as the reference that property tests pin every delta
 // against.
 //
-// Since PR 5 the sharing extends past S to the per-output analysis and the
-// admission checks themselves. The reaches-o frontier of PICK-INPUTS is
+// The sharing extends past S to the per-output analysis. The reaches-o
+// frontier of PICK-INPUTS is
 // derived from its parent seed level by a confined delta
 // (dfg.Traverser.ShrinkReachInto) instead of re-traversed; the source→o
 // on-path set and the reduced-graph dominators fall out of one fused
 // ascending pass over that frontier with no forward closure at all; an
 // output push that is doomed with the input budget exhausted is rejected
-// by one word-parallel scan before the grow kernel runs (quickOffending);
-// and CHECK-CUT's §3 validation runs on the incremental validation engine
-// (DeltaValidator, deltaval.go), which mirrors S through the search's own
-// journals and keeps I(S), O(S) and the convexity frontiers as
-// delta-maintained aggregates, demoting the from-scratch Validator to the
-// property-tested reference.
+// by one word-parallel scan before the grow kernel runs (quickOffending).
+// CHECK-CUT's §3 validation is not incremental: at |S| of a few vertices
+// per candidate, one sweep of S's adjacency rows (Validator's load) derives
+// I(S), O(S) and the convexity frontiers for less than keeping them in
+// sync across pushes cost, and the staged checks run on those aggregates.
 package enum
 
 import (

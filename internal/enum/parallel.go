@@ -19,12 +19,12 @@ package enum
 // and hands the upper half over as a stolen workUnit. The unit carries only
 // the output/input choice prefixes of that level; the thief reconstructs
 // the donor's full search state from them, because the maintained cut S is
-// a pure function of (outs, Ilist) — rebuildS — and the incremental
-// validation engine resyncs its mirror to an arbitrary S jump on its next
-// admission check (deltaval.go). Claimed positions and stolen ranges run
-// through the same runner (runUnit). Seed-extension intervals are
-// deliberately not stealable (see posRange); stolen units can split again,
-// so a fat subtree keeps decomposing for as long as workers go hungry.
+// a pure function of (outs, Ilist) — rebuildS — and the validator derives
+// everything it checks from S at each admission check. Claimed positions
+// and stolen ranges run through the same runner (runUnit). Seed-extension
+// intervals are deliberately not stealable (see posRange); stolen units
+// can split again, so a fat subtree keeps decomposing for as long as
+// workers go hungry.
 //
 // Determinism. The serial enumeration visits cuts in a well-defined order:
 // the concatenation, over first-output positions, of each subtree's
@@ -323,8 +323,8 @@ func (e *incEnum) popRangeSegs(ri int) {
 // caller's own Close. Every segment is still closed exactly once and the
 // ordered merge drains instead of deadlocking. The choice state is reset
 // so the worker can keep claiming segments and serving its thief/token
-// duties; the search-state corruption left behind (S, journals, validator
-// mirror) is irrelevant because the stop flag is already raised — no
+// duties; the search-state corruption left behind (S, journals, analysis
+// frontiers) is irrelevant because the stop flag is already raised — no
 // further search runs on this worker.
 func (e *incEnum) containPanic() {
 	v := recover()

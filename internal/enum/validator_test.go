@@ -153,10 +153,10 @@ func TestValidatorMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestValidatorCutsAreCutNodeSets drives the validator with the candidate
-// sets the enumeration actually produces (CutNodesInto results), not just
-// uniform-random subsets, so the agreement test covers the distribution the
-// hot path sees.
+// TestValidatorMatchesScalarOnEnumCandidates drives the validator with the
+// candidate sets the enumeration actually produces (CutNodesInto results),
+// not just uniform-random subsets, so the agreement test covers the
+// distribution the hot path sees, under every restriction Options offers.
 func TestValidatorMatchesScalarOnEnumCandidates(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -164,7 +164,10 @@ func TestValidatorMatchesScalarOnEnumCandidates(t *testing.T) {
 		n := g.N()
 		opt := DefaultOptions()
 		opt.KeepCuts = false
+		opt.MaxInputs = 1 + r.Intn(5)
+		opt.MaxOutputs = 1 + r.Intn(3)
 		opt.ConnectedOnly = r.Intn(2) == 0
+		opt.MaxDepth = r.Intn(4) // 0 disables the restriction
 		val := NewValidator(g, opt)
 		tr := g.NewTraverser()
 		S := bitset.New(n)
@@ -177,12 +180,19 @@ func TestValidatorMatchesScalarOnEnumCandidates(t *testing.T) {
 				}
 			}
 			outs := []int{r.Intn(n)}
-			if r.Intn(2) == 0 {
+			for len(outs) < 3 && r.Intn(2) == 0 {
 				outs = append(outs, r.Intn(n))
 			}
 			tr.CutNodesInto(S, outs, avoid)
-			if val.Validate(S, nil) != scalarValidate(g, opt, S, nil) {
-				t.Logf("seed=%d outs=%v avoid=%v S=%v", seed, outs, avoid, S)
+			var got, want Cut
+			gotOK := val.Validate(S, &got)
+			if gotOK != scalarValidate(g, opt, S, &want) {
+				t.Logf("seed=%d outs=%v avoid=%v S=%v (opt=%+v)", seed, outs, avoid, S, opt)
+				return false
+			}
+			if gotOK && (!reflect.DeepEqual(got.Inputs, want.Inputs) ||
+				!reflect.DeepEqual(got.Outputs, want.Outputs)) {
+				t.Logf("seed=%d S=%v io mismatch: %v vs %v", seed, S, got, want)
 				return false
 			}
 		}
@@ -193,31 +203,146 @@ func TestValidatorMatchesScalarOnEnumCandidates(t *testing.T) {
 	}
 }
 
+// TestConnectedCutManyInputs pins connectedness past 64 inputs: 66 roots
+// under a binary add tree, plus add(r0, r1), with both sums live-out. The
+// cut of every add is convex and has two outputs sharing the inputs r0 and
+// r1, so it is connected; the scalar reference and Validator must both
+// accept it, with and without the connectedness restriction.
+func TestConnectedCutManyInputs(t *testing.T) {
+	g := dfg.New()
+	var level []int
+	for i := 0; i < 66; i++ {
+		level = append(level, g.MustAddNode(dfg.OpVar, ""))
+	}
+	r0, r1 := level[0], level[1]
+	var adds []int
+	for len(level) > 1 {
+		var next []int
+		for i := 0; i+1 < len(level); i += 2 {
+			next = append(next, g.MustAddNode(dfg.OpAdd, "", level[i], level[i+1]))
+		}
+		adds = append(adds, next...)
+		if len(level)%2 == 1 {
+			next = append(next, level[len(level)-1])
+		}
+		level = next
+	}
+	top := level[0]
+	pair := g.MustAddNode(dfg.OpAdd, "", r0, r1)
+	adds = append(adds, pair)
+	for _, v := range []int{top, pair} {
+		if err := g.MarkLiveOut(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.MustFreeze()
+	S := bitset.FromMembers(g.N(), adds...)
+
+	if ins := g.Inputs(S); len(ins) != 66 {
+		t.Fatalf("cut has %d inputs, want 66", len(ins))
+	}
+	if !g.IsConnectedCut(S) {
+		t.Error("scalar IsConnectedCut rejects a cut whose outputs share r0")
+	}
+	for _, connected := range []bool{false, true} {
+		opt := DefaultOptions()
+		opt.MaxInputs = 100
+		opt.ConnectedOnly = connected
+		var cut Cut
+		if !NewValidator(g, opt).Validate(S, &cut) {
+			t.Errorf("ConnectedOnly=%v: Validate rejects the cut", connected)
+		} else if !reflect.DeepEqual(cut.Outputs, []int{top, pair}) {
+			t.Errorf("ConnectedOnly=%v: outputs %v, want %v", connected, cut.Outputs, []int{top, pair})
+		}
+	}
+}
+
 // TestValidateZeroAlloc pins the allocation contract of the per-candidate
-// validation: with KeepCuts off, a warmed validator must not allocate.
+// validation: with KeepCuts off, a warmed validator must not allocate,
+// neither through Validate (EnumerateBasic, the baselines) nor through the
+// search's own sequence on its maintained cut: push, load, output count,
+// canonical test, validate, pop (the whole-loop counterpart is
+// TestEnumerateSteadyStateAllocs).
 func TestValidateZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	g := randValGraph(r, 120)
 	opt := DefaultOptions()
 	opt.KeepCuts = false
 	opt.ConnectedOnly = true // exercise every predicate
+	opt.MaxDepth = 3
 	val := NewValidator(g, opt)
 	tr := g.NewTraverser()
 	n := g.N()
 	S := bitset.New(n)
 	avoid := bitset.New(n)
 	var cut Cut
-	// Warm: one pass grows the members scratch.
-	tr.CutNodesInto(S, []int{n - 1}, avoid)
-	val.Validate(S, &cut)
-	allocs := testing.AllocsPerRun(100, func() {
+	validate := func() {
 		for o := n - 5; o < n; o++ {
 			tr.CutNodesInto(S, []int{o}, avoid)
 			val.Validate(S, &cut)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Validate allocated %.1f times per run, want 0", allocs)
+	}
+	e := newEnumShared(g, opt).newWorker(func(Cut) bool { return true }, nil)
+	search := func() {
+		for _, o := range []int{n - 1, n - 2, n - 3} {
+			if e.S.Has(o) || e.outSet.Has(o) {
+				continue
+			}
+			e.outs = append(e.outs, o)
+			e.outSet.Add(o)
+			e.growS(len(e.outs) - 1)
+			e.val.load(e.S)
+			if e.val.outs.Count() <= opt.MaxOutputs && e.val.canonical(e.outs, e.Iuser) {
+				e.val.validate(&cut)
+			}
+		}
+		for len(e.outs) > 0 {
+			e.undoGrowS(len(e.outs) - 1)
+			e.outSet.Remove(e.outs[len(e.outs)-1])
+			e.outs = e.outs[:len(e.outs)-1]
+		}
+	}
+	for name, run := range map[string]func(){"Validate": validate, "search": search} {
+		run() // warm every scratch buffer
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s path allocated %.1f times per run, want 0", name, allocs)
+		}
+	}
+}
+
+// TestCanonicalInputGuard pins the input half of the canonical derivation
+// test. The search only ever offers the exact I(S) (docs/ALGORITHM.md §5),
+// so the half is a guard: with the outputs right, a chosen-input set with
+// a vertex outside I(S), or one missing a member of I(S), must still be
+// rejected.
+func TestCanonicalInputGuard(t *testing.T) {
+	g := dfg.New()
+	a := g.MustAddNode(dfg.OpVar, "a")
+	b := g.MustAddNode(dfg.OpVar, "b")
+	x := g.MustAddNode(dfg.OpVar, "x")
+	c := g.MustAddNode(dfg.OpAdd, "c", a, b)
+	d := g.MustAddNode(dfg.OpNot, "d", c)
+	e := g.MustAddNode(dfg.OpAdd, "e", d, x)
+	if err := g.MarkLiveOut(e); err != nil {
+		t.Fatal(err)
+	}
+	g.MustFreeze()
+	n := g.N()
+	val := NewValidator(g, DefaultOptions())
+	val.load(bitset.FromMembers(n, c, d)) // I(S) = {a, b}, O(S) = {d}
+	outs := []int{d}
+	for _, tc := range []struct {
+		name   string
+		inputs []int
+		want   bool
+	}{
+		{"exact", []int{a, b}, true},
+		{"extra", []int{a, b, x}, false},
+		{"missing", []int{a}, false},
+	} {
+		if got := val.canonical(outs, bitset.FromMembers(n, tc.inputs...)); got != tc.want {
+			t.Errorf("%s inputs %v: canonical = %v, want %v", tc.name, tc.inputs, got, tc.want)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package faultinject provides deterministic, seed-addressable fault
 // injection for the enumeration engine's concurrency protocol. The chaos
 // suite (internal/enum's Chaos tests, `make chaos`) uses it to prove the
-// fail-safe contract: under a panic, delay or forced degradation at any
-// protocol site, the enumeration either completes bit-identical to the
-// serial run or returns a clean error — never a hang, never a leaked merge
-// segment or liveness token.
+// fail-safe contract: under a panic or a delay at any protocol site, the
+// enumeration either completes bit-identical to the serial run or returns
+// a clean error — never a hang, never a leaked merge segment or liveness
+// token.
 //
 // # Hook discipline
 //
@@ -46,12 +46,6 @@
 //     work starts — the window where shedding and shutdown race.
 //   - ResponseWrite: a result row about to be streamed to the client —
 //     a delay here models the slow-client backpressure path.
-//
-// ForceFallback is separate: when it returns true, the delta kernels
-// (dfg.Traverser's GrowCut/ShrinkCut/ShrinkReachInto clip thresholds and
-// the DeltaValidator mirror resync) take their from-scratch fallback paths
-// unconditionally, so the chaos suite can pin delta-vs-fallback identity
-// under concurrency without reaching into unexported tuning knobs.
 package faultinject
 
 import (
@@ -73,18 +67,7 @@ var (
 	OnCacheEvict      func()
 	OnAdmission       func()
 	OnResponseWrite   func()
-
-	// ForceFallback, when non-nil and returning true, forces every delta
-	// kernel to its from-scratch fallback path.
-	ForceFallback func() bool
 )
-
-// ForcedFallback is the call-site helper for ForceFallback: false when no
-// hook is installed.
-func ForcedFallback() bool {
-	h := ForceFallback
-	return h != nil && h()
-}
 
 // Site identifies one injection point.
 type Site uint8
@@ -219,7 +202,6 @@ func Uninstall() {
 	OnCacheEvict = nil
 	OnAdmission = nil
 	OnResponseWrite = nil
-	ForceFallback = nil
 }
 
 // fire advances the site's traversal counter and executes any injection

@@ -62,11 +62,8 @@ func TestInstallUninstall(t *testing.T) {
 	if OnPickInputs != nil || OnCheckCut != nil || OnStealPublish != nil ||
 		OnStealClaim != nil || OnMergeSplice != nil ||
 		OnCheckpointWrite != nil || OnCacheInsert != nil || OnCacheEvict != nil ||
-		OnAdmission != nil || OnResponseWrite != nil || ForceFallback != nil {
+		OnAdmission != nil || OnResponseWrite != nil {
 		t.Fatal("Uninstall left a hook installed")
-	}
-	if ForcedFallback() {
-		t.Fatal("ForcedFallback true with no hook installed")
 	}
 }
 
