@@ -38,8 +38,9 @@ func checkAgainstRebuild(t *testing.T, tr *Traverser, S *bitset.Set, outs []int,
 
 // runDeltaSequence drives one randomized push/pop sequence on g, verifying
 // S against the reference after every operation, and returns false on the
-// first mismatch.
-func runDeltaSequence(t *testing.T, r *rand.Rand, g *Graph, steps int) bool {
+// first mismatch. Each step pops, pushes an output or pushes an input with
+// weights 1 : 1 : inputWeight.
+func runDeltaSequence(t *testing.T, r *rand.Rand, g *Graph, steps, inputWeight int) bool {
 	t.Helper()
 	n := g.N()
 	tr := g.NewTraverser()
@@ -50,7 +51,7 @@ func runDeltaSequence(t *testing.T, r *rand.Rand, g *Graph, steps int) bool {
 	var stack []deltaOp
 
 	for step := 0; step < steps; step++ {
-		op := r.Intn(3)
+		op := r.Intn(2 + inputWeight)
 		switch {
 		case op == 0 && len(stack) > 0: // pop
 			top := stack[len(stack)-1]
@@ -121,72 +122,106 @@ func runDeltaSequence(t *testing.T, r *rand.Rand, g *Graph, steps int) bool {
 }
 
 // TestDeltaCutMatchesRebuild pins the delta-maintained cut to the
-// from-scratch reference across random push/pop sequences.
+// from-scratch reference across random push/pop sequences: "production"
+// with the search's even mix of pops, output pushes and input pushes, and
+// "fallback-always" weighted towards input pushes, so that ShrinkCut's
+// confined backward closure from the outputs — once the fallback of an
+// incremental removal, now its only path — runs on most steps and on cuts
+// already shrunk by several inputs.
 func TestDeltaCutMatchesRebuild(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randTraverseGraph(r, traverseSize(r)) // crosses stride 1–4 + generic
-		return runDeltaSequence(t, r, g, 40)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name        string
+		inputWeight int
+	}{
+		{"production", 1},
+		{"fallback-always", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				g := randTraverseGraph(r, traverseSize(r)) // crosses stride 1–4 + generic
+				return runDeltaSequence(t, r, g, 40, tc.inputWeight)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestShrinkReachMatchesReference pins ShrinkReachInto — the delta
 // derivation of a child analysis frontier — to the from-scratch confined
 // backward closure it replaces, across random graphs, outputs and
-// incrementally blocked vertices.
+// incrementally blocked vertices: "production" blocks up to 4 vertices, as
+// deep as the search's input budgets usually go, and "incremental-only"
+// keeps blocking until the frontier is down to the output, so each child
+// is derived from a long chain of derived parents and never recomputed.
 func TestShrinkReachMatchesReference(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randTraverseGraph(r, traverseSize(r))
-		n := g.N()
-		tr := g.NewTraverser()
-		inputs := bitset.New(n)
-		parent := bitset.New(n)
-		child := bitset.New(n)
-		ref := bitset.New(n)
-		o := r.Intn(n)
-		// Parent frontier: everything reaching o (no inputs yet).
-		tr.ReachBackwardAvoiding(parent, []int{o}, inputs, nil)
-		// Block up to 4 frontier members one at a time, deriving each
-		// child from its parent and checking against the reference.
-		for round := 0; round < 4; round++ {
-			w := -1
-			for probe := 0; probe < 8; probe++ {
-				c := r.Intn(n)
-				if parent.Has(c) && c != o {
-					w = c
-					break
-				}
+	for _, tc := range []struct {
+		name   string
+		rounds func(n int) int
+	}{
+		{"production", func(int) int { return 4 }},
+		{"incremental-only", func(n int) int { return n }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				g := randTraverseGraph(r, traverseSize(r))
+				return runShrinkReach(t, r, g, seed, tc.rounds(g.N()))
 			}
-			if w < 0 {
-				return true
+			if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+				t.Fatal(err)
 			}
-			inputs.Add(w)
-			tr.ShrinkReachInto(child, parent, o, w)
-			tr.ReachBackwardAvoiding(ref, []int{o}, inputs, parent)
-			if !child.Equal(ref) {
-				t.Logf("seed=%d o=%d w=%d: child %v != ref %v (parent %v)",
-					seed, o, w, child.Members(), ref.Members(), parent.Members())
-				return false
+		})
+	}
+}
+
+// runShrinkReach blocks up to rounds frontier members of a random output's
+// backward closure one at a time, deriving each child frontier from its
+// parent and checking it against both references.
+func runShrinkReach(t *testing.T, r *rand.Rand, g *Graph, seed int64, rounds int) bool {
+	t.Helper()
+	n := g.N()
+	tr := g.NewTraverser()
+	inputs := bitset.New(n)
+	parent := bitset.New(n)
+	child := bitset.New(n)
+	ref := bitset.New(n)
+	o := r.Intn(n)
+	// Parent frontier: everything reaching o (no inputs yet).
+	tr.ReachBackwardAvoiding(parent, []int{o}, inputs, nil)
+	for round := 0; round < rounds; round++ {
+		w := -1
+		for probe := 0; probe < 8; probe++ {
+			c := r.Intn(n)
+			if parent.Has(c) && c != o {
+				w = c
+				break
 			}
-			// The unconfined recomputation must agree too (the
-			// confinement argument of analyzePaths).
-			tr.ReachBackwardAvoiding(ref, []int{o}, inputs, nil)
-			if !child.Equal(ref) {
-				t.Logf("seed=%d o=%d w=%d: child %v != unconfined %v",
-					seed, o, w, child.Members(), ref.Members())
-				return false
-			}
-			parent.Copy(child)
 		}
-		return true
+		if w < 0 {
+			return true
+		}
+		inputs.Add(w)
+		tr.ShrinkReachInto(child, parent, o, w)
+		tr.ReachBackwardAvoiding(ref, []int{o}, inputs, parent)
+		if !child.Equal(ref) {
+			t.Logf("seed=%d o=%d w=%d: child %v != ref %v (parent %v)",
+				seed, o, w, child.Members(), ref.Members(), parent.Members())
+			return false
+		}
+		// The unconfined recomputation must agree too (the
+		// confinement argument of analyzePaths).
+		tr.ReachBackwardAvoiding(ref, []int{o}, inputs, nil)
+		if !child.Equal(ref) {
+			t.Logf("seed=%d o=%d w=%d: child %v != unconfined %v",
+				seed, o, w, child.Members(), ref.Members())
+			return false
+		}
+		parent.Copy(child)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	return true
 }
 
 // TestGrowCutConeFastPath drives the memoized-cone OR fast path (no input

@@ -257,12 +257,10 @@ func TestConnectedCutManyInputs(t *testing.T) {
 	}
 }
 
-// TestValidateZeroAlloc pins the allocation contract of the per-candidate
-// validation: with KeepCuts off, a warmed validator must not allocate,
-// neither through Validate (EnumerateBasic, the baselines) nor through the
-// search's own sequence on its maintained cut: push, load, output count,
-// canonical test, validate, pop (the whole-loop counterpart is
-// TestEnumerateSteadyStateAllocs).
+// TestValidateZeroAlloc pins the allocation contract of Validate
+// (EnumerateBasic, the baselines): with KeepCuts off, a warmed validator
+// must not allocate. TestDeltaValidatorZeroAlloc pins the search's own
+// sequence on its maintained cut.
 func TestValidateZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	g := randValGraph(r, 120)
@@ -282,31 +280,9 @@ func TestValidateZeroAlloc(t *testing.T) {
 			val.Validate(S, &cut)
 		}
 	}
-	e := newEnumShared(g, opt).newWorker(func(Cut) bool { return true }, nil)
-	search := func() {
-		for _, o := range []int{n - 1, n - 2, n - 3} {
-			if e.S.Has(o) || e.outSet.Has(o) {
-				continue
-			}
-			e.outs = append(e.outs, o)
-			e.outSet.Add(o)
-			e.growS(len(e.outs) - 1)
-			e.val.load(e.S)
-			if e.val.outs.Count() <= opt.MaxOutputs && e.val.canonical(e.outs, e.Iuser) {
-				e.val.validate(&cut)
-			}
-		}
-		for len(e.outs) > 0 {
-			e.undoGrowS(len(e.outs) - 1)
-			e.outSet.Remove(e.outs[len(e.outs)-1])
-			e.outs = e.outs[:len(e.outs)-1]
-		}
-	}
-	for name, run := range map[string]func(){"Validate": validate, "search": search} {
-		run() // warm every scratch buffer
-		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-			t.Errorf("%s path allocated %.1f times per run, want 0", name, allocs)
-		}
+	validate() // warm every scratch buffer
+	if allocs := testing.AllocsPerRun(100, validate); allocs != 0 {
+		t.Fatalf("Validate allocated %.1f times per run, want 0", allocs)
 	}
 }
 
