@@ -223,6 +223,10 @@ type incEnum struct {
 	stopped  bool
 	stop     Stopper // shared cancel/deadline poll primitive (stop.go)
 
+	// The §5.3 flow bound's work, which a test pins: gated calls (mandatory
+	// sets loaded), kernel runs past the structural caps, and prunes.
+	flowCalls, flowRuns, flowPrunes int
+
 	// Work-stealing state, nil/empty in serial runs (see parallel.go for
 	// the protocol). curSeg is the merge segment the worker currently emits
 	// into; ranges is the stack of live pickOutputRange frames a donor can
@@ -591,10 +595,14 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 				e.mandatoryInto(fs.mandBuf, v, o, back)
 				fs.uncut.Union(fs.mandBuf)
 			}
-			if e.flowBoundCanExceed(o, onPath, ninLeft) &&
-				e.completionFlowBound(o, onPath, ninLeft) > ninLeft {
-				e.stats.SeedsPruned++
-				return found
+			e.flowCalls++
+			if e.flowBoundCanExceed(o, onPath, ninLeft) {
+				e.flowRuns++
+				if e.completionFlowBound(o, onPath, ninLeft) > ninLeft {
+					e.flowPrunes++
+					e.stats.SeedsPruned++
+					return found
+				}
 			}
 		}
 		// Seed candidates walk the surviving-path vertices deepest-first
