@@ -176,11 +176,13 @@ scenario-json:
 # instance that dominates the serial profile — under pprof and drop
 # cpu.prof/mem.prof in the working tree, then profile the four `deep`
 # blocks serially (BenchmarkDeepBlocks) into deep.prof (do not commit
-# them). Read with `go tool pprof -top deep.prof`; EXPERIMENTS.md ("How
-# to read a polyise profile") explains what the hot symbols mean.
+# them). It ends by printing the top 25 nodes of deep.prof by cumulative
+# time, the layer shares EXPERIMENTS.md and ROADMAP.md cite; EXPERIMENTS.md
+# ("How to read a polyise profile") explains what the hot symbols mean.
 profile:
 	$(GO) run ./cmd/benchjson -o /tmp/bench_profile.json -iters 1 -cpuprofile cpu.prof -memprofile mem.prof
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkDeepBlocks -benchtime 20x -cpuprofile deep.prof -o polyise.test .
+	$(GO) tool pprof -top -cum -nodecount 25 polyise.test deep.prof
 
 # The benchmark's layer split in one command: one `--trace 1` run of
 # perfbench/run.py per workload (deep, pipeline, stream) at a fixed seed.

@@ -323,54 +323,3 @@ func (t *Traverser) ReachBackwardAvoiding(dst *bitset.Set, seeds []int, avoid, w
 func (t *Traverser) CutNodesInto(dst *bitset.Set, outs []int, avoid *bitset.Set) *bitset.Set {
 	return t.ReachBackwardAvoiding(dst, outs, avoid, nil)
 }
-
-// InputsInto computes I(S) (definition 1) into dst word-parallel: the union
-// of the predecessor rows of S's members, minus S itself.
-func (t *Traverser) InputsInto(dst *bitset.Set, S *bitset.Set) *bitset.Set {
-	dst.Clear()
-	g := t.g
-	stride := g.stride
-	dw := dst.Words()
-	for wi, w := range S.Words() {
-		for w != 0 {
-			v := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			row := g.predBits[v*stride : (v+1)*stride]
-			for i, r := range row {
-				dw[i] |= r
-			}
-		}
-	}
-	dst.Subtract(S)
-	return dst
-}
-
-// OutputsInto computes O(S) (definition 1) into dst: members of S that are
-// in Oext or have a successor outside S, each tested with one word-parallel
-// pass over the member's successor row.
-func (t *Traverser) OutputsInto(dst *bitset.Set, S *bitset.Set) *bitset.Set {
-	dst.Clear()
-	g := t.g
-	stride := g.stride
-	sw := S.Words()
-	ow := g.oext.Words()
-	for wi, w := range sw {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			v := wi<<6 + b
-			w &= w - 1
-			if ow[wi]&(1<<uint(b)) != 0 {
-				dst.Add(v)
-				continue
-			}
-			row := g.succBits[v*stride : (v+1)*stride]
-			for i, r := range row {
-				if r&^sw[i] != 0 {
-					dst.Add(v)
-					break
-				}
-			}
-		}
-	}
-	return dst
-}

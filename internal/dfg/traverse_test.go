@@ -14,8 +14,8 @@ import (
 	"polyise/internal/bitset"
 )
 
-// randTraverseGraph is randGraph plus random live-out marks, so OutputsInto
-// sees Oext members that still have successors.
+// randTraverseGraph is randGraph plus random live-out marks, so the
+// kernels also meet Oext members that still have successors.
 func randTraverseGraph(r *rand.Rand, n int) *Graph {
 	g := New()
 	for i := 0; i < n; i++ {
@@ -154,36 +154,6 @@ func TestTraverserCutNodesMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestTraverserInputsOutputsMatchScalar(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randTraverseGraph(r, traverseSize(r))
-		tr := g.NewTraverser()
-		n := g.N()
-		got := bitset.New(n)
-		want := bitset.New(n)
-		for trial := 0; trial < 8; trial++ {
-			S := randSubset(r, n, 3)
-			tr.InputsInto(got, S)
-			g.InputsInto(want, S)
-			if !got.Equal(want) {
-				t.Logf("seed=%d inputs of %v: got %v want %v", seed, S, got, want)
-				return false
-			}
-			tr.OutputsInto(got, S)
-			g.OutputsInto(want, S)
-			if !got.Equal(want) {
-				t.Logf("seed=%d outputs of %v: got %v want %v", seed, S, got, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRowIntersectAndEntries(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -270,8 +240,6 @@ func TestTraverserZeroAllocSteadyState(t *testing.T) {
 		tr.ReachBackwardAvoiding(dst, seeds, avoid, nil)
 		tr.ReachForwardAvoiding(dst, seeds, avoid, nil)
 		tr.CutNodesInto(dst, seeds, avoid)
-		tr.InputsInto(dst, avoid)
-		tr.OutputsInto(dst, avoid)
 	})
 	if allocs != 0 {
 		t.Fatalf("traversal kernels allocated %.1f times per run, want 0", allocs)

@@ -588,7 +588,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 			// bound the inputs any completion still needs (see flow.go).
 			// flowBoundCanExceed first checks two O(words) structural caps
 			// on the max-flow; when either already fits the budget, the
-			// bound cannot prune and the residual graph is never built.
+			// bound cannot prune and the max-flow never runs.
 			fs := e.flow()
 			fs.uncut.Clear()
 			for _, v := range e.Ilist[phaseStart:] {
