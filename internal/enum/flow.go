@@ -297,7 +297,7 @@ func (fs *flowScratch) carries(v int) bool {
 
 // addFlow adds d units to the arc u→v (u = -1: the source), recording it
 // on first use. Only an arc that carries flow is ever cancelled (d = -1).
-func (fs *flowScratch) addFlow(u, v int32, d int32) {
+func (fs *flowScratch) addFlow(u, v, d int32) {
 	for a := fs.head[v]; a >= 0; a = fs.arcs[a].next {
 		if fs.arcs[a].from == u {
 			fs.arcs[a].f += d
