@@ -175,7 +175,7 @@ func (e *incEnum) flowBoundCanExceed(o int, onPath *bitset.Set, flowCap int) boo
 // surviving-path region onPath: the max-flow from the virtual source to o
 // with unit capacity on ordinary vertices and infinite capacity on the
 // accumulated mandatory vertices (e.fs.uncut). flowCap bounds the search —
-// the returned value saturates at flowCap+1, so at most flowCap+2
+// the returned value saturates at flowCap+1, so at most flowCap+1
 // augmenting-path searches run. Any augmenting path will do: the capped
 // max-flow value is unique, whichever paths carry it.
 func (e *incEnum) completionFlowBound(o int, onPath *bitset.Set, flowCap int) int {
