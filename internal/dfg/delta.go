@@ -31,10 +31,10 @@ import (
 //
 //   - ShrinkReachInto derives a child analysis frontier from its parent for
 //     one newly blocked vertex w. Only ancestors of w can leave, so the
-//     recomputation is confined to region = reachTo(w) ∩ src: survivors are
-//     seeded word-parallel (any region vertex with an edge into the
-//     untouched part of the frontier) and closed backward inside the
-//     region. It writes into a separate per-depth buffer (the search keeps
+//     recomputation is confined to region = reachTo(w) ∩ src: one
+//     descending pass keeps each region vertex with an edge into the
+//     frontier decided so far (ids are a topological order, so every
+//     successor is decided before its predecessors). It writes into a separate per-depth buffer (the search keeps
 //     every ancestor level's frontier alive, so no undo is needed). The
 //     source→o on-path set needs no kernel of its own: package enum reads
 //     it off the shrunk frontier in the same ascending pass that finds the
@@ -111,34 +111,32 @@ func (t *Traverser) ShrinkCut(S, removed *bitset.Set, outs []int, inputs *bitset
 // Preconditions: w ∈ src, o ∈ src, o ≠ w.
 func (t *Traverser) ShrinkReachInto(dst, src *bitset.Set, o, w int) {
 	g := t.g
-	region := t.region
-	region.CopyIntersect(g.ReachTo(w), src) // removal candidates besides w itself
+	rt := g.ReachTo(w).Words()
 
 	// src members outside w's ancestor region keep their o-paths (a path
 	// through w implies reaching w); o itself is such a member (a DAG has
-	// no w→o→w paths), so it seeds survival into the region together with
-	// every region vertex keeping an edge into the untouched part.
-	rest := t.rest
-	rest.CopyAndNot(src, region)
-	rest.Remove(w)
-	surv := t.surv
-	surv.Clear()
-	rw := rest.Words()
+	// no w→o→w paths).
+	dst.CopyAndNot(src, g.ReachTo(w))
+	dst.Remove(w)
+
+	// A region vertex survives when one of its successors does. Successors
+	// have larger ids and the region lies below w, so a descending walk
+	// finds every successor already decided: outside the region it is in
+	// dst iff it kept its path, inside it was visited earlier in this walk.
+	dw, sw := dst.Words(), src.Words()
 	stride := g.stride
-	for wi, word := range region.Words() {
-		for word != 0 {
-			v := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
+	for wi := w >> 6; wi >= 0; wi-- {
+		for word := rt[wi] & sw[wi]; word != 0; {
+			b := 63 - bits.LeadingZeros64(word)
+			word &^= 1 << uint(b)
+			v := wi<<6 + b
 			row := g.succBits[v*stride : (v+1)*stride]
 			for i, r := range row {
-				if r&rw[i] != 0 {
-					surv.Add(v)
+				if r&dw[i] != 0 {
+					dw[wi] |= 1 << uint(b)
 					break
 				}
 			}
 		}
 	}
-	t.closure(surv, g.predBits, region)
-	dst.Copy(rest)
-	dst.Union(surv)
 }

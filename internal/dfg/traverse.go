@@ -29,11 +29,6 @@ type Traverser struct {
 	frontier *bitset.Set
 	next     *bitset.Set
 	allowed  *bitset.Set
-
-	// Scratch of ShrinkReachInto (delta.go).
-	region *bitset.Set
-	rest   *bitset.Set
-	surv   *bitset.Set
 }
 
 // NewTraverser returns a Traverser over g. The graph must be frozen.
@@ -47,14 +42,11 @@ func (g *Graph) NewTraverser() *Traverser {
 		frontier: bitset.New(n),
 		next:     bitset.New(n),
 		allowed:  bitset.New(n),
-		region:   bitset.New(n),
-		rest:     bitset.New(n),
-		surv:     bitset.New(n),
 	}
 }
 
 // closure grows dst to its transitive closure under the given adjacency
-// matrix, restricted to allowed (nil = the whole graph). dst arrives
+// matrix, restricted to allowed. dst arrives
 // pre-seeded; seeds are kept even when outside allowed, but expansion never
 // leaves it. Frontier-at-a-time: each round ORs the adjacency rows of the
 // current frontier and masks the union in whole words.
@@ -81,10 +73,7 @@ func (t *Traverser) closure(dst *bitset.Set, rowBits []uint64, allowed *bitset.S
 }
 
 func closureW1(dst *bitset.Set, rows []uint64, allowed *bitset.Set) {
-	aw := ^uint64(0)
-	if allowed != nil {
-		aw = allowed.Words()[0]
-	}
+	aw := allowed.Words()[0]
 	dw := dst.Words()
 	d := dw[0]
 	cur := d
@@ -101,11 +90,8 @@ func closureW1(dst *bitset.Set, rows []uint64, allowed *bitset.Set) {
 }
 
 func closureW2(dst *bitset.Set, rows []uint64, allowed *bitset.Set) {
-	a0, a1 := ^uint64(0), ^uint64(0)
-	if allowed != nil {
-		aw := allowed.Words()
-		a0, a1 = aw[0], aw[1]
-	}
+	aw := allowed.Words()
+	a0, a1 := aw[0], aw[1]
 	dw := dst.Words()
 	d0, d1 := dw[0], dw[1]
 	f0, f1 := d0, d1
@@ -134,11 +120,8 @@ func closureW2(dst *bitset.Set, rows []uint64, allowed *bitset.Set) {
 }
 
 func closureW3(dst *bitset.Set, rows []uint64, allowed *bitset.Set) {
-	a0, a1, a2 := ^uint64(0), ^uint64(0), ^uint64(0)
-	if allowed != nil {
-		aw := allowed.Words()
-		a0, a1, a2 = aw[0], aw[1], aw[2]
-	}
+	aw := allowed.Words()
+	a0, a1, a2 := aw[0], aw[1], aw[2]
 	dw := dst.Words()
 	d0, d1, d2 := dw[0], dw[1], dw[2]
 	f0, f1, f2 := d0, d1, d2
@@ -168,11 +151,8 @@ func closureW3(dst *bitset.Set, rows []uint64, allowed *bitset.Set) {
 }
 
 func closureW4(dst *bitset.Set, rows []uint64, allowed *bitset.Set) {
-	a0, a1, a2, a3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-	if allowed != nil {
-		aw := allowed.Words()
-		a0, a1, a2, a3 = aw[0], aw[1], aw[2], aw[3]
-	}
+	aw := allowed.Words()
+	a0, a1, a2, a3 := aw[0], aw[1], aw[2], aw[3]
 	dw := dst.Words()
 	d0, d1, d2, d3 := dw[0], dw[1], dw[2], dw[3]
 	f0, f1, f2, f3 := d0, d1, d2, d3
@@ -209,11 +189,7 @@ func (t *Traverser) closureGeneric(dst *bitset.Set, rowBits []uint64, allowed *b
 	stride := t.g.stride
 	fr, nx := t.frontier, t.next
 	fr.Copy(dst)
-	dw := dst.Words()
-	var aw []uint64
-	if allowed != nil {
-		aw = allowed.Words()
-	}
+	dw, aw := dst.Words(), allowed.Words()
 	for {
 		nw := nx.Words()
 		for i := range nw {
@@ -230,20 +206,11 @@ func (t *Traverser) closureGeneric(dst *bitset.Set, rowBits []uint64, allowed *b
 			}
 		}
 		any := uint64(0)
-		if aw != nil {
-			for i := range nw {
-				m := nw[i] & aw[i] &^ dw[i]
-				nw[i] = m
-				dw[i] |= m
-				any |= m
-			}
-		} else {
-			for i := range nw {
-				m := nw[i] &^ dw[i]
-				nw[i] = m
-				dw[i] |= m
-				any |= m
-			}
+		for i := range nw {
+			m := nw[i] & aw[i] &^ dw[i]
+			nw[i] = m
+			dw[i] |= m
+			any |= m
 		}
 		if any == 0 {
 			return
@@ -268,8 +235,8 @@ func HighestMaskedBit(row, mask []uint64) int {
 }
 
 // ForwardClosure extends the pre-seeded dst with everything reachable from
-// it through successor edges inside allowed (nil = everywhere). Seeds stay
-// in dst even when outside allowed.
+// it through successor edges inside allowed. Seeds stay in dst even when
+// outside allowed.
 func (t *Traverser) ForwardClosure(dst, allowed *bitset.Set) {
 	t.closure(dst, t.g.succBits, allowed)
 }
