@@ -181,8 +181,8 @@ func BenchmarkIOConstraints(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation measures the §5.3 prunings: each variant disables one
-// (the last one enables the paper's approximate dominator–input test).
+// BenchmarkAblation measures the approximate §5.3 prunings against the
+// exact search ("all"): each later variant enables one of them.
 func BenchmarkAblation(b *testing.B) {
 	g := workload.MiBenchLike(rand.New(rand.NewSource(13)), 100, workload.DefaultProfile())
 	variants := []struct {
@@ -190,10 +190,6 @@ func BenchmarkAblation(b *testing.B) {
 		mutate func(*polyise.Options)
 	}{
 		{"all", func(*polyise.Options) {}},
-		{"no-output-output", func(o *polyise.Options) { o.PruneOutputOutput = false }},
-		{"no-input-input", func(o *polyise.Options) { o.PruneInputInput = false }},
-		{"no-output-input", func(o *polyise.Options) { o.PruneOutputInput = false }},
-		{"no-build-prune", func(o *polyise.Options) { o.PruneWhileBuildingS = false }},
 		{"approx-dominator-input", func(o *polyise.Options) { o.PruneDominatorInput = true }},
 		{"approx-forbidden-anc", func(o *polyise.Options) { o.PruneForbiddenAncestors = true }},
 	}

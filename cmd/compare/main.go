@@ -5,7 +5,7 @@
 //	compare -mode trees      the figure 4 worst case in isolation
 //	compare -mode scaling    polynomial growth-exponent fit for the
 //	                         enumeration algorithm
-//	compare -mode ablation   §5.3 prunings toggled one at a time
+//	compare -mode ablation   approximate §5.3 prunings enabled one at a time
 //
 // All modes print plain-text tables; -budget bounds each individual run.
 package main
@@ -114,8 +114,9 @@ func main() {
 	}
 }
 
-// runAblation measures each §5.3 pruning's contribution by disabling it
-// alone on a mid-size workload slice.
+// runAblation measures what the approximate §5.3 prunings save by enabling
+// each alone, and both (paper mode), on a mid-size workload slice. The
+// exact prunings are always on, so the first row is the exact search.
 func runAblation(seed int64, base enum.Options, budget time.Duration) {
 	spec := workload.CorpusSpec{Small: 12, Medium: 2, Profile: workload.DefaultProfile()}
 	blocks := workload.Corpus(seed, spec)
@@ -126,10 +127,6 @@ func runAblation(seed int64, base enum.Options, budget time.Duration) {
 	}
 	variants := []variant{
 		{"all-prunings", func(*enum.Options) {}},
-		{"no-output-output", func(o *enum.Options) { o.PruneOutputOutput = false }},
-		{"no-input-input", func(o *enum.Options) { o.PruneInputInput = false }},
-		{"no-output-input", func(o *enum.Options) { o.PruneOutputInput = false }},
-		{"no-build-prune", func(o *enum.Options) { o.PruneWhileBuildingS = false }},
 		{"+dominator-input(approx)", func(o *enum.Options) { o.PruneDominatorInput = true }},
 		{"+forbidden-anc(approx)", func(o *enum.Options) { o.PruneForbiddenAncestors = true }},
 		{"paper-mode(all approx)", func(o *enum.Options) {

@@ -63,9 +63,9 @@ type Counters struct {
 	LastLevelLookups int64
 }
 
-// fields lists the counters in their on-disk order.
-func (c *Counters) fields() []*int64 {
-	return []*int64{
+// Fields lists the counters in their on-disk order.
+func (c *Counters) Fields() [10]*int64 {
+	return [...]*int64{
 		&c.Valid, &c.Candidates, &c.Duplicates, &c.Invalid, &c.LTRuns,
 		&c.SeedsPruned, &c.OutputsTried, &c.Steals,
 		&c.LastLevelTables, &c.LastLevelLookups,
@@ -225,7 +225,7 @@ func Encode(w io.Writer, s *Snapshot) error {
 	w64(uint64(s.Visited))
 	w32(uint32(s.CurTop))
 	w64(uint64(s.TopDelivered))
-	for _, c := range s.Stats.fields() {
+	for _, c := range s.Stats.Fields() {
 		w64(uint64(*c))
 	}
 	sum := sha256.Sum256(buf.Bytes())
@@ -310,8 +310,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	s.Visited = int64(d.u64())
 	s.CurTop = int(d.u32())
 	s.TopDelivered = int64(d.u64())
-	counters := s.Stats.fields()
-	for _, c := range counters {
+	for _, c := range s.Stats.Fields() {
 		*c = int64(d.u64())
 	}
 	if d.err {
@@ -326,7 +325,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if s.TopDelivered < 0 || s.TopDelivered > s.Visited {
 		return nil, &FormatError{Reason: "frontier delivered count outside [0, visited]"}
 	}
-	for _, c := range counters {
+	for _, c := range s.Stats.Fields() {
 		if *c < 0 {
 			return nil, &FormatError{Reason: "negative work counter"}
 		}

@@ -354,7 +354,7 @@ func FuzzCheckpoint(f *testing.F) {
 		if s.Visited < 0 || s.TopDelivered < 0 || s.TopDelivered > s.Visited {
 			t.Fatalf("decoded out-of-range counts Visited=%d TopDelivered=%d", s.Visited, s.TopDelivered)
 		}
-		for _, c := range s.Stats.fields() {
+		for _, c := range s.Stats.Fields() {
 			if *c < 0 {
 				t.Fatalf("decoded a negative counter in %+v", s.Stats)
 			}

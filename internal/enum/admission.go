@@ -15,9 +15,6 @@ import "polyise/internal/bitset"
 // per offending vertex — would be unsound: a single well-placed input can
 // evict several vertices from S at once.)
 func (e *incEnum) viable(ninLeft int) bool {
-	if !e.opt.PruneWhileBuildingS {
-		return true
-	}
 	offending := e.S.Intersects(e.g.ForbiddenSet()) || e.S.Intersects(e.g.RootSet()) ||
 		e.S.IntersectionCount(e.permOut) > e.opt.MaxOutputs
 	return !offending || ninLeft > 0
@@ -46,20 +43,16 @@ func (e *incEnum) quickOffending(o int, uncAll *bitset.Set) bool {
 }
 
 // admissibleOutput filters output candidates: not forbidden, not a root,
-// not already in the cut or chosen, and not related by ancestry or
-// postdominance to a chosen output.
+// not already in the cut or chosen, and not related by postdominance to a
+// chosen output. Ancestors of chosen outputs end up inside the cut, so
+// they never need to be chosen (§5.3, output–output pruning); pickOutput
+// tries only ids above the last output, which no ancestor of a chosen
+// output has, so that rule needs no test here.
 func (e *incEnum) admissibleOutput(o int) bool {
 	if e.g.IsForbidden(o) || e.S.Has(o) || e.outSet.Has(o) || e.Iuser.Has(o) {
 		return false
 	}
 	for _, prev := range e.outs {
-		// Ancestors of chosen outputs end up inside the cut, so they never
-		// need to be chosen (§5.3, output–output pruning). The topological
-		// ordering already guarantees this when the pruning is on; check
-		// explicitly for the unpruned configuration.
-		if e.g.Reaches(o, prev) {
-			return false
-		}
 		if e.pdRel[prev].Has(o) {
 			return false
 		}
@@ -68,8 +61,7 @@ func (e *incEnum) admissibleOutput(o int) bool {
 }
 
 // inputRejectsInto sets m to the completions of output o that the §5.3
-// output–input pruning rejects, for one lookup per candidate; empty when
-// the pruning is off. An input's private path to the output lies inside
+// output–input pruning rejects, for one lookup per candidate. An input's private path to the output lies inside
 // the cut after the input, so a forbidden-free path to o must exist: the
 // base is the complement of o's forbidden-free ancestor row. Every
 // forbidden direct predecessor of o must be an input too (it can neither
@@ -77,10 +69,6 @@ func (e *incEnum) admissibleOutput(o int) bool {
 // remain admissible, and with more than Nin none is. With
 // PruneForbiddenAncestors the ancestors of o's forbidden ancestors go too.
 func (e *incEnum) inputRejectsInto(m *bitset.Set, o int) {
-	if !e.opt.PruneOutputInput {
-		m.Clear()
-		return
-	}
 	fp := e.g.ForbiddenPreds(o)
 	switch c := fp.Count(); {
 	case c > e.opt.MaxInputs:
@@ -96,20 +84,15 @@ func (e *incEnum) inputRejectsInto(m *bitset.Set, o int) {
 	}
 }
 
-// seedRejectsInto sets m to the seeds of output o's seed loop that the
-// §5.3 prunings reject, for one lookup per candidate: the completions
-// inRej rejects (inputRejectsInto), the forbidden-ancestor exclusion when
-// that stands alone, and, for the input–input pruning, every vertex
-// related by postdominance to a chosen input — two such inputs can never
-// coexist in a valid cut under the technical condition.
-func (e *incEnum) seedRejectsInto(m *bitset.Set, o int, inRej *bitset.Set) {
+// seedRejectsInto sets m to the seeds of the current output's seed loop
+// that the §5.3 prunings reject, for one lookup per candidate: the
+// completions inRej rejects (inputRejectsInto) and, for the input–input
+// pruning, every vertex related by postdominance to a chosen input — two
+// such inputs can never coexist in a valid cut under the technical
+// condition.
+func (e *incEnum) seedRejectsInto(m, inRej *bitset.Set) {
 	m.Copy(inRej)
-	if e.opt.PruneForbiddenAncestors && !e.opt.PruneOutputInput {
-		m.Union(e.badIn[o])
-	}
-	if e.opt.PruneInputInput {
-		for _, v := range e.Ilist {
-			m.Union(e.pdRel[v])
-		}
+	for _, v := range e.Ilist {
+		m.Union(e.pdRel[v])
 	}
 }

@@ -36,16 +36,14 @@ func forbiddenFreePath(g *dfg.Graph, u, o int) bool {
 // completion u of output o is rejected by the output–input pruning when no
 // forbidden-free path leads from u to o, when o's forbidden predecessors
 // plus u exceed Nin, or (PruneForbiddenAncestors) when u is an ancestor of
-// a forbidden ancestor of o. A seed is rejected by those rules — the
-// forbidden-ancestor one also on its own — and by the input–input
-// pruning: postdominance with a chosen input. Random MiBench-like blocks,
-// random chosen-input lists and Nin from 1 to 4 (so that the
-// forbidden-predecessor count meets and exceeds the budget) run under
-// DefaultOptions, PaperOptions and the forbidden-ancestor rule without the
-// output–input pruning.
+// a forbidden ancestor of o. A seed is rejected by those rules and by the
+// input–input pruning: postdominance with a chosen input. Random
+// MiBench-like blocks, random chosen-input lists and Nin from 1 to 4 (so
+// that the forbidden-predecessor count meets and exceeds the budget) run
+// under DefaultOptions, PaperOptions and the forbidden-ancestor rule as
+// the only approximate pruning.
 func TestRejectionMasksMatchRules(t *testing.T) {
 	pfaOnly := DefaultOptions()
-	pfaOnly.PruneOutputInput = false
 	pfaOnly.PruneForbiddenAncestors = true
 	configs := []struct {
 		name string
@@ -74,7 +72,7 @@ func TestRejectionMasksMatchRules(t *testing.T) {
 					inRej := e.bufAt(&e.inRejs, 0)
 					e.inputRejectsInto(inRej, o)
 					rej := e.bufAt(&e.seedRejs, 0)
-					e.seedRejectsInto(rej, o, inRej)
+					e.seedRejectsInto(rej, inRej)
 
 					forced := map[int]bool{}
 					for _, p := range g.Preds(o) {
@@ -92,18 +90,16 @@ func TestRejectionMasksMatchRules(t *testing.T) {
 							}
 						}
 						pd := false
-						if opt.PruneInputInput {
-							for _, v := range e.Ilist {
-								pd = pd || pdt.Dominates(u, v) || pdt.Dominates(v, u)
-							}
+						for _, v := range e.Ilist {
+							pd = pd || pdt.Dominates(u, v) || pdt.Dominates(v, u)
 						}
-						wantIn := opt.PruneOutputInput && (ff || over || bad)
-						wantSeed := pd || wantIn || bad
+						wantIn := ff || over || bad
+						wantSeed := pd || wantIn
 						if inRej.Has(u) != wantIn || rej.Has(u) != wantSeed {
 							t.Fatalf("Nin=%d o=%d I=%v u=%d: completion mask %v, seed mask %v; rules: no ff path %v, forced over %v, bad %v, postdominance %v",
 								opt.MaxInputs, o, e.Ilist, u, inRej.Has(u), rej.Has(u), ff, over, bad, pd)
 						}
-						for i, hit := range []bool{ff && opt.PruneOutputInput, over && opt.PruneOutputInput, bad, pd, !wantSeed} {
+						for i, hit := range []bool{ff, over, bad, pd, !wantSeed} {
 							fired[i] += btoi(hit)
 						}
 					}

@@ -25,21 +25,12 @@ func TestEachCutDerivedOnce(t *testing.T) {
 	variants := func(nin, nout int) map[string]enum.Options {
 		std := enum.DefaultOptions()
 		std.MaxInputs, std.MaxOutputs = nin, nout
-		unpruned := std
-		unpruned.PruneOutputOutput = false
-		unpruned.PruneInputInput = false
-		unpruned.PruneOutputInput = false
-		unpruned.PruneWhileBuildingS = false
-		unpruned.PruneInfeasibleBudget = false
-		noOutOut := std
-		noOutOut.PruneOutputOutput = false
 		conn := std
 		conn.ConnectedOnly = true
 		depth := std
 		depth.MaxDepth = 2
 		return map[string]enum.Options{
-			"default": std, "unpruned": unpruned, "no-output-output": noOutOut,
-			"connected": conn, "max-depth": depth,
+			"default": std, "connected": conn, "max-depth": depth,
 		}
 	}
 	ports := [][2]int{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {6, 2}, {2, 4}}

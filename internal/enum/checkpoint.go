@@ -56,26 +56,23 @@ var ErrCompleted = errors.New("enum: snapshot records a completed run; nothing t
 
 // optionsFingerprint hashes the Options fields that define the cut set and
 // its visit order: the port constraints, connectivity/latency restrictions
-// and the pruning toggles (the two approximate prunings change the cut set,
-// the exact ones canonicalize the order's derivation). Budgets, deadlines,
-// contexts, KeepCuts and Parallelism are excluded on purpose — the
-// determinism contract makes them output-invariant, so a resume may
-// legitimately change them (most obviously the worker count).
+// and the two approximate prunings, which change the cut set. Budgets,
+// deadlines, contexts, KeepCuts and Parallelism are excluded on purpose —
+// the determinism contract makes them output-invariant, so a resume may
+// legitimately change them (most obviously the worker count). Flag bits
+// 1–5 held the on/off toggles of the five exact prunings, which are now
+// unconditional; the bits stay set so that snapshots written with those
+// prunings on, as every default configuration had them, still resume.
 func optionsFingerprint(opt Options) uint64 {
 	h := bitset.NewHasher128()
 	h.Int(opt.MaxInputs)
 	h.Int(opt.MaxOutputs)
 	h.Int(opt.MaxDepth)
-	flags := 0
+	flags := 0b111110
 	for i, b := range [...]bool{
-		opt.ConnectedOnly,
-		opt.PruneOutputOutput,
-		opt.PruneInputInput,
-		opt.PruneOutputInput,
-		opt.PruneWhileBuildingS,
-		opt.PruneInfeasibleBudget,
-		opt.PruneDominatorInput,
-		opt.PruneForbiddenAncestors,
+		0: opt.ConnectedOnly,
+		6: opt.PruneDominatorInput,
+		7: opt.PruneForbiddenAncestors,
 	} {
 		if b {
 			flags |= 1 << i
@@ -266,35 +263,23 @@ func (vp *visitPoint) finish(st *Stats) Stats {
 
 // countersOf extracts the advisory work counters of a Stats.
 func countersOf(s Stats) checkpoint.Counters {
-	return checkpoint.Counters{
-		Valid:            int64(s.Valid),
-		Candidates:       int64(s.Candidates),
-		Duplicates:       int64(s.Duplicates),
-		Invalid:          int64(s.Invalid),
-		LTRuns:           int64(s.LTRuns),
-		SeedsPruned:      int64(s.SeedsPruned),
-		OutputsTried:     int64(s.OutputsTried),
-		Steals:           int64(s.Steals),
-		LastLevelTables:  int64(s.LastLevelTables),
-		LastLevelLookups: int64(s.LastLevelLookups),
+	var c checkpoint.Counters
+	dst := c.Fields()
+	for i, p := range s.counters() {
+		*dst[i] = int64(*p)
 	}
+	return c
 }
 
 // statsFromCounters is the inverse of countersOf, as the resumed run's
 // counter baseline.
 func statsFromCounters(c checkpoint.Counters) Stats {
-	return Stats{
-		Valid:            int(c.Valid),
-		Candidates:       int(c.Candidates),
-		Duplicates:       int(c.Duplicates),
-		Invalid:          int(c.Invalid),
-		LTRuns:           int(c.LTRuns),
-		SeedsPruned:      int(c.SeedsPruned),
-		OutputsTried:     int(c.OutputsTried),
-		Steals:           int(c.Steals),
-		LastLevelTables:  int(c.LastLevelTables),
-		LastLevelLookups: int(c.LastLevelLookups),
+	var s Stats
+	src := c.Fields()
+	for i, p := range s.counters() {
+		*p = int(*src[i])
 	}
+	return s
 }
 
 // ResumeEnumerate continues an interrupted enumeration from a decoded

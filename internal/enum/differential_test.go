@@ -45,18 +45,7 @@ func optVariants(nin, nout int) map[string]enum.Options {
 	paper.MaxInputs, paper.MaxOutputs = nin, nout
 	conn := std
 	conn.ConnectedOnly = true
-	// All exact prunings off: the search reaches the same cuts through
-	// many subtrees, which maximally stresses the canonical derivation
-	// test.
-	unpruned := std
-	unpruned.PruneOutputOutput = false
-	unpruned.PruneInputInput = false
-	unpruned.PruneOutputInput = false
-	unpruned.PruneWhileBuildingS = false
-	unpruned.PruneInfeasibleBudget = false
-	return map[string]enum.Options{
-		"default": std, "paper": paper, "connected": conn, "unpruned": unpruned,
-	}
+	return map[string]enum.Options{"default": std, "paper": paper, "connected": conn}
 }
 
 // TestParallelMatchesSerialOnRandomCorpus is the core differential test:
@@ -70,9 +59,6 @@ func TestParallelMatchesSerialOnRandomCorpus(t *testing.T) {
 			g := workload.MiBenchLike(rand.New(rand.NewSource(seed)), n, workload.DefaultProfile())
 			for _, io := range diffConstraints {
 				for name, opt := range optVariants(io[0], io[1]) {
-					if name == "unpruned" && n > 35 {
-						continue // exponential revisiting; the small sizes already stress the merge
-					}
 					sopt := opt
 					sopt.Parallelism = 1
 					serial := visitSequence(g, sopt)

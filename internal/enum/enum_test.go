@@ -350,37 +350,6 @@ func TestQuickBasicMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestQuickPruningsDoNotChangeResults(t *testing.T) {
-	// Toggling each pruning off must not change the enumerated cut sets.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randDFG(r, 4+r.Intn(9))
-		base := enum.DefaultOptions()
-		base.MaxInputs = 1 + r.Intn(4)
-		base.MaxOutputs = 1 + r.Intn(2)
-		want, _ := enum.CollectAll(g, base)
-		variants := []func(*enum.Options){
-			func(o *enum.Options) { o.PruneOutputOutput = false },
-			func(o *enum.Options) { o.PruneInputInput = false },
-			func(o *enum.Options) { o.PruneOutputInput = false },
-			func(o *enum.Options) { o.PruneWhileBuildingS = false },
-		}
-		for _, mutate := range variants {
-			opt := base
-			mutate(&opt)
-			got, _ := enum.CollectAll(g, opt)
-			if !reflect.DeepEqual(signatures(got), signatures(want)) {
-				t.Logf("seed=%d variant=%+v differs", seed, opt)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDominatorInputPruningIsSubset documents the deliberate deviation from
 // §5.3: the paper's "simplified" dominator–input test, implemented
 // literally, can lose cuts (which is why it is off by default). It must

@@ -1,11 +1,11 @@
 package enum
 
-// Budget-feasibility pruning (PruneInfeasibleBudget). After choosing a set
-// of seeds for the current output o, any dominator completion adds one
-// input per surviving vertex-disjoint source→o path (Menger's theorem: a
-// separator is at least as large as the maximum set of vertex-disjoint
-// paths). Moreover, a completion that produces a *new* cut may not place an
-// input on any vertex that lies on every path from an existing seed to o:
+// Budget-feasibility pruning (§5.3, exact). After choosing a set of seeds
+// for the current output o, any dominator completion adds one input per
+// surviving vertex-disjoint source→o path (Menger's theorem: a separator
+// is at least as large as the maximum set of vertex-disjoint paths).
+// Moreover, a completion that produces a *new* cut may not place an input
+// on any vertex that lies on every path from an existing seed to o:
 // blocking such a mandatory vertex leaves the seed without a private path,
 // making it redundant — the identical cut is generated on the branch that
 // never chose the seed. Mandatory vertices therefore get infinite capacity.

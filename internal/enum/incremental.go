@@ -359,16 +359,12 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 // {o} ∪ B(I, o), then hand over to input selection (which also covers the
 // "I already dominates o" branch of figure 3).
 //
-// lastOut is the previously chosen output. With the output–output pruning
-// on, only later ids are tried: an ancestor has a smaller id, so requiring
+// lastOut is the previously chosen output. Only later ids are tried (§5.3,
+// output–output pruning): an ancestor has a smaller id, so requiring
 // strictly increasing ids makes the "skip ancestors of selected outputs"
 // rule free and canonicalizes the choice order.
 func (e *incEnum) pickOutput(depth, lastOut, ninLeft, noutLeft int) {
-	start := 0
-	if e.opt.PruneOutputOutput {
-		start = lastOut + 1
-	}
-	e.pickOutputRange(depth, start, e.g.N(), ninLeft, noutLeft)
+	e.pickOutputRange(depth, lastOut+1, e.g.N(), ninLeft, noutLeft)
 }
 
 // pickOutputRange runs PICK-OUTPUT's candidate loop over the topological
@@ -394,7 +390,7 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 	// uncAll collects the inputs' ancestor cones once per level — inputs
 	// included, they can never rejoin — so the test is one fused word scan
 	// per candidate output (quickOffending).
-	quickRej := e.opt.PruneWhileBuildingS && ninLeft <= 0
+	quickRej := ninLeft <= 0
 	var uncAll *bitset.Set
 	if quickRej {
 		uncAll = e.bufAt(&e.uncs, depth)
@@ -582,8 +578,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		// already chosen (the explosion lives in deep seed levels) and a
 		// surviving-path region big enough that iterating it blindly would
 		// cost more than the bound.
-		if e.opt.PruneInfeasibleBudget && len(e.Ilist) > phaseStart &&
-			onPath.Count() > 64 {
+		if len(e.Ilist) > phaseStart && onPath.Count() > 64 {
 			// Load the mandatory vertices of the current phase's seeds and
 			// bound the inputs any completion still needs (see flow.go).
 			// flowBoundCanExceed first checks two O(words) structural caps
@@ -612,7 +607,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		// free; the historical index of seed i in that walk is N-1-i, which
 		// is what the recursion's seedStart carries forward.
 		rej := e.bufAt(&e.seedRejs, depth)
-		e.seedRejectsInto(rej, o, inRej)
+		e.seedRejectsInto(rej, inRej)
 		if ninLeft == 2 {
 			e.last.arm(e.g, onPath, back, chain)
 		}

@@ -26,8 +26,8 @@
 // the completion — which exists exactly once per valid cut
 // (docs/ALGORITHM.md §5). Completeness — every valid cut is produced —
 // holds under DefaultOptions and is verified by measurement at two tiers:
-// against the brute-force oracle over all vertex subsets to n ≈ 16 (any
-// exact Options), and against the pruned-exhaustive oracle
+// against the brute-force oracle over all vertex subsets to n ≈ 16 (with
+// the approximate prunings off), and against the pruned-exhaustive oracle
 // (baseline.DiffOracle, `make diff-oracle`) to n ≈ 240 on the MiBench-like
 // corpus, including the pinned regression instances of the historical
 // n ≥ 140 gap. That gap was a collision class in the dedup digest Enumerate
@@ -129,20 +129,11 @@ type Options struct {
 	// restriction mentioned in §5.3 (output–input pruning).
 	MaxDepth int
 
-	// Pruning toggles (§5.3). The first four are exact: they trade work for
-	// nothing and the set of enumerated cuts is unchanged. They are on by
-	// default.
-	PruneOutputOutput   bool // skip outputs that are ancestors of chosen ones
-	PruneInputInput     bool // skip seed pairs related by postdominance
-	PruneOutputInput    bool // forbidden-node path partitioning + lower bound
-	PruneWhileBuildingS bool // abort candidates as soon as S violates F/Nout
-	// PruneInfeasibleBudget bounds seed extension with a min-vertex-cut
-	// argument: completing the current output's dominator needs at least
-	// maxflow(source→output) further inputs, counted over surviving paths
-	// and with each already-chosen seed's mandatory vertices uncuttable
-	// (cutting one would make that seed redundant). Exact; this is what
-	// keeps the figure 4 tree family polynomial in practice.
-	PruneInfeasibleBudget bool
+	// The five exact §5.3 prunings (output–output, input–input,
+	// output–input, pruning while building S and the budget-feasibility
+	// flow bound) are part of the algorithm and always on; docs/ALGORITHM.md
+	// §6 maps each to its code. Only the two approximate ones below are
+	// options.
 
 	// PruneDominatorInput enables the paper's "simplified" dominator–input
 	// test (§5.3): after a seed yields a valid dominator, later candidates
@@ -226,25 +217,20 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's standard configuration: Nin=4, Nout=2,
-// unrestricted latency and connectivity, technical condition required, all
-// prunings enabled.
+// unrestricted latency and connectivity, technical condition required, and
+// only the exact §5.3 prunings (the approximate ones off).
 func DefaultOptions() Options {
 	return Options{
-		MaxInputs:             4,
-		MaxOutputs:            2,
-		PruneOutputOutput:     true,
-		PruneInputInput:       true,
-		PruneOutputInput:      true,
-		PruneWhileBuildingS:   true,
-		PruneInfeasibleBudget: true,
-		KeepCuts:              true,
+		MaxInputs:  4,
+		MaxOutputs: 2,
+		KeepCuts:   true,
 	}
 }
 
 // PaperOptions returns the configuration closest to the paper's own
-// implementation: the standard Nin=4/Nout=2 constraint with every §5.3
-// pruning enabled, including the two approximate ones
-// (PruneDominatorInput, PruneForbiddenAncestors). Enumeration under these
+// implementation: the standard Nin=4/Nout=2 constraint with the two
+// approximate §5.3 prunings (PruneDominatorInput, PruneForbiddenAncestors)
+// on as well as the exact ones. Enumeration under these
 // options is fast but may miss valid cuts: an approximate pruning that
 // cuts off a cut's canonical derivation loses the cut, since no other
 // derivation delivers it. On the n=140 gap instance paper mode finds
@@ -290,4 +276,15 @@ type Stats struct {
 	// *StallError for a steal handoff the watchdog declared dead, or a
 	// baseline-specific error. Non-nil implies StopReason == StopError.
 	Err error
+}
+
+// counters lists the work counters in the snapshot's on-disk order
+// (checkpoint.Counters.Fields), for the loops that add, save and restore
+// them.
+func (s *Stats) counters() [10]*int {
+	return [...]*int{
+		&s.Valid, &s.Candidates, &s.Duplicates, &s.Invalid, &s.LTRuns,
+		&s.SeedsPruned, &s.OutputsTried, &s.Steals,
+		&s.LastLevelTables, &s.LastLevelLookups,
+	}
 }

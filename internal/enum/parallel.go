@@ -497,16 +497,10 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 
 // addStats accumulates one worker's counters into the aggregate.
 func addStats(dst *Stats, s Stats) {
-	dst.Valid += s.Valid
-	dst.Candidates += s.Candidates
-	dst.Duplicates += s.Duplicates
-	dst.Invalid += s.Invalid
-	dst.LTRuns += s.LTRuns
-	dst.SeedsPruned += s.SeedsPruned
-	dst.OutputsTried += s.OutputsTried
-	dst.Steals += s.Steals
-	dst.LastLevelTables += s.LastLevelTables
-	dst.LastLevelLookups += s.LastLevelLookups
+	src := s.counters()
+	for i, p := range dst.counters() {
+		*p += *src[i]
+	}
 	dst.RecordStop(s.StopReason)
 	if dst.Err == nil {
 		dst.Err = s.Err
