@@ -34,11 +34,12 @@ import (
 //     recomputation is confined to region = reachTo(w) ∩ src: one
 //     descending pass keeps each region vertex with an edge into the
 //     frontier decided so far (ids are a topological order, so every
-//     successor is decided before its predecessors). It writes into a separate per-depth buffer (the search keeps
-//     every ancestor level's frontier alive, so no undo is needed). The
-//     source→o on-path set needs no kernel of its own: package enum reads
-//     it off the shrunk frontier in the same ascending pass that finds the
-//     reduced-graph dominators (see analyzePaths there).
+//     successor is decided before its predecessors). It writes into a
+//     separate per-depth buffer (the search keeps every ancestor level's
+//     frontier alive, so no undo is needed). The source→o on-path set
+//     needs no kernel of its own: package enum reads it off the shrunk
+//     frontier in the same ascending pass that finds the reduced-graph
+//     dominators (see analyzePaths there).
 //
 // The grow/shrink kernels return their delta disjoint from (resp. contained
 // in) S so the caller's undo journal is exact: undo a GrowCut with
@@ -111,22 +112,22 @@ func (t *Traverser) ShrinkCut(S, removed *bitset.Set, outs []int, inputs *bitset
 // Preconditions: w ∈ src, o ∈ src, o ≠ w.
 func (t *Traverser) ShrinkReachInto(dst, src *bitset.Set, o, w int) {
 	g := t.g
-	rt := g.ReachTo(w).Words()
+	anc := g.ReachTo(w)
 
 	// src members outside w's ancestor region keep their o-paths (a path
 	// through w implies reaching w); o itself is such a member (a DAG has
 	// no w→o→w paths).
-	dst.CopyAndNot(src, g.ReachTo(w))
+	dst.CopyAndNot(src, anc)
 	dst.Remove(w)
 
 	// A region vertex survives when one of its successors does. Successors
 	// have larger ids and the region lies below w, so a descending walk
 	// finds every successor already decided: outside the region it is in
 	// dst iff it kept its path, inside it was visited earlier in this walk.
-	dw, sw := dst.Words(), src.Words()
+	dw, sw, aw := dst.Words(), src.Words(), anc.Words()
 	stride := g.stride
 	for wi := w >> 6; wi >= 0; wi-- {
-		for word := rt[wi] & sw[wi]; word != 0; {
+		for word := aw[wi] & sw[wi]; word != 0; {
 			b := 63 - bits.LeadingZeros64(word)
 			word &^= 1 << uint(b)
 			v := wi<<6 + b

@@ -46,10 +46,10 @@ func (g *Graph) NewTraverser() *Traverser {
 }
 
 // closure grows dst to its transitive closure under the given adjacency
-// matrix, restricted to allowed. dst arrives
-// pre-seeded; seeds are kept even when outside allowed, but expansion never
-// leaves it. Frontier-at-a-time: each round ORs the adjacency rows of the
-// current frontier and masks the union in whole words.
+// matrix, restricted to allowed. dst arrives pre-seeded; seeds are kept
+// even when outside allowed, but expansion never leaves it.
+// Frontier-at-a-time: each round ORs the adjacency rows of the current
+// frontier and masks the union in whole words.
 //
 // Graphs of at most 256 vertices (stride ≤ 4) dispatch to specializations
 // that keep the whole frontier, accumulator and visited set in registers;

@@ -61,13 +61,14 @@ func (e *incEnum) admissibleOutput(o int) bool {
 }
 
 // inputRejectsInto sets m to the completions of output o that the §5.3
-// output–input pruning rejects, for one lookup per candidate. An input's private path to the output lies inside
-// the cut after the input, so a forbidden-free path to o must exist: the
-// base is the complement of o's forbidden-free ancestor row. Every
-// forbidden direct predecessor of o must be an input too (it can neither
-// join the cut nor be severed from o), so with Nin of them only they
-// remain admissible, and with more than Nin none is. With
-// PruneForbiddenAncestors the ancestors of o's forbidden ancestors go too.
+// output–input pruning rejects, for one lookup per candidate. An input's
+// private path to the output lies inside the cut after the input, so a
+// forbidden-free path to o must exist: the base is the complement of o's
+// forbidden-free ancestor row. Every forbidden direct predecessor of o must
+// be an input too (it can neither join the cut nor be severed from o), so
+// with Nin of them only they remain admissible, and with more than Nin none
+// is. With PruneForbiddenAncestors the ancestors of o's forbidden ancestors
+// go too.
 func (e *incEnum) inputRejectsInto(m *bitset.Set, o int) {
 	fp := e.g.ForbiddenPreds(o)
 	switch c := fp.Count(); {

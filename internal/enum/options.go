@@ -129,11 +129,8 @@ type Options struct {
 	// restriction mentioned in §5.3 (output–input pruning).
 	MaxDepth int
 
-	// The five exact §5.3 prunings (output–output, input–input,
-	// output–input, pruning while building S and the budget-feasibility
-	// flow bound) are part of the algorithm and always on; docs/ALGORITHM.md
-	// §6 maps each to its code. Only the two approximate ones below are
-	// options.
+	// The five exact §5.3 prunings are always on (docs/ALGORITHM.md §6);
+	// only the two approximate ones below are options.
 
 	// PruneDominatorInput enables the paper's "simplified" dominator–input
 	// test (§5.3): after a seed yields a valid dominator, later candidates

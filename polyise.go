@@ -101,12 +101,12 @@ const (
 // Freeze.
 func NewGraph() *Graph { return dfg.New() }
 
-// Options configures cut enumeration (Nin/Nout, connectedness, §5.3
-// pruning toggles).
+// Options configures cut enumeration (Nin/Nout, connectedness, the two
+// approximate §5.3 prunings).
 type Options = enum.Options
 
-// DefaultOptions is the paper's standard configuration: Nin=4, Nout=2, all
-// exact prunings on.
+// DefaultOptions is the paper's standard configuration: Nin=4, Nout=2, the
+// approximate prunings off.
 func DefaultOptions() Options { return enum.DefaultOptions() }
 
 // Cut is one convex subgraph with its derived inputs and outputs.
