@@ -1,4 +1,4 @@
-// Command benchjson runs the tier-1 enumeration benchmarks and emits a
+// Command benchjson times the tier-1 enumeration benchmarks and emits a
 // machine-readable JSON record (ns/op, allocs/op, cuts and cuts/sec per
 // benchmark), so the performance trajectory of the repository is committed
 // alongside the code instead of living in transient CI logs.
@@ -7,10 +7,11 @@
 // measured as a worker-count scaling curve (1, 2, 4 and GOMAXPROCS
 // workers, each entry carrying its speedup over the serial run), and the
 // figure 5 size clusters compare the polynomial algorithm against the
-// pruned exhaustive search of [15]. The record is taken at the process's
-// real GOMAXPROCS — the committed gomaxprocs field says what the parallel
-// entries actually had available, so a single-core recording machine is
-// visible in the data instead of silently flattening the curve.
+// pruned exhaustive search of [15]. Each entry is timed by the standard
+// library's benchmark runner (testing.Benchmark). The record is taken at
+// the process's real GOMAXPROCS — the committed gomaxprocs field says what
+// the parallel entries actually had available, so a single-core recording
+// machine is visible in the data instead of silently flattening the curve.
 //
 // With -compare the command doubles as the CI regression gate: after
 // measuring, each benchmark is checked against the same-named entry of the
@@ -29,17 +30,15 @@
 // of the "≥ 4× at 8 cores" acceptance bar; it requires gomaxprocs ≥ 8 and
 // refuses (exit non-zero) to certify a speedup on fewer cores.
 //
-// With -cpuprofile / -memprofile the command doubles as the profiling
-// harness: the same tier-1 workloads run under pprof, so the committed
-// numbers and the profiles always describe the same code paths (`make
-// profile`; EXPERIMENTS.md explains how to read one).
+// Profiles of the same instances come from `go test -bench` (`make
+// profile`), and the exact end-to-end scenario record (BENCH_PR9.json) is
+// gated by `go test ./internal/bench/`; this command only measures time.
 //
 // Usage:
 //
-//	go run ./cmd/benchjson -o BENCH_PR6.json [-iters 3] [-quick]
+//	go run ./cmd/benchjson -o BENCH_PR6.json [-quick]
 //	go run ./cmd/benchjson -o /tmp/fresh.json -quick -compare BENCH_PR6.json
 //	go run ./cmd/benchjson -o /tmp/fresh.json -compare BENCH_PR6.json -minspeedup 4
-//	go run ./cmd/benchjson -o /tmp/prof.json -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
 import (
@@ -49,73 +48,12 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"sort"
-	"time"
+	"testing"
 
 	"polyise"
-	"polyise/internal/bench"
 	"polyise/internal/workload"
 )
-
-// ScenarioReport is the envelope of the end-to-end scenario record
-// (BENCH_PR9.json): the pinned pipeline scenarios of internal/bench run
-// enumerate → select → Verilog emit → interpreter re-check, with every
-// field deterministic. Unlike the timing benchmarks, scenario entries are
-// gated by exact equality — any drift in cut counts, selection, cycle
-// accounting or emitted RTL is a behaviour change, not noise — so the
-// record is machine-independent.
-type ScenarioReport struct {
-	GoVersion string                 `json:"go_version"`
-	Scenarios []bench.ScenarioResult `json:"scenarios"`
-}
-
-// runScenarios executes the pinned suite and fails loudly on any pipeline
-// error or semantic mismatch.
-func runScenarios() (ScenarioReport, error) {
-	res, err := bench.RunScenarios()
-	if err != nil {
-		return ScenarioReport{}, err
-	}
-	for _, r := range res {
-		if r.OracleMismatches != 0 {
-			return ScenarioReport{}, fmt.Errorf("scenario %s: %d semantic mismatches", r.Name, r.OracleMismatches)
-		}
-		fmt.Fprintf(os.Stderr, "%-28s n=%-4d cuts=%-5d chosen=%d cycles %d->%d rtl=%dB fnv=%s\n",
-			r.Name, r.N, r.Cuts, r.Chosen, r.CyclesBefore, r.CyclesAfter, r.VerilogBytes, r.VerilogFNV)
-	}
-	return ScenarioReport{GoVersion: runtime.Version(), Scenarios: res}, nil
-}
-
-// gateScenarios compares fresh scenario results against the committed
-// record by exact equality, entry by entry. A scenario present on only one
-// side is a failure: the suite is pinned, so adding or removing an entry
-// must come with a regenerated record.
-func gateScenarios(fresh, baseline ScenarioReport) []string {
-	base := make(map[string]bench.ScenarioResult, len(baseline.Scenarios))
-	for _, b := range baseline.Scenarios {
-		base[b.Name] = b
-	}
-	var failures []string
-	seen := map[string]bool{}
-	for _, f := range fresh.Scenarios {
-		seen[f.Name] = true
-		b, ok := base[f.Name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("scenario %s missing from committed record (regenerate with `make scenario-json`)", f.Name))
-			continue
-		}
-		if f != b {
-			failures = append(failures, fmt.Sprintf("scenario %s drifted:\n  fresh:    %+v\n  baseline: %+v", f.Name, f, b))
-		}
-	}
-	for _, b := range baseline.Scenarios {
-		if !seen[b.Name] {
-			failures = append(failures, fmt.Sprintf("scenario %s in committed record but not in the suite", b.Name))
-		}
-	}
-	return failures
-}
 
 // Result is one benchmark measurement.
 type Result struct {
@@ -145,81 +83,46 @@ type Report struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-// minMeasure is the minimum measured wall time per benchmark: sub-
-// millisecond instances at a fixed iteration count are too noisy for the
-// 15% regression gate, so measure scales the iteration count up (like
-// testing.B) until the measurement window is at least this long.
-const minMeasure = time.Second
-
-// measureWindows is how many independent measurement windows each
-// benchmark runs; the fastest window is reported. On a shared vCPU a
-// single window swings by ±40% with neighbor load, which a 15% regression
-// gate cannot survive; the minimum over a few windows estimates the
-// machine's unloaded throughput — the quantity the gate actually wants to
-// compare — the way `benchstat`-style workflows take min-time samples.
+// measureWindows is how many independent testing.Benchmark runs each
+// benchmark gets; the fastest is reported. On a shared vCPU a single
+// window swings by ±40% with neighbor load, which a regression gate cannot
+// survive; the minimum over a few windows estimates the machine's unloaded
+// throughput — the quantity the gate actually wants to compare — the way
+// `benchstat`-style workflows take min-time samples.
 const measureWindows = 3
 
-func measure(name string, iters int, run func(visit func(polyise.Cut) bool) polyise.Stats) Result {
-	res := measureWindow(name, iters, run)
-	for w := 1; w < measureWindows; w++ {
-		// Re-use the calibrated iteration count so later windows skip the
-		// scale-up probing.
-		if r := measureWindow(name, res.Iterations, run); r.NsPerOp < res.NsPerOp {
-			res = r
+// measure times run with testing.Benchmark, which scales the iteration
+// count until a window lasts the default benchtime (1 s), and keeps the
+// fastest of measureWindows windows. Cuts and steals are those of the last
+// run's Stats.
+func measure(name string, run func(visit func(polyise.Cut) bool) polyise.Stats) Result {
+	var best testing.BenchmarkResult
+	var stats polyise.Stats
+	for w := 0; w < measureWindows; w++ {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stats = run(func(polyise.Cut) bool { return true })
+			}
+		})
+		if w == 0 || r.NsPerOp() < best.NsPerOp() {
+			best = r
 		}
+	}
+	res := Result{
+		Name:        name,
+		Iterations:  best.N,
+		NsPerOp:     best.NsPerOp(),
+		AllocsPerOp: best.AllocsPerOp(),
+		BytesPerOp:  best.AllocedBytesPerOp(),
+		Cuts:        stats.Valid,
+		Steals:      stats.Steals,
+	}
+	if res.NsPerOp > 0 {
+		res.CutsPerSec = float64(res.Cuts) / (float64(res.NsPerOp) / 1e9)
 	}
 	fmt.Fprintf(os.Stderr, "%-32s %12d ns/op %10d allocs/op %8d cuts %12.0f cuts/sec\n",
 		res.Name, res.NsPerOp, res.AllocsPerOp, res.Cuts, res.CutsPerSec)
-	return res
-}
-
-// measureWindow takes one auto-calibrated timing window.
-func measureWindow(name string, iters int, run func(visit func(polyise.Cut) bool) polyise.Stats) Result {
-	var ms0, ms1 runtime.MemStats
-	var elapsed time.Duration
-	var stats polyise.Stats
-	cuts := 0
-	for {
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			cuts = 0
-			stats = run(func(polyise.Cut) bool { cuts++; return true })
-		}
-		elapsed = time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		if elapsed >= minMeasure {
-			break
-		}
-		// Re-measure with enough iterations to fill the window (plus 20%
-		// headroom, capped against pathological scaling).
-		per := elapsed / time.Duration(iters)
-		if per <= 0 {
-			per = time.Microsecond
-		}
-		next := int(minMeasure*12/10/per) + 1
-		if next > 100*iters {
-			next = 100 * iters
-		}
-		if next <= iters {
-			break
-		}
-		iters = next
-	}
-	nsPerOp := elapsed.Nanoseconds() / int64(iters)
-	res := Result{
-		Name:        name,
-		Iterations:  iters,
-		NsPerOp:     nsPerOp,
-		AllocsPerOp: int64(ms1.Mallocs-ms0.Mallocs) / int64(iters),
-		BytesPerOp:  int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(iters),
-		Cuts:        cuts,
-		Steals:      stats.Steals,
-	}
-	if nsPerOp > 0 {
-		res.CutsPerSec = float64(cuts) / (float64(nsPerOp) / 1e9)
-	}
 	return res
 }
 
@@ -318,107 +221,15 @@ func gate(fresh, baseline Report, regress float64, allocSlack int64) []string {
 	return failures
 }
 
-func main() { os.Exit(run()) }
-
-// run carries the whole command so the pprof defers fire before the
-// process exits (os.Exit in main would skip them on a gate failure).
-func run() int {
+func main() {
 	out := flag.String("o", "BENCH_PR6.json", "output JSON path")
-	iters := flag.Int("iters", 2, "iterations per benchmark")
 	quick := flag.Bool("quick", false, "skip the 220-node scaling curve (CI smoke)")
 	compare := flag.String("compare", "", "baseline BENCH_*.json to gate against (exit 1 on regression)")
 	regress := flag.Float64("regress", 0.15, "allowed cuts/sec regression fraction for -compare")
 	allocSlack := flag.Int64("allocslack", 128, "allowed absolute allocs/op growth over baseline for -compare")
 	minSpeedup := flag.Float64("minspeedup", 0,
 		"fail unless the largest scaling entry reaches this speedup over serial (requires gomaxprocs ≥ 8; 0 disables)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile (after the runs) to this file")
-	scenarios := flag.String("scenarios", "",
-		"run the end-to-end pipeline scenarios and write their record to this path (then exit; e.g. BENCH_PR9.json)")
-	compareScenarios := flag.String("compare-scenarios", "",
-		"re-run the pipeline scenarios and gate exact equality against this committed record (exit 1 on drift)")
 	flag.Parse()
-
-	// Scenario modes run the deterministic end-to-end suite instead of (or
-	// in addition to) the timing benchmarks; -scenarios is a pure recording
-	// run and exits before any timing work.
-	if *scenarios != "" {
-		rep, err := runScenarios()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			return 1
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			return 1
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*scenarios, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *scenarios)
-		return 0
-	}
-	if *compareScenarios != "" {
-		raw, err := os.ReadFile(*compareScenarios)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: scenario baseline:", err)
-			return 1
-		}
-		var baseline ScenarioReport
-		if err := json.Unmarshal(raw, &baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: scenario baseline:", err)
-			return 1
-		}
-		fresh, err := runScenarios()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			return 1
-		}
-		if failures := gateScenarios(fresh, baseline); len(failures) > 0 {
-			for _, f := range failures {
-				fmt.Fprintln(os.Stderr, "bench-gate FAIL:", f)
-			}
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "bench-gate: %d scenarios bit-identical to %s\n",
-			len(fresh.Scenarios), *compareScenarios)
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote CPU profile to %s\n", *cpuprofile)
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush the final allocation state
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "wrote allocation profile to %s\n", *memprofile)
-		}()
-	}
 
 	opts := func(par int) polyise.Options {
 		o := polyise.DefaultOptions()
@@ -435,9 +246,8 @@ func run() int {
 	if !*quick {
 		g := workload.MiBenchLike(rand.New(rand.NewSource(17)), 220, workload.DefaultProfile())
 		serialCPS := 0.0
-		for _, workers := range scalingWorkerCounts() {
-			w := workers
-			res := measure(scalingName(w), *iters, func(v func(polyise.Cut) bool) polyise.Stats {
+		for _, w := range scalingWorkerCounts() {
+			res := measure(scalingName(w), func(v func(polyise.Cut) bool) polyise.Stats {
 				return polyise.Enumerate(g, opts(w), v)
 			})
 			res.Workers = w
@@ -457,11 +267,11 @@ func run() int {
 	}{{"small", 40}, {"medium", 120}} {
 		g := workload.MiBenchLike(rand.New(rand.NewSource(5)), s.n, workload.DefaultProfile())
 		rep.Benchmarks = append(rep.Benchmarks,
-			measure(fmt.Sprintf("Figure5/poly/%s-n%d", s.cluster, s.n), *iters,
+			measure(fmt.Sprintf("Figure5/poly/%s-n%d", s.cluster, s.n),
 				func(v func(polyise.Cut) bool) polyise.Stats {
 					return polyise.Enumerate(g, opts(1), v)
 				}),
-			measure(fmt.Sprintf("Figure5/pruned/%s-n%d", s.cluster, s.n), *iters,
+			measure(fmt.Sprintf("Figure5/pruned/%s-n%d", s.cluster, s.n),
 				func(v func(polyise.Cut) bool) polyise.Stats {
 					return polyise.PrunedExhaustiveSearch(g, opts(1), v)
 				}),
@@ -470,45 +280,43 @@ func run() int {
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		return 1
+		fail("benchjson:", err)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		return 1
+	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		fail("benchjson:", err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 
 	if *minSpeedup > 0 {
 		if msg := checkMinSpeedup(rep, *minSpeedup); msg != "" {
-			fmt.Fprintln(os.Stderr, "bench-gate FAIL:", msg)
-			return 1
+			fail("bench-gate FAIL:", msg)
 		}
 	}
 
 	if *compare != "" {
 		raw, err := os.ReadFile(*compare)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: baseline:", err)
-			return 1
+			fail("benchjson: baseline:", err)
 		}
 		var baseline Report
 		if err := json.Unmarshal(raw, &baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: baseline:", err)
-			return 1
+			fail("benchjson: baseline:", err)
 		}
-		failures := gate(rep, baseline, *regress, *allocSlack)
-		if len(failures) > 0 {
+		if failures := gate(rep, baseline, *regress, *allocSlack); len(failures) > 0 {
 			for _, f := range failures {
 				fmt.Fprintln(os.Stderr, "bench-gate FAIL:", f)
 			}
-			return 1
+			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "bench-gate: %d benchmarks within %.0f%% of %s\n",
 			len(rep.Benchmarks), 100**regress, *compare)
 	}
-	return 0
+}
+
+// fail prints its arguments to stderr and exits 1.
+func fail(args ...any) {
+	fmt.Fprintln(os.Stderr, args...)
+	os.Exit(1)
 }
 
 // checkMinSpeedup enforces the scaling acceptance bar on the fresh report:

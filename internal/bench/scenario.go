@@ -17,9 +17,10 @@ import (
 // enumerate → select → Verilog emission → interpreter re-check, under
 // sweeps over I/O port budgets, forbidden-op sets and resource limits.
 // Every result field is deterministic (counts, cycle accounting, emission
-// digest), so cmd/benchjson can record scenarios in BENCH_PR9.json and
-// gate them by exact equality: a drifted field is a behaviour change in
-// some pipeline stage, not noise.
+// digest), so the suite's results are committed in BENCH_PR9.json and
+// TestScenariosRunCleanAndDeterministic gates them by exact equality (its
+// -update flag rewrites the record): a drifted field is a behaviour change
+// in some pipeline stage, not noise.
 
 // Scenario is one pinned end-to-end configuration.
 type Scenario struct {

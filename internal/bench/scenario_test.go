@@ -1,14 +1,36 @@
 package bench
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite the committed scenario record")
+
+// scenarioRecord is the committed scenario record, BENCH_PR9.json at the
+// repository root.
+const scenarioRecord = "../../BENCH_PR9.json"
+
+// scenarioReport is the envelope of the scenario record. go_version says
+// which toolchain wrote it and is not compared.
+type scenarioReport struct {
+	GoVersion string           `json:"go_version"`
+	Scenarios []ScenarioResult `json:"scenarios"`
+}
+
 // TestScenariosRunCleanAndDeterministic runs the pinned suite twice: every
-// scenario must complete with a semantically certified selection, and the
-// two runs must agree on every recorded field — the property the
-// BENCH_PR9.json exact-equality gate depends on.
+// scenario must complete with a semantically certified selection, the two
+// runs must agree on every recorded field, and the results must equal the
+// committed record (BENCH_PR9.json) entry by entry. Every field is
+// deterministic, so any drift is a behaviour change in some pipeline stage;
+// if it is intended, regenerate the record with
+// `go test ./internal/bench/ -run TestScenariosRunCleanAndDeterministic -update`
+// (`make scenario-json`).
 func TestScenariosRunCleanAndDeterministic(t *testing.T) {
 	a, err := RunScenarios()
 	if err != nil {
@@ -35,6 +57,58 @@ func TestScenariosRunCleanAndDeterministic(t *testing.T) {
 			t.Errorf("scenario %s: zero cuts — vacuous", a[i].Name)
 		}
 	}
+	if *update {
+		if t.Failed() {
+			t.Fatal("not rewriting the scenario record from a failing run")
+		}
+		data, err := json.MarshalIndent(scenarioReport{runtime.Version(), a}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(scenarioRecord, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(scenarioRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec scenarioReport
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatalf("%s: %v", scenarioRecord, err)
+	}
+	for _, msg := range diffScenarios(a, rec.Scenarios) {
+		t.Error(msg)
+	}
+}
+
+// diffScenarios compares fresh results with the committed record by exact
+// equality, entry by entry. A scenario present on only one side is a
+// failure: the suite is pinned, so adding or removing an entry must come
+// with a regenerated record.
+func diffScenarios(fresh, record []ScenarioResult) []string {
+	rec := make(map[string]ScenarioResult, len(record))
+	for _, r := range record {
+		rec[r.Name] = r
+	}
+	var diffs []string
+	for _, f := range fresh {
+		r, ok := rec[f.Name]
+		switch {
+		case !ok:
+			diffs = append(diffs, "scenario "+f.Name+" missing from the committed record (regenerate with -update)")
+		case f != r:
+			diffs = append(diffs, fmt.Sprintf("scenario %s drifted:\n  fresh:  %+v\n  record: %+v", f.Name, f, r))
+		}
+		delete(rec, f.Name)
+	}
+	for _, r := range record {
+		if _, ok := rec[r.Name]; ok {
+			diffs = append(diffs, "scenario "+r.Name+" in the committed record but not in the suite")
+		}
+	}
+	return diffs
 }
 
 // TestScenarioSweepsActuallySweep pins that the constraint axes bind:

@@ -47,7 +47,6 @@ import (
 	"polyise/internal/checkpoint"
 	"polyise/internal/dfg"
 	"polyise/internal/faultinject"
-	"polyise/internal/parallel"
 )
 
 // ErrCompleted is returned by ResumeEnumerate for a snapshot whose run
@@ -328,14 +327,6 @@ func ResumeEnumerate(g *dfg.Graph, opt Options, snap *checkpoint.Snapshot, visit
 	if snap.Visited < 0 || snap.TopDelivered < 0 || snap.TopDelivered > snap.Visited {
 		return Stats{}, &checkpoint.FormatError{Reason: "delivered counts out of range"}
 	}
-	var stats Stats
-	if w := parallel.Workers(opt.Parallelism); w > 1 && g.N() > 1 {
-		stats = enumerateParallel(g, opt, visit, w, snap)
-	} else {
-		stats = enumerateSerial(g, opt, visit, snap)
-	}
-	if stats.Err != nil {
-		return stats, stats.Err
-	}
-	return stats, nil
+	stats := enumerateFrom(g, opt, visit, snap)
+	return stats, stats.Err
 }

@@ -46,10 +46,16 @@ import (
 // the package comment of parallel.go states the guarantees and the small
 // differences in the returned Stats.
 func Enumerate(g *dfg.Graph, opt Options, visit func(Cut) bool) Stats {
+	return enumerateFrom(g, opt, visit, nil)
+}
+
+// enumerateFrom picks the serial or the parallel run loop for Enumerate
+// (snap nil) and ResumeEnumerate (snap the validated snapshot).
+func enumerateFrom(g *dfg.Graph, opt Options, visit func(Cut) bool, snap *checkpoint.Snapshot) Stats {
 	if w := parallel.Workers(opt.Parallelism); w > 1 && g.N() > 1 {
-		return enumerateParallel(g, opt, visit, w, nil)
+		return enumerateParallel(g, opt, visit, w, snap)
 	}
-	return enumerateSerial(g, opt, visit, nil)
+	return enumerateSerial(g, opt, visit, snap)
 }
 
 // enumerateSerial is the serial run loop, shared by Enumerate and

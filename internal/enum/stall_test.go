@@ -74,7 +74,7 @@ func TestChaosStallWatchdogReabsorbs(t *testing.T) {
 	ord.Close(e.curSeg)
 	drained := make(chan struct{})
 	go func() {
-		ord.Drain(func(Cut) {})
+		ord.DrainWithIndex(func(int, Cut) {})
 		close(drained)
 	}()
 	select {

@@ -88,7 +88,7 @@ func TestOrderedMergesInIndexOrder(t *testing.T) {
 		}()
 	}
 	var got [][2]int
-	o.Drain(func(v [2]int) { got = append(got, v) })
+	o.DrainWithIndex(func(_ int, v [2]int) { got = append(got, v) })
 	wg.Wait()
 
 	if len(got) != n*perIndex {
@@ -114,7 +114,7 @@ func TestOrderedEmptyStreams(t *testing.T) {
 		}
 	}()
 	var got []int
-	o.Drain(func(v int) { got = append(got, v) })
+	o.DrainWithIndex(func(_ int, v int) { got = append(got, v) })
 	if len(got) != 1 || got[0] != 42 {
 		t.Fatalf("got %v, want [42]", got)
 	}
@@ -141,7 +141,7 @@ func TestOrderedBackpressure(t *testing.T) {
 	}
 	o.Close(o.Top(0))
 	var got []int
-	o.Drain(func(v int) { got = append(got, v) })
+	o.DrainWithIndex(func(_ int, v int) { got = append(got, v) })
 	<-blocked
 	if len(got) != 3 {
 		t.Fatalf("drained %v", got)
@@ -150,8 +150,8 @@ func TestOrderedBackpressure(t *testing.T) {
 
 // TestOrderedLazyAllocation pins the lazy-stream contract: indices closed
 // without emitting never materialize a channel, emitting indices allocate
-// exactly one, and Drain releases each stream after exhausting it — so
-// buffer memory follows the values in flight, not the index count.
+// exactly one, and DrainWithIndex releases each stream after exhausting
+// it — so buffer memory follows the values in flight, not the index count.
 func TestOrderedLazyAllocation(t *testing.T) {
 	const n = 1 << 12
 	o := NewSplitOrdered[int](n, 64)
@@ -181,7 +181,7 @@ func TestOrderedLazyAllocation(t *testing.T) {
 		}
 	}()
 	drained := 0
-	o.Drain(func(v int) {
+	o.DrainWithIndex(func(_ int, v int) {
 		if v%97 != 0 {
 			t.Errorf("unexpected value %d", v)
 		}
@@ -192,14 +192,14 @@ func TestOrderedLazyAllocation(t *testing.T) {
 		t.Fatalf("drained %d values, want %d", drained, want)
 	}
 	if got := live(); got != 0 {
-		t.Fatalf("%d channels still live after Drain, want 0 (streams must be released)", got)
+		t.Fatalf("%d channels still live after DrainWithIndex, want 0 (streams must be released)", got)
 	}
 }
 
 // TestOrderedEarlyTerminatingConsumer pins the early-termination contract
-// stated on Drain: a consumer that loses interest must keep draining
-// (discarding) rather than return, and doing so lets every producer —
-// including ones blocked on a full buffer — run to completion. The buffers
+// stated on DrainWithIndex: a consumer that loses interest must keep
+// draining (discarding) rather than return, and doing so lets every
+// producer — including ones blocked on a full buffer — run to completion. The buffers
 // are tiny and the producers emit far more than the consumer wants, so a
 // consumer that actually stopped would deadlock the test.
 func TestOrderedEarlyTerminatingConsumer(t *testing.T) {
@@ -225,7 +225,7 @@ func TestOrderedEarlyTerminatingConsumer(t *testing.T) {
 	}
 	kept := []int{}
 	total := 0
-	o.Drain(func(v int) {
+	o.DrainWithIndex(func(_ int, v int) {
 		total++
 		if len(kept) < wantOnly { // "stopped" consumer: discard the rest
 			kept = append(kept, v)
@@ -280,7 +280,7 @@ func TestOrderedAscendingClaimNoStarvation(t *testing.T) {
 	done := make(chan []int, 1)
 	go func() {
 		var got []int
-		o.Drain(func(v int) { got = append(got, v) })
+		o.DrainWithIndex(func(_ int, v int) { got = append(got, v) })
 		done <- got
 	}()
 	select {
@@ -326,7 +326,7 @@ func TestSplitOrderedWithoutSplitsMatchesOrdered(t *testing.T) {
 		}()
 	}
 	var got []int
-	o.Drain(func(v int) { got = append(got, v) })
+	o.DrainWithIndex(func(_ int, v int) { got = append(got, v) })
 	wg.Wait()
 	want := []int{}
 	for i := 0; i < n; i++ {
@@ -379,7 +379,7 @@ func TestSplitOrderedSpliceOrder(t *testing.T) {
 	o.Close(s2)
 
 	var got []string
-	o.Drain(func(v string) { got = append(got, v) })
+	o.DrainWithIndex(func(_ int, v string) { got = append(got, v) })
 	want := []string{"s0", "a", "b", "c", "near-tail", "far-tail", "after", "s2"}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -443,7 +443,7 @@ func TestSplitOrderedConcurrentRecursiveSplits(t *testing.T) {
 		}()
 	}
 	var got [][2]int
-	o.Drain(func(v [2]int) { got = append(got, v) })
+	o.DrainWithIndex(func(_ int, v [2]int) { got = append(got, v) })
 	wg.Wait()
 	if len(got) != n*m {
 		t.Fatalf("drained %d values, want %d", len(got), n*m)
@@ -478,7 +478,7 @@ func TestSplitOrderedEarlyDiscard(t *testing.T) {
 		}
 	}()
 	total, kept := 0, 0
-	o.Drain(func(v int) {
+	o.DrainWithIndex(func(_ int, v int) {
 		total++
 		if v < 2 {
 			kept++
