@@ -179,17 +179,18 @@ bench-gate:
 scenario-json:
 	$(GO) test ./internal/bench/ -run TestScenariosRunCleanAndDeterministic -update
 
-# Profiling harness: run the benchjson instances once each — the
+# Profiling harness: run the benchjson instances for 3 s each — the
 # 220-node instance that dominates the serial profile (serial and sharded,
-# BenchmarkParallelEnumerate) and the figure 5 pair (BenchmarkFigure5) —
-# under pprof and drop cpu.prof/mem.prof in the working tree, then profile
-# the four `deep` blocks serially (BenchmarkDeepBlocks) into deep.prof (do
-# not commit them). It ends by printing the top 25 nodes of deep.prof by
-# cumulative time, the layer shares EXPERIMENTS.md and ROADMAP.md cite;
+# BenchmarkParallelEnumerate) and the figure 5 pair (BenchmarkFigure5),
+# long enough for line-level reading — under pprof and drop
+# cpu.prof/mem.prof in the working tree, then profile the four `deep`
+# blocks serially (BenchmarkDeepBlocks) into deep.prof (do not commit
+# them). It ends by printing the top 25 nodes of deep.prof by cumulative
+# time, the layer shares EXPERIMENTS.md and ROADMAP.md cite;
 # EXPERIMENTS.md ("How to read a polyise profile") explains what the hot
 # symbols mean.
 profile:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelEnumerate|BenchmarkFigure5' -benchtime 1x -cpuprofile cpu.prof -memprofile mem.prof -o polyise.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelEnumerate|BenchmarkFigure5' -benchtime 3s -cpuprofile cpu.prof -memprofile mem.prof -o polyise.test .
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkDeepBlocks -benchtime 20x -cpuprofile deep.prof -o polyise.test .
 	$(GO) tool pprof -top -cum -nodecount 25 polyise.test deep.prof
 
@@ -208,11 +209,13 @@ perfbench:
 	done
 
 # Short fuzz runs over the untrusted entry points: the graphio parser, the
-# expression compiler and the interpreter. The committed seed corpora under
-# each package's testdata/ always run as part of plain `make test`.
+# expression compiler, the interpreter and the snapshot decoder (resume
+# reads snapshot files from disk). The committed seed corpora under each
+# package's testdata/ always run as part of plain `make test`.
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/graphio/
 	$(GO) test -fuzz=FuzzExprCompile -fuzztime=30s ./internal/exprc/
 	$(GO) test -fuzz=FuzzInterpRun -fuzztime=30s ./internal/interp/
+	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=30s ./internal/checkpoint/
 
 ci: test test-race chaos crash soak docs-check diff-oracle-quick semoracle-quick coverage-floor bench-gate

@@ -7,12 +7,14 @@
 // graph and a fingerprint of the semantically relevant Options. Its size is
 // fixed: it does not grow with the cut count.
 //
-// The format is deliberately dumb: a fixed magic, a version number,
-// little-endian fixed-width fields, and a trailing SHA-256 over everything
-// before it. Decode never panics on hostile input — every failure is one of
-// the typed errors below (*FormatError, *VersionError, *CorruptError) — and
-// WriteFile is atomic (temp file + rename in the destination directory), so
-// a crash during a snapshot write leaves the previous snapshot intact.
+// The format is deliberately dumb: one fixed-layout record (magic, version,
+// identities, frontier and counters; see record) that encoding/binary
+// writes little-endian without padding, and a trailing SHA-256 over
+// everything before it. Decode never panics on hostile input — every
+// failure is one of the typed errors below (*FormatError, *VersionError,
+// *CorruptError) — and WriteFile is atomic (temp file + rename in the
+// destination directory), so a crash during a snapshot write leaves the
+// previous snapshot intact.
 //
 // What is NOT in a snapshot is as deliberate as what is: the cut set S, the
 // choice stacks, the reaches frontiers and the seed-loop state are all
@@ -28,6 +30,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -48,7 +51,8 @@ const Version = 3
 // Counters mirrors the work counters of enum.Stats at the snapshot point.
 // They are advisory — resume replays some pre-snapshot work, so counters of
 // a resumed run can exceed an uninterrupted run's; the visit sequence is
-// what the resume contract pins, not these.
+// what the resume contract pins, not these. The fields are declared in
+// their on-disk order: record holds a Counters as is.
 type Counters struct {
 	Valid        int64
 	Candidates   int64
@@ -175,58 +179,55 @@ func DigestString(d [2]uint64) string {
 // case) — the strictness matters because the string is a cache key: two
 // spellings of one digest must not alias two cache entries.
 func ParseDigest(s string) ([2]uint64, error) {
-	var d [2]uint64
-	if len(s) != 32 {
-		return d, fmt.Errorf("checkpoint: digest %q: want 32 hex digits, got %d bytes", s, len(s))
+	b, err := hex.DecodeString(s)
+	if err != nil || len(b) != 16 {
+		return [2]uint64{}, fmt.Errorf("checkpoint: digest %q: want 32 hex digits", s)
 	}
-	for half := 0; half < 2; half++ {
-		for _, c := range s[half*16 : half*16+16] {
-			var v uint64
-			switch {
-			case c >= '0' && c <= '9':
-				v = uint64(c - '0')
-			case c >= 'a' && c <= 'f':
-				v = uint64(c-'a') + 10
-			case c >= 'A' && c <= 'F':
-				v = uint64(c-'A') + 10
-			default:
-				return [2]uint64{}, fmt.Errorf("checkpoint: digest %q: bad hex digit %q", s, c)
-			}
-			d[half] = d[half]<<4 | v
-		}
-	}
-	return d, nil
+	return [2]uint64{binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])}, nil
 }
 
 // flagDone is the header flag bit of Snapshot.Done.
 const flagDone = 1 << 0
 
+// record is the fixed v3 layout of a snapshot, everything before the
+// SHA-256 trailer. encoding/binary writes and reads its fields in
+// declaration order, little-endian and without padding, so the struct is
+// the format: binary.Size(record{}) is the body length Decode requires.
+type record struct {
+	Magic        [len(Magic)]byte
+	Version      uint32
+	GraphHash    [2]uint64
+	GraphN       uint32
+	OptHash      uint64
+	Flags        uint8
+	Reason       uint8
+	Visited      int64
+	CurTop       uint32
+	TopDelivered int64
+	Counters     Counters
+}
+
 // Encode writes s to w in format Version. Only WriteFile should normally be
 // used by run integrations; Encode exists for tests and tooling.
 func Encode(w io.Writer, s *Snapshot) error {
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	le := binary.LittleEndian
-	var scratch [8]byte
-	w32 := func(v uint32) { le.PutUint32(scratch[:4], v); buf.Write(scratch[:4]) }
-	w64 := func(v uint64) { le.PutUint64(scratch[:8], v); buf.Write(scratch[:8]) }
-
-	w32(Version)
-	w64(s.GraphHash[0])
-	w64(s.GraphHash[1])
-	w32(uint32(s.GraphN))
-	w64(s.OptHash)
-	var flags uint8
-	if s.Done {
-		flags |= flagDone
+	rec := record{
+		Version:      Version,
+		GraphHash:    s.GraphHash,
+		GraphN:       uint32(s.GraphN),
+		OptHash:      s.OptHash,
+		Reason:       s.Reason,
+		Visited:      s.Visited,
+		CurTop:       uint32(s.CurTop),
+		TopDelivered: s.TopDelivered,
+		Counters:     s.Stats,
 	}
-	buf.WriteByte(flags)
-	buf.WriteByte(s.Reason)
-	w64(uint64(s.Visited))
-	w32(uint32(s.CurTop))
-	w64(uint64(s.TopDelivered))
-	for _, c := range s.Stats.Fields() {
-		w64(uint64(*c))
+	copy(rec.Magic[:], Magic)
+	if s.Done {
+		rec.Flags |= flagDone
+	}
+	var buf bytes.Buffer
+	if err := binary.Write(&buf, binary.LittleEndian, &rec); err != nil {
+		return err
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	buf.Write(sum[:])
@@ -234,51 +235,13 @@ func Encode(w io.Writer, s *Snapshot) error {
 	return err
 }
 
-// decoder is a bounds-checked little-endian cursor over a verified payload.
-// Reads past the end set err instead of panicking, so Decode degrades to a
-// typed error on any inconsistency an attacker can hash correctly.
-type decoder struct {
-	b   []byte
-	off int
-	err bool
-}
-
-func (d *decoder) u8() uint8 {
-	if d.off+1 > len(d.b) {
-		d.err = true
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.off+4 > len(d.b) {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.off+8 > len(d.b) {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
 // Decode reads one snapshot from r, verifying magic, version and the
 // integrity hash before interpreting any field. All failures are typed:
-// *FormatError (structure, a negative Visited or counter — a sealed
-// hostile file would otherwise rewind the resumed run's global count — or a
-// TopDelivered outside [0, Visited]), *VersionError (version skew),
-// *CorruptError (hash mismatch). It never panics on arbitrary input.
+// *FormatError (structure: a body whose length is not the record's, a
+// negative Visited or counter — a sealed hostile file would otherwise
+// rewind the resumed run's global count — or a TopDelivered outside
+// [0, Visited]), *VersionError (version skew), *CorruptError (hash
+// mismatch). It never panics on arbitrary input.
 func Decode(r io.Reader) (*Snapshot, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -297,27 +260,20 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], tail) {
 		return nil, &CorruptError{}
 	}
-
-	d := &decoder{b: body, off: len(Magic) + 4}
-	s := &Snapshot{}
-	s.GraphHash[0] = d.u64()
-	s.GraphHash[1] = d.u64()
-	s.GraphN = int(d.u32())
-	s.OptHash = d.u64()
-	flags := d.u8()
-	s.Done = flags&flagDone != 0
-	s.Reason = d.u8()
-	s.Visited = int64(d.u64())
-	s.CurTop = int(d.u32())
-	s.TopDelivered = int64(d.u64())
-	for _, c := range s.Stats.Fields() {
-		*c = int64(d.u64())
+	var rec record
+	if n, err := binary.Decode(body, binary.LittleEndian, &rec); err != nil || n != len(body) {
+		return nil, &FormatError{Reason: fmt.Sprintf("body of %d bytes, want %d", len(body), binary.Size(rec))}
 	}
-	if d.err {
-		return nil, &FormatError{Reason: "truncated body"}
-	}
-	if d.off != len(body) {
-		return nil, &FormatError{Reason: "trailing bytes after snapshot"}
+	s := &Snapshot{
+		GraphHash:    rec.GraphHash,
+		GraphN:       int(rec.GraphN),
+		OptHash:      rec.OptHash,
+		Reason:       rec.Reason,
+		Done:         rec.Flags&flagDone != 0,
+		Visited:      rec.Visited,
+		CurTop:       int(rec.CurTop),
+		TopDelivered: rec.TopDelivered,
+		Stats:        rec.Counters,
 	}
 	if s.Visited < 0 {
 		return nil, &FormatError{Reason: "negative visited count"}

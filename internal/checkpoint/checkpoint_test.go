@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"polyise/internal/workload"
@@ -309,6 +310,23 @@ func TestGraphDigest(t *testing.T) {
 	}
 	if GraphDigest(g1) == GraphDigest(g2) {
 		t.Fatal("different graphs share a digest")
+	}
+}
+
+// TestParseDigest pins the wire form of a graph id: DigestString round-trips
+// in either case, and anything but exactly 32 hex digits is refused.
+func TestParseDigest(t *testing.T) {
+	d := [2]uint64{0x0123456789abcdef, 0xfedcba9876543210}
+	s := DigestString(d)
+	for _, in := range []string{s, strings.ToUpper(s)} {
+		if got, err := ParseDigest(in); err != nil || got != d {
+			t.Fatalf("ParseDigest(%q) = %x, %v; want %x", in, got, err, d)
+		}
+	}
+	for _, bad := range []string{"", s[:31], s + "0", s[:30] + "0g", s[:31] + " "} {
+		if _, err := ParseDigest(bad); err == nil {
+			t.Fatalf("ParseDigest(%q) succeeded", bad)
+		}
 	}
 }
 

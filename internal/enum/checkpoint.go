@@ -24,7 +24,8 @@ package enum
 //     prefix exactly, at any worker count.
 //
 // Therefore a resume needs only: the top-level position of the last
-// delivered cut (CurTop; every earlier position is fully visited), the
+// delivered cut (CurTop, which is that cut's first output — see
+// visitPoint.deliver; every earlier position is fully visited), the
 // number of cuts of that position's subtree already delivered
 // (TopDelivered), and the delivered count. It restarts the top-level loop
 // at CurTop; the in-progress subtree is REPLAYED, and the visit point
@@ -81,43 +82,6 @@ func optionsFingerprint(opt Options) uint64 {
 	return h.Sum()[0]
 }
 
-// ckptWriter owns one run's snapshot output: the destination path and the
-// precomputed identity fields every snapshot carries.
-type ckptWriter struct {
-	path    string
-	gHash   [2]uint64
-	gN      int
-	optHash uint64
-}
-
-func newCkptWriter(g *dfg.Graph, opt Options) *ckptWriter {
-	return &ckptWriter{
-		path:    opt.CheckpointPath,
-		gHash:   checkpoint.GraphDigest(g),
-		gN:      g.N(),
-		optHash: optionsFingerprint(opt),
-	}
-}
-
-// write persists one snapshot atomically. The faultinject site lets the
-// chaos suite kill a run in the middle of a snapshot write and prove the
-// previous snapshot survives (checkpoint.WriteFile is temp+rename). A
-// panic during the write is contained here and surfaced as the write
-// error — the final write runs after the search has unwound, outside every
-// worker's containment scope, so containment must live with the write
-// itself.
-func (ck *ckptWriter) write(s *checkpoint.Snapshot) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	if h := faultinject.OnCheckpointWrite; h != nil {
-		h()
-	}
-	return checkpoint.WriteFile(ck.path, s)
-}
-
 // visitPoint is a run's serial-order visit point: the one place where a
 // valid cut reaches the caller's visitor, and so the one place where the
 // delivery budgets bind and snapshots are taken. A serial run's worker
@@ -128,12 +92,17 @@ func (ck *ckptWriter) write(s *checkpoint.Snapshot) (err error) {
 type visitPoint struct {
 	opt     Options
 	visit   func(Cut) bool
-	ck      *ckptWriter // nil unless Options.CheckpointPath is set
-	st      *Stats      // where stops are recorded; its counters ride in snapshots
-	visited int         // cuts delivered in the logical run, resume prefix included
-	curTop  int         // top-level position of the last delivered cut: the resume frontier
-	topDone int         // cuts of curTop's subtree delivered so far
-	skip    int         // replayed deliveries still to drop on a resume
+	st      *Stats // where stops are recorded; its counters ride in snapshots
+	visited int    // cuts delivered in the logical run, resume prefix included
+	curTop  int    // top-level position of the last delivered cut: the resume frontier
+	topDone int    // cuts of curTop's subtree delivered so far
+	skip    int    // replayed deliveries still to drop on a resume
+
+	// The identity every snapshot carries, computed once when
+	// Options.CheckpointPath is set.
+	gHash   [2]uint64
+	gN      int
+	optHash uint64
 }
 
 // newVisitPoint builds the visit point of one run, recording stops into
@@ -146,7 +115,7 @@ type visitPoint struct {
 func newVisitPoint(g *dfg.Graph, opt Options, visit func(Cut) bool, st *Stats, snap *checkpoint.Snapshot) *visitPoint {
 	vp := &visitPoint{opt: opt, visit: visit, st: st}
 	if opt.CheckpointPath != "" {
-		vp.ck = newCkptWriter(g, opt)
+		vp.gHash, vp.gN, vp.optHash = checkpoint.GraphDigest(g), g.N(), optionsFingerprint(opt)
 	}
 	if snap != nil {
 		*st = statsFromCounters(snap.Stats)
@@ -160,13 +129,18 @@ func newVisitPoint(g *dfg.Graph, opt Options, visit func(Cut) bool, st *Stats, s
 	return vp
 }
 
-// deliver hands c, a valid cut from top-level position top, to the visitor
-// and applies the visit-point policy: the resume skip, panic containment
-// around the visitor, MaxCuts, the CheckpointStop poll and the
-// CheckpointEvery snapshot. It reports whether the run may go on; on false
-// the reason is already recorded in st.
-func (vp *visitPoint) deliver(c Cut, top int) (ok bool) {
-	if top != vp.curTop {
+// deliver hands c, a valid cut, to the visitor and applies the visit-point
+// policy: the resume skip, panic containment around the visitor, MaxCuts,
+// the CheckpointStop poll and the CheckpointEvery snapshot. It reports
+// whether the run may go on; on false the reason is already recorded in st.
+//
+// The top-level position that derived c is c.Outputs[0]: the search
+// delivers a cut only at its canonical derivation, whose chosen outputs
+// are exactly O(S) in ascending order (Validator.canonical), and Validate
+// lists Outputs ascending, so the first chosen output — the top-level
+// position — is the cut's least output.
+func (vp *visitPoint) deliver(c Cut) (ok bool) {
+	if top := c.Outputs[0]; top != vp.curTop {
 		vp.curTop, vp.topDone, vp.skip = top, 0, 0
 	} else if vp.skip > 0 {
 		// A replayed cut of the resume frontier's subtree that the
@@ -203,13 +177,32 @@ func (vp *visitPoint) deliver(c Cut, top int) (ok bool) {
 	}
 	// A failed periodic write stops the run: continuing would silently void
 	// durability.
-	if vp.ck != nil && vp.opt.CheckpointEvery > 0 && vp.visited%vp.opt.CheckpointEvery == 0 {
-		if err := vp.ck.write(vp.snapshot(*vp.st)); err != nil {
+	if vp.opt.CheckpointPath != "" && vp.opt.CheckpointEvery > 0 && vp.visited%vp.opt.CheckpointEvery == 0 {
+		if err := vp.write(vp.snapshot(*vp.st)); err != nil {
 			vp.fail(err)
 			return false
 		}
 	}
 	return true
+}
+
+// write persists one snapshot atomically. The faultinject site lets the
+// chaos suite kill a run in the middle of a snapshot write and prove the
+// previous snapshot survives (checkpoint.WriteFile is temp+rename). A
+// panic during the write is contained here and surfaced as the write
+// error — the final write runs after the search has unwound, outside every
+// worker's containment scope, so containment must live with the write
+// itself.
+func (vp *visitPoint) write(s *checkpoint.Snapshot) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	if h := faultinject.OnCheckpointWrite; h != nil {
+		h()
+	}
+	return checkpoint.WriteFile(vp.opt.CheckpointPath, s)
 }
 
 // fail records err as the visit point's first error and StopError.
@@ -226,9 +219,9 @@ func (vp *visitPoint) fail(err error) {
 func (vp *visitPoint) snapshot(st Stats) *checkpoint.Snapshot {
 	st.Valid = vp.visited
 	return &checkpoint.Snapshot{
-		GraphHash:    vp.ck.gHash,
-		GraphN:       vp.ck.gN,
-		OptHash:      vp.ck.optHash,
+		GraphHash:    vp.gHash,
+		GraphN:       vp.gN,
+		OptHash:      vp.optHash,
 		Reason:       uint8(st.StopReason),
 		Visited:      int64(vp.visited),
 		CurTop:       vp.curTop,
@@ -247,12 +240,12 @@ func (vp *visitPoint) snapshot(st Stats) *checkpoint.Snapshot {
 // unless it already has one.
 func (vp *visitPoint) finish(st *Stats) Stats {
 	st.Valid = vp.visited
-	if vp.ck != nil {
+	if vp.opt.CheckpointPath != "" {
 		snap := vp.snapshot(*st)
 		if st.StopReason == StopNone {
-			snap.Done, snap.CurTop, snap.TopDelivered = true, vp.ck.gN, 0
+			snap.Done, snap.CurTop, snap.TopDelivered = true, vp.gN, 0
 		}
-		if err := vp.ck.write(snap); err != nil && st.Err == nil {
+		if err := vp.write(snap); err != nil && st.Err == nil {
 			st.Err = err
 			st.RecordStop(StopError)
 		}

@@ -66,7 +66,7 @@ func enumerateSerial(g *dfg.Graph, opt Options, visit func(Cut) bool, snap *chec
 	sh := newEnumShared(g, opt)
 	e := sh.newWorker(nil, nil)
 	vp := newVisitPoint(g, opt, visit, &e.stats, snap)
-	e.visit = func(c Cut) bool { return vp.deliver(c, e.topPos) }
+	e.visit = vp.deliver
 	e.stopped = e.stats.StopReason != StopNone // a resume already at its MaxCuts cap
 	func() {
 		// Failure semantics (serial): a panic in the search is contained
@@ -76,7 +76,6 @@ func enumerateSerial(g *dfg.Graph, opt Options, visit func(Cut) bool, snap *chec
 		// final snapshot below is written from the unwound state.
 		defer e.containPanic()
 		for pos := vp.curTop; pos < g.N() && !e.stopped; pos++ {
-			e.topPos = pos
 			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
 		}
 	}()
@@ -246,10 +245,6 @@ type incEnum struct {
 	// stallTimer is the reusable watchdog timer guarding handoff sends
 	// (sendTask); allocated on the first donation, reset per send.
 	stallTimer *time.Timer
-
-	// topPos is a serial run's current top-level position, which the visit
-	// point records as the frontier of each delivered cut.
-	topPos int
 }
 
 // bufAt returns the scratch set at index d of a per-depth (or per-output)

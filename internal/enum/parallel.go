@@ -484,8 +484,8 @@ func enumerateParallel(g *dfg.Graph, opt Options, visit func(Cut) bool, workers 
 	// Merge stage: drain the segment list in order and hand each cut to the
 	// visit point until it stops the run. Draining continues after a stop so
 	// blocked producers always finish; post-stop cuts are discarded.
-	st.ord.DrainWithIndex(func(top int, c Cut) {
-		if !stop.Load() && !vp.deliver(c, top) {
+	st.ord.Drain(func(c Cut) {
+		if !stop.Load() && !vp.deliver(c) {
 			stop.Store(true)
 		}
 	})

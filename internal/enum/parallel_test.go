@@ -1,6 +1,7 @@
 package enum_test
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -205,18 +206,30 @@ func TestParallelWorkerClampAllocs(t *testing.T) {
 // the light subtrees end after a few calls and their workers wait hungry,
 // while the heavy ones still have thousands of calls, and splittable
 // ranges, ahead of them.
+//
+// Both runs also check the frontier invariant the visit point relies on:
+// it takes a cut's first output as the top-level position that derived it,
+// so along the delivered sequence Outputs[0] must never decrease.
 func TestParallelStealForced(t *testing.T) {
 	steals := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		g := workload.MiBenchLike(rand.New(rand.NewSource(seed)), 70, workload.DefaultProfile())
 		sopt := enum.DefaultOptions()
 		sopt.Parallelism = 1
-		serial := visitSequence(g, sopt)
+		var serial []string
+		var serialTops []int
+		enum.Enumerate(g, sopt, func(c enum.Cut) bool {
+			serial = append(serial, c.String())
+			serialTops = append(serialTops, c.Outputs[0])
+			return true
+		})
+		frontierAscends(t, fmt.Sprintf("seed=%d serial", seed), serialTops)
 
 		popt := enum.DefaultOptions()
 		popt.Parallelism = g.N()
 		popt.KeepCuts = true
 		var par []string
+		var parTops []int
 		stats := func() enum.Stats {
 			faultinject.Install(faultinject.Injection{
 				Site: faultinject.SitePickInputs, Action: faultinject.ActDelay, Delay: 20 * time.Microsecond,
@@ -224,6 +237,7 @@ func TestParallelStealForced(t *testing.T) {
 			defer faultinject.Uninstall()
 			return enum.Enumerate(g, popt, func(c enum.Cut) bool {
 				par = append(par, c.String())
+				parTops = append(parTops, c.Outputs[0])
 				return true
 			})
 		}()
@@ -231,11 +245,26 @@ func TestParallelStealForced(t *testing.T) {
 			t.Fatalf("seed=%d workers=n: steal-forced sequence diverges (%d vs %d cuts)",
 				seed, len(par), len(serial))
 		}
+		frontierAscends(t, fmt.Sprintf("seed=%d workers=n", seed), parTops)
 		steals += stats.Steals
 	}
 	t.Logf("%d steals across the corpus", steals)
 	if steals == 0 {
 		t.Fatal("no steal occurred across the corpus at workers=n — the stealing path is dead")
+	}
+}
+
+// frontierAscends fails the test when the first outputs of a delivered
+// sequence ever decrease.
+func frontierAscends(t *testing.T, label string, tops []int) {
+	t.Helper()
+	if len(tops) == 0 {
+		t.Fatalf("%s: no cuts delivered", label)
+	}
+	for i := 1; i < len(tops); i++ {
+		if tops[i] < tops[i-1] {
+			t.Fatalf("%s: cut %d has first output %d after %d: the frontier went back", label, i, tops[i], tops[i-1])
+		}
 	}
 }
 

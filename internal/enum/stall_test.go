@@ -74,7 +74,7 @@ func TestChaosStallWatchdogReabsorbs(t *testing.T) {
 	ord.Close(e.curSeg)
 	drained := make(chan struct{})
 	go func() {
-		ord.DrainWithIndex(func(int, Cut) {})
+		ord.Drain(func(Cut) {})
 		close(drained)
 	}()
 	select {

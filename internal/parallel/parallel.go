@@ -110,10 +110,9 @@ type Seg[T any] struct {
 //
 // Streams are allocated lazily: a segment's channel materializes at its
 // first Emit, a segment closed without emitting never allocates one, and
-// DrainWithIndex releases each stream once it is exhausted. Buffer memory
-// therefore follows the values actually in flight, not n, which matters
-// when n is "one stream per graph vertex" and almost every stream is
-// empty. Emit blocks when a segment's buffer is full, so at most
+// Drain releases each stream once it is exhausted. Buffer memory therefore
+// follows the values actually in flight, not n, which matters when n is
+// "one stream per graph vertex" and almost every stream is empty. Emit blocks when a segment's buffer is full, so at most
 // producers×buf values sit ahead of the drain frontier.
 //
 // Protocol. Every segment must be closed exactly once, and a segment's
@@ -176,8 +175,8 @@ func (o *SplitOrdered[T]) Emit(s *Seg[T], v T) {
 }
 
 // Close marks segment s complete. Every segment must be closed exactly
-// once for DrainWithIndex to terminate. A segment that never emitted
-// closes without ever allocating a channel.
+// once for Drain to terminate. A segment that never emitted closes without
+// ever allocating a channel.
 func (o *SplitOrdered[T]) Close(s *Seg[T]) {
 	if ch := s.ch; ch != nil { // single-owner read, as in Emit
 		close(ch)
@@ -213,33 +212,17 @@ func (o *SplitOrdered[T]) Split(s *Seg[T]) (stolen, resume *Seg[T]) {
 	return stolen, resume
 }
 
-// DrainWithIndex consumes the segments in list order, calling visit for
-// every value, and releases each stream as it finishes with it. It returns
-// when the list is exhausted — which requires every segment, including ones
+// Drain consumes the segments in list order, calling visit for every
+// value, and releases each stream as it finishes with it. It returns when
+// the list is exhausted — which requires every segment, including ones
 // spliced in while draining, to be closed. Early termination is the
 // caller's business: keep consuming (discarding) so blocked producers can
 // finish.
-//
-// visit also receives the top-level segment index whose span the value
-// belongs to. Spliced segments inherit the index of the base segment they
-// were (transitively) split from, so `top` is exactly "which top-level
-// work item produced this value" — monotonically non-decreasing across the
-// drain. The checkpoint subsystem uses it to record the serial-order
-// frontier position of the last delivered value. Base segments are
-// identified positionally: the walk reaches them in index order, and every
-// splice lands strictly between two base segments, so one advancing cursor
-// suffices — no per-segment index storage.
-func (o *SplitOrdered[T]) DrainWithIndex(visit func(top int, v T)) {
+func (o *SplitOrdered[T]) Drain(visit func(v T)) {
 	if len(o.base) == 0 {
 		return
 	}
-	s := &o.base[0]
-	top, nextBase := 0, 1
-	for s != nil {
-		if nextBase < len(o.base) && s == &o.base[nextBase] {
-			top = nextBase
-			nextBase++
-		}
+	for s := &o.base[0]; s != nil; {
 		o.mu.Lock()
 		for s.ch == nil && !s.done {
 			o.cond.Wait()
@@ -248,7 +231,7 @@ func (o *SplitOrdered[T]) DrainWithIndex(visit func(top int, v T)) {
 		o.mu.Unlock()
 		if ch != nil {
 			for v := range ch {
-				visit(top, v)
+				visit(v)
 			}
 		}
 		o.mu.Lock()
@@ -256,8 +239,7 @@ func (o *SplitOrdered[T]) DrainWithIndex(visit func(top int, v T)) {
 		// s.next is read under the lock only after s closed: splices happen
 		// only on open segments, so the link is final by now — but the write
 		// itself needs the same lock to be visible.
-		next := s.next
+		s = s.next
 		o.mu.Unlock()
-		s = next
 	}
 }

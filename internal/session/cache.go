@@ -12,15 +12,15 @@ import (
 // CacheStats is a point-in-time summary of the graph cache.
 type CacheStats struct {
 	Entries   int
-	Bytes     int64 // resident graph bytes charged to the budget
+	Bytes     int64 // resident graph bytes, never above the cache's limit
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 }
 
 // Cache is the content-addressed graph store. Entries are keyed by
-// GraphID (checkpoint.GraphDigest), charged against the shared Budget by
-// dfg.Graph.FootprintBytes, and refcounted: a graph acquired by a running
+// GraphID (checkpoint.GraphDigest), charged against the cache's byte limit
+// by dfg.Graph.FootprintBytes, and refcounted: a graph acquired by a running
 // request is pinned; only idle (refcount-zero) entries are evictable, in
 // LRU order. Eviction is triggered by reservation pressure from a new
 // graph, never by time.
@@ -33,7 +33,7 @@ type Cache struct {
 	// are safe: mutations happen only after the hook returns, and the
 	// deferred unlock keeps siblings runnable.
 	mu      sync.Mutex
-	budget  *Budget
+	limit   int64 // bytes the resident graphs may hold; 0 = unlimited
 	entries map[GraphID]*entry
 	idle    *list.List // of GraphID; front = most recently released
 
@@ -49,16 +49,21 @@ type entry struct {
 	idle  *list.Element // non-nil iff refs == 0 (listed for eviction)
 }
 
-// NewCache returns an empty cache charging b.
-func NewCache(b *Budget) *Cache {
-	return &Cache{budget: b, entries: make(map[GraphID]*entry), idle: list.New()}
+// NewCache returns an empty cache whose resident graphs may hold at most
+// limit bytes; limit <= 0 means unlimited.
+func NewCache(limit int64) *Cache {
+	return &Cache{limit: max(limit, 0), entries: make(map[GraphID]*entry), idle: list.New()}
 }
+
+// Limit returns the cache's byte limit; 0 means unlimited.
+func (c *Cache) Limit() int64 { return c.limit }
 
 // Put publishes a frozen graph and returns its content address. An
 // identical graph already resident is a hit — the existing instance is
-// kept and re-warmed in LRU order. A miss charges the graph's footprint to
-// the budget, evicting idle entries as needed; when even a fully drained
-// cache cannot afford it, Put fails with *OverloadError (CauseMemory).
+// kept and re-warmed in LRU order. A miss charges the graph's footprint
+// against the limit, evicting idle entries as needed; when even a fully
+// drained cache cannot afford it, Put fails with *OverloadError
+// (CauseMemory).
 func (c *Cache) Put(g *dfg.Graph) (GraphID, error) {
 	id := GraphID(checkpoint.GraphDigest(g))
 	c.mu.Lock()
@@ -79,7 +84,6 @@ func (c *Cache) Put(g *dfg.Graph) (GraphID, error) {
 	e := &entry{g: g, bytes: bytes}
 	e.idle = c.idle.PushFront(id)
 	c.entries[id] = e
-	c.bytes += bytes
 	return id, nil
 }
 
@@ -138,14 +142,15 @@ func (c *Cache) touch(id GraphID, e *entry) {
 	}
 }
 
-// reserveEvicting reserves n bytes from the budget, evicting idle entries
-// coldest-first until the reservation fits or nothing evictable remains.
-// Called with c.mu held. Each eviction is completed — entry dropped, bytes
-// released — before the next reservation attempt, so a hook panic between
-// steps leaves the accounting balanced.
+// reserveEvicting charges n bytes to the cache, evicting idle entries
+// coldest-first until they fit under the limit or nothing evictable
+// remains. Called with c.mu held. Each eviction is completed — entry
+// dropped, bytes released — before the next attempt, so a hook panic
+// between steps leaves the accounting balanced.
 func (c *Cache) reserveEvicting(n int64) bool {
 	for {
-		if c.budget.TryReserve(n) {
+		if c.limit == 0 || c.bytes+n <= c.limit {
+			c.bytes += n
 			return true
 		}
 		victim := c.idle.Back()
@@ -160,7 +165,6 @@ func (c *Cache) reserveEvicting(n int64) bool {
 		c.idle.Remove(victim)
 		delete(c.entries, id)
 		c.bytes -= e.bytes
-		c.budget.Release(e.bytes)
 		c.evictions++
 	}
 }

@@ -20,7 +20,7 @@ func testGraphs(t testing.TB, n int) []*dfg.Graph {
 }
 
 func TestCachePutDeduplicatesByContent(t *testing.T) {
-	c := NewCache(NewBudget(0))
+	c := NewCache(0)
 	g := testGraphs(t, 1)[0]
 	id1, err := c.Put(g)
 	if err != nil {
@@ -56,8 +56,8 @@ func TestCacheEvictionUnderBudgetPressure(t *testing.T) {
 		}
 	}
 	// Room for roughly two graphs: inserting four must evict coldest-first.
-	b := NewBudget(2*per + per/2)
-	c := NewCache(b)
+	limit := 2*per + per/2
+	c := NewCache(limit)
 	var ids []GraphID
 	for _, g := range gs {
 		id, err := c.Put(g)
@@ -65,16 +65,13 @@ func TestCacheEvictionUnderBudgetPressure(t *testing.T) {
 			t.Fatalf("Put under pressure: %v", err)
 		}
 		ids = append(ids, id)
-		if b.Used() > b.Total() {
-			t.Fatalf("budget exceeded: used %d > total %d", b.Used(), b.Total())
+		if used := c.Stats().Bytes; used > limit {
+			t.Fatalf("limit exceeded: %d bytes cached > %d", used, limit)
 		}
 	}
 	st := c.Stats()
 	if st.Evictions == 0 {
 		t.Fatal("no evictions despite budget pressure")
-	}
-	if st.Bytes > b.Total() {
-		t.Fatalf("cache holds %d bytes over the %d budget", st.Bytes, b.Total())
 	}
 	// The most recent insert must still be resident, the oldest gone.
 	if _, ok := c.Acquire(ids[len(ids)-1]); !ok {
@@ -87,8 +84,7 @@ func TestCacheEvictionUnderBudgetPressure(t *testing.T) {
 
 func TestCachePinnedEntriesAreNotEvicted(t *testing.T) {
 	gs := testGraphs(t, 2)
-	b := NewBudget(gs[0].FootprintBytes() + gs[1].FootprintBytes()/2)
-	c := NewCache(b)
+	c := NewCache(gs[0].FootprintBytes() + gs[1].FootprintBytes()/2)
 	id0, err := c.Put(gs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +126,8 @@ func TestCacheConcurrentStorm(t *testing.T) {
 			per = b
 		}
 	}
-	b := NewBudget(3 * per)
-	c := NewCache(b)
+	limit := 3 * per
+	c := NewCache(limit)
 	const workers = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -146,8 +142,8 @@ func TestCacheConcurrentStorm(t *testing.T) {
 				return
 			default:
 			}
-			if used := b.Used(); used > b.Total() {
-				t.Errorf("budget oversubscribed: %d > %d", used, b.Total())
+			if used := c.Stats().Bytes; used > limit {
+				t.Errorf("budget oversubscribed: %d > %d", used, limit)
 				return
 			}
 		}
@@ -178,8 +174,8 @@ func TestCacheConcurrentStorm(t *testing.T) {
 	close(stop)
 	<-monitorDone
 	st := c.Stats()
-	if st.Bytes > b.Total() {
-		t.Fatalf("final cache bytes %d exceed budget %d", st.Bytes, b.Total())
+	if st.Bytes > limit {
+		t.Fatalf("final cache bytes %d exceed budget %d", st.Bytes, limit)
 	}
 	if st.Evictions == 0 {
 		t.Fatal("storm produced no evictions; budget pressure not exercised")

@@ -11,13 +11,14 @@
 //     concurrent enumerations share safely (everything a Freeze computes is
 //     immutable; the lazily built reachability closures are sync.Once-guarded).
 //
-//   - One global memory budget. Cached graphs draw reservations from a
-//     single Budget; an enumeration keeps no record of the cuts it has
-//     delivered, so its memory does not grow with the cut count and the
-//     cache is the process's dominant memory consumer. Under pressure the
-//     cache evicts idle (refcount-zero) graphs in LRU order; when eviction
-//     cannot free enough, the submission is refused with a typed
-//     OverloadError instead of growing without bound.
+//   - One global memory budget. The cache charges every resident graph
+//     against one byte limit (Config.MemoryBudget); an enumeration keeps
+//     no record of the cuts it has delivered, so its memory does not grow
+//     with the cut count and the cache is the process's dominant memory
+//     consumer. Under pressure the cache evicts idle (refcount-zero)
+//     graphs in LRU order; when eviction cannot free enough, the
+//     submission is refused with a typed OverloadError instead of growing
+//     without bound.
 //
 //   - Admission control. A bounded slot pool caps concurrent enumerations
 //     and a bounded wait queue absorbs bursts; past that, requests are shed
@@ -157,9 +158,8 @@ type Stats struct {
 // Service is the enumeration session layer. All methods are safe for
 // concurrent use.
 type Service struct {
-	cfg    Config
-	budget *Budget
-	cache  *Cache
+	cfg   Config
+	cache *Cache
 
 	slots chan struct{}
 	// inflight counts requests holding or waiting for a slot; admission
@@ -182,13 +182,11 @@ type Service struct {
 // semantics).
 func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	b := NewBudget(cfg.MemoryBudget)
 	return &Service{
-		cfg:    cfg,
-		budget: b,
-		cache:  NewCache(b),
-		slots:  make(chan struct{}, cfg.MaxConcurrent),
-		drain:  make(chan struct{}),
+		cfg:   cfg,
+		cache: NewCache(cfg.MemoryBudget),
+		slots: make(chan struct{}, cfg.MaxConcurrent),
+		drain: make(chan struct{}),
 	}
 }
 
@@ -197,6 +195,7 @@ func (s *Service) Cache() *Cache { return s.cache }
 
 // Stats returns a consistent-enough snapshot of the service counters.
 func (s *Service) Stats() Stats {
+	cs := s.cache.Stats()
 	return Stats{
 		Admitted:    s.admitted.Load(),
 		Shed:        s.shed.Load(),
@@ -205,9 +204,9 @@ func (s *Service) Stats() Stats {
 		Suspended:   s.suspended.Load(),
 		Resumed:     s.resumed.Load(),
 		Running:     s.running.Load(),
-		Cache:       s.cache.Stats(),
-		BudgetUsed:  s.budget.Used(),
-		BudgetTotal: s.budget.Total(),
+		Cache:       cs,
+		BudgetUsed:  cs.Bytes,
+		BudgetTotal: s.cache.Limit(),
 	}
 }
 
