@@ -59,6 +59,24 @@ func (s *Set) Words() []uint64 { return s.words }
 // Add inserts i into the set.
 func (s *Set) Add(i int) { s.words[i/wordBits] |= 1 << uint(i%wordBits) }
 
+// AddRange inserts every i with lo <= i < hi; an empty range adds nothing.
+func (s *Set) AddRange(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	first, last := lo/wordBits, (hi-1)/wordBits
+	lom, him := ^uint64(0)<<uint(lo%wordBits), ^uint64(0)>>uint(wordBits-1-(hi-1)%wordBits)
+	if first == last {
+		s.words[first] |= lom & him
+		return
+	}
+	s.words[first] |= lom
+	for i := first + 1; i < last; i++ {
+		s.words[i] = ^uint64(0)
+	}
+	s.words[last] |= him
+}
+
 // Remove deletes i from the set.
 func (s *Set) Remove(i int) { s.words[i/wordBits] &^= 1 << uint(i%wordBits) }
 

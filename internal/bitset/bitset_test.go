@@ -30,6 +30,28 @@ func TestAddHasRemove(t *testing.T) {
 	}
 }
 
+// TestAddRange checks AddRange against Add bit by bit for every range of a
+// three-word set, on top of a sparse existing member set.
+func TestAddRange(t *testing.T) {
+	const n = 150
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo - 1; hi <= n; hi++ {
+			got, want := New(n), New(n)
+			for _, i := range []int{3, 64, 149} {
+				got.Add(i)
+				want.Add(i)
+			}
+			got.AddRange(lo, hi)
+			for i := lo; i < hi; i++ {
+				want.Add(i)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("AddRange(%d, %d) = %v, want %v", lo, hi, got, want)
+			}
+		}
+	}
+}
+
 // TestNewRowsIndependent pins that rows carved from one backing array
 // behave as separately allocated sets: filling one row, including its last
 // word, leaves its neighbours empty.

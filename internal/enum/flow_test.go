@@ -23,11 +23,11 @@ func TestFlowBoundWork(t *testing.T) {
 		cuts                int
 		calls, runs, prunes int
 	}{
-		{gap[0].Name, gap[0].Graph(), gap[0].WantCuts, 347, 32, 32},
-		{gap[1].Name, gap[1].Graph(), gap[1].WantCuts, 47529, 19980, 15884},
-		{"mibench-n160-seed2", workload.MiBenchLike(rand.New(rand.NewSource(2)), 160, workload.DefaultProfile()), 4497, 2192, 1336, 904},
-		{"tree-depth6", workload.Tree(6, 2), 1911, 1300, 1300, 1272},
-		{"butterfly-4", workload.Butterfly(4), 1800, 0, 0, 0},
+		{gap[0].Name, gap[0].Graph(), gap[0].WantCuts, 3237, 2669, 2175},
+		{gap[1].Name, gap[1].Graph(), gap[1].WantCuts, 5970, 4460, 2902},
+		{"mibench-n160-seed2", workload.MiBenchLike(rand.New(rand.NewSource(2)), 160, workload.DefaultProfile()), 4497, 1216, 737, 321},
+		{"tree-depth6", workload.Tree(6, 2), 1911, 757, 582, 509},
+		{"butterfly-4", workload.Butterfly(4), 1800, 1008, 800, 640},
 	}
 	for _, blk := range blocks {
 		if testing.Short() && blk.g.N() > 150 {

@@ -493,7 +493,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 	onPath := e.bufAt(&e.paths, depth)
 	back := e.bufAt(&e.backs, depth)
 	// A child with one input left below a seed loop reaches here only when
-	// the parent could not decide it alone (lastLevel.classify): lastIn is
+	// the parent could not decide it alone (lastLevel.dominated): lastIn is
 	// not on the parent's chain, so o stays reachable, and the last-level
 	// table serves the chain. It needs no frontier either, because the
 	// seed-alive check cannot fail: seeds are pushed in descending id
@@ -574,23 +574,25 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 
 	// Seed extension step: push another on-path ancestor of o and recurse.
 	if ninLeft > 1 {
-		// The budget-feasibility bound costs a few traversals, so it only
-		// runs where extension is actually expensive: at least one seed
-		// already chosen (the explosion lives in deep seed levels) and a
-		// surviving-path region big enough that iterating it blindly would
-		// cost more than the bound.
-		if len(e.Ilist) > phaseStart && onPath.Count() > 64 {
-			// Load the mandatory vertices of the current phase's seeds and
-			// bound the inputs any completion still needs (see flow.go).
-			// flowBoundCanExceed first checks two O(words) structural caps
-			// on the max-flow; when either already fits the budget, the
-			// bound cannot prune and the max-flow never runs.
+		// The budget-feasibility bound runs once at least one seed of the
+		// phase is chosen (the explosion lives in deep seed levels).
+		if len(e.Ilist) > phaseStart {
+			// Bound the inputs any completion of the phase still needs (see
+			// flow.go). None of them can be a mandatory vertex of a phase
+			// seed, a vertex above lastIn (seeds descend, and the
+			// completion lies below the last seed) or a vertex the phase
+			// rejects, so all of these are uncuttable. flowBoundCanExceed
+			// first checks two O(words) structural caps on the max-flow;
+			// when either already fits the budget, the bound cannot prune
+			// and the max-flow never runs.
 			fs := e.flow()
 			fs.uncut.Clear()
 			for _, v := range e.Ilist[phaseStart:] {
 				e.mandatoryInto(fs.mandBuf, v, o, back)
 				fs.uncut.Union(fs.mandBuf)
 			}
+			fs.uncut.AddRange(lastIn+1, o)
+			fs.uncut.Union(inRej)
 			e.flowCalls++
 			if e.flowBoundCanExceed(o, onPath, ninLeft) {
 				e.flowRuns++
@@ -607,10 +609,18 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		// Iterating the onPath members directly skips the off-path mass for
 		// free; the historical index of seed i in that walk is N-1-i, which
 		// is what the recursion's seedStart carries forward.
+		//
+		// The walk stops below top, the highest entry of the surviving
+		// region (docs/ALGORITHM.md §5, "The cutoff"): ids are topological,
+		// so the surviving path from top to o avoids every vertex below
+		// top, and every later input of a seed s < top lies below s. Such
+		// a subtree never ends the phase, so it checks no cut and finds
+		// nothing.
 		rej := e.bufAt(&e.seedRejs, depth)
 		e.seedRejectsInto(rej, inRej)
+		top := dfg.HighestMaskedBit(e.g.EntrySet().Words(), back.Words())
 		if ninLeft == 2 {
-			e.last.arm(e.g, onPath, back, chain)
+			e.last.arm(e.g, onPath, back, chain, top)
 		}
 		lastValid := -1
 		maxID := e.g.N() - 1 - seedStart
@@ -625,6 +635,9 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 				b := 63 - bits.LeadingZeros64(w)
 				w &^= 1 << uint(b)
 				i := wi<<6 + b
+				if i < top {
+					break seedLoop
+				}
 				if e.stopped {
 					return found
 				}
@@ -646,24 +659,16 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 					e.stats.SeedsPruned++
 					continue
 				}
-				if ninLeft == 2 {
-					// The child, where the parent can decide it in O(1)
-					// (lastLevel.classify): its polls and its one LTRuns,
-					// but no push and no call.
-					if v := e.last.classify(i); v != childServed {
-						if !e.poll() {
-							return found
-						}
-						e.stats.LTRuns++
-						if v == childDominated {
-							// Blocking i cuts o off: the child only
-							// reports it.
-							found, lastValid = true, i
-						} else {
-							e.stats.LastLevelLookups++
-						}
-						continue
+				if ninLeft == 2 && e.last.dominated(i) {
+					// Blocking i cuts o off: the child only reports it,
+					// so the parent runs its poll and its one LTRuns, but
+					// no push and no call.
+					if !e.poll() {
+						return found
 					}
+					e.stats.LTRuns++
+					found, lastValid = true, i
+					continue
 				}
 				// No viable() guard: ninLeft-1 ≥ 1 inputs stay, so it holds.
 				e.pushSeed(i)

@@ -20,14 +20,14 @@ import (
 // §5, "Batched last input level") reads their partners off H's forward
 // dominator tree as one tree path.
 //
-// Most children are decided in O(1) by classify, before any push: a seed
-// on D leaves o unreachable, and a seed below the highest entry of H has
-// nothing below it to complete with (no dominator of o lies below an entry
-// of H, whose virtual-source edge jumps over every vertex under it). Only
-// the rest are served, by chainFor, from a table built on the first such
-// child: build ranks H up to that child's seed, folds its dominator tree
-// and derives one L value per rank. A parent whose children all resolve
-// in O(1) builds nothing.
+// The seed loop never reaches a seed below the highest entry of H (the
+// cutoff, docs/ALGORITHM.md §5): nothing below such a seed can complete
+// the phase. Of the children it does reach, those whose seed is on D are
+// decided by dominated in O(1), before any push: blocking the seed leaves
+// o unreachable. Only the rest are served, by chainFor, from a table built
+// on the first such child: build ranks H up to that child's seed, folds
+// its dominator tree and derives one L value per rank. A parent whose
+// children are all dominated builds nothing.
 //
 // arm hands the table the parent's finished analysis when the seed loop
 // starts: its on-path set, reaches-o set and chain, all held in the
@@ -46,7 +46,7 @@ type lastLevel struct {
 	onPath *bitset.Set // H and o: the armed parent's surviving-path vertices
 	back   *bitset.Set // the armed parent's vertices reaching o
 	chain  []int       // D: the armed parent's dominator chain, ascending
-	next   int         // chain[:next]: the members not above the last classified seed
+	next   int         // chain[:next]: the members not above the last seed asked about
 	top    int         // highest entry of H: the virtual source's farthest edge
 	built  bool        // the tree and L values of the armed parent are derived
 
@@ -56,43 +56,30 @@ type lastLevel struct {
 	verts []int32 // rank → vertex
 	idom  []int32 // immediate dominator; -1 is the virtual source
 	reach []int32 // highest successor inside H, as a vertex
-	lca   []int32 // L: LCA of the tails of the H-edges jumping over the vertex; -1 if none or the virtual source
+	lca   []int32 // L: LCA of the tails of the H-edges jumping over the vertex, from top's rank on; -1 if none
 	open  []int32 // scratch: the tails whose edges still jump ahead; at most one per rank
 }
-
-// The verdicts of classify on a child of the armed parent.
-const (
-	childServed    = iota // the child needs its chain: chainFor serves it
-	childDominated        // the seed is on D: the inputs dominate o, no chain
-	childEmpty            // no dominator of o lies below the seed: empty chain
-)
 
 // noVertex is predLCA's verdict for a vertex with no on-path predecessor.
 const noVertex = -2
 
 // arm makes an analysis of g the live parent once its seed loop starts:
 // onPath, back and chain are its buffers, which must stay intact until the
-// loop ends.
-func (t *lastLevel) arm(g *dfg.Graph, onPath, back *bitset.Set, chain []int) {
-	t.g, t.onPath, t.back, t.chain = g, onPath, back, chain
+// loop ends, and top is the highest entry of onPath.
+func (t *lastLevel) arm(g *dfg.Graph, onPath, back *bitset.Set, chain []int, top int) {
+	t.g, t.onPath, t.back, t.chain, t.top = g, onPath, back, chain, top
 	t.next, t.built = len(chain), false
-	t.top = dfg.HighestMaskedBit(g.EntrySet().Words(), back.Words())
 }
 
-// classify decides the child of seed s (an H vertex below o) without its
-// analysis where it can. Seeds must come in descending order after arm —
-// the seed loop's order — so the cursor over D only moves down.
-func (t *lastLevel) classify(s int) int {
+// dominated reports whether seed s (an H vertex from top up to o) is on D,
+// so that blocking it leaves o unreachable. Seeds must come in descending
+// order after arm — the seed loop's order — so the cursor over D only
+// moves down; chainFor reads where it stopped.
+func (t *lastLevel) dominated(s int) bool {
 	for t.next > 0 && t.chain[t.next-1] > s {
 		t.next--
 	}
-	switch {
-	case t.next > 0 && t.chain[t.next-1] == s:
-		return childDominated
-	case s < t.top:
-		return childEmpty
-	}
-	return childServed
+	return t.next > 0 && t.chain[t.next-1] == s
 }
 
 // predLCA folds the dominator-tree LCA over the predecessors of a vertex
@@ -170,14 +157,14 @@ sweep:
 		}
 	}
 
-	// The virtual source jumps over every vertex below the highest entry,
-	// so only the ranks from that entry's on have an L: fold the tails
+	// Served seeds lie at or above the highest entry (the seed loop's
+	// cutoff), so only the ranks from that entry's on need an L; the ranks
+	// below it only supply the tails that jump over it. Fold the tails
 	// still jumping ahead, dropping each once passed. An edge (a, b) jumps
 	// over the vertex of rank r when b is above it; ranks follow ids.
 	low := t.rank[t.top]
 	open := t.open[:0]
 	for a := int32(0); a < low; a++ {
-		t.lca[a] = -1
 		if t.reach[a] > int32(t.top) {
 			open = append(open, a)
 		}
@@ -204,7 +191,7 @@ sweep:
 
 // chainFor appends to dst, in ascending order, the reduced-graph
 // dominators of o below s once seed s is blocked too; s must be the seed
-// of the last classify, with verdict childServed. They are the members of
+// of the last dominated call, which reported false. They are the members of
 // D below s and the lower partners of s. By the separation rule, v < s is
 // a partner exactly when v is an ancestor-or-self of L(s). Partners lie
 // strictly between the chain vertices that bracket s — a chain vertex
@@ -216,7 +203,7 @@ func (t *lastLevel) chainFor(s int, dst []int) []int {
 	if !t.built {
 		t.build(s)
 	}
-	k := t.next // classify left the cursor at the members below s
+	k := t.next // dominated left the cursor at the members below s
 	dst = append(dst, t.chain[:k]...)
 	mark, floor := len(dst), int32(-1) // floor: rank of the chain vertex below s
 	if k > 0 {

@@ -255,10 +255,9 @@ type Stats struct {
 
 	// LastLevelTables counts the last-level tables built: one per
 	// two-inputs-left seed loop with a child its parent could not decide
-	// in O(1) (a seed on the parent's chain, or one below the region's
-	// highest entry). LastLevelLookups counts the one-input-left children
-	// given a chain without a region sweep: served from a table, or
-	// decided empty in the parent; each is also one LTRuns.
+	// in O(1) (a seed off the parent's chain). LastLevelLookups counts the
+	// one-input-left children served a chain from a table without a region
+	// sweep; each is also one LTRuns.
 	LastLevelTables  int
 	LastLevelLookups int
 
