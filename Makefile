@@ -211,11 +211,13 @@ perfbench:
 # Short fuzz runs over the untrusted entry points: the graphio parser, the
 # expression compiler, the interpreter and the snapshot decoder (resume
 # reads snapshot files from disk). The committed seed corpora under each
-# package's testdata/ always run as part of plain `make test`.
+# package's testdata/ always run as part of plain `make test`. Minimizing a
+# new interesting input is capped at 5 s (the default, 60 s, outlasts the
+# whole 30 s budget), so the budget goes to executions.
 fuzz:
-	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/graphio/
-	$(GO) test -fuzz=FuzzExprCompile -fuzztime=30s ./internal/exprc/
-	$(GO) test -fuzz=FuzzInterpRun -fuzztime=30s ./internal/interp/
-	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=30s ./internal/checkpoint/
+	$(GO) test -fuzz=FuzzRead -fuzztime=30s -fuzzminimizetime=5s ./internal/graphio/
+	$(GO) test -fuzz=FuzzExprCompile -fuzztime=30s -fuzzminimizetime=5s ./internal/exprc/
+	$(GO) test -fuzz=FuzzInterpRun -fuzztime=30s -fuzzminimizetime=5s ./internal/interp/
+	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=30s -fuzzminimizetime=5s ./internal/checkpoint/
 
 ci: test test-race chaos crash soak docs-check diff-oracle-quick semoracle-quick coverage-floor bench-gate

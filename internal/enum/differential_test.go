@@ -132,10 +132,10 @@ func oracleBudget(t *testing.T) time.Duration {
 // runOracle runs one budgeted poly-versus-pruned-exhaustive comparison and
 // fails the test on any disagreement, with the oracle's own triage (the
 // basic-algorithm cross-check) in the failure message.
-func runOracle(t *testing.T, name string, g *dfg.Graph, budget time.Duration) baseline.OracleReport {
+func runOracle(t *testing.T, name string, g *dfg.Graph, nin, nout int, budget time.Duration) baseline.OracleReport {
 	t.Helper()
 	opt := enum.DefaultOptions()
-	opt.Parallelism = 1
+	opt.MaxInputs, opt.MaxOutputs, opt.Parallelism = nin, nout, 1
 	rep := baseline.DiffOracle(name, g, opt, budget)
 	if rep.Stopped() {
 		t.Skipf("%s: budget %v exceeded — inconclusive (raise POLYISE_ORACLE_BUDGET or use `make diff-oracle`)", name, budget)
@@ -156,7 +156,7 @@ func runOracle(t *testing.T, name string, g *dfg.Graph, budget time.Duration) ba
 func TestMidSizeOracleOnPinnedGapInstances(t *testing.T) {
 	for _, gi := range workload.GapRegressionInstances() {
 		t.Run(gi.Name, func(t *testing.T) {
-			rep := runOracle(t, gi.Name, gi.Graph(), oracleBudget(t))
+			rep := runOracle(t, gi.Name, gi.Graph(), 4, 2, oracleBudget(t))
 			if rep.PolyCuts != gi.WantCuts {
 				t.Fatalf("%s: %d cuts, pinned corpus expects %d", gi.Name, rep.PolyCuts, gi.WantCuts)
 			}
@@ -176,7 +176,43 @@ func TestMidSizeOracleFreshRandom(t *testing.T) {
 	}{{130, 2}, {150, 3}, {190, 7}, {210, 11}, {240, 13}} {
 		name, g := workload.FreshOracleInstance(c.n, c.seed)
 		t.Run(name, func(t *testing.T) {
-			runOracle(t, name, g, budget)
+			runOracle(t, name, g, 4, 2, budget)
+		})
+	}
+}
+
+// TestMidSizeOracleAlongNin extends the oracle along the port budgets, the
+// axis the seed-loop cutoff and the flow bound prune: the n=140 gap
+// instance and the figure 4 tree of depth 6 at (Nin, Nout) = (6, 2),
+// (8, 2) and (6, 3), each at its pinned count. The tree at 6/2 is
+// sub-second and runs in every `go test`; the other rows take seconds a
+// side and run under `make diff-oracle` (POLYISE_ORACLE_BUDGET set).
+func TestMidSizeOracleAlongNin(t *testing.T) {
+	full := os.Getenv("POLYISE_ORACLE_BUDGET") != ""
+	gap := workload.GapRegressionInstances()[0]
+	for _, c := range []struct {
+		name      string
+		g         *dfg.Graph
+		nin, nout int
+		want      int
+		tier1     bool
+	}{
+		{"tree-depth6", workload.Tree(6, 2), 6, 2, 11181, true},
+		{"tree-depth6", workload.Tree(6, 2), 8, 2, 41223, false},
+		{"tree-depth6", workload.Tree(6, 2), 6, 3, 38859, false},
+		{gap.Name, gap.Graph(), 6, 2, 7668, false},
+		{gap.Name, gap.Graph(), 8, 2, 8418, false},
+		{gap.Name, gap.Graph(), 6, 3, 134514, false},
+	} {
+		name := fmt.Sprintf("%s-nin%d-nout%d", c.name, c.nin, c.nout)
+		t.Run(name, func(t *testing.T) {
+			if !c.tier1 && !full {
+				t.Skip("a `make diff-oracle` row (POLYISE_ORACLE_BUDGET unset)")
+			}
+			rep := runOracle(t, name, c.g, c.nin, c.nout, oracleBudget(t))
+			if rep.PolyCuts != c.want {
+				t.Fatalf("%s: %d cuts, pinned %d", name, rep.PolyCuts, c.want)
+			}
 		})
 	}
 }

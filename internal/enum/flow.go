@@ -9,13 +9,21 @@ package enum
 // blocking such a mandatory vertex leaves the seed without a private path,
 // making it redundant — the identical cut is generated on the branch that
 // never chose the seed. Mandatory vertices therefore get infinite capacity.
+// So do two more sets the canonical order rules out (docs/ALGORITHM.md
+// §5): every vertex above the phase's last seed, since seeds descend and
+// the completion lies below the last seed, and every vertex the phase's
+// output–input mask rejects, which neither loop ever pushes.
 //
 // If the resulting max-flow exceeds the remaining input budget, the entire
 // seed-extension subtree is fruitless and is cut. This is the piece that
 // keeps the figure 4 tree family tractable for the exact enumeration: a
 // seed deep inside a subtree pins its whole root-ward spine as mandatory,
 // and covering the remaining branches around that spine overflows any small
-// Nin.
+// Nin. The order-aware sets make it fire high in the seed tree at wide
+// budgets: a path that runs above the last seed or through rejected
+// vertices can never be cut, so it counts as unbounded flow. The seed
+// loop's cutoff at the highest on-path entry is the bound's infinite case,
+// decided in O(1) before any seed is pushed.
 //
 // The max-flow needs at most flowCap+1 units, so completionFlowBound runs
 // plain augmenting-path searches, each at word cost on the frozen graph: a

@@ -12,7 +12,7 @@ import (
 
 // TestFlowBoundWork pins the §5.3 flow bound's work in a serial run of the
 // four `deep` blocks and the n=220 gap instance: how often the seed loop
-// loads the mandatory sets and asks for the bound (calls), how often the
+// loads the uncuttable sets and asks for the bound (calls), how often the
 // structural caps leave the max-flow kernel to run (runs), and how often it
 // prunes. The kernel's value is exact, so a faster kernel keeps all three.
 func TestFlowBoundWork(t *testing.T) {

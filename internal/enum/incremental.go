@@ -228,7 +228,7 @@ type incEnum struct {
 	stopped  bool
 	stop     Stopper // shared cancel/deadline poll primitive (stop.go)
 
-	// The §5.3 flow bound's work, which a test pins: gated calls (mandatory
+	// The §5.3 flow bound's work, which a test pins: calls (uncuttable
 	// sets loaded), kernel runs past the structural caps, and prunes.
 	flowCalls, flowRuns, flowPrunes int
 

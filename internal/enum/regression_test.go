@@ -91,3 +91,26 @@ func TestGapRegressionSequenceIdentity(t *testing.T) {
 		})
 	}
 }
+
+// TestSequenceIdentityAtNin8 pins the enumeration at a wide input budget,
+// where the seed loops run deepest: the figure 4 tree of depth 6 at
+// Nin=8/Nout=2 must give its pinned count and digest serially, and the
+// steal-forced parallel run (one worker per node) the identical sequence.
+// The race run skips it for its budget.
+func TestSequenceIdentityAtNin8(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: covered by the non-race run")
+	}
+	g := workload.Tree(6, 2)
+	opt := enum.DefaultOptions()
+	opt.MaxInputs, opt.MaxOutputs, opt.Parallelism = 8, 2, 1
+	serial := visitSequence(g, opt)
+	const wantCuts, wantDigest = 41223, 0xbff9c24664f1fbc1
+	if got := seqDigest(serial); len(serial) != wantCuts || got != wantDigest {
+		t.Fatalf("%d cuts with digest %#016x, pinned %d with %#016x", len(serial), got, wantCuts, uint64(wantDigest))
+	}
+	opt.Parallelism = g.N()
+	if par := visitSequence(g, opt); !reflect.DeepEqual(serial, par) {
+		t.Fatalf("steal-forced parallel sequence diverges from serial (%d vs %d cuts)", len(par), len(serial))
+	}
+}
