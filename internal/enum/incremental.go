@@ -611,10 +611,10 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		// is what the recursion's seedStart carries forward.
 		//
 		// The walk stops below top, the highest entry of the surviving
-		// region (docs/ALGORITHM.md §5, "The cutoff"): ids are topological,
-		// so the surviving path from top to o avoids every vertex below
-		// top, and every later input of a seed s < top lies below s. Such
-		// a subtree never ends the phase, so it checks no cut and finds
+		// region (docs/ALGORITHM.md §5, rule C): ids are topological, so
+		// the surviving path from top to o avoids every vertex below top,
+		// and every later input of a seed s < top lies below s. Such a
+		// subtree never ends the phase, so it checks no cut and finds
 		// nothing.
 		rej := e.bufAt(&e.seedRejs, depth)
 		e.seedRejectsInto(rej, inRej)
