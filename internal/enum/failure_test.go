@@ -262,6 +262,21 @@ func TestFailureContextExpiredBeforeSteal(t *testing.T) {
 	}
 }
 
+// TestFailureStopperSamplesFirstPoll pins that a Stopper samples its
+// sources on its first Poll: in a steal-forced run a worker's whole share
+// of the pruned search can be fewer steps than the sampling interval, and
+// it must still see a context that expired before it started.
+func TestFailureStopperSamplesFirstPoll(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := enum.DefaultOptions()
+	opt.Context = ctx
+	s := enum.NewStopper(opt)
+	if r := s.Poll(); r != enum.StopCanceled {
+		t.Fatalf("first Poll = %v, want %v", r, enum.StopCanceled)
+	}
+}
+
 // TestFailureMaxCuts pins the exact-prefix semantics of the cut-count cap:
 // at every worker count the visitor receives precisely the first MaxCuts
 // serial cuts, Stats.Valid counts exactly those, and the stop is reported

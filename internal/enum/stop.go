@@ -112,9 +112,12 @@ type Stopper struct {
 }
 
 // NewStopper builds a Stopper from the options' Context, Deadline and
-// CheckpointStop channel.
+// CheckpointStop channel. Its first Poll samples them: a worker may run
+// fewer than 4096 search steps in all (a steal-forced run spreads a
+// pruned search thin), and it must still see a context that expired
+// before it started.
 func NewStopper(opt Options) Stopper {
-	s := Stopper{deadline: opt.Deadline, ckpt: opt.CheckpointStop}
+	s := Stopper{deadline: opt.Deadline, ckpt: opt.CheckpointStop, tick: stopPollMask}
 	if opt.Context != nil {
 		s.done = opt.Context.Done()
 	}
@@ -122,9 +125,9 @@ func NewStopper(opt Options) Stopper {
 	return s
 }
 
-// Poll reports why the run must stop, or StopNone. Only every 4096th call
-// samples the clock and channels; with no source configured it is one
-// load.
+// Poll reports why the run must stop, or StopNone. Only the first call
+// and every 4096th after it sample the clock and channels; with no source
+// configured it is one load.
 func (s *Stopper) Poll() StopReason {
 	if s.idle {
 		return StopNone
