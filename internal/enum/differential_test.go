@@ -184,12 +184,14 @@ func TestMidSizeOracleFreshRandom(t *testing.T) {
 // TestMidSizeOracleAlongNin extends the oracle along the port budgets, the
 // axis the seed-loop cutoff and the flow bound prune: the n=140 gap
 // instance and the figure 4 tree of depth 6 at (Nin, Nout) = (6, 2),
-// (8, 2) and (6, 3), each at its pinned count. The tree at 6/2 is
-// sub-second and runs in every `go test`; the other rows take seconds a
-// side and run under `make diff-oracle` (POLYISE_ORACLE_BUDGET set).
+// (8, 2) and (6, 3), and at Nin=6 the n=220 gap instance, the tree of
+// depth 7 and the butterflies, each at its pinned count. The tree of
+// depth 6 at 6/2 is sub-second and runs in every `go test`; the other rows
+// take up to a few seconds a side and run under `make diff-oracle`
+// (POLYISE_ORACLE_BUDGET set).
 func TestMidSizeOracleAlongNin(t *testing.T) {
 	full := os.Getenv("POLYISE_ORACLE_BUDGET") != ""
-	gap := workload.GapRegressionInstances()[0]
+	gap := workload.GapRegressionInstances()
 	for _, c := range []struct {
 		name      string
 		g         *dfg.Graph
@@ -200,9 +202,15 @@ func TestMidSizeOracleAlongNin(t *testing.T) {
 		{"tree-depth6", workload.Tree(6, 2), 6, 2, 11181, true},
 		{"tree-depth6", workload.Tree(6, 2), 8, 2, 41223, false},
 		{"tree-depth6", workload.Tree(6, 2), 6, 3, 38859, false},
-		{gap.Name, gap.Graph(), 6, 2, 7668, false},
-		{gap.Name, gap.Graph(), 8, 2, 8418, false},
-		{gap.Name, gap.Graph(), 6, 3, 134514, false},
+		{gap[0].Name, gap[0].Graph(), 6, 2, 7668, false},
+		{gap[0].Name, gap[0].Graph(), 8, 2, 8418, false},
+		{gap[0].Name, gap[0].Graph(), 6, 3, 134514, false},
+		{gap[1].Name, gap[1].Graph(), 6, 2, 11469, false},
+		{"tree-depth7", workload.Tree(7, 2), 6, 2, 49517, false},
+		{"butterfly-4", workload.Butterfly(4), 6, 2, 1800, false},
+		{"butterfly-4", workload.Butterfly(4), 8, 2, 1800, false},
+		{"butterfly-4", workload.Butterfly(4), 6, 3, 29112, false},
+		{"butterfly-5", workload.Butterfly(5), 6, 2, 11408, false},
 	} {
 		name := fmt.Sprintf("%s-nin%d-nout%d", c.name, c.nin, c.nout)
 		t.Run(name, func(t *testing.T) {
