@@ -76,9 +76,9 @@ soak:
 # Mid-size completeness evidence: diff the polynomial enumeration against
 # the pruned-exhaustive oracle on the pinned gap instances (n=140/seed 5 →
 # 4 565 cuts, n=220/seed 17 → 7 891) and fresh random blocks up to n ≈ 240,
-# the n=140 instance and tree(6,2) at (Nin, Nout) = (6,2), (8,2) and (6,3)
-# and the other gap instance, tree(7,2) and the butterflies at Nin=6
-# (TestMidSizeOracleAlongNin, about 30 s), plus the bit-for-bit
+# both gap instances and the trees of depth 6 and 7 at (Nin, Nout) = (6,2),
+# (8,2) and (6,3), and the butterflies (TestMidSizeOracleAlongNin, about
+# 90 s), plus the bit-for-bit
 # sequence-identity regression (including the ~25 s
 # basic-algorithm cross-check at n=220). diff-oracle-quick is the CI
 # version: oracle comparisons only, at a budget that still completes every

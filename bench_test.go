@@ -181,29 +181,6 @@ func BenchmarkIOConstraints(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation measures the approximate §5.3 prunings against the
-// exact search ("all"): each later variant enables one of them.
-func BenchmarkAblation(b *testing.B) {
-	g := workload.MiBenchLike(rand.New(rand.NewSource(13)), 100, workload.DefaultProfile())
-	variants := []struct {
-		name   string
-		mutate func(*polyise.Options)
-	}{
-		{"all", func(*polyise.Options) {}},
-		{"approx-dominator-input", func(o *polyise.Options) { o.PruneDominatorInput = true }},
-		{"approx-forbidden-anc", func(o *polyise.Options) { o.PruneForbiddenAncestors = true }},
-	}
-	for _, v := range variants {
-		opt := opts()
-		v.mutate(&opt)
-		b.Run(v.name, func(b *testing.B) {
-			countCuts(b, func(visit func(polyise.Cut) bool) polyise.Stats {
-				return polyise.Enumerate(g, opt, visit)
-			})
-		})
-	}
-}
-
 // BenchmarkBasicVsIncremental compares figure 2's basic algorithm with
 // figure 3's incremental one (§5.2).
 func BenchmarkBasicVsIncremental(b *testing.B) {

@@ -5,7 +5,6 @@
 //	compare -mode trees      the figure 4 worst case in isolation
 //	compare -mode scaling    polynomial growth-exponent fit for the
 //	                         enumeration algorithm
-//	compare -mode ablation   approximate §5.3 prunings enabled one at a time
 //
 // All modes print plain-text tables; -budget bounds each individual run.
 package main
@@ -25,7 +24,7 @@ import (
 
 func main() {
 	var (
-		mode   = flag.String("mode", "figure5", "figure5 | trees | scaling | ablation")
+		mode   = flag.String("mode", "figure5", "figure5 | trees | scaling")
 		seed   = flag.Int64("seed", 1, "corpus seed")
 		nin    = flag.Int("nin", 4, "maximum inputs")
 		nout   = flag.Int("nout", 2, "maximum outputs")
@@ -33,9 +32,7 @@ func main() {
 		small  = flag.Int("small", 150, "figure5: blocks in the 10-79 cluster")
 		medium = flag.Int("medium", 80, "figure5: blocks in the 80-799 cluster")
 		large  = flag.Int("large", 20, "figure5: blocks in the 800-1196 cluster")
-		paper  = flag.Bool("paper", false,
-			"use the paper-mode approximate prunings for the polynomial algorithm")
-		par = flag.Int("parallel", 1,
+		par    = flag.Int("parallel", 1,
 			"worker count for sharding blocks across cores (0 = GOMAXPROCS); individual timed runs stay serial")
 	)
 	flag.Parse()
@@ -58,9 +55,6 @@ func main() {
 	}()
 
 	opt := enum.DefaultOptions()
-	if *paper {
-		opt = enum.PaperOptions()
-	}
 	opt.MaxInputs = *nin
 	opt.MaxOutputs = *nout
 	opt.KeepCuts = false
@@ -100,9 +94,6 @@ func main() {
 		fmt.Printf("fitted exponent k = %.2f (theory bound: Nin+Nout+1 = %d)\n",
 			k, *nin+*nout+1)
 
-	case "ablation":
-		runAblation(*seed, opt, *budget)
-
 	default:
 		fmt.Fprintf(os.Stderr, "compare: unknown mode %q\n", *mode)
 		os.Exit(2)
@@ -111,45 +102,5 @@ func main() {
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "compare: interrupted; measurements after the signal are partial (flagged canceled)")
 		os.Exit(130)
-	}
-}
-
-// runAblation measures what the approximate §5.3 prunings save by enabling
-// each alone, and both (paper mode), on a mid-size workload slice. The
-// exact prunings are always on, so the first row is the exact search.
-func runAblation(seed int64, base enum.Options, budget time.Duration) {
-	spec := workload.CorpusSpec{Small: 12, Medium: 2, Profile: workload.DefaultProfile()}
-	blocks := workload.Corpus(seed, spec)
-
-	type variant struct {
-		name   string
-		mutate func(*enum.Options)
-	}
-	variants := []variant{
-		{"all-prunings", func(*enum.Options) {}},
-		{"+dominator-input(approx)", func(o *enum.Options) { o.PruneDominatorInput = true }},
-		{"+forbidden-anc(approx)", func(o *enum.Options) { o.PruneForbiddenAncestors = true }},
-		{"paper-mode(all approx)", func(o *enum.Options) {
-			o.PruneDominatorInput = true
-			o.PruneForbiddenAncestors = true
-		}},
-	}
-
-	fmt.Printf("# §5.3 pruning ablation over %d blocks\n", len(blocks))
-	fmt.Printf("%-26s %12s %10s %10s\n", "variant", "seconds", "cuts", "stopped")
-	for _, v := range variants {
-		opt := base
-		v.mutate(&opt)
-		total := time.Duration(0)
-		cuts, stopped := 0, 0
-		for _, b := range blocks {
-			m := bench.Run(bench.AlgPoly, b.G, opt, budget)
-			total += m.Duration
-			cuts += m.Cuts
-			if m.Stopped() {
-				stopped++
-			}
-		}
-		fmt.Printf("%-26s %12.4f %10d %10d\n", v.name, total.Seconds(), cuts, stopped)
 	}
 }

@@ -67,8 +67,7 @@ func (e *incEnum) admissibleOutput(o int) bool {
 // forbidden-free ancestor row. Every forbidden direct predecessor of o must
 // be an input too (it can neither join the cut nor be severed from o), so
 // with Nin of them only they remain admissible, and with more than Nin none
-// is. With PruneForbiddenAncestors the ancestors of o's forbidden ancestors
-// go too.
+// is.
 func (e *incEnum) inputRejectsInto(m *bitset.Set, o int) {
 	fp := e.g.ForbiddenPreds(o)
 	switch c := fp.Count(); {
@@ -79,9 +78,6 @@ func (e *incEnum) inputRejectsInto(m *bitset.Set, o int) {
 		m.ComplementOf(fp) // fp ⊆ preds(o): each has a forbidden-free path
 	default:
 		m.ComplementOf(e.g.ForbiddenFreeReachTo(o))
-	}
-	if e.opt.PruneForbiddenAncestors {
-		m.Union(e.badIn[o])
 	}
 }
 

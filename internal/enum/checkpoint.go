@@ -55,28 +55,25 @@ import (
 var ErrCompleted = errors.New("enum: snapshot records a completed run; nothing to resume")
 
 // optionsFingerprint hashes the Options fields that define the cut set and
-// its visit order: the port constraints, connectivity/latency restrictions
-// and the two approximate prunings, which change the cut set. Budgets,
-// deadlines, contexts, KeepCuts and Parallelism are excluded on purpose —
-// the determinism contract makes them output-invariant, so a resume may
-// legitimately change them (most obviously the worker count). Flag bits
-// 1–5 held the on/off toggles of the five exact prunings, which are now
-// unconditional; the bits stay set so that snapshots written with those
-// prunings on, as every default configuration had them, still resume.
+// its visit order: the port constraints and the connectivity/latency
+// restrictions. Budgets, deadlines, contexts, KeepCuts and Parallelism are
+// excluded on purpose — the determinism contract makes them
+// output-invariant, so a resume may legitimately change them (most
+// obviously the worker count). Flag bits 1–5 held the on/off toggles of the
+// five exact prunings, which are now unconditional; the bits stay set so
+// that snapshots written with those prunings on, as every default
+// configuration had them, still resume. Bits 6–7 held the two approximate
+// prunings, which are gone; they stay clear, so the configurations that
+// had them off keep their fingerprints and a snapshot parked with either
+// on no longer matches any Options.
 func optionsFingerprint(opt Options) uint64 {
 	h := bitset.NewHasher128()
 	h.Int(opt.MaxInputs)
 	h.Int(opt.MaxOutputs)
 	h.Int(opt.MaxDepth)
 	flags := 0b111110
-	for i, b := range [...]bool{
-		0: opt.ConnectedOnly,
-		6: opt.PruneDominatorInput,
-		7: opt.PruneForbiddenAncestors,
-	} {
-		if b {
-			flags |= 1 << i
-		}
+	if opt.ConnectedOnly {
+		flags |= 1
 	}
 	h.Int(flags)
 	return h.Sum()[0]

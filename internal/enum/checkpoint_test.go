@@ -277,8 +277,8 @@ func TestCheckpointStopChannel(t *testing.T) {
 }
 
 // TestResumeValidation pins the refusal paths: wrong graph, wrong semantic
-// options, completed snapshot, corrupt frontier, negative delivered count —
-// each a typed error, no enumeration started.
+// options, a paper-mode snapshot, completed snapshot, corrupt frontier,
+// negative delivered count — each a typed error, no enumeration started.
 func TestResumeValidation(t *testing.T) {
 	g := workload.MiBenchLike(rand.New(rand.NewSource(4)), 30, workload.DefaultProfile())
 	path := filepath.Join(t.TempDir(), "v.ckpt")
@@ -299,6 +299,14 @@ func TestResumeValidation(t *testing.T) {
 	opt2.MaxInputs++
 	if _, err := enum.ResumeEnumerate(g, opt2, snap, noVisit); !errors.As(err, &mm) || mm.Field != "options" {
 		t.Fatalf("wrong options: err = %v, want options MismatchError", err)
+	}
+	// A snapshot parked under the retired paper mode (the two approximate
+	// §5.3 prunings on) carries a fingerprint no Options can produce any
+	// more: its cut set differs, so it must be refused, not resumed.
+	paper := *snap
+	paper.OptHash = 0xbe0a39a6b1137ffa
+	if _, err := enum.ResumeEnumerate(g, opt, &paper, noVisit); !errors.As(err, &mm) || mm.Field != "options" {
+		t.Fatalf("paper-mode snapshot: err = %v, want options MismatchError", err)
 	}
 	done := *snap
 	done.Done = true

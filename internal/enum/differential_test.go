@@ -41,11 +41,9 @@ var diffConstraints = [][2]int{{2, 1}, {3, 2}, {4, 2}}
 func optVariants(nin, nout int) map[string]enum.Options {
 	std := enum.DefaultOptions()
 	std.MaxInputs, std.MaxOutputs = nin, nout
-	paper := enum.PaperOptions()
-	paper.MaxInputs, paper.MaxOutputs = nin, nout
 	conn := std
 	conn.ConnectedOnly = true
-	return map[string]enum.Options{"default": std, "paper": paper, "connected": conn}
+	return map[string]enum.Options{"default": std, "connected": conn}
 }
 
 // TestParallelMatchesSerialOnRandomCorpus is the core differential test:
@@ -182,13 +180,12 @@ func TestMidSizeOracleFreshRandom(t *testing.T) {
 }
 
 // TestMidSizeOracleAlongNin extends the oracle along the port budgets, the
-// axis the seed-loop cutoff and the flow bound prune: the n=140 gap
-// instance and the figure 4 tree of depth 6 at (Nin, Nout) = (6, 2),
-// (8, 2) and (6, 3), and at Nin=6 the n=220 gap instance, the tree of
-// depth 7 and the butterflies, each at its pinned count. The tree of
-// depth 6 at 6/2 is sub-second and runs in every `go test`; the other rows
-// take up to a few seconds a side and run under `make diff-oracle`
-// (POLYISE_ORACLE_BUDGET set).
+// axis the seed-loop cutoff and the flow bound prune: the n=140 and n=220
+// gap instances and the figure 4 trees of depth 6 and 7 at (Nin, Nout) =
+// (6, 2), (8, 2) and (6, 3), and the butterflies, each at its pinned count.
+// The tree of depth 6 at 6/2 is sub-second and runs in every `go test`;
+// the other rows take up to about 20 s a side and run under `make
+// diff-oracle` (POLYISE_ORACLE_BUDGET set).
 func TestMidSizeOracleAlongNin(t *testing.T) {
 	full := os.Getenv("POLYISE_ORACLE_BUDGET") != ""
 	gap := workload.GapRegressionInstances()
@@ -206,7 +203,11 @@ func TestMidSizeOracleAlongNin(t *testing.T) {
 		{gap[0].Name, gap[0].Graph(), 8, 2, 8418, false},
 		{gap[0].Name, gap[0].Graph(), 6, 3, 134514, false},
 		{gap[1].Name, gap[1].Graph(), 6, 2, 11469, false},
+		{gap[1].Name, gap[1].Graph(), 8, 2, 12061, false},
+		{gap[1].Name, gap[1].Graph(), 6, 3, 272877, false},
 		{"tree-depth7", workload.Tree(7, 2), 6, 2, 49517, false},
+		{"tree-depth7", workload.Tree(7, 2), 8, 2, 201255, false},
+		{"tree-depth7", workload.Tree(7, 2), 6, 3, 318443, false},
 		{"butterfly-4", workload.Butterfly(4), 6, 2, 1800, false},
 		{"butterfly-4", workload.Butterfly(4), 8, 2, 1800, false},
 		{"butterfly-4", workload.Butterfly(4), 6, 3, 29112, false},

@@ -350,90 +350,6 @@ func TestQuickBasicMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestDominatorInputPruningIsSubset documents the deliberate deviation from
-// §5.3: the paper's "simplified" dominator–input test, implemented
-// literally, can lose cuts (which is why it is off by default). It must
-// still never invent cuts.
-func TestDominatorInputPruningIsSubset(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randDFG(r, 4+r.Intn(10))
-		base := enum.DefaultOptions()
-		base.MaxInputs = 1 + r.Intn(4)
-		base.MaxOutputs = 1 + r.Intn(2)
-		exact, _ := enum.CollectAll(g, base)
-		pruned := base
-		pruned.PruneDominatorInput = true
-		approx, _ := enum.CollectAll(g, pruned)
-		want := map[string]bool{}
-		for _, c := range exact {
-			want[c.Nodes.Signature()] = true
-		}
-		for _, c := range approx {
-			if !want[c.Nodes.Signature()] {
-				t.Logf("seed=%d invented cut %v", seed, c)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDominatorInputPruningLosesKnownCut pins the concrete counterexample:
-// in the ladder, seed g(6) for output h(7) succeeds first; seed f(5) is not
-// an ancestor of g, so the literal rule skips it and the cut {g,h} with
-// inputs {e,f} is lost.
-func TestDominatorInputPruningLosesKnownCut(t *testing.T) {
-	g := ladder(t)
-	opt := withIO(enum.DefaultOptions(), 4, 2)
-	opt.PruneDominatorInput = true
-	cuts, _ := enum.CollectAll(g, opt)
-	gh := bitset.FromMembers(g.N(), 6, 7)
-	if hasSig(cuts, gh.Signature()) {
-		t.Skip("pruned search found {g,h} after all; counterexample no longer applies")
-	}
-	exact, _ := enum.CollectAll(g, withIO(enum.DefaultOptions(), 4, 2))
-	if !hasSig(exact, gh.Signature()) {
-		t.Fatal("exact enumeration must contain {g,h}")
-	}
-}
-
-// TestPaperModeIsSubsetWithHighRecall: the paper-mode approximate prunings
-// (forbidden-ancestor exclusion + simplified dominator–input) may only drop
-// cuts, never invent them, and on random blocks the loss stays small.
-func TestPaperModeIsSubsetWithHighRecall(t *testing.T) {
-	totalExact, totalApprox := 0, 0
-	for seed := int64(0); seed < 40; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		g := randDFG(r, 8+r.Intn(12))
-		exact, _ := enum.CollectAll(g, enum.DefaultOptions())
-		approx, _ := enum.CollectAll(g, enum.PaperOptions())
-		want := map[string]bool{}
-		for _, c := range exact {
-			want[c.Nodes.Signature()] = true
-		}
-		for _, c := range approx {
-			if !want[c.Nodes.Signature()] {
-				t.Fatalf("seed=%d: paper mode invented cut %v", seed, c)
-			}
-		}
-		totalExact += len(exact)
-		totalApprox += len(approx)
-	}
-	if totalExact == 0 {
-		t.Fatal("no cuts at all")
-	}
-	recall := float64(totalApprox) / float64(totalExact)
-	t.Logf("paper-mode recall over 40 random blocks: %d/%d = %.3f",
-		totalApprox, totalExact, recall)
-	if recall < 0.85 {
-		t.Fatalf("paper-mode recall %.3f implausibly low", recall)
-	}
-}
-
 func hasSig(cuts []enum.Cut, sig string) bool {
 	for _, c := range cuts {
 		if c.Nodes.Signature() == sig {

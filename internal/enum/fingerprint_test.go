@@ -19,7 +19,6 @@ func TestOptionsFingerprintStable(t *testing.T) {
 		want uint64
 	}{
 		{"default", DefaultOptions(), 0xd60c279c39b80463},
-		{"paper", PaperOptions(), 0xbe0a39a6b1137ffa},
 		{"connected-only", with(func(o *Options) { o.ConnectedOnly = true }), 0xa24ab4be37282991},
 		{"max-depth-2", with(func(o *Options) { o.MaxDepth = 2 }), 0xb67480d34b341858},
 		{"nin-6", with(func(o *Options) { o.MaxInputs = 6 }), 0x66dbaccc8ca2d75b},

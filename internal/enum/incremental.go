@@ -108,7 +108,6 @@ type enumShared struct {
 	pdRel   []*bitset.Set // per vertex: the vertices related to it by postdominance
 	entries []int         // roots ∪ user-forbidden: virtual-source successors
 	permOut *bitset.Set   // vertices that can never stop being outputs once in S
-	badIn   []*bitset.Set // per-output forbidden-ancestor exclusions (PruneForbiddenAncestors)
 }
 
 func newEnumShared(g *dfg.Graph, opt Options) *enumShared {
@@ -127,25 +126,6 @@ func newEnumShared(g *dfg.Graph, opt Options) *enumShared {
 	for v := 0; v < g.N(); v++ {
 		if permanentOutput(g, v) {
 			sh.permOut.Add(v)
-		}
-	}
-
-	// The forbidden-ancestor input exclusion (§5.3, approximate) depends
-	// only on the graph, so it is precomputed once here — shared read-only
-	// by every shard — instead of being rebuilt in each worker's memo. One
-	// pass over the topological order suffices: bad(v) accumulates, for
-	// every user-forbidden ancestor f of v, the ancestors of f.
-	if opt.PruneForbiddenAncestors {
-		sh.badIn = make([]*bitset.Set, g.N())
-		for v := 0; v < g.N(); v++ {
-			b := bitset.New(g.N())
-			for _, p := range g.Preds(v) {
-				b.Union(sh.badIn[p])
-				if g.IsUserForbidden(p) {
-					b.Union(g.ReachTo(p))
-				}
-			}
-			sh.badIn[v] = b
 		}
 	}
 	return sh
@@ -182,7 +162,6 @@ func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum
 		pdRel:   sh.pdRel,
 		entries: sh.entries,
 		permOut: sh.permOut,
-		badIn:   sh.badIn,
 		ext:     ext,
 		stop:    NewStopper(sh.opt),
 		val:     NewValidator(sh.g, sh.opt),
@@ -211,7 +190,6 @@ type incEnum struct {
 	entries []int         // roots ∪ user-forbidden: virtual-source successors
 	pdRel   []*bitset.Set // shared: per-vertex postdominance relation rows
 	permOut *bitset.Set   // shared: vertices that are outputs forever once in S
-	badIn   []*bitset.Set // shared: per-output forbidden-ancestor exclusions (§5.3, approximate)
 
 	journal  []*bitset.Set // per-depth undo journal: the delta each push applied to S
 	paths    []*bitset.Set // per-depth on-path sets
@@ -466,9 +444,6 @@ func (e *incEnum) reachableFromInput(o int) bool {
 // dominator found below) unchanged, so such seeds can only reproduce cuts
 // that the unextended seed set already generates.
 //
-// It reports whether any dominator completion (or full domination) was
-// found in this subtree, which drives the dominator–input pruning.
-//
 // phaseStart indexes the first entry of Ilist chosen during the current
 // output's phase: those seeds justify their membership through o, so each
 // must keep a surviving path to o (the paper's "quick dismissal" of seed
@@ -478,12 +453,12 @@ func (e *incEnum) reachableFromInput(o int) bool {
 // pBack is the parent seed level's reaches-o frontier (nil at a phase
 // start); when present the just-pushed seed is Ilist's last entry and
 // analyzePaths derives the child frontier from it by delta.
-func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart int, pBack *bitset.Set) bool {
+func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart int, pBack *bitset.Set) {
 	if h := faultinject.OnPickInputs; h != nil {
 		h()
 	}
 	if !e.poll() {
-		return false
+		return
 	}
 	e.stats.LTRuns++
 	lastIn := -1
@@ -517,7 +492,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 			// it.
 			if !e.g.SuccsIntersect(v, back) {
 				e.stats.SeedsPruned++
-				return false
+				return
 			}
 		}
 	}
@@ -531,17 +506,15 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		if pBack == nil {
 			e.checkCut(depth, o, ninLeft, noutLeft)
 		}
-		return true
+		return
 	}
 	if ninLeft <= 0 {
-		return false
+		return
 	}
 	inRej := e.bufAt(&e.inRejs, len(e.outs)-1)
 	if pBack == nil {
 		e.inputRejectsInto(inRej, o)
 	}
-
-	found := false
 
 	// Completion step: every reduced-graph dominator of o extends I to a
 	// multiple-vertex dominator of o. The completion is the phase's
@@ -549,7 +522,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 	// above the phase's last (smallest) seed.
 	for _, u := range chain {
 		if e.stopped {
-			return found
+			return
 		}
 		if pBack != nil && u > lastIn {
 			break
@@ -561,7 +534,6 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 			e.stats.SeedsPruned++
 			continue
 		}
-		found = true
 		e.flushSeeds(depth)
 		e.pushInput(u)
 		e.shrinkS(depth)
@@ -599,7 +571,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 				if e.completionFlowBound(o, onPath, ninLeft) > ninLeft {
 					e.flowPrunes++
 					e.stats.SeedsPruned++
-					return found
+					return
 				}
 			}
 		}
@@ -622,7 +594,6 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		if ninLeft == 2 {
 			e.last.arm(e.g, onPath, back, chain, top)
 		}
-		lastValid := -1
 		maxID := e.g.N() - 1 - seedStart
 		ow := onPath.Words()
 	seedLoop:
@@ -639,21 +610,10 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 					break seedLoop
 				}
 				if e.stopped {
-					return found
+					return
 				}
 				if i == o || e.outSet.Has(i) {
 					continue
-				}
-				if e.opt.PruneDominatorInput && lastValid >= 0 {
-					if e.g.IsForbidden(lastValid) {
-						// A forbidden seed cannot be replaced: stop extending
-						// this slot (§5.3, dominator–input pruning).
-						break seedLoop
-					}
-					if !e.g.Reaches(i, lastValid) {
-						e.stats.SeedsPruned++
-						continue // replacements come from the seed's ancestors
-					}
 				}
 				if rej.Has(i) {
 					e.stats.SeedsPruned++
@@ -664,24 +624,18 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 					// so the parent runs its poll and its one LTRuns, but
 					// no push and no call.
 					if !e.poll() {
-						return found
+						return
 					}
 					e.stats.LTRuns++
-					found, lastValid = true, i
 					continue
 				}
 				// No viable() guard: ninLeft-1 ≥ 1 inputs stay, so it holds.
 				e.pushSeed(i)
-				sub := e.pickInputs(depth+1, o, ninLeft-1, noutLeft, e.g.N()-i, phaseStart, back)
+				e.pickInputs(depth+1, o, ninLeft-1, noutLeft, e.g.N()-i, phaseStart, back)
 				e.popSeed(depth, i)
-				if sub {
-					found = true
-					lastValid = i
-				}
 			}
 		}
 	}
-	return found
 }
 
 // poll is the prologue of every search node — a PICK-INPUTS call, a

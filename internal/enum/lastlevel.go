@@ -199,6 +199,11 @@ sweep:
 // partners are the tree path from L(s) up to the chain vertex below s.
 // The child's completion loop stops at the first vertex above its last
 // seed s, so the rest is never read.
+//
+// Precondition: s ≥ top. build ranks H only up to the first served seed
+// and derives L only from top's rank on, so a seed below top would read
+// ranks left over from an earlier table. Nothing here checks it; the seed
+// loop's cutoff (docs/ALGORITHM.md §5, rule C) is what guarantees it.
 func (t *lastLevel) chainFor(s int, dst []int) []int {
 	if !t.built {
 		t.build(s)

@@ -25,18 +25,18 @@
 // output phase's inputs pushed in descending order with the smallest as
 // the completion — which exists exactly once per valid cut
 // (docs/ALGORITHM.md §5). Completeness — every valid cut is produced —
-// holds under DefaultOptions and is verified by measurement at two tiers:
-// against the brute-force oracle over all vertex subsets to n ≈ 16 (with
-// the approximate prunings off), and against the pruned-exhaustive oracle
-// (baseline.DiffOracle, `make diff-oracle`) to n ≈ 240 on the MiBench-like
-// corpus, including the pinned regression instances of the historical
-// n ≥ 140 gap. That gap was a collision class in the dedup digest Enumerate
-// then used, not a search deficiency (docs/ALGORITHM.md §7). The two
-// approximate §5.3 prunings (PruneDominatorInput, PruneForbiddenAncestors)
-// are the only knobs that trade completeness away and are off by default.
-// EXPERIMENTS.md ("Canonical derivations") records what they lose on the
-// pinned instances; a per-size-cluster measurement is ROADMAP.md item
-// 5(c).
+// holds under every Options and is verified by measurement at two tiers:
+// against the brute-force oracle over all vertex subsets to n ≈ 16, and
+// against the pruned-exhaustive oracle (baseline.DiffOracle, `make
+// diff-oracle`) to n ≈ 240 on the MiBench-like corpus, including the
+// pinned regression instances of the historical n ≥ 140 gap. That gap was
+// a collision class in the dedup digest Enumerate then used, not a search
+// deficiency (docs/ALGORITHM.md §7). Every §5.3 pruning the search applies
+// is exact. The paper's two approximate ones, the "simplified"
+// dominator–input test and the forbidden-ancestor input exclusion, are not
+// implemented: they lost 8–34 % of the cuts of the pinned instances and
+// did not make large blocks tractable (EXPERIMENTS.md, "Paper mode's loss
+// along Nin, before retirement").
 //
 // # The incremental search-state engine
 //
@@ -129,29 +129,8 @@ type Options struct {
 	// restriction mentioned in §5.3 (output–input pruning).
 	MaxDepth int
 
-	// The five exact §5.3 prunings are always on (docs/ALGORITHM.md §6);
-	// only the two approximate ones below are options.
-
-	// PruneDominatorInput enables the paper's "simplified" dominator–input
-	// test (§5.3): after a seed yields a valid dominator, later candidates
-	// for the same slot are restricted to that seed's ancestors (and a
-	// forbidden seed ends the slot). Implemented literally, this test is NOT
-	// exact — it loses cuts whose dominators use an incomparable seed (the
-	// test suite demonstrates this) — so unlike the paper we keep it OFF by
-	// default and expose it only for the ablation study. A cut it prunes
-	// away is lost even when another derivation would reach it: each cut
-	// is delivered only at its canonical derivation (docs/ALGORITHM.md §5).
-	PruneDominatorInput bool
-
-	// PruneForbiddenAncestors enables the paper's aggressive form of the
-	// output–input pruning: "if a forbidden node w is an ancestor of v, w's
-	// ancestors will not be valid inputs to v" (§5.3). Taken literally this
-	// is NOT exact either — an input may reach the output both through a
-	// forbidden node and around it (the test suite demonstrates the loss) —
-	// but it is what makes thousand-node memory-heavy blocks tractable, so
-	// it ships as the opt-in "paper mode" used by the large-cluster
-	// benchmarks.
-	PruneForbiddenAncestors bool
+	// The five exact §5.3 prunings are always on and have no switch
+	// (docs/ALGORITHM.md §6).
 
 	// KeepCuts controls whether valid cuts are handed to the visitor with
 	// their node sets retained (cloned). When false the visitor receives a
@@ -214,31 +193,13 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's standard configuration: Nin=4, Nout=2,
-// unrestricted latency and connectivity, technical condition required, and
-// only the exact §5.3 prunings (the approximate ones off).
+// unrestricted latency and connectivity, and technical condition required.
 func DefaultOptions() Options {
 	return Options{
 		MaxInputs:  4,
 		MaxOutputs: 2,
 		KeepCuts:   true,
 	}
-}
-
-// PaperOptions returns the configuration closest to the paper's own
-// implementation: the standard Nin=4/Nout=2 constraint with the two
-// approximate §5.3 prunings (PruneDominatorInput, PruneForbiddenAncestors)
-// on as well as the exact ones. Enumeration under these
-// options is fast but may miss valid cuts: an approximate pruning that
-// cuts off a cut's canonical derivation loses the cut, since no other
-// derivation delivers it. On the n=140 gap instance paper mode finds
-// 4 200 of the 4 565 exact cuts (EXPERIMENTS.md, "Canonical
-// derivations"); a measurement across the corpus is still open
-// (ROADMAP.md, item 5(c)).
-func PaperOptions() Options {
-	o := DefaultOptions()
-	o.PruneDominatorInput = true
-	o.PruneForbiddenAncestors = true
-	return o
 }
 
 // Stats reports the work an enumeration performed and, for runs that ended

@@ -101,12 +101,12 @@ const (
 // Freeze.
 func NewGraph() *Graph { return dfg.New() }
 
-// Options configures cut enumeration (Nin/Nout, connectedness, the two
-// approximate §5.3 prunings).
+// Options configures cut enumeration (Nin/Nout, connectedness, latency,
+// worker count, budgets and checkpointing). Every §5.3 pruning is exact
+// and always on.
 type Options = enum.Options
 
-// DefaultOptions is the paper's standard configuration: Nin=4, Nout=2, the
-// approximate prunings off.
+// DefaultOptions is the paper's standard configuration: Nin=4, Nout=2.
 func DefaultOptions() Options { return enum.DefaultOptions() }
 
 // Cut is one convex subgraph with its derived inputs and outputs.
