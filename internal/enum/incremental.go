@@ -620,7 +620,8 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 					continue
 				}
 				if ninLeft == 2 && e.last.dominated(i) {
-					// Blocking i cuts o off: the child only reports it,
+					// Blocking i cuts o off, and the child would check no
+					// cut (its cut is checked where i completes the chain),
 					// so the parent runs its poll and its one LTRuns, but
 					// no push and no call.
 					if !e.poll() {

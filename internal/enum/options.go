@@ -34,9 +34,10 @@
 // deficiency (docs/ALGORITHM.md §7). Every §5.3 pruning the search applies
 // is exact. The paper's two approximate ones, the "simplified"
 // dominator–input test and the forbidden-ancestor input exclusion, are not
-// implemented: they lost 8–34 % of the cuts of the pinned instances and
-// did not make large blocks tractable (EXPERIMENTS.md, "Paper mode's loss
-// along Nin, before retirement").
+// implemented: on the pinned instances they lost 1–71 % of the cuts, more
+// at larger Nin, and on a large block they stayed slower than the exact
+// pruned search (EXPERIMENTS.md, "Paper mode's loss along Nin, before
+// retirement").
 //
 // # The incremental search-state engine
 //
