@@ -191,9 +191,9 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 }
 
 // TestLastLevelCounters pins the last-level ledger, the pruning counters
-// and the admission counters on the n=140 gap instance. Tables built,
-// chains served, seeds pruned, outputs tried, candidates and their
-// Duplicates (non-canonical) / Invalid verdicts are exact work counts,
+// and the admission counters on the n=140 gap instance at Nin=4 and Nin=6.
+// Tables built, chains served, seeds pruned, outputs tried, candidates and
+// their Duplicates (non-canonical) / Invalid verdicts are exact work counts,
 // like LTRuns (which still counts every last-level child, decided in the
 // parent or served): each is a function of the search node that produced
 // it, so a complete parallel run must reproduce the serial values.
@@ -203,22 +203,38 @@ func TestLastLevelCounters(t *testing.T) {
 		t.Fatalf("gap instance 0 is %s", gi.Name)
 	}
 	g := gi.Graph()
-	want := Stats{
-		Valid: gi.WantCuts, Candidates: 8570, Duplicates: 198, Invalid: 739,
-		LTRuns: 50970, SeedsPruned: 2196, OutputsTried: 16497,
-		LastLevelTables: 5732, LastLevelLookups: 36150,
+	rows := []struct {
+		nin  int
+		want Stats
+	}{
+		{4, Stats{
+			Valid: gi.WantCuts, Candidates: 8570, Duplicates: 198, Invalid: 739,
+			LTRuns: 50970, SeedsPruned: 2196, OutputsTried: 16497,
+			LastLevelTables: 5732, LastLevelLookups: 36150,
+		}},
+		{6, Stats{
+			Valid: 7668, Candidates: 66496, Duplicates: 294, Invalid: 1472,
+			LTRuns: 344487, SeedsPruned: 92668, OutputsTried: 39424,
+			LastLevelTables: 34788, LastLevelLookups: 146540,
+		}},
 	}
-	for _, workers := range []int{1, 3} {
-		opt := DefaultOptions()
-		opt.Parallelism = workers
-		st := Enumerate(g, opt, func(Cut) bool { return true })
-		got := Stats{
-			Valid: st.Valid, Candidates: st.Candidates, Duplicates: st.Duplicates, Invalid: st.Invalid,
-			LTRuns: st.LTRuns, SeedsPruned: st.SeedsPruned, OutputsTried: st.OutputsTried,
-			LastLevelTables: st.LastLevelTables, LastLevelLookups: st.LastLevelLookups,
+	for _, row := range rows {
+		if testing.Short() && row.nin > 4 {
+			continue // the race run's budget; the non-race run pins it
 		}
-		if got != want {
-			t.Fatalf("workers=%d: counters %+v, want %+v", workers, got, want)
+		for _, workers := range []int{1, 3} {
+			opt := DefaultOptions()
+			opt.Parallelism = workers
+			opt.MaxInputs = row.nin
+			st := Enumerate(g, opt, func(Cut) bool { return true })
+			got := Stats{
+				Valid: st.Valid, Candidates: st.Candidates, Duplicates: st.Duplicates, Invalid: st.Invalid,
+				LTRuns: st.LTRuns, SeedsPruned: st.SeedsPruned, OutputsTried: st.OutputsTried,
+				LastLevelTables: st.LastLevelTables, LastLevelLookups: st.LastLevelLookups,
+			}
+			if got != row.want {
+				t.Errorf("Nin=%d, workers=%d: counters %+v, want %+v", row.nin, workers, got, row.want)
+			}
 		}
 	}
 }
