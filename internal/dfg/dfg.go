@@ -254,7 +254,7 @@ func (g *Graph) Freeze() error {
 	// i: "highest successor position inside a region" reduces to a
 	// highest-set-bit scan of one masked row — the operation the
 	// incremental dominator sweeps of package enum are built on (see
-	// analyzePaths and mandatoryInto there).
+	// analyzePaths and the last-level table there).
 	g.stride = (n + 63) / 64
 	g.predBits = make([]uint64, n*g.stride)
 	g.succBits = make([]uint64, n*g.stride)

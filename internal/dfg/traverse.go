@@ -224,7 +224,7 @@ func (t *Traverser) closureGeneric(dst *bitset.Set, rowBits []uint64, allowed *b
 // index ≡ topological position), applying it to an
 // adjacency row masked by a region gives the highest-positioned neighbour
 // inside the region — the load-bearing query of the running-max dominator
-// sweeps in package enum (analyzePaths, mandatoryInto).
+// sweeps in package enum (analyzePaths, the last-level table).
 func HighestMaskedBit(row, mask []uint64) int {
 	for i := len(row) - 1; i >= 0; i-- {
 		if m := row[i] & mask[i]; m != 0 {
@@ -232,13 +232,6 @@ func HighestMaskedBit(row, mask []uint64) int {
 		}
 	}
 	return -1
-}
-
-// ForwardClosure extends the pre-seeded dst with everything reachable from
-// it through successor edges inside allowed. Seeds stay in dst even when
-// outside allowed.
-func (t *Traverser) ForwardClosure(dst, allowed *bitset.Set) {
-	t.closure(dst, t.g.succBits, allowed)
 }
 
 // prepAllowed loads t.allowed with within \ avoid (or U \ avoid when within

@@ -200,7 +200,7 @@ func TestRowIntersectAndEntries(t *testing.T) {
 }
 
 // TestTraverserSeedsOutsideAllowedKept pins the low-level closure contract
-// mandatoryInto relies on: pre-seeded vertices survive even when the
+// GrowCut's slow path relies on: pre-seeded vertices survive even when the
 // allowed set excludes them, while expansion stays inside it.
 func TestTraverserSeedsOutsideAllowedKept(t *testing.T) {
 	g := New()
@@ -212,7 +212,7 @@ func TestTraverserSeedsOutsideAllowedKept(t *testing.T) {
 	dst := bitset.New(g.N())
 	dst.Add(a)
 	allowed := bitset.FromMembers(g.N(), b, c)
-	tr.ForwardClosure(dst, allowed)
+	tr.closure(dst, g.succBits, allowed)
 	for _, v := range []int{a, b, c} {
 		if !dst.Has(v) {
 			t.Fatalf("closure missing %d: %v", v, dst)
@@ -222,7 +222,7 @@ func TestTraverserSeedsOutsideAllowedKept(t *testing.T) {
 	dst.Clear()
 	dst.Add(a)
 	allowed = bitset.FromMembers(g.N(), c)
-	tr.ForwardClosure(dst, allowed)
+	tr.closure(dst, g.succBits, allowed)
 	if dst.Has(b) || dst.Has(c) {
 		t.Fatalf("closure crossed a disallowed vertex: %v", dst)
 	}

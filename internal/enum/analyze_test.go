@@ -101,7 +101,7 @@ func TestAnalyzePathsMatchesSolver(t *testing.T) {
 					blocked = append(blocked, a)
 				}
 			}
-			gotReach, gotChain := e.analyzePaths(o, back, onPath, nil, -1, nil, true)
+			gotReach, gotChain := e.analyzePaths(o, back, onPath, nil, -1, nil)
 			wantReach, wantChain := oracle(g, blocked, o)
 			if gotReach != wantReach {
 				t.Logf("seed=%d o=%d blocked=%v reach %v want %v", seed, o, blocked, gotReach, wantReach)
@@ -154,7 +154,7 @@ func TestAnalyzePathsParentRestriction(t *testing.T) {
 		e.Iuser.Add(first)
 		pBack := bitset.New(g.N())
 		pOnPath := bitset.New(g.N())
-		pReach, _ := e.analyzePaths(o, pBack, pOnPath, nil, -1, nil, true)
+		pReach, _ := e.analyzePaths(o, pBack, pOnPath, nil, -1, nil)
 		if !pReach {
 			return true
 		}
@@ -167,11 +167,11 @@ func TestAnalyzePathsParentRestriction(t *testing.T) {
 
 		backScratch := bitset.New(g.N())
 		onScratch := bitset.New(g.N())
-		reach1, chain1 := e.analyzePaths(o, backScratch, onScratch, nil, -1, nil, true)
+		reach1, chain1 := e.analyzePaths(o, backScratch, onScratch, nil, -1, nil)
 		sort.Ints(chain1)
 		on1 := onScratch.Clone()
 
-		reach2, chain2 := e.analyzePaths(o, backScratch, onScratch, pBack, second, nil, true)
+		reach2, chain2 := e.analyzePaths(o, backScratch, onScratch, pBack, second, nil)
 		sort.Ints(chain2)
 
 		if reach1 != reach2 {
@@ -204,7 +204,7 @@ func TestAnalyzePathsChainOnKnownGraph(t *testing.T) {
 	e := newAnalyzer(g)
 	onPath := bitset.New(g.N())
 	back := bitset.New(g.N())
-	reach, chain := e.analyzePaths(d, back, onPath, nil, -1, nil, true)
+	reach, chain := e.analyzePaths(d, back, onPath, nil, -1, nil)
 	if !reach {
 		t.Fatal("d unreachable")
 	}
@@ -213,7 +213,7 @@ func TestAnalyzePathsChainOnKnownGraph(t *testing.T) {
 	}
 	// Blocking b separates d entirely.
 	e.Iuser.Add(b)
-	reach, _ = e.analyzePaths(d, back, onPath, nil, -1, nil, true)
+	reach, _ = e.analyzePaths(d, back, onPath, nil, -1, nil)
 	if reach {
 		t.Fatal("d should be separated with b blocked")
 	}

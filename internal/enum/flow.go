@@ -4,26 +4,26 @@ package enum
 // for the current output o, any dominator completion adds one input per
 // surviving vertex-disjoint source→o path (Menger's theorem: a separator
 // is at least as large as the maximum set of vertex-disjoint paths).
-// Moreover, a completion that produces a *new* cut may not place an input
-// on any vertex that lies on every path from an existing seed to o:
-// blocking such a mandatory vertex leaves the seed without a private path,
-// making it redundant — the identical cut is generated on the branch that
-// never chose the seed. Mandatory vertices therefore get infinite capacity.
-// So do two more sets the canonical order rules out (docs/ALGORITHM.md
-// §5): every vertex above the phase's last seed, since seeds descend and
-// the completion lies below the last seed, and every vertex the phase's
-// output–input mask rejects, which neither loop ever pushes.
+// Vertices no completion of the phase may take get infinite capacity. The
+// canonical order rules out two sets of them (docs/ALGORITHM.md §5): every
+// vertex above the phase's last seed, since seeds descend and the
+// completion lies below the last seed, and every vertex the phase's
+// output–input mask rejects, which neither loop ever pushes. The first set
+// holds the seeds' mandatory vertices — those on every path from a seed to
+// o, which §5.3 counts as uncuttable because blocking one leaves the seed
+// redundant: such a vertex lies between its seed and o, and every seed of
+// the phase is at least the last one.
 //
 // If the resulting max-flow exceeds the remaining input budget, the entire
 // seed-extension subtree is fruitless and is cut. This is the piece that
 // keeps the figure 4 tree family tractable for the exact enumeration: a
-// seed deep inside a subtree pins its whole root-ward spine as mandatory,
-// and covering the remaining branches around that spine overflows any small
-// Nin. The order-aware sets make it fire high in the seed tree at wide
-// budgets: a path that runs above the last seed or through rejected
-// vertices can never be cut, so it counts as unbounded flow. The seed
-// loop's cutoff at the highest on-path entry is the bound's infinite case,
-// decided in O(1) before any seed is pushed.
+// seed deep inside a subtree pins everything above it as uncuttable,
+// including its whole root-ward spine, and covering the remaining branches
+// around that spine overflows any small Nin. A path that runs above the
+// last seed or through rejected vertices can never be cut, so it counts as
+// unbounded flow, and the bound fires high in the seed tree at wide
+// budgets. The seed loop's cutoff at the highest on-path entry is the
+// bound's infinite case, decided in O(1) before any seed is pushed.
 //
 // The max-flow needs at most flowCap+1 units, so completionFlowBound runs
 // plain augmenting-path searches, each at word cost on the frozen graph: a
@@ -48,9 +48,7 @@ import (
 // ones are read off the flow, which is kept as the short list of arcs that
 // have carried a unit.
 type flowScratch struct {
-	uncut   *bitset.Set // vertices with infinite capacity
-	mandBuf *bitset.Set // scratch for mandatory-vertex sweeps
-	fwd     *bitset.Set // scratch: reachable-from-seed region
+	uncut *bitset.Set // vertices with infinite capacity
 	// The flow: head[v] is the first arc into v that has carried flow, -1
 	// none; arcs is their list, reset arc by arc after each bound.
 	head []int32
@@ -74,15 +72,13 @@ func (e *incEnum) flow() *flowScratch {
 	if e.fs == nil {
 		n := e.g.N()
 		e.fs = &flowScratch{
-			uncut:   bitset.New(n),
-			mandBuf: bitset.New(n),
-			fwd:     bitset.New(n),
-			head:    make([]int32, n),
-			arcs:    make([]flowArc, 0, 64),
-			visIn:   bitset.New(n),
-			visOut:  bitset.New(n),
-			par:     make([]int32, 2*n),
-			stack:   make([]int32, 0, 2*n),
+			uncut:  bitset.New(n),
+			head:   make([]int32, n),
+			arcs:   make([]flowArc, 0, 64),
+			visIn:  bitset.New(n),
+			visOut: bitset.New(n),
+			par:    make([]int32, 2*n),
+			stack:  make([]int32, 0, 2*n),
 		}
 		for v := range e.fs.head {
 			e.fs.head[v] = -1
@@ -91,59 +87,13 @@ func (e *incEnum) flow() *flowScratch {
 	return e.fs
 }
 
-// mandatoryInto computes into dst the vertices (excluding v and o) lying on
-// every v→o path that avoids the other chosen inputs, using the same
-// running-max dominator sweep as analyzePaths but rooted at v. If no such
-// path survives, dst is left empty (the caller's dead-seed check handles
-// that).
-func (e *incEnum) mandatoryInto(dst *bitset.Set, v, o int, back *bitset.Set) {
-	dst.Clear()
-	g := e.g
-	fs := e.flow()
-	// Region: reachable from v avoiding I, intersected with back (reaches o
-	// avoiding I). back already excludes every chosen input, so it is the
-	// closure's allowed set as-is; v seeds the closure unconditionally.
-	fwd := fs.fwd
-	fwd.Clear()
-	fwd.Add(v)
-	e.tr.ForwardClosure(fwd, back)
-	if !fwd.Has(o) {
-		return
-	}
-	// Running-max sweep with v as the only source: x lies on every v→o
-	// region path iff no region vertex before it has a region successor
-	// past it. Ids being the topological order (id ≡ position), the walk is
-	// one ascending pass over the region words, with each vertex's highest
-	// region successor a highest-set-bit scan of its masked row; v is the
-	// region's minimum and o its maximum, so they bracket the walk.
-	fw := fwd.Words()
-	runMax := -1
-	for wi, w := range fw {
-		for w != 0 {
-			x := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if x == o {
-				return
-			}
-			if x != v && runMax <= x {
-				dst.Add(x)
-			}
-			if g.MaxSucc(x) > runMax {
-				if p := dfg.HighestMaskedBit(g.SuccRow(x), fw); p > runMax {
-					runMax = p
-				}
-			}
-		}
-	}
-}
-
 // flowBoundCanExceed reports whether completionFlowBound could possibly
 // exceed flowCap, using two structural caps on the max-flow that cost one
 // word-parallel pass each instead of any augmenting-path search. Every
 // unit of flow passes the unit-capacity split edge of a distinct on-path
 // entry (all augmenting paths start source→entry) and of a distinct
 // on-path predecessor of o (they end pred→o), so the flow is bounded by
-// either population count — unless a counted vertex is mandatory
+// either population count — unless a counted vertex is uncuttable
 // (infinite capacity), which voids that cap. When a valid cap already
 // fits flowCap the expensive bound cannot fire and the caller skips it;
 // the outcome, and therefore the search and its statistics, are identical
@@ -182,7 +132,7 @@ func (e *incEnum) flowBoundCanExceed(o int, onPath *bitset.Set, flowCap int) boo
 // dominator completion of o needs, given the current inputs and the
 // surviving-path region onPath: the max-flow from the virtual source to o
 // with unit capacity on ordinary vertices and infinite capacity on the
-// accumulated mandatory vertices (e.fs.uncut). flowCap bounds the search —
+// uncuttable ones (e.fs.uncut). flowCap bounds the search —
 // the returned value saturates at flowCap+1, so at most flowCap+1
 // augmenting-path searches run. Any augmenting path will do: the capped
 // max-flow value is unique, whichever paths carry it.

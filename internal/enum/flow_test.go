@@ -170,8 +170,8 @@ func flowRegion(g *dfg.Graph, o int, inputs, onPath *bitset.Set) {
 
 // TestFlowBoundMatchesEdmondsKarp checks the word-cost kernel against the
 // Edmonds–Karp reference on random DAGs of one to five words, with random
-// inputs, random mandatory (infinite-capacity) subsets and flow caps 0–6.
-// Each instance also plants an all-mandatory entry→o path, whose infinite
+// inputs, random uncuttable (infinite-capacity) subsets and flow caps 0–6.
+// Each instance also plants an all-uncuttable entry→o path, whose infinite
 // capacity must saturate both at flowCap+1, and the kernel must not
 // allocate once warm.
 func TestFlowBoundMatchesEdmondsKarp(t *testing.T) {
@@ -213,7 +213,7 @@ func TestFlowBoundMatchesEdmondsKarp(t *testing.T) {
 				}
 				rounds++
 
-				// Plant an all-mandatory path: walk down from o through
+				// Plant an all-uncuttable path: walk down from o through
 				// on-path predecessors to an entry.
 				for v := o; !g.EntrySet().Has(v); {
 					for _, p := range g.Preds(v) {
@@ -227,7 +227,7 @@ func TestFlowBoundMatchesEdmondsKarp(t *testing.T) {
 				fs.uncut.Remove(o)
 				got, want = e.completionFlowBound(o, onPath, flowCap), edmondsKarpBound(g, o, onPath, fs.uncut, flowCap)
 				if got != flowCap+1 || want != flowCap+1 {
-					t.Fatalf("n=%d o=%d cap=%d: mandatory path gives bound %d, Edmonds–Karp %d, want %d", n, o, flowCap, got, want, flowCap+1)
+					t.Fatalf("n=%d o=%d cap=%d: uncuttable path gives bound %d, Edmonds–Karp %d, want %d", n, o, flowCap, got, want, flowCap+1)
 				}
 				if a := testing.AllocsPerRun(5, func() { e.completionFlowBound(o, onPath, flowCap) }); a != 0 {
 					t.Fatalf("n=%d: completionFlowBound allocates %.1f times per call", n, a)

@@ -282,11 +282,9 @@ func (e *incEnum) chainBuf(d int) []int {
 // skips the masked row scan whenever even v's highest successor overall
 // cannot beat the running maximum — the common case once it nears o.
 //
-// When needChain is false (no input budget left) the caller consumes only
-// the reachability verdict and back; o is source-reachable avoiding I
-// exactly when an entry survives in back, so the sweep — and onPath
-// entirely — is skipped for one word-parallel intersection test.
-func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn int, chain []int, needChain bool) (bool, []int) {
+// Only a caller with input budget left analyses: with none, viable has
+// already decided that o is unreachable (see pickInputs).
+func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn int, chain []int) (bool, []int) {
 	g := e.g
 
 	if pBack != nil {
@@ -298,9 +296,6 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 		// Phase start: traverse fresh, backward from o avoiding I.
 		e.seed1[0] = o
 		e.tr.ReachBackwardAvoiding(back, e.seed1[:], e.Iuser, nil)
-	}
-	if !needChain {
-		return back.Intersects(g.EntrySet()), chain
 	}
 
 	onPath.CopyIntersect(g.EntrySet(), back)
@@ -413,7 +408,7 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 		e.outSet.Add(o)
 		e.growS(depth)
 		if e.viable(ninLeft) {
-			e.pickInputs(depth+1, o, ninLeft, noutLeft-1, 0, len(e.Ilist), nil)
+			e.pickInputs(depth+1, o, ninLeft, noutLeft-1, nil)
 		}
 		e.undoGrowS(depth)
 		e.outSet.Remove(o)
@@ -444,16 +439,19 @@ func (e *incEnum) reachableFromInput(o int) bool {
 // dominator found below) unchanged, so such seeds can only reproduce cuts
 // that the unextended seed set already generates.
 //
-// phaseStart indexes the first entry of Ilist chosen during the current
-// output's phase: those seeds justify their membership through o, so each
-// must keep a surviving path to o (the paper's "quick dismissal" of seed
-// sets violating definition 5's condition 2). A branch whose seed went dead
-// reproduces only cuts that the branch without that seed generates.
+// The descending seed order decides the rest of the phase's bookkeeping.
+// Every seed of the phase keeps a surviving path to o, so definition 5's
+// condition 2 (the paper's "quick dismissal" of seed sets) never fails: a
+// later seed is smaller than an earlier one and cannot lie on that seed's
+// paths to o, which climb in id, and the last seed was taken on-path, so
+// it keeps a successor that reaches o. The seeds' own mandatory vertices
+// lie between them and o, above the last seed, where the flow bound
+// already counts every vertex as uncuttable (docs/ALGORITHM.md §5, §6).
 //
 // pBack is the parent seed level's reaches-o frontier (nil at a phase
 // start); when present the just-pushed seed is Ilist's last entry and
 // analyzePaths derives the child frontier from it by delta.
-func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart int, pBack *bitset.Set) {
+func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set) {
 	if h := faultinject.OnPickInputs; h != nil {
 		h()
 	}
@@ -461,7 +459,17 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		return
 	}
 	e.stats.LTRuns++
-	lastIn := -1
+	if ninLeft <= 0 {
+		// No input budget (always a phase start: a seed push keeps one).
+		// viable admitted S with no root or forbidden vertex in it, and
+		// every vertex reaching o avoiding I is in S, so no entry reaches
+		// o: I dominates o already, and the cut is checked.
+		e.checkCut(depth, o, ninLeft, noutLeft)
+		return
+	}
+	// Every input the phase still adds lies below lastIn: the last seed,
+	// or o itself at a phase start.
+	lastIn := o
 	if pBack != nil {
 		lastIn = e.Ilist[len(e.Ilist)-1]
 	}
@@ -470,11 +478,8 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 	// A child with one input left below a seed loop reaches here only when
 	// the parent could not decide it alone (lastLevel.dominated): lastIn is
 	// not on the parent's chain, so o stays reachable, and the last-level
-	// table serves the chain. It needs no frontier either, because the
-	// seed-alive check cannot fail: seeds are pushed in descending id
-	// order, so every other seed of the phase lies above lastIn and keeps
-	// its paths to o, and lastIn, on a surviving path, keeps one through a
-	// successor.
+	// table serves the chain. It needs no frontier either: with one input
+	// left it runs no seed loop and no flow bound.
 	served := pBack != nil && ninLeft == 1
 	reachable := true
 	var chain []int
@@ -485,16 +490,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		e.stats.LastLevelLookups++
 		chain = e.last.chainFor(lastIn, e.chainBuf(depth))
 	} else {
-		reachable, chain = e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth), ninLeft > 0)
-		for _, v := range e.Ilist[phaseStart:] {
-			// Alive ⟺ some successor of v still reaches o avoiding I; o
-			// itself is a member of back, so one row intersection answers
-			// it.
-			if !e.g.SuccsIntersect(v, back) {
-				e.stats.SeedsPruned++
-				return
-			}
-		}
+		reachable, chain = e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth))
 	}
 	e.chains[depth] = chain // keep any capacity growth for reuse
 	if !reachable {
@@ -506,9 +502,6 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		if pBack == nil {
 			e.checkCut(depth, o, ninLeft, noutLeft)
 		}
-		return
-	}
-	if ninLeft <= 0 {
 		return
 	}
 	inRej := e.bufAt(&e.inRejs, len(e.outs)-1)
@@ -524,7 +517,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		if e.stopped {
 			return
 		}
-		if pBack != nil && u > lastIn {
+		if u > lastIn {
 			break
 		}
 		if e.outSet.Has(u) {
@@ -548,21 +541,16 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 	if ninLeft > 1 {
 		// The budget-feasibility bound runs once at least one seed of the
 		// phase is chosen (the explosion lives in deep seed levels).
-		if len(e.Ilist) > phaseStart {
+		if pBack != nil {
 			// Bound the inputs any completion of the phase still needs (see
-			// flow.go). None of them can be a mandatory vertex of a phase
-			// seed, a vertex above lastIn (seeds descend, and the
-			// completion lies below the last seed) or a vertex the phase
-			// rejects, so all of these are uncuttable. flowBoundCanExceed
-			// first checks two O(words) structural caps on the max-flow;
-			// when either already fits the budget, the bound cannot prune
-			// and the max-flow never runs.
+			// flow.go). None of them can be a vertex above lastIn (seeds
+			// descend, and the completion lies below the last seed) or a
+			// vertex the phase rejects, so all of these are uncuttable.
+			// flowBoundCanExceed first checks two O(words) structural caps
+			// on the max-flow; when either already fits the budget, the
+			// bound cannot prune and the max-flow never runs.
 			fs := e.flow()
 			fs.uncut.Clear()
-			for _, v := range e.Ilist[phaseStart:] {
-				e.mandatoryInto(fs.mandBuf, v, o, back)
-				fs.uncut.Union(fs.mandBuf)
-			}
 			fs.uncut.AddRange(lastIn+1, o)
 			fs.uncut.Union(inRej)
 			e.flowCalls++
@@ -576,11 +564,9 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 			}
 		}
 		// Seed candidates walk the surviving-path vertices deepest-first
-		// (descending id ≡ reverse topological order), starting below the
-		// caller's seedStart.
-		// Iterating the onPath members directly skips the off-path mass for
-		// free; the historical index of seed i in that walk is N-1-i, which
-		// is what the recursion's seedStart carries forward.
+		// (descending id ≡ reverse topological order), starting below
+		// lastIn. Iterating the onPath members directly skips the off-path
+		// mass for free.
 		//
 		// The walk stops below top, the highest entry of the surviving
 		// region (docs/ALGORITHM.md §5, rule C): ids are topological, so
@@ -594,7 +580,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 		if ninLeft == 2 {
 			e.last.arm(e.g, onPath, back, chain, top)
 		}
-		maxID := e.g.N() - 1 - seedStart
+		maxID := lastIn - 1
 		ow := onPath.Words()
 	seedLoop:
 		for wi := maxID >> 6; wi >= 0; wi-- {
@@ -612,7 +598,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 				if e.stopped {
 					return
 				}
-				if i == o || e.outSet.Has(i) {
+				if e.outSet.Has(i) {
 					continue
 				}
 				if rej.Has(i) {
@@ -632,7 +618,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft, seedStart, phaseStart 
 				}
 				// No viable() guard: ninLeft-1 ≥ 1 inputs stay, so it holds.
 				e.pushSeed(i)
-				e.pickInputs(depth+1, o, ninLeft-1, noutLeft, e.g.N()-i, phaseStart, back)
+				e.pickInputs(depth+1, o, ninLeft-1, noutLeft, back)
 				e.popSeed(depth, i)
 			}
 		}

@@ -11,8 +11,8 @@ import (
 // with two inputs left pushes one seed s at a time and would recurse into a
 // child with one input left, whose only uses of its analysis are the
 // reachability verdict and the chain of reduced-graph dominators of o once
-// s is blocked as well (pickInputs shows why its seed-alive check cannot
-// fail). Both derive from the parent's surviving-path region H and its
+// s is blocked as well: with one input left it runs no seed loop and no
+// flow bound. Both derive from the parent's surviving-path region H and its
 // chain D: o stays reachable exactly when s is not in D, and the
 // dominators of o in H \ {s} are D \ {s} plus the partners of s — the
 // vertices v with {s, v} a separating pair of o in H. The child reads

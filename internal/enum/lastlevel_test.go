@@ -120,7 +120,7 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 					e.Iuser.Add(anc[r.Intn(len(anc))])
 				}
 				var reach bool
-				reach, chain = e.analyzePaths(o, back, onPath, nil, -1, chain[:0], true)
+				reach, chain = e.analyzePaths(o, back, onPath, nil, -1, chain[:0])
 				if !reach {
 					continue
 				}
@@ -142,7 +142,7 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 							e.Iuser.Add(v)
 						}
 						var cReach bool
-						cReach, full = e.analyzePaths(o, cBack, cOnPath, nil, -1, full[:0], true)
+						cReach, full = e.analyzePaths(o, cBack, cOnPath, nil, -1, full[:0])
 						for _, v := range blocked {
 							e.Iuser.Remove(v)
 						}
@@ -153,7 +153,7 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 					}
 					e.Iuser.Add(s)
 					var wantReach bool
-					wantReach, full = e.analyzePaths(o, cBack, cOnPath, back, s, full[:0], true)
+					wantReach, full = e.analyzePaths(o, cBack, cOnPath, back, s, full[:0])
 					e.Iuser.Remove(s)
 					if !g.SuccsIntersect(s, cBack) {
 						t.Fatalf("o=%d I=%v s=%d: the seed lost every path to o", o, e.Iuser.Members(), s)

@@ -210,7 +210,7 @@ type Stats struct {
 	Candidates   int // candidate cuts submitted to validation
 	Duplicates   int // candidates rejected as non-canonical derivations (EnumerateBasic: repeated vertex sets)
 	Invalid      int // candidates that failed validation
-	LTRuns       int // reduced-graph dominator analyses: swept, decided in a last-level parent, or served from its table
+	LTRuns       int // PICK-INPUTS steps: analyses swept, decided in a last-level parent or served from its table, and no-budget phase starts viable decided
 	SeedsPruned  int // seed vertices skipped by §5.3 prunings
 	OutputsTried int // output choices explored
 	Steals       int // stolen interior ranges executed (0 in serial runs)
