@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"polyise/internal/baseline"
+	"polyise/internal/dfg"
 	"polyise/internal/enum"
 	"polyise/internal/workload"
 )
@@ -32,29 +33,35 @@ func TestBruteForceRefusesLargeGraphs(t *testing.T) {
 	}
 }
 
-func TestBruteForceEarlyStop(t *testing.T) {
+// checkEarlyStop checks that search stops at its visitor's first false and
+// delivers exactly Options.MaxCuts cuts, each time with the matching
+// StopReason, on a chain with 66 cuts.
+func checkEarlyStop(t *testing.T, search func(*dfg.Graph, enum.Options, func(enum.Cut) bool) enum.Stats) {
+	t.Helper()
 	g := workload.Chain(12)
 	n := 0
-	baseline.BruteForce(g, enum.DefaultOptions(), func(enum.Cut) bool {
+	st := search(g, enum.DefaultOptions(), func(enum.Cut) bool {
 		n++
 		return n < 2
 	})
-	if n != 2 {
-		t.Fatalf("visitor called %d times, want 2", n)
+	if n != 2 || st.StopReason != enum.StopVisitor {
+		t.Fatalf("visitor called %d times, stop reason %v, want 2 and %v", n, st.StopReason, enum.StopVisitor)
+	}
+	opt := enum.DefaultOptions()
+	opt.MaxCuts = 3
+	n = 0
+	st = search(g, opt, func(enum.Cut) bool { n++; return true })
+	if n != opt.MaxCuts || st.Valid != opt.MaxCuts || st.StopReason != enum.StopBudget {
+		t.Fatalf("MaxCuts=%d: visitor called %d times, Valid %d, stop reason %v, want %d, %d and %v",
+			opt.MaxCuts, n, st.Valid, st.StopReason, opt.MaxCuts, opt.MaxCuts, enum.StopBudget)
 	}
 }
 
-func TestPrunedSearchEarlyStop(t *testing.T) {
-	g := workload.Chain(12)
-	n := 0
-	baseline.PrunedSearch(g, enum.DefaultOptions(), func(enum.Cut) bool {
-		n++
-		return n < 2
-	})
-	if n != 2 {
-		t.Fatalf("visitor called %d times, want 2", n)
-	}
-}
+func TestBruteForceEarlyStop(t *testing.T) { checkEarlyStop(t, baseline.BruteForce) }
+
+func TestPrunedSearchEarlyStop(t *testing.T) { checkEarlyStop(t, baseline.PrunedSearch) }
+
+func TestAtasuSearchEarlyStop(t *testing.T) { checkEarlyStop(t, baseline.AtasuSearch) }
 
 func TestPrunedSearchDeadline(t *testing.T) {
 	// 1023-node tree: the exhaustive search takes about 100x the deadline

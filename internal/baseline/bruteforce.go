@@ -86,16 +86,31 @@ func BruteForce(g *dfg.Graph, opt enum.Options, visit func(enum.Cut) bool) enum.
 			stats.Invalid++
 			continue
 		}
-		stats.Valid++
-		if opt.KeepCuts {
-			cut.Nodes = cut.Nodes.Clone()
-		}
-		if !visit(cut) {
-			stats.RecordStop(enum.StopVisitor)
+		if !deliver(opt, &stats, visit, cut) {
 			return stats
 		}
 	}
 	return stats
+}
+
+// deliver counts c as valid and hands it to visit, reporting whether the
+// search goes on. It stops, as package enum's searches do, when the
+// visitor returns false (StopVisitor) or once MaxCuts cuts are delivered
+// (StopBudget).
+func deliver(opt enum.Options, st *enum.Stats, visit func(enum.Cut) bool, c enum.Cut) bool {
+	st.Valid++
+	if opt.KeepCuts {
+		c.Nodes = c.Nodes.Clone()
+	}
+	if !visit(c) {
+		st.RecordStop(enum.StopVisitor)
+		return false
+	}
+	if opt.MaxCuts > 0 && st.Valid >= opt.MaxCuts {
+		st.RecordStop(enum.StopBudget)
+		return false
+	}
+	return true
 }
 
 // CollectBrute runs BruteForce and returns all valid cuts sorted

@@ -284,14 +284,7 @@ func (s *pruned) leaf() {
 		s.stats.Invalid++
 		return
 	}
-	s.stats.Valid++
-	if s.opt.KeepCuts {
-		cut.Nodes = cut.Nodes.Clone()
-	}
-	if !s.visit(cut) {
-		s.stats.RecordStop(enum.StopVisitor)
-		s.stopped = true
-	}
+	s.stopped = !deliver(s.opt, &s.stats, s.visit, cut)
 }
 
 // CollectPruned runs PrunedSearch and returns all valid cuts sorted
