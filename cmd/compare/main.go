@@ -36,6 +36,12 @@ func main() {
 			"worker count for sharding blocks across cores (0 = GOMAXPROCS); individual timed runs stay serial")
 	)
 	flag.Parse()
+	// A zero port budget admits no cut, and its empty tables would read as
+	// complete measurements.
+	if *nin < 1 || *nout < 1 {
+		fmt.Fprintf(os.Stderr, "compare: -nin and -nout must be at least 1 (got %d and %d)\n", *nin, *nout)
+		os.Exit(2)
+	}
 
 	// The first SIGINT cancels every in-flight measurement through the
 	// context path: each run drains cleanly and reports itself

@@ -63,6 +63,13 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A zero port budget admits no cut, and its empty result would read as
+	// a complete enumeration.
+	if *nin < 1 || *nout < 1 {
+		fmt.Fprintf(os.Stderr, "isex: -nin and -nout must be at least 1 (got %d and %d)\n", *nin, *nout)
+		os.Exit(2)
+	}
+
 	if *resume && *ckptPath == "" {
 		fmt.Fprintln(os.Stderr, "isex: -resume requires -checkpoint <file>")
 		os.Exit(2)
