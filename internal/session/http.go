@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"polyise/internal/checkpoint"
@@ -18,10 +20,12 @@ import (
 
 // HandlerConfig tunes the HTTP front end.
 type HandlerConfig struct {
-	// WriteTimeout bounds each individual response write, so one stalled
-	// client cannot pin an enumeration slot forever: when a streamed write
-	// blocks past it the run is stopped (the client has by then received
-	// an exact serial-order prefix). 0 means 30 s.
+	// WriteTimeout bounds each response write, so one stalled client
+	// cannot pin an enumeration slot forever: when a streamed write blocks
+	// past it the run is stopped (the client has by then received an exact
+	// serial-order prefix). The stream sets its deadline once per latency
+	// window (streamLatency), so a stalled client is cut off within
+	// WriteTimeout + streamLatency. 0 means 30 s.
 	WriteTimeout time.Duration
 }
 
@@ -78,7 +82,7 @@ func (h *handler) enumerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	st := newStream(w, r, h.cfg.WriteTimeout)
+	st := newStream(w, h.cfg.WriteTimeout)
 	stats, err := h.s.Enumerate(r.Context(), req, st.visit)
 	st.finish(stats, err)
 }
@@ -93,7 +97,7 @@ func (h *handler) resume(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("session: resume requires the run query parameter"))
 		return
 	}
-	st := newStream(w, r, h.cfg.WriteTimeout)
+	st := newStream(w, h.cfg.WriteTimeout)
 	stats, err := h.s.Resume(r.Context(), req, st.visit)
 	st.finish(stats, err)
 }
@@ -177,66 +181,120 @@ func requestFromHTTP(r *http.Request) (Request, error) {
 	if run := q.Get("run"); run != "" {
 		req.Durable, req.RunID = true, run
 	}
-	// The visitor marshals the cut inside the callback, so the shared
+	// The visitor encodes the cut inside the callback, so the shared
 	// scratch cut is safe and per-cut clones are skipped.
 	req.Options.KeepCuts = false
 	return req, nil
 }
 
-// stream writes the NDJSON cut stream with per-write deadlines. The HTTP
-// status line is committed lazily: errors before the first row still get a
-// real status code, errors after it become a terminal record.
+// streamLatency bounds how long a streamed row waits in the response
+// buffer before it reaches the client. Rows are appended to the buffer,
+// which net/http writes out whenever it fills; a row in a buffer that has
+// not filled is flushed by a timer this long after the first row since the
+// last flush (the window). The same window paces the write deadline.
+const streamLatency = 10 * time.Millisecond
+
+// stream writes the NDJSON cut stream. A row costs an append to the
+// response buffer, not a syscall: the buffer is flushed when it fills and
+// otherwise once per latency window, by a timer, after the pattern of
+// net/http/httputil's maxLatencyWriter. The HTTP status line is committed
+// lazily: errors before the first row still get a real status code, errors
+// after it become a terminal record.
+//
+// mu serializes visit, the timer and finish, since the timer flushes from
+// a goroutine of its own. A write or flush error, from visit or from the
+// timer, is kept in err, and the next visit returns false, so a client that
+// stops reading releases the enumeration slot.
 type stream struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
-	enc     *json.Encoder
 	timeout time.Duration
-	started bool
-	n       int
+
+	mu      sync.Mutex
+	started bool        // the status line is committed
+	pending bool        // rows written since the last flush: a window is open
+	done    bool        // finish ran; the timer must not touch w any more
+	timer   *time.Timer // flushes the open window
+	err     error       // the first write or flush error
+	row     []byte      // scratch for one encoded row
 }
 
-func newStream(w http.ResponseWriter, r *http.Request, timeout time.Duration) *stream {
-	return &stream{w: w, rc: http.NewResponseController(w), enc: json.NewEncoder(w), timeout: timeout}
+func newStream(w http.ResponseWriter, timeout time.Duration) *stream {
+	return &stream{w: w, rc: http.NewResponseController(w), timeout: timeout}
 }
 
-func (st *stream) visit(c enum.Cut) bool {
+// start commits the status line before the first record.
+func (st *stream) start() {
 	if !st.started {
 		st.started = true
 		st.w.Header().Set("Content-Type", "application/x-ndjson")
 		st.w.WriteHeader(http.StatusOK)
 	}
+}
+
+func (st *stream) visit(c enum.Cut) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.err != nil {
+		return false
+	}
+	st.start()
 	if h := faultinject.OnResponseWrite; h != nil {
 		h()
 	}
-	// The write deadline is the slow-client bound: a client that stops
-	// reading stalls this write until the deadline kills the connection,
-	// and the false return below releases the enumeration slot.
-	st.rc.SetWriteDeadline(time.Now().Add(st.timeout))
-	if err := st.enc.Encode(map[string]any{
-		"nodes":   c.Nodes.Members(),
-		"inputs":  c.Inputs,
-		"outputs": c.Outputs,
-	}); err != nil {
+	if !st.pending {
+		// The first row since the last flush opens a window and sets its
+		// write deadline, the slow-client bound: a client that stops
+		// reading stalls a write (a full buffer's or the timer's flush)
+		// until the deadline kills the connection, and the error ends the
+		// run. The window lasts streamLatency, so a write gets at least the
+		// timeout, and a stalled client is cut off within timeout +
+		// streamLatency of the stall.
+		st.pending = true
+		st.rc.SetWriteDeadline(time.Now().Add(st.timeout + streamLatency))
+		if st.timer == nil {
+			st.timer = time.AfterFunc(streamLatency, st.flushWindow)
+		} else {
+			st.timer.Reset(streamLatency)
+		}
+	}
+	st.row = appendRow(st.row[:0], c)
+	if _, err := st.w.Write(st.row); err != nil {
+		st.err = err
 		return false
 	}
-	st.rc.Flush()
-	st.n++
 	return true
 }
 
+// flushWindow is the timer: it closes the open window by flushing its rows.
+func (st *stream) flushWindow() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.done {
+		return
+	}
+	st.pending = false
+	if err := st.rc.Flush(); err != nil && st.err == nil {
+		st.err = err
+	}
+}
+
 // finish terminates the response: an HTTP error status when nothing was
-// streamed yet, a terminal NDJSON record otherwise.
+// streamed yet, a terminal NDJSON record otherwise, written and flushed
+// here with the timer stopped.
 func (st *stream) finish(stats enum.Stats, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.done = true
+	if st.timer != nil {
+		st.timer.Stop()
+	}
 	var susp *SuspendedError
 	if err != nil && !errors.As(err, &susp) && !st.started {
 		writeError(st.w, err)
 		return
 	}
-	if !st.started {
-		st.started = true
-		st.w.Header().Set("Content-Type", "application/x-ndjson")
-		st.w.WriteHeader(http.StatusOK)
-	}
+	st.start()
 	st.rc.SetWriteDeadline(time.Now().Add(st.timeout))
 	final := map[string]any{"done": true, "stats": statsJSON(stats)}
 	if susp != nil {
@@ -246,8 +304,45 @@ func (st *stream) finish(stats enum.Stats, err error) {
 		final["done"] = false
 		final["error"] = err.Error()
 	}
-	st.enc.Encode(final)
+	json.NewEncoder(st.w).Encode(final)
 	st.rc.Flush()
+}
+
+// appendRow appends the NDJSON row of c to b: byte for byte what
+// encoding/json writes for the map {"nodes", "inputs", "outputs"}, keys in
+// sorted order, a nil slice as null, ending in a newline. Nodes is read
+// word by word, so a row allocates nothing once b has grown.
+func appendRow(b []byte, c enum.Cut) []byte {
+	b = append(b, `{"inputs":`...)
+	b = appendInts(b, c.Inputs)
+	b = append(b, `,"nodes":[`...)
+	first := len(b)
+	for wi, w := range c.Nodes.Words() {
+		for w != 0 {
+			if len(b) > first {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(wi<<6+bits.TrailingZeros64(w)), 10)
+			w &= w - 1
+		}
+	}
+	b = append(b, `],"outputs":`...)
+	b = appendInts(b, c.Outputs)
+	return append(b, "}\n"...)
+}
+
+func appendInts(b []byte, xs []int) []byte {
+	if xs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }
 
 func statsJSON(stats enum.Stats) map[string]any {

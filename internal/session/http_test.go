@@ -10,11 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"polyise/internal/dfg"
 	"polyise/internal/enum"
+	"polyise/internal/faultinject"
 	"polyise/internal/graphio"
 	"polyise/internal/workload"
 )
@@ -323,7 +325,10 @@ func TestHTTPSelectAndStats(t *testing.T) {
 // HTTP surface: enumerate?run=… interrupted by shutdown answers with a
 // terminal "suspended" record, and a second server over the same
 // checkpoint directory resumes to completion with the exact remaining
-// cuts.
+// cuts. The shutdown starts on the server side once 50 rows are written
+// (the response-write site fires before each row): rows reach the client
+// in batches, so a client that counted 50 rows first could find the whole
+// run already written.
 func TestHTTPDurableResumeOverHTTP(t *testing.T) {
 	g := workload.MiBenchLike(rand.New(rand.NewSource(17)), 100, workload.DefaultProfile())
 	want := serialReference(t, g, enum.DefaultOptions())
@@ -332,6 +337,18 @@ func TestHTTPDurableResumeOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{}))
 	id, _ := httpSubmit(t, ts, graphText(t, g))
 
+	// Shutdown closes the drain before it waits for the runs, so with a
+	// context that is already done it returns at once, and the run parks at
+	// the visit point of the row about to be written.
+	var rows atomic.Int64
+	drained, stop := context.WithCancel(context.Background())
+	stop()
+	faultinject.OnResponseWrite = func() {
+		if rows.Add(1) == 51 {
+			s.Shutdown(drained)
+		}
+	}
+	defer faultinject.Uninstall()
 	resp, err := http.Post(ts.URL+"/v1/graphs/"+id+"/enumerate?run=httppark&checkpoint_every=64", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +357,6 @@ func TestHTTPDurableResumeOverHTTP(t *testing.T) {
 	var suspended bool
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64), 1<<20)
-	shutdownStarted := make(chan struct{})
 	for sc.Scan() {
 		var rec map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
@@ -354,18 +370,13 @@ func TestHTTPDurableResumeOverHTTP(t *testing.T) {
 			break
 		}
 		prefix++
-		if prefix == 50 {
-			go func() {
-				defer close(shutdownStarted)
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				s.Shutdown(ctx)
-			}()
-		}
 	}
 	resp.Body.Close()
-	if prefix >= 50 {
-		<-shutdownStarted
+	faultinject.OnResponseWrite = nil
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
 	ts.Close()
 	if !suspended {
