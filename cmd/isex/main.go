@@ -70,6 +70,25 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A negative limit or count would run as if it were unset.
+	for _, f := range []struct {
+		name string
+		neg  bool
+	}{
+		{"timeout", *timeout < 0},
+		{"area", *area < 0},
+		{"max-depth", *maxDepth < 0},
+		{"iterate", *iterate < 0},
+		{"max-instr", *maxInstr < 0},
+		{"checkpoint-every", *ckptEvery < 0},
+		{"parallel", *par < 0},
+	} {
+		if f.neg {
+			fmt.Fprintf(os.Stderr, "isex: -%s must not be negative (got %s)\n", f.name, flag.Lookup(f.name).Value)
+			os.Exit(2)
+		}
+	}
+
 	if *resume && *ckptPath == "" {
 		fmt.Fprintln(os.Stderr, "isex: -resume requires -checkpoint <file>")
 		os.Exit(2)
