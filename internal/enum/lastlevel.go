@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"fmt"
 	"math/bits"
 
 	"polyise/internal/bitset"
@@ -202,9 +203,14 @@ sweep:
 //
 // Precondition: s ≥ top. build ranks H only up to the first served seed
 // and derives L only from top's rank on, so a seed below top would read
-// ranks left over from an earlier table. Nothing here checks it; the seed
-// loop's cutoff (docs/ALGORITHM.md §5, rule C) is what guarantees it.
+// ranks left over from an earlier table. The seed loop's cutoff
+// (docs/ALGORITHM.md §5, rule C) guarantees it; a seed below top panics
+// here, and the run ends with a contained *PanicError instead of a wrong
+// chain.
 func (t *lastLevel) chainFor(s int, dst []int) []int {
+	if s < t.top {
+		panic(fmt.Sprintf("enum: last-level chain asked for seed %d, below the table's top %d", s, t.top))
+	}
 	if !t.built {
 		t.build(s)
 	}

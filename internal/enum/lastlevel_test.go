@@ -190,6 +190,42 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 	}
 }
 
+// TestLastLevelChainBelowTopPanics checks chainFor's precondition: a seed
+// below the armed table's top, which the seed loop's cutoff never serves,
+// panics instead of reading ranks that build never set.
+func TestLastLevelChainBelowTopPanics(t *testing.T) {
+	g := workload.MiBenchLike(rand.New(rand.NewSource(60)), 60, workload.DefaultProfile())
+	n := g.N()
+	e := newAnalyzer(g)
+	back, onPath := bitset.New(n), bitset.New(n)
+	for o := n - 1; o >= 0; o-- {
+		if g.IsForbidden(o) {
+			continue
+		}
+		reach, chain := e.analyzePaths(o, back, onPath, nil, -1, nil)
+		if !reach {
+			continue
+		}
+		top := dfg.HighestMaskedBit(g.EntrySet().Words(), back.Words())
+		for s := top - 1; s >= 0; s-- {
+			if !onPath.Has(s) {
+				continue
+			}
+			e.last.arm(g, onPath, back, chain, top)
+			defer func() {
+				if r := recover(); r == nil {
+					t.Fatalf("o=%d top=%d: chainFor(%d) returned", o, top, s)
+				} else {
+					t.Logf("o=%d top=%d s=%d: %v", o, top, s, r)
+				}
+			}()
+			e.last.chainFor(s, nil)
+			return
+		}
+	}
+	t.Fatal("no output with an on-path vertex below its top")
+}
+
 // TestLastLevelCounters pins the last-level ledger, the pruning counters
 // and the admission counters on the n=140 gap instance at Nin=4 and Nin=6.
 // Tables built, chains served, seeds pruned, outputs tried, candidates and
