@@ -233,15 +233,15 @@ func (st *stream) start() {
 }
 
 func (st *stream) visit(c enum.Cut) bool {
+	if h := faultinject.OnResponseWrite; h != nil {
+		h()
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.err != nil {
 		return false
 	}
 	st.start()
-	if h := faultinject.OnResponseWrite; h != nil {
-		h()
-	}
 	if !st.pending {
 		// The first row since the last flush opens a window and sets its
 		// write deadline, the slow-client bound: a client that stops
