@@ -186,15 +186,17 @@ scenario-json:
 # 220-node instance that dominates the serial profile (serial and sharded,
 # BenchmarkParallelEnumerate) and the figure 5 pair (BenchmarkFigure5),
 # long enough for line-level reading — under pprof and drop
-# cpu.prof/mem.prof in the working tree, then profile the four `deep`
-# blocks serially (BenchmarkDeepBlocks) into deep.prof (do not commit
-# them). It ends by printing the top 25 nodes of deep.prof by cumulative
-# time, the layer shares EXPERIMENTS.md and ROADMAP.md cite;
+# cpu.prof/mem.prof in the working tree, then profile the whole op of the
+# `deep` workload (parse, enumerate, select, Verilog, re-check) on its four
+# blocks serially (BenchmarkDeepOp) into deep.prof (do not commit them),
+# so the layers around the search show next to it. It ends by printing
+# the top 25 nodes of deep.prof by cumulative time, the layer shares
+# EXPERIMENTS.md and ROADMAP.md cite;
 # EXPERIMENTS.md ("How to read a polyise profile") explains what the hot
 # symbols mean.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelEnumerate|BenchmarkFigure5' -benchtime 3s -cpuprofile cpu.prof -memprofile mem.prof -o polyise.test .
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkDeepBlocks -benchtime 20x -cpuprofile deep.prof -o polyise.test .
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench BenchmarkDeepOp -benchtime 20x -cpuprofile deep.prof -o polyise.test .
 	$(GO) tool pprof -top -cum -nodecount 25 polyise.test deep.prof
 
 # The benchmark's layer split in one command: one `--trace 1` run of

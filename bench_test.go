@@ -6,6 +6,7 @@
 package polyise_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -13,6 +14,9 @@ import (
 	"polyise"
 	"polyise/internal/bench"
 	"polyise/internal/enum"
+	"polyise/internal/graphio"
+	"polyise/internal/ise"
+	"polyise/internal/semoracle"
 	"polyise/internal/workload"
 )
 
@@ -109,30 +113,37 @@ func BenchmarkTreeWorstCase(b *testing.B) {
 	}
 }
 
-// BenchmarkDeepBlocks runs the four blocks of the perfbench `deep`
-// workload, in their canonical numbering, serially at Nin=4/Nout=2: the
-// n=140 gap-regression instance, a 160-node MiBench-like block (seed 2),
-// the depth-6 figure 4 tree and the 4-stage butterfly. `make profile`
-// runs it under the CPU profiler, so re-profiling the deep search is one
-// command. Next to the time it reports the last-level ledger of one
-// enumeration: its analyses (lt_runs/op), the last-level tables built
-// (tables/op) and the children served or decided from them (lookups/op).
-func BenchmarkDeepBlocks(b *testing.B) {
+// deepBlock is one block of the perfbench `deep` workload.
+type deepBlock struct {
+	name string
+	g    *polyise.Graph
+	cuts int
+}
+
+// deepBlocks returns the four blocks of the perfbench `deep` workload, in
+// their canonical numbering: the n=140 gap-regression instance, a 160-node
+// MiBench-like block (seed 2), the depth-6 figure 4 tree and the 4-stage
+// butterfly.
+func deepBlocks(b *testing.B) []deepBlock {
 	gap := workload.GapRegressionInstances()[0]
 	if gap.Name != "mibench-n140-seed5" {
 		b.Fatalf("gap instance 0 is %s", gap.Name)
 	}
-	blocks := []struct {
-		name string
-		g    *polyise.Graph
-		cuts int
-	}{
+	return []deepBlock{
 		{gap.Name, gap.Graph(), gap.WantCuts},
 		{"mibench-n160-seed2", workload.MiBenchLike(rand.New(rand.NewSource(2)), 160, workload.DefaultProfile()), 4497},
 		{"tree-depth6", workload.Tree(6, 2), 1911},
 		{"butterfly-4", workload.Butterfly(4), 1800},
 	}
-	for _, blk := range blocks {
+}
+
+// BenchmarkDeepBlocks runs the enumeration of the four blocks of the
+// perfbench `deep` workload serially at Nin=4/Nout=2. Next to the time it
+// reports the last-level ledger of one enumeration: its analyses
+// (lt_runs/op), the seed loops with a served child (tables/op) and the
+// children served from them (lookups/op).
+func BenchmarkDeepBlocks(b *testing.B) {
+	for _, blk := range deepBlocks(b) {
 		b.Run(blk.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var st polyise.Stats
@@ -146,6 +157,47 @@ func BenchmarkDeepBlocks(b *testing.B) {
 			b.ReportMetric(float64(st.LTRuns), "lt_runs/op")
 			b.ReportMetric(float64(st.LastLevelTables), "tables/op")
 			b.ReportMetric(float64(st.LastLevelLookups), "lookups/op")
+		})
+	}
+}
+
+// BenchmarkDeepOp runs the whole op of the perfbench `deep` workload on
+// its four blocks, serially at Nin=4/Nout=2: parse the block's text,
+// enumerate and collect the cuts, select instructions, write their
+// Verilog and re-check each under the interpreter. `make profile` runs it
+// under the CPU profiler, so the layers around the search show in the
+// same profile as the search itself.
+func BenchmarkDeepOp(b *testing.B) {
+	for _, blk := range deepBlocks(b) {
+		var text bytes.Buffer
+		if err := graphio.Write(&text, blk.g); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(blk.name, func(b *testing.B) {
+			b.ReportAllocs()
+			eopt := enum.DefaultOptions()
+			eopt.Parallelism = 1
+			for i := 0; i < b.N; i++ {
+				g, err := graphio.Read(bytes.NewReader(text.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var cuts []enum.Cut
+				enum.Enumerate(g, eopt, func(c enum.Cut) bool { cuts = append(cuts, c); return true })
+				if len(cuts) != blk.cuts {
+					b.Fatalf("%d cuts, want %d", len(cuts), blk.cuts)
+				}
+				sel := ise.Select(g, ise.DefaultModel(), cuts, ise.DefaultSelectOptions())
+				var rtl bytes.Buffer
+				for k, c := range sel.Chosen {
+					if err := ise.WriteVerilog(&rtl, g, c.Cut, fmt.Sprintf("ise%d", k)); err != nil {
+						b.Fatal(err)
+					}
+					if bad, err := semoracle.CheckCut(g, c.Cut, 4, int64(k)+0x5ce); err != nil || len(bad) != 0 {
+						b.Fatalf("re-check of instruction %d: %v, %d mismatches", k, err, len(bad))
+					}
+				}
+			}
 		})
 	}
 }

@@ -63,10 +63,7 @@ func main() {
 		MaxCutsCeiling:  *maxCuts,
 		CheckpointDir:   *ckptDir,
 	})
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: session.NewHandler(svc, session.HandlerConfig{WriteTimeout: *writeTO}),
-	}
+	srv := newServer(*addr, session.NewHandler(svc, session.HandlerConfig{WriteTimeout: *writeTO}))
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
@@ -89,6 +86,26 @@ func main() {
 	log.Printf("polyised: listening on %s (budget=%s, checkpoint-dir=%q)", *addr, *budget, *ckptDir)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("polyised: %v", err)
+	}
+}
+
+// How long a connection may take to send a request's headers, and how
+// long a kept-alive connection may wait for its next request. Neither is
+// a flag: a client that needs longer is holding a goroutine and a file
+// descriptor outside the admission pool. Streamed responses are bounded
+// by -write-timeout instead.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the HTTP server for handler h on addr.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -201,6 +201,7 @@ type incEnum struct {
 	pending  int           // the last Ilist entries are seeds not yet applied to S
 	shrinks  int           // shrinkS calls, the cut-shrink work a test pins
 	last     lastLevel     // the live two-inputs-left seed loop's chains (lastlevel.go)
+	cones    coneMemo      // input-free phase starts, by output (lastlevel.go)
 	seed1    [1]int        // scratch: single-seed kernel calls
 	fs       *flowScratch
 	stopped  bool
@@ -209,6 +210,11 @@ type incEnum struct {
 	// The §5.3 flow bound's work, which a test pins: calls (uncuttable
 	// sets loaded), kernel runs past the structural caps, and prunes.
 	flowCalls, flowRuns, flowPrunes int
+
+	// The cone memo's and the last-level tree's work, which a test pins:
+	// entries filled, phase starts served from an entry, and analyses that
+	// folded a tree into the scratch tree.
+	memoFills, memoHits, treeFolds int
 
 	// Work-stealing state, nil/empty in serial runs (see parallel.go for
 	// the protocol). curSeg is the merge segment the worker currently emits
@@ -282,9 +288,13 @@ func (e *incEnum) chainBuf(d int) []int {
 // skips the masked row scan whenever even v's highest successor overall
 // cannot beat the running maximum — the common case once it nears o.
 //
+// A level that may arm a last-level table passes tree: the sweep then also
+// ranks H into it, with each vertex's immediate dominator and highest
+// successor (lastLevel.sweep), where nil skips that work.
+//
 // Only a caller with input budget left analyses: with none, viable has
 // already decided that o is unreachable (see pickInputs).
-func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn int, chain []int) (bool, []int) {
+func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn int, chain []int, tree []treeNode) (bool, []int) {
 	g := e.g
 
 	if pBack != nil {
@@ -296,6 +306,9 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 		// Phase start: traverse fresh, backward from o avoiding I.
 		e.seed1[0] = o
 		e.tr.ReachBackwardAvoiding(back, e.seed1[:], e.Iuser, nil)
+	}
+	if tree != nil {
+		return e.last.sweep(g, o, back, onPath, chain, tree)
 	}
 
 	onPath.CopyIntersect(g.EntrySet(), back)
@@ -480,17 +493,34 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 	// not on the parent's chain, so o stays reachable, and the last-level
 	// table serves the chain. It needs no frontier either: with one input
 	// left it runs no seed loop and no flow bound.
+	//
+	// A phase start with no chosen input in o's cone reads its analysis,
+	// and its last-level tree, from the worker's cone memo (coneMemo).
+	// Anywhere else a level with two inputs left folds its tree into the
+	// worker's scratch tree as it analyses.
 	served := pBack != nil && ninLeft == 1
-	reachable := true
+	reachable, top := true, -1 // top: set from a memo entry, else found below
 	var chain []int
-	if served {
-		if !e.last.built {
+	var memo *coneEntry
+	switch {
+	case served:
+		if !e.last.served {
+			e.last.served = true
 			e.stats.LastLevelTables++
 		}
 		e.stats.LastLevelLookups++
 		chain = e.last.chainFor(lastIn, e.chainBuf(depth))
-	} else {
-		reachable, chain = e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth))
+	case pBack == nil && !e.Iuser.Intersects(e.g.ReachTo(o)):
+		memo = e.coneEntry(o, back, onPath, e.chainBuf(depth))
+		reachable, top = memo.reach, int(memo.top)
+		chain = append(e.chainBuf(depth), e.cones.chainOf(memo)...)
+	default:
+		var tree []treeNode
+		if ninLeft == 2 {
+			tree = e.last.scratchTree(e.g)
+			e.treeFolds++
+		}
+		reachable, chain = e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth), tree)
 	}
 	e.chains[depth] = chain // keep any capacity growth for reuse
 	if !reachable {
@@ -576,9 +606,15 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 		// nothing.
 		rej := e.bufAt(&e.seedRejs, depth)
 		e.seedRejectsInto(rej, inRej)
-		top := dfg.HighestMaskedBit(e.g.EntrySet().Words(), back.Words())
+		if top < 0 {
+			top = dfg.HighestMaskedBit(e.g.EntrySet().Words(), back.Words())
+		}
 		if ninLeft == 2 {
-			e.last.arm(e.g, onPath, back, chain, top)
+			if memo != nil {
+				e.last.arm(onPath, chain, top, e.cones.treeOf(memo), true)
+			} else {
+				e.last.arm(onPath, chain, top, e.last.scratch, false)
+			}
 		}
 		maxID := lastIn - 1
 		ow := onPath.Words()
@@ -623,6 +659,40 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 			}
 		}
 	}
+}
+
+// coneEntry returns the cone memo's entry for output o, whose ancestor
+// cone holds no chosen input, and leaves o's cone ∪ {o} in back and
+// onPath. The first phase start of o fills the entry through analyzePaths'
+// folding sweep, into a tree sized to the cone, with chain as the chain
+// buffer, and folds the tree's L values up to o−1.
+func (e *incEnum) coneEntry(o int, back, onPath *bitset.Set, chain []int) *coneEntry {
+	m := &e.cones
+	if m.ents == nil {
+		m.ents = make([]coneEntry, e.g.N())
+	}
+	c := &m.ents[o]
+	if c.filled {
+		e.memoHits++
+		back.Copy(e.g.ReachTo(o))
+		back.Add(o)
+		onPath.Copy(back)
+		return c
+	}
+	e.memoFills++
+	c.tree, c.h = int32(len(m.trees)), int32(e.g.ReachTo(o).Count())
+	m.trees = growSlab(m.trees, int(c.h), e.g.N())
+	tree := m.treeOf(c)
+	c.reach, chain = e.analyzePaths(o, back, onPath, nil, o, chain, tree)
+	top := dfg.HighestMaskedBit(e.g.EntrySet().Words(), back.Words())
+	if c.reach {
+		e.last.foldL(tree, top, rankIn(onPath.Words(), top), c.h)
+	}
+	c.top, c.chain, c.nChain = int32(top), int32(len(m.chains)), int32(len(chain))
+	m.chains = growSlab(m.chains, len(chain), e.g.N())
+	copy(m.chainOf(c), chain)
+	c.filled = true
+	return c
 }
 
 // poll is the prologue of every search node — a PICK-INPUTS call, a

@@ -215,11 +215,11 @@ type Stats struct {
 	OutputsTried int // output choices explored
 	Steals       int // stolen interior ranges executed (0 in serial runs)
 
-	// LastLevelTables counts the last-level tables built: one per
-	// two-inputs-left seed loop with a child its parent could not decide
-	// in O(1) (a seed off the parent's chain). LastLevelLookups counts the
-	// one-input-left children served a chain from a table without a region
-	// sweep; each is also one LTRuns.
+	// LastLevelTables counts the armed seed loops with a served child: one
+	// per two-inputs-left seed loop with a child its parent could not
+	// decide in O(1) (a seed off the parent's chain). LastLevelLookups
+	// counts the one-input-left children served a chain from a table
+	// without a region sweep; each is also one LTRuns.
 	LastLevelTables  int
 	LastLevelLookups int
 

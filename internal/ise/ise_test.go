@@ -1,6 +1,7 @@
 package ise
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -187,4 +188,71 @@ func TestSpeedupDegenerate(t *testing.T) {
 	if s.Speedup() != 1 {
 		t.Fatal("degenerate speedup should be 1")
 	}
+}
+
+// refEstimate is the map-based scorer Estimate replaced: every vertex of
+// the graph visited, a fresh depth map per cut. It returns the software
+// cycles, the critical path and the area.
+func refEstimate(g *dfg.Graph, m Model, c enum.Cut) (sw int, path, area float64) {
+	depth := map[int]float64{}
+	est := NewEstimator(g, m)
+	for v := 0; v < g.N(); v++ {
+		if !c.Nodes.Has(v) {
+			continue
+		}
+		sw += est.swCycles(v)
+		area += m.Cost(g.Op(v)).Area
+		d := 0.0
+		for _, p := range g.Preds(v) {
+			if c.Nodes.Has(p) && depth[p] > d {
+				d = depth[p]
+			}
+		}
+		d += m.Cost(g.Op(v)).HWDelay
+		depth[v] = d
+		path = max(path, d)
+	}
+	return sw, path, area
+}
+
+// TestEstimateMatchesReference scores every cut of two blocks with one
+// Estimator, in enumeration order, so each call finds the depth entries of
+// the cuts before it, and compares with the map-based reference.
+func TestEstimateMatchesReference(t *testing.T) {
+	m := DefaultModel()
+	for _, g := range []*dfg.Graph{
+		workload.MiBenchLike(rand.New(rand.NewSource(40)), 40, workload.DefaultProfile()),
+		workload.Tree(4, 2),
+	} {
+		est := NewEstimator(g, m)
+		cuts, _ := enum.CollectAll(g, enum.DefaultOptions())
+		for _, c := range cuts {
+			got := est.Estimate(c)
+			sw, path, area := refEstimate(g, m, c)
+			hw := max(int(math.Ceil(path))+max(len(c.Inputs)-2, 0)+max(len(c.Outputs)-1, 0), 1)
+			if got.SWCycles != sw || got.HWCycles != hw || got.Saving != sw-hw || got.Area != area {
+				t.Fatalf("cut %v: %+v, reference sw %d hw %d area %v", c.Nodes, got, sw, hw, area)
+			}
+		}
+	}
+}
+
+// TestEstimateZeroAlloc pins that scoring a cut allocates nothing: the
+// critical-path depths live in the Estimator's reused array.
+func TestEstimateZeroAlloc(t *testing.T) {
+	g := workload.MiBenchLike(rand.New(rand.NewSource(40)), 40, workload.DefaultProfile())
+	cuts, _ := enum.CollectAll(g, enum.DefaultOptions())
+	if len(cuts) == 0 {
+		t.Fatal("no cuts")
+	}
+	est := NewEstimator(g, DefaultModel())
+	sink := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, c := range cuts {
+			sink += est.Estimate(c).Saving
+		}
+	}); allocs != 0 {
+		t.Fatalf("Estimate allocated %.1f times per pass over %d cuts, want 0", allocs, len(cuts))
+	}
+	_ = sink
 }

@@ -9,6 +9,7 @@ package ise
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"polyise/internal/dfg"
 	"polyise/internal/enum"
@@ -97,15 +98,17 @@ type Estimate struct {
 	Area float64
 }
 
-// Estimator scores cuts of one graph under a model.
+// Estimator scores cuts of one graph under a model. It reuses one scratch
+// array across Estimate calls, so it is not safe for concurrent use.
 type Estimator struct {
-	g *dfg.Graph
-	m Model
+	g     *dfg.Graph
+	m     Model
+	depth []float64 // per vertex: the critical path ending at it, in the cut being scored
 }
 
 // NewEstimator creates an Estimator.
 func NewEstimator(g *dfg.Graph, m Model) *Estimator {
-	return &Estimator{g: g, m: m}
+	return &Estimator{g: g, m: m, depth: make([]float64, g.N())}
 }
 
 // swCycles returns the software latency of node v: the model entry for its
@@ -121,32 +124,31 @@ func (e *Estimator) swCycles(v int) int {
 	return e.m.Cost(e.g.Op(v)).SWCycles
 }
 
-// Estimate scores one cut.
+// Estimate scores one cut. It walks the cut's members in id order, which
+// is topological, so each member's in-cut predecessors have their critical
+// paths in e.depth before it is reached; only members' entries are read
+// or written, so the array needs no clearing between cuts.
 func (e *Estimator) Estimate(c enum.Cut) Estimate {
 	sw := 0
 	area := 0.0
 	// Critical path through the cut in normalized delay units.
-	depth := make(map[int]float64, c.Nodes.Count())
 	maxDelay := 0.0
-	for v := 0; v < e.g.N(); v++ {
-		if !c.Nodes.Has(v) {
-			continue
-		}
-		cost := e.m.Cost(e.g.Op(v))
-		sw += e.swCycles(v)
-		area += cost.Area
-		d := 0.0
-		for _, p := range e.g.Preds(v) {
-			if c.Nodes.Has(p) {
-				if dp := depth[p]; dp > d {
-					d = dp
+	for wi, w := range c.Nodes.Words() {
+		for w != 0 {
+			v := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			cost := e.m.Cost(e.g.Op(v))
+			sw += e.swCycles(v)
+			area += cost.Area
+			d := 0.0
+			for _, p := range e.g.Preds(v) {
+				if c.Nodes.Has(p) {
+					d = max(d, e.depth[p])
 				}
 			}
-		}
-		d += cost.HWDelay
-		depth[v] = d
-		if d > maxDelay {
-			maxDelay = d
+			d += cost.HWDelay
+			e.depth[v] = d
+			maxDelay = max(maxDelay, d)
 		}
 	}
 	hw := math.Ceil(maxDelay)

@@ -1,7 +1,9 @@
 package ise
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"polyise/internal/bitset"
 	"polyise/internal/dfg"
@@ -53,25 +55,27 @@ func (s Selection) Speedup() float64 {
 // maximizing the saved cycles under the given resource constraints.
 func Select(g *dfg.Graph, m Model, cuts []enum.Cut, opt SelectOptions) Selection {
 	est := NewEstimator(g, m)
-	cands := make([]Estimate, 0, len(cuts))
+	// Deterministic order: by descending saving, then fewer nodes, then by
+	// vertex-set signature. The keys are computed once per candidate.
+	type keyed struct {
+		Estimate
+		nodes int
+		sig   string
+	}
+	keys := make([]keyed, 0, len(cuts))
 	for _, c := range cuts {
 		s := est.Estimate(c)
 		if s.Saving >= opt.MinSaving && s.Saving > 0 {
-			cands = append(cands, s)
+			keys = append(keys, keyed{s, c.Nodes.Count(), c.Nodes.Signature()})
 		}
 	}
-	// Deterministic order: by descending saving, then fewer nodes, then by
-	// vertex-set signature.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Saving != cands[j].Saving {
-			return cands[i].Saving > cands[j].Saving
-		}
-		ci, cj := cands[i].Cut.Nodes.Count(), cands[j].Cut.Nodes.Count()
-		if ci != cj {
-			return ci < cj
-		}
-		return cands[i].Cut.Nodes.Signature() < cands[j].Cut.Nodes.Signature()
+	slices.SortFunc(keys, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(b.Saving, a.Saving), cmp.Compare(a.nodes, b.nodes), strings.Compare(a.sig, b.sig))
 	})
+	cands := make([]Estimate, len(keys))
+	for i, k := range keys {
+		cands[i] = k.Estimate
+	}
 
 	// A zero ExactLimit with Exact set would silently degrade every request
 	// to the greedy heuristic (len(cands) <= 0 only holds for an empty
