@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check loc bench bench-json bench-json-quick bench-gate bench-scaling scenario-json profile perfbench fuzz ci
+.PHONY: build vet test test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check loc bench bench-scaling work-json scenario-json profile perfbench fuzz ci
 
 build:
 	$(GO) build ./...
@@ -80,11 +80,12 @@ soak:
 # (8,2) and (6,3), and the butterflies (TestMidSizeOracleAlongNin, about
 # 90 s), plus the bit-for-bit
 # sequence-identity regression (including the ~25 s
-# basic-algorithm cross-check at n=220). diff-oracle-quick is the CI
+# basic-algorithm cross-check at n=220) and the work record's heavy rows
+# (TestWorkRecord, about 45 s more). diff-oracle-quick is the CI
 # version: oracle comparisons only, at a budget that still completes every
 # instance on the recording machine.
 diff-oracle:
-	POLYISE_ORACLE_BUDGET=10m $(GO) test ./internal/enum/ -run 'MidSizeOracle|GapRegression' -v -timeout 30m -count 1
+	POLYISE_ORACLE_BUDGET=10m $(GO) test ./internal/enum/ -run 'MidSizeOracle|GapRegression|WorkRecord' -v -timeout 30m -count 1
 
 diff-oracle-quick:
 	POLYISE_ORACLE_BUDGET=90s $(GO) test ./internal/enum/ -run 'MidSizeOracle' -timeout 15m -count 1
@@ -125,66 +126,41 @@ bench:
 	$(GO) test -bench=. -benchtime=1x .
 	$(GO) test -bench=. -benchtime=1x ./internal/bench/
 
-# Machine-readable perf record: times the tier-1 enumeration benchmarks
-# (testing.Benchmark, fastest of three windows) — including the
-# worker-count scaling curve at real GOMAXPROCS — and commits
-# the numbers (ns/op, allocs/op, cuts, cuts/sec, steals, speedup_vs_serial)
-# to BENCH_PR6.json so the performance trajectory is tracked in-repo. The
-# cut counts in the file are part of the correctness gate, not just
-# context: bench-gate fails on any drift. The file also records num_cpu and
-# gomaxprocs; bench-gate refuses to performance-compare multi-worker
-# entries against a baseline from a machine with a different CPU count.
-# bench-json-quick skips the 220-node scaling curve.
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_PR6.json
-
-bench-json-quick:
-	$(GO) run ./cmd/benchjson -o /tmp/bench_smoke.json -quick
-
-# Scaling certification: re-record the full curve and fail unless the
-# largest worker count reaches a 4x speedup over serial on the n=220
-# instance. benchjson refuses to certify on fewer than 8 schedulable CPUs,
-# so this target is honest on a 1-CPU box: it fails loudly instead of
-# recording a vacuous pass. Run it (and commit the refreshed
-# BENCH_PR6.json) when benchmarking hardware with >= 8 cores is available.
+# Scaling certification: BenchmarkParallelEnumerate on the n=220 gap
+# instance at 1, 2, 4 and 8 CPUs; fails unless its parallel run at 8 CPUs
+# reaches 4x the serial run's speed there. A speedup cannot be certified
+# on fewer than 8 schedulable CPUs, so the target refuses (exit 1) instead
+# of recording a vacuous pass.
 bench-scaling:
-	$(GO) run ./cmd/benchjson -o BENCH_PR6.json -minspeedup 4
+	@cpus=$$(nproc); if [ $$cpus -lt 8 ]; then echo "bench-scaling: $$cpus CPUs; certifying the 4x bar needs 8"; exit 1; fi
+	$(GO) test -run '^$$' -bench BenchmarkParallelEnumerate -cpu 1,2,4,8 . | tee /dev/stderr | \
+		awk '/ParallelEnumerate\/serial-8[ \t]/{s=$$3} /ParallelEnumerate\/parallel-8[ \t]/{p=$$3} \
+		END{if (!s || !p) {print "bench-scaling: no 8-CPU rows"; exit 1} \
+		printf "bench-scaling: %.2fx over serial at 8 CPUs, want >= 4x\n", s/p; exit !(s >= 4*p)}'
 
-# Regression gate: re-measure the quick tier-1 benchmarks and fail when
-# cuts/sec drops more than 35% below the committed baseline, when allocs/op
-# grows past the committed value by more than the -allocslack headroom (the
-# steady-state enumeration is allocation-free, so alloc growth means a
-# scratch-reuse leak), or when cut counts drift at all — that is a
-# correctness bug, not noise. CI runs this so a perf regression breaks the
-# build the same way a test failure does. The baseline is machine-specific:
-# after moving CI to different hardware, re-record it there with `make
-# bench-json` (or gate with a looser -regress) instead of comparing against
-# another machine's numbers.
-#
-# -regress 0.35 on this recording box: it is a shared vCPU whose
-# neighbor load depresses whole multi-minute runs by ~25% even after
-# benchjson's best-of-three measurement windows (which absorb the
-# second-scale noise). The correctness teeth — cut counts and allocs/op —
-# keep their exact gates; only the cuts/sec tripwire gets the measured
-# noise floor. Tighten when CI moves to dedicated hardware. The exact
-# scenario record (BENCH_PR9.json) is gated by `make test`, which `ci`
-# runs first.
-bench-gate:
-	$(GO) run ./cmd/benchjson -o /tmp/bench_gate.json -quick -regress 0.35 -compare BENCH_PR6.json
+# Re-record the exact work record (internal/enum/testdata/work.json): per
+# block and port budget, every Stats counter but Steals, the worker's work
+# counts and, for three blocks, serial allocs/op. TestWorkRecord (part of
+# `make test`) compares it by exact equality (allocs/op within +128), so
+# regenerate it (and commit the diff) whenever the search's work changes
+# on purpose. The heavy rows need POLYISE_ORACLE_BUDGET; about a minute.
+work-json:
+	POLYISE_ORACLE_BUDGET=10m $(GO) test ./internal/enum/ -run TestWorkRecord -update -count 1
 
 # Re-record the end-to-end scenario record (BENCH_PR9.json): the pinned
 # pipeline scenarios (enumerate -> select -> Verilog -> interpreter
-# re-check) with every field deterministic. Unlike BENCH_PR6.json this
-# record is machine-independent — TestScenariosRunCleanAndDeterministic
+# re-check) with every field deterministic. Like the work record it is
+# machine-independent — TestScenariosRunCleanAndDeterministic
 # (internal/bench, part of `make test`) compares it by exact equality, so
 # regenerate it (and commit the diff) whenever a pipeline stage
 # intentionally changes behaviour.
 scenario-json:
 	$(GO) test ./internal/bench/ -run TestScenariosRunCleanAndDeterministic -update
 
-# Profiling harness: run the benchjson instances for 3 s each — the
-# 220-node instance that dominates the serial profile (serial and sharded,
-# BenchmarkParallelEnumerate) and the figure 5 pair (BenchmarkFigure5),
+# Profiling harness: run the root package's enumeration benchmarks for
+# 3 s each — the 220-node instance that dominates the serial profile
+# (serial and sharded, BenchmarkParallelEnumerate) and the figure 5 pair
+# (BenchmarkFigure5),
 # long enough for line-level reading — under pprof and drop
 # cpu.prof/mem.prof in the working tree, then profile the whole op of the
 # `deep` workload (parse, enumerate, select, Verilog, re-check) on its four
@@ -225,4 +201,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzInterpRun -fuzztime=30s -fuzzminimizetime=5s ./internal/interp/
 	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=30s -fuzzminimizetime=5s ./internal/checkpoint/
 
-ci: test test-race chaos crash soak docs-check diff-oracle-quick semoracle-quick coverage-floor bench-gate
+ci: test test-race chaos crash soak docs-check diff-oracle-quick semoracle-quick coverage-floor

@@ -64,9 +64,12 @@ func BenchmarkParallelEnumerate(b *testing.B) {
 // BenchmarkFigure5 reproduces the figure 5 run-time comparison on one
 // representative block per size cluster: the polynomial algorithm (X axis)
 // versus the pruned exhaustive search of [15] (Y axis). The paper's figure
-// has the polynomial algorithm ahead on most blocks; measured here, with
-// identical cut counts from both, the pruned search is faster on both
-// clusters (EXPERIMENTS.md "Figure 5 shape").
+// has the polynomial algorithm ahead on most blocks. Measured here
+// (GOMAXPROCS=1, best of three 2 s runs, 2-vCPU Xeon), with identical cut
+// counts from both, the pruned search is 1.6× faster on the small block
+// (350 µs against 553 µs) and the two are within run-to-run noise on the
+// medium one (12.0 ms poly, 12.7 ms pruned). EXPERIMENTS.md "Figure 5
+// shape" has the corpus-wide comparison; ROADMAP.md item 4 the curve.
 func BenchmarkFigure5(b *testing.B) {
 	sizes := []struct {
 		cluster string
@@ -92,13 +95,14 @@ func BenchmarkFigure5(b *testing.B) {
 
 // BenchmarkTreeWorstCase is the figure 4 family: complete binary trees,
 // provably exponential (O(1.6^n)) for [4]-style searches. Depth 5 is 63
-// nodes. The [15]-style pruned search is not [4]'s: measured serially,
-// with the same cut counts from both algorithms, it is faster than the
-// polynomial algorithm at every depth run here (EXPERIMENTS.md "Figure 5
-// shape"). Where, if anywhere, the polynomial algorithm overtakes it is
-// ROADMAP.md item 4.
+// nodes. The [15]-style pruned search is not [4]'s. Measured serially
+// (best of three 2 s runs, 2-vCPU Xeon), with the same cut counts from
+// both algorithms, it is faster at depths 4 and 5 (2.4× and 1.3×), the
+// two are within run-to-run noise at depth 6, and the polynomial
+// algorithm is 1.7× faster at depth 7 (13.2 ms against 22.0 ms). ROADMAP.md
+// item 4 tracks the crossover.
 func BenchmarkTreeWorstCase(b *testing.B) {
-	for depth := 4; depth <= 6; depth++ {
+	for depth := 4; depth <= 7; depth++ {
 		g := polyise.TreeWorstCase(depth)
 		b.Run(fmt.Sprintf("poly/depth%d-n%d", depth, g.N()), func(b *testing.B) {
 			countCuts(b, func(v func(polyise.Cut) bool) polyise.Stats {

@@ -2,6 +2,7 @@ package baseline_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -80,25 +81,38 @@ func TestPrunedSearchDeadline(t *testing.T) {
 	}
 }
 
-// TestChainCounts checks both algorithms on a family with a closed-form
-// answer: on a unary chain of n operations with Nin=1... every cut is a
+// TestChainCounts checks both algorithms against a pinned cut count. A
+// unary chain of n operations has a closed-form answer: every cut is a
 // contiguous run, so under any Nin≥1/Nout≥1 there are n(n+1)/2 runs, all
 // with exactly 1 input and 1 output (the run starting at the root's child
-// has the root as input).
+// has the root as input). BenchmarkFigure5's two blocks (MiBench-like,
+// seed 5) have 245 and 3 341 cuts at the default 4/2 budget.
 func TestChainCounts(t *testing.T) {
+	type block struct {
+		name      string
+		g         *dfg.Graph
+		nin, nout int
+		want      int
+	}
+	var blocks []block
 	for _, n := range []int{3, 6, 10} {
-		g := workload.Chain(n)
 		ops := n - 1 // non-root nodes
-		want := ops * (ops + 1) / 2
+		blocks = append(blocks, block{fmt.Sprintf("chain %d", n), workload.Chain(n), 1, 1, ops * (ops + 1) / 2})
+	}
+	for _, b := range []struct{ n, want int }{{40, 245}, {120, 3341}} {
+		name, g := workload.FreshOracleInstance(b.n, 5)
+		blocks = append(blocks, block{name, g, 4, 2, b.want})
+	}
+	for _, b := range blocks {
 		opt := enum.DefaultOptions()
-		opt.MaxInputs, opt.MaxOutputs = 1, 1
-		cuts, _ := baseline.CollectPruned(g, opt)
-		if len(cuts) != want {
-			t.Fatalf("chain %d: pruned found %d cuts, want %d", n, len(cuts), want)
+		opt.MaxInputs, opt.MaxOutputs = b.nin, b.nout
+		cuts, _ := baseline.CollectPruned(b.g, opt)
+		if len(cuts) != b.want {
+			t.Fatalf("%s: pruned found %d cuts, want %d", b.name, len(cuts), b.want)
 		}
-		cuts2, _ := enum.CollectAll(g, opt)
-		if len(cuts2) != want {
-			t.Fatalf("chain %d: poly found %d cuts, want %d", n, len(cuts2), want)
+		cuts2, _ := enum.CollectAll(b.g, opt)
+		if len(cuts2) != b.want {
+			t.Fatalf("%s: poly found %d cuts, want %d", b.name, len(cuts2), b.want)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (e *incEnum) undoGrowS(d int) {
 // through it leave S via the delta kernel, with the removed vertices
 // journaled at depth d. Undo with undoShrinkS(d).
 func (e *incEnum) shrinkS(d int) {
-	e.shrinks++
+	e.work.Shrinks++
 	e.tr.ShrinkCut(e.S, e.journalBuf(d), e.outs, e.Iuser)
 }
 

@@ -172,6 +172,21 @@ func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum
 	}
 }
 
+// work is the worker's share of the search's exact work counts that Stats
+// does not carry. It stays out of Stats, and so out of the checkpoint
+// record: a resumed or parallel run starts every worker's counts at zero.
+// The work record (testdata/work.json) pins a serial run's counts.
+type work struct {
+	Shrinks    int `json:"shrinks"`     // shrinkS calls
+	FlowCalls  int `json:"flow_calls"`  // §5.3 flow bound asked for: uncuttable sets loaded
+	FlowRuns   int `json:"flow_runs"`   // max-flow kernel runs past the structural caps
+	FlowPrunes int `json:"flow_prunes"` // subtrees the flow bound pruned
+	MemoFills  int `json:"memo_fills"`  // cone memo entries filled
+	MemoHits   int `json:"memo_hits"`   // phase starts served from a cone memo entry
+	TreeFolds  int `json:"tree_folds"`  // analyses that folded a tree into the scratch tree
+	OverBudget int `json:"over_budget"` // candidates rejected because O(S) exceeds MaxOutputs
+}
+
 type incEnum struct {
 	g     *dfg.Graph
 	opt   Options
@@ -199,22 +214,13 @@ type incEnum struct {
 	inRejs   []*bitset.Set // per chosen output: the completions §5.3 rejects for it
 	seedRejs []*bitset.Set // per-depth: the seeds §5.3 rejects in the seed loop
 	pending  int           // the last Ilist entries are seeds not yet applied to S
-	shrinks  int           // shrinkS calls, the cut-shrink work a test pins
 	last     lastLevel     // the live two-inputs-left seed loop's chains (lastlevel.go)
 	cones    coneMemo      // input-free phase starts, by output (lastlevel.go)
 	seed1    [1]int        // scratch: single-seed kernel calls
 	fs       *flowScratch
 	stopped  bool
 	stop     Stopper // shared cancel/deadline poll primitive (stop.go)
-
-	// The §5.3 flow bound's work, which a test pins: calls (uncuttable
-	// sets loaded), kernel runs past the structural caps, and prunes.
-	flowCalls, flowRuns, flowPrunes int
-
-	// The cone memo's and the last-level tree's work, which a test pins:
-	// entries filled, phase starts served from an entry, and analyses that
-	// folded a tree into the scratch tree.
-	memoFills, memoHits, treeFolds int
+	work     work
 
 	// Work-stealing state, nil/empty in serial runs (see parallel.go for
 	// the protocol). curSeg is the merge segment the worker currently emits
@@ -518,7 +524,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 		var tree []treeNode
 		if ninLeft == 2 {
 			tree = e.last.scratchTree(e.g)
-			e.treeFolds++
+			e.work.TreeFolds++
 		}
 		reachable, chain = e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth), tree)
 	}
@@ -583,11 +589,11 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 			fs.uncut.Clear()
 			fs.uncut.AddRange(lastIn+1, o)
 			fs.uncut.Union(inRej)
-			e.flowCalls++
+			e.work.FlowCalls++
 			if e.flowBoundCanExceed(o, onPath, ninLeft) {
-				e.flowRuns++
+				e.work.FlowRuns++
 				if e.completionFlowBound(o, onPath, ninLeft) > ninLeft {
-					e.flowPrunes++
+					e.work.FlowPrunes++
 					e.stats.SeedsPruned++
 					return
 				}
@@ -673,13 +679,13 @@ func (e *incEnum) coneEntry(o int, back, onPath *bitset.Set, chain []int) *coneE
 	}
 	c := &m.ents[o]
 	if c.filled {
-		e.memoHits++
+		e.work.MemoHits++
 		back.Copy(e.g.ReachTo(o))
 		back.Add(o)
 		onPath.Copy(back)
 		return c
 	}
-	e.memoFills++
+	e.work.MemoFills++
 	c.tree, c.h = int32(len(m.trees)), int32(e.g.ReachTo(o).Count())
 	m.trees = growSlab(m.trees, int(c.h), e.g.N())
 	tree := m.treeOf(c)
@@ -796,7 +802,9 @@ func (e *incEnum) checkCut(depth, o, ninLeft, noutLeft int) {
 	}
 	e.stats.Candidates++
 	e.val.load(e.S)
-	if e.val.outs.Count() <= e.opt.MaxOutputs && !e.S.Empty() && !e.S.Intersects(e.g.ForbiddenSet()) {
+	if e.val.outs.Count() > e.opt.MaxOutputs {
+		e.work.OverBudget++
+	} else if !e.S.Empty() && !e.S.Intersects(e.g.ForbiddenSet()) {
 		if !e.val.canonical(e.outs, e.Iuser) {
 			e.stats.Duplicates++
 		} else {
