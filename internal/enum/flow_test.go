@@ -7,7 +7,51 @@ import (
 
 	"polyise/internal/bitset"
 	"polyise/internal/dfg"
+	"polyise/internal/workload"
 )
+
+// TestFlowBoundWork pins the §5.3 flow bound's work in a serial run of the
+// four `deep` blocks and the n=220 gap instance at Nin=4, and of n140,
+// tree(6,2) and butterfly(4) at Nin=6, where the bound runs some forty
+// times as often: how often the seed loop loads the uncuttable sets and
+// asks for the bound (calls), how often the structural caps leave the
+// max-flow kernel to run (runs), and how often it prunes. The kernel's
+// value is exact, so a faster kernel keeps all three.
+func TestFlowBoundWork(t *testing.T) {
+	gap := workload.GapRegressionInstances()
+	blocks := []struct {
+		name                string
+		g                   *dfg.Graph
+		nin, cuts           int
+		calls, runs, prunes int
+	}{
+		{gap[0].Name, gap[0].Graph(), 4, gap[0].WantCuts, 3237, 2669, 2175},
+		{gap[1].Name, gap[1].Graph(), 4, gap[1].WantCuts, 5970, 4460, 2902},
+		{"mibench-n160-seed2", workload.MiBenchLike(rand.New(rand.NewSource(2)), 160, workload.DefaultProfile()), 4, 4497, 1216, 737, 321},
+		{"tree-depth6", workload.Tree(6, 2), 4, 1911, 757, 582, 509},
+		{"butterfly-4", workload.Butterfly(4), 4, 1800, 1008, 800, 640},
+		{gap[0].Name, gap[0].Graph(), 6, 7668, 144925, 120943, 92609},
+		{"tree-depth6", workload.Tree(6, 2), 6, 11181, 32041, 24221, 20590},
+		{"butterfly-4", workload.Butterfly(4), 6, 1800, 68656, 57584, 46624},
+	}
+	for _, blk := range blocks {
+		if testing.Short() && (blk.g.N() > 150 || blk.nin > 4) {
+			continue // the race run's budget; the non-race run pins it
+		}
+		opt := DefaultOptions()
+		opt.Parallelism = 1
+		opt.MaxInputs = blk.nin
+		cuts := 0
+		e := newEnumShared(blk.g, opt).newWorker(func(Cut) bool { cuts++; return true }, nil)
+		for pos := 0; pos < blk.g.N(); pos++ {
+			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
+		}
+		if cuts != blk.cuts || e.work.FlowCalls != blk.calls || e.work.FlowRuns != blk.runs || e.work.FlowPrunes != blk.prunes {
+			t.Errorf("%s at Nin=%d: %d cuts, flow bound calls/runs/prunes %d/%d/%d, want %d cuts, %d/%d/%d",
+				blk.name, blk.nin, cuts, e.work.FlowCalls, e.work.FlowRuns, e.work.FlowPrunes, blk.cuts, blk.calls, blk.runs, blk.prunes)
+		}
+	}
+}
 
 // edmondsKarpBound is the reference for completionFlowBound: Edmonds–Karp
 // over an explicit residual edge array on the same split network (v_in=2v,

@@ -420,3 +420,112 @@ func TestConeMemoMatchesAnalysis(t *testing.T) {
 	}
 	t.Logf("%d memo entries and %d folded trees compared", entries, folds)
 }
+
+// TestLastLevelCounters pins the last-level ledger, the pruning counters
+// and the admission counters on the n=140 gap instance at Nin=4 and Nin=6.
+// Tables built, chains served, seeds pruned, outputs tried, candidates and
+// their Duplicates (non-canonical) / Invalid verdicts are exact work counts,
+// like LTRuns (which still counts every last-level child, decided in the
+// parent or served): each is a function of the search node that produced
+// it, so a complete parallel run must reproduce the serial values.
+func TestLastLevelCounters(t *testing.T) {
+	gi := workload.GapRegressionInstances()[0]
+	if gi.Name != "mibench-n140-seed5" {
+		t.Fatalf("gap instance 0 is %s", gi.Name)
+	}
+	g := gi.Graph()
+	rows := []struct {
+		nin  int
+		want Stats
+	}{
+		{4, Stats{
+			Valid: gi.WantCuts, Candidates: 8570, Duplicates: 198, Invalid: 739,
+			LTRuns: 50970, SeedsPruned: 2196, OutputsTried: 16497,
+			LastLevelTables: 5732, LastLevelLookups: 36150,
+		}},
+		{6, Stats{
+			Valid: 7668, Candidates: 66496, Duplicates: 294, Invalid: 1472,
+			LTRuns: 344487, SeedsPruned: 92668, OutputsTried: 39424,
+			LastLevelTables: 34788, LastLevelLookups: 146540,
+		}},
+	}
+	for _, row := range rows {
+		if testing.Short() && row.nin > 4 {
+			continue // the race run's budget; the non-race run pins it
+		}
+		for _, workers := range []int{1, 3} {
+			opt := DefaultOptions()
+			opt.Parallelism = workers
+			opt.MaxInputs = row.nin
+			st := Enumerate(g, opt, func(Cut) bool { return true })
+			got := Stats{
+				Valid: st.Valid, Candidates: st.Candidates, Duplicates: st.Duplicates, Invalid: st.Invalid,
+				LTRuns: st.LTRuns, SeedsPruned: st.SeedsPruned, OutputsTried: st.OutputsTried,
+				LastLevelTables: st.LastLevelTables, LastLevelLookups: st.LastLevelLookups,
+			}
+			if got != row.want {
+				t.Errorf("Nin=%d, workers=%d: counters %+v, want %+v", row.nin, workers, got, row.want)
+			}
+		}
+	}
+}
+
+// TestShrinkCutWork pins the cut-shrink work of a serial run on both gap
+// instances: every completion shrinks S, but a seed push shrinks it only
+// when a completion below it checks a cut (flushSeeds), so most seeds —
+// those whose subtrees die in analysis — never pay for the kernel.
+func TestShrinkCutWork(t *testing.T) {
+	want := map[string]int{"mibench-n140-seed5": 15791, "mibench-n220-seed17": 37635}
+	for _, gi := range workload.GapRegressionInstances() {
+		w, ok := want[gi.Name]
+		if !ok {
+			t.Fatalf("no shrinkS pin for gap instance %s", gi.Name)
+		}
+		if testing.Short() && gi.N > 150 {
+			continue // the race run's budget; the non-race run pins it
+		}
+		g := gi.Graph()
+		opt := DefaultOptions()
+		opt.Parallelism = 1
+		cuts := 0
+		e := newEnumShared(g, opt).newWorker(func(Cut) bool { cuts++; return true }, nil)
+		for pos := 0; pos < g.N(); pos++ {
+			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
+		}
+		if cuts != gi.WantCuts || e.work.Shrinks != w {
+			t.Errorf("%s: %d cuts with %d shrinkS calls, want %d with %d", gi.Name, cuts, e.work.Shrinks, gi.WantCuts, w)
+		}
+	}
+}
+
+// TestConeMemoWork pins the cone memo's and the folded tree's work on a
+// serial run of the n=140 gap instance and the depth-6 figure 4 tree at
+// Nin=4: memo entries filled, phase starts served from an entry, and
+// analyses at two inputs left that folded their tree into the scratch
+// tree. Like the flow-bound counters they are exact functions of the
+// search, and they stay out of Stats.
+func TestConeMemoWork(t *testing.T) {
+	gap := workload.GapRegressionInstances()[0]
+	blocks := []struct {
+		name               string
+		g                  *dfg.Graph
+		cuts               int
+		fills, hits, folds int
+	}{
+		{gap.Name, gap.Graph(), gap.WantCuts, 100, 3416, 5842},
+		{"tree-depth6", workload.Tree(6, 2), 1911, 63, 2429, 499},
+	}
+	for _, blk := range blocks {
+		opt := DefaultOptions()
+		opt.Parallelism = 1
+		cuts := 0
+		e := newEnumShared(blk.g, opt).newWorker(func(Cut) bool { cuts++; return true }, nil)
+		for pos := 0; pos < blk.g.N(); pos++ {
+			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
+		}
+		if cuts != blk.cuts || e.work.MemoFills != blk.fills || e.work.MemoHits != blk.hits || e.work.TreeFolds != blk.folds {
+			t.Errorf("%s: %d cuts, memo fills/hits %d/%d, tree folds %d, want %d cuts, %d/%d, %d",
+				blk.name, cuts, e.work.MemoFills, e.work.MemoHits, e.work.TreeFolds, blk.cuts, blk.fills, blk.hits, blk.folds)
+		}
+	}
+}
