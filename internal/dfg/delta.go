@@ -20,9 +20,11 @@ import (
 //
 //   - GrowCut handles an output push (monotone: S only gains vertices). The
 //     per-output backward cone B(∅, o) is memoized at Freeze time — it is
-//     exactly reachTo(o) — so when no chosen input lies inside the cone the
-//     push is one OR over the cone row. Otherwise it is the backward
-//     closure from o through the cone minus the inputs and S.
+//     exactly reachTo(o) — so when no chosen input lies inside the cone
+//     B(I, o) is that cone row. Otherwise it is the backward closure from
+//     o through the cone minus the inputs. The caller keeps B(I, o) ∪ {o}
+//     (package enum reads it as the output phase's first reaches-o
+//     frontier) and S gains the part outside S.
 //
 //   - ShrinkCut handles an input push (non-monotone: the new input and
 //     every vertex whose last surviving path ran through it leave S). The
@@ -46,37 +48,36 @@ import (
 // S.Subtract(delta) and a ShrinkCut with S.Union(removed).
 
 // GrowCut grows the incrementally maintained cut S for a newly chosen
-// output o: S ← S ∪ {o} ∪ B(I, o), with I given as the inputs bitset. The
-// vertices actually added are recorded in delta (disjoint from the old S),
-// so the caller can undo the push exactly with S.Subtract(delta).
+// output o: S ← S ∪ {o} ∪ B(I, o), with I given as the inputs bitset. It
+// writes B(I, o) ∪ {o} — every vertex reaching o along a path avoiding I —
+// into back, a set the caller owns, and records the vertices actually
+// added, delta = back \ S, so the caller can undo the push exactly with
+// S.Subtract(delta).
 //
 // Preconditions: o ∉ S and o ∉ inputs (the enumeration's admissibility
 // rules guarantee both). S must be the exactly maintained cut of the
-// enclosing search (the S-stopping argument below relies on it).
-func (t *Traverser) GrowCut(S, delta *bitset.Set, o int, inputs *bitset.Set) {
+// enclosing search: then delta is also exactly what a closure from o that
+// stops at S would add. A vertex of back outside S has no path to o
+// through an S-member u — u reaches an earlier output avoiding I, so the
+// vertex would too, and would be in S — so its whole path to o lies in
+// back \ S, where the stopped closure finds it.
+func (t *Traverser) GrowCut(S, delta, back *bitset.Set, o int, inputs *bitset.Set) {
 	g := t.g
-	reachTo := g.closures().reachTo
-	cone := reachTo[o] // B(∅, o) \ {o}, memoized with the closures
-	if !inputs.Intersects(cone) {
+	cone := g.closures().reachTo[o] // B(∅, o) \ {o}, memoized with the closures
+	if inputs.Intersects(cone) {
+		// Every vertex on a path from a cone member to o is itself a cone
+		// member, so the closure never needs to leave the cone.
+		t.allowed.CopyAndNot(cone, inputs)
+		back.Clear()
+		back.Add(o)
+		t.closure(back, g.predBits, t.allowed)
+	} else {
 		// No input can sever any ancestor of o from o, so B(I, o) is the
-		// whole cone: one OR, minus the vertices already in S.
-		delta.CopyAndNot(cone, S)
-		delta.Add(o)
-		S.Union(delta)
-		return
+		// whole cone.
+		back.Copy(cone)
+		back.Add(o)
 	}
-
-	// Every vertex on a path from a cone member to o is itself a cone
-	// member, so the closure never needs to leave the cone. Vertices already
-	// in S are skipped: a new vertex whose o-path runs through an S-member
-	// would already be in S (its members reach an earlier output avoiding I
-	// through that very path), so stopping at S loses nothing.
-	allowed := t.allowed
-	allowed.CopyAndNot(cone, inputs)
-	allowed.Subtract(S)
-	delta.Clear()
-	delta.Add(o)
-	t.closure(delta, g.predBits, allowed)
+	delta.CopyAndNot(back, S)
 	S.Union(delta)
 }
 

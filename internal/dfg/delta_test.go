@@ -47,6 +47,7 @@ func runDeltaSequence(t *testing.T, r *rand.Rand, g *Graph, steps, inputWeight i
 	S := bitset.New(n)
 	inputs := bitset.New(n)
 	outSet := bitset.New(n)
+	back, ref := bitset.New(n), bitset.New(n)
 	var outs []int
 	var stack []deltaOp
 
@@ -70,7 +71,12 @@ func runDeltaSequence(t *testing.T, r *rand.Rand, g *Graph, steps, inputWeight i
 				continue
 			}
 			delta := bitset.New(n)
-			tr.GrowCut(S, delta, o, inputs)
+			tr.GrowCut(S, delta, back, o, inputs)
+			tr.ReachBackwardAvoiding(ref, []int{o}, inputs, nil)
+			if !back.Equal(ref) {
+				t.Logf("grow %d: back %v != B(I, o) ∪ {o} %v (inputs=%v)", o, back.Members(), ref.Members(), inputs.Members())
+				return false
+			}
 			outs = append(outs, o)
 			outSet.Add(o)
 			stack = append(stack, deltaOp{isOutput: true, v: o, delta: delta})
@@ -243,20 +249,21 @@ func TestGrowCutConeFastPath(t *testing.T) {
 	// Fast path: no inputs at all.
 	S := bitset.New(n)
 	delta := bitset.New(n)
+	back := bitset.New(n)
 	inputs := bitset.New(n)
-	tr.GrowCut(S, delta, d, inputs)
+	tr.GrowCut(S, delta, back, d, inputs)
 	want := bitset.FromMembers(n, a, b, e, c, d)
-	if !S.Equal(want) || !delta.Equal(want) {
-		t.Fatalf("fast path: S=%v delta=%v want %v", S.Members(), delta.Members(), want.Members())
+	if !S.Equal(want) || !delta.Equal(want) || !back.Equal(want) {
+		t.Fatalf("fast path: S=%v delta=%v back=%v want %v", S.Members(), delta.Members(), back.Members(), want.Members())
 	}
 
 	// Slow path: input b sits inside cone(d), so only {c,d,e} join.
 	S.Clear()
 	delta.Clear()
 	inputs.Add(b)
-	tr.GrowCut(S, delta, d, inputs)
+	tr.GrowCut(S, delta, back, d, inputs)
 	want = bitset.FromMembers(n, e, c, d)
-	if !S.Equal(want) || !delta.Equal(want) {
-		t.Fatalf("slow path: S=%v delta=%v want %v", S.Members(), delta.Members(), want.Members())
+	if !S.Equal(want) || !delta.Equal(want) || !back.Equal(want) {
+		t.Fatalf("slow path: S=%v delta=%v back=%v want %v", S.Members(), delta.Members(), back.Members(), want.Members())
 	}
 }

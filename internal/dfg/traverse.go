@@ -246,25 +246,26 @@ func (t *Traverser) prepAllowed(avoid, within *bitset.Set) *bitset.Set {
 }
 
 // ReachForwardAvoiding computes into dst every vertex reachable from the
-// seed list along successor paths that avoid `avoid`, restricted to
-// `within` when non-nil (seeds outside within \ avoid are dropped). Seeds
-// themselves are included. Word-parallel equivalent of the forward scalar
-// BFS in cut.go's rootReachesAvoiding / privatePathExists.
-func (t *Traverser) ReachForwardAvoiding(dst *bitset.Set, seeds []int, avoid, within *bitset.Set) *bitset.Set {
+// seed set along successor paths that avoid `avoid`, restricted to
+// `within` when non-nil. The seeds come as a set's words — an entry set, an
+// adjacency row — so the seed set is seeds ∧ (within \ avoid), one pass
+// over the words: seeds outside within \ avoid are dropped, the rest are
+// included. Word-parallel equivalent of the forward scalar BFS in cut.go's
+// rootReachesAvoiding / privatePathExists.
+func (t *Traverser) ReachForwardAvoiding(dst *bitset.Set, seeds []uint64, avoid, within *bitset.Set) *bitset.Set {
 	allowed := t.prepAllowed(avoid, within)
-	dst.Clear()
-	for _, s := range seeds {
-		if allowed.Has(s) {
-			dst.Add(s)
-		}
+	dw, aw := dst.Words(), allowed.Words()
+	for i := range dw {
+		dw[i] = seeds[i] & aw[i]
 	}
 	t.closure(dst, t.g.succBits, allowed)
 	return dst
 }
 
-// ReachBackwardAvoiding is ReachForwardAvoiding over predecessor edges: dst
-// becomes every vertex that reaches a seed along a path avoiding `avoid`,
-// restricted to `within` when non-nil.
+// ReachBackwardAvoiding is ReachForwardAvoiding over predecessor edges,
+// seeded from a vertex list: dst becomes every vertex that reaches a seed
+// along a path avoiding `avoid`, restricted to `within` when non-nil
+// (seeds outside within \ avoid are dropped).
 func (t *Traverser) ReachBackwardAvoiding(dst *bitset.Set, seeds []int, avoid, within *bitset.Set) *bitset.Set {
 	allowed := t.prepAllowed(avoid, within)
 	dst.Clear()

@@ -108,7 +108,7 @@ func TestReachAvoidingMatchesScalarBFS(t *testing.T) {
 			for k := 1 + r.Intn(3); k > 0; k-- {
 				seeds = append(seeds, r.Intn(n))
 			}
-			tr.ReachForwardAvoiding(fwd, seeds, avoid, within)
+			tr.ReachForwardAvoiding(fwd, bitset.FromMembers(n, seeds...).Words(), avoid, within)
 			if want := scalarReach(g, seeds, avoid, within, g.Succs); !fwd.Equal(want) {
 				t.Logf("seed=%d fwd %v want %v (seeds=%v)", seed, fwd, want, seeds)
 				return false
@@ -236,9 +236,10 @@ func TestTraverserZeroAllocSteadyState(t *testing.T) {
 	dst := bitset.New(n)
 	avoid := randSubset(r, n, 6)
 	seeds := []int{n - 1, n / 2}
+	seedWords := bitset.FromMembers(n, seeds...).Words()
 	allocs := testing.AllocsPerRun(50, func() {
 		tr.ReachBackwardAvoiding(dst, seeds, avoid, nil)
-		tr.ReachForwardAvoiding(dst, seeds, avoid, nil)
+		tr.ReachForwardAvoiding(dst, seedWords, avoid, nil)
 		tr.CutNodesInto(dst, seeds, avoid)
 	})
 	if allocs != 0 {

@@ -33,6 +33,14 @@ func newAnalyzer(g *dfg.Graph) *incEnum {
 	return e
 }
 
+// analyzeStart runs analyzePaths at a phase start of o, with back loaded
+// as the output push leaves it there: B(I, o) ∪ {o}, every vertex reaching
+// o along a path avoiding the chosen inputs.
+func (e *incEnum) analyzeStart(o int, back, onPath *bitset.Set, chain []int, tree []treeNode) (bool, []int) {
+	e.tr.ReachBackwardAvoiding(back, []int{o}, e.Iuser, nil)
+	return e.analyzePaths(o, back, onPath, nil, -1, chain, tree)
+}
+
 // oracle computes the reduced-graph dominators of o with the dominator
 // solver on the augmented graph.
 func oracle(g *dfg.Graph, blocked []int, o int) (reachable bool, doms []int) {
@@ -101,7 +109,7 @@ func TestAnalyzePathsMatchesSolver(t *testing.T) {
 					blocked = append(blocked, a)
 				}
 			}
-			gotReach, gotChain := e.analyzePaths(o, back, onPath, nil, -1, nil, nil)
+			gotReach, gotChain := e.analyzeStart(o, back, onPath, nil, nil)
 			wantReach, wantChain := oracle(g, blocked, o)
 			if gotReach != wantReach {
 				t.Logf("seed=%d o=%d blocked=%v reach %v want %v", seed, o, blocked, gotReach, wantReach)
@@ -154,7 +162,7 @@ func TestAnalyzePathsParentRestriction(t *testing.T) {
 		e.Iuser.Add(first)
 		pBack := bitset.New(g.N())
 		pOnPath := bitset.New(g.N())
-		pReach, _ := e.analyzePaths(o, pBack, pOnPath, nil, -1, nil, nil)
+		pReach, _ := e.analyzeStart(o, pBack, pOnPath, nil, nil)
 		if !pReach {
 			return true
 		}
@@ -167,7 +175,7 @@ func TestAnalyzePathsParentRestriction(t *testing.T) {
 
 		backScratch := bitset.New(g.N())
 		onScratch := bitset.New(g.N())
-		reach1, chain1 := e.analyzePaths(o, backScratch, onScratch, nil, -1, nil, nil)
+		reach1, chain1 := e.analyzeStart(o, backScratch, onScratch, nil, nil)
 		sort.Ints(chain1)
 		on1 := onScratch.Clone()
 
@@ -204,7 +212,7 @@ func TestAnalyzePathsChainOnKnownGraph(t *testing.T) {
 	e := newAnalyzer(g)
 	onPath := bitset.New(g.N())
 	back := bitset.New(g.N())
-	reach, chain := e.analyzePaths(d, back, onPath, nil, -1, nil, nil)
+	reach, chain := e.analyzeStart(d, back, onPath, nil, nil)
 	if !reach {
 		t.Fatal("d unreachable")
 	}
@@ -213,7 +221,7 @@ func TestAnalyzePathsChainOnKnownGraph(t *testing.T) {
 	}
 	// Blocking b separates d entirely.
 	e.Iuser.Add(b)
-	reach, _ = e.analyzePaths(d, back, onPath, nil, -1, nil, nil)
+	reach, _ = e.analyzeStart(d, back, onPath, nil, nil)
 	if reach {
 		t.Fatal("d should be separated with b blocked")
 	}

@@ -30,6 +30,37 @@ func (c Cut) Clone() Cut {
 	return Cut{Nodes: c.Nodes.Clone(), Inputs: in, Outputs: out}
 }
 
+// cutChunk is how many kept cuts share one node-set chunk (cutSlab).
+const cutChunk = 128
+
+// cutSlab gives the incremental search's kept cuts (Options.KeepCuts)
+// their storage: each cut's node set is a row of a bitset.NewRows chunk
+// and its inputs and outputs are cap-limited windows of an []int slab, so
+// keeping a cut costs no allocation of its own, only a share of one per
+// chunk. Nothing is handed out twice, so kept cuts never share storage; a
+// retained cut keeps its whole chunk and slab alive. Each worker owns one.
+type cutSlab struct {
+	rows []*bitset.Set // the current chunk's rows not yet handed out
+	ints []int         // the current slab; len is the part handed out
+}
+
+// keep returns a copy of c backed by the slab.
+func (s *cutSlab) keep(c Cut) Cut {
+	if len(s.rows) == 0 {
+		s.rows = bitset.NewRows(cutChunk, c.Nodes.Cap())
+	}
+	nodes := s.rows[0]
+	s.rows = s.rows[1:]
+	nodes.Copy(c.Nodes)
+	ni, k := len(c.Inputs), len(c.Inputs)+len(c.Outputs)
+	if cap(s.ints)-len(s.ints) < k {
+		s.ints = make([]int, 0, max(cutChunk*8, k))
+	}
+	at := len(s.ints)
+	s.ints = append(append(s.ints, c.Inputs...), c.Outputs...)
+	return Cut{Nodes: nodes, Inputs: s.ints[at : at+ni : at+ni], Outputs: s.ints[at+ni : at+k : at+k]}
+}
+
 // Validator checks candidate vertex sets against the §3 problem statement:
 // the admission half of CHECK-CUT (figure 3). It owns scratch storage
 // (including a word-parallel dfg.Traverser), so it is cheap — and in
@@ -106,12 +137,20 @@ func NewValidator(g *dfg.Graph, opt Options) *Validator {
 // Validate reports whether S is a valid cut: non-empty, disjoint from F,
 // convex, within the input/output budgets, and satisfying the technical
 // condition, connectedness and depth limits the options request. On success
-// it fills cut with S's derived inputs and outputs; the slices share the
-// validator's scratch storage unless Options.KeepCuts is set, in which case
-// they are freshly allocated copies safe to retain.
+// it fills cut with S itself (not copied) and S's derived inputs and
+// outputs; the slices share the validator's scratch storage unless
+// Options.KeepCuts is set, in which case they are freshly allocated copies
+// safe to retain. EnumerateBasic and the baseline searches call it.
 func (v *Validator) Validate(S *bitset.Set, cut *Cut) bool {
 	v.load(S)
-	return v.validate(cut)
+	if !v.validate(cut) {
+		return false
+	}
+	if cut != nil && v.opt.KeepCuts {
+		cut.Inputs = append([]int(nil), cut.Inputs...)
+		cut.Outputs = append([]int(nil), cut.Outputs...)
+	}
+	return true
 }
 
 // load makes S the validator's cut and computes its aggregates in one
@@ -166,7 +205,10 @@ func (v *Validator) canonical(outs []int, inputs *bitset.Set) bool {
 	return true
 }
 
-// validate runs the staged §3 checks on the loaded cut; see Validate.
+// validate runs the staged §3 checks on the loaded cut; see Validate. On
+// success it fills cut with the loaded S and the validator's scratch
+// inputs and outputs (insBuf, outsBuf), whatever Options.KeepCuts says:
+// the incremental search copies a kept cut into its own slabs (cutSlab).
 func (v *Validator) validate(cut *Cut) bool {
 	g := v.g
 	S := v.S
@@ -199,14 +241,7 @@ func (v *Validator) validate(cut *Cut) bool {
 		return false
 	}
 	if cut != nil {
-		cut.Nodes = S
-		if v.opt.KeepCuts {
-			cut.Inputs = append([]int(nil), v.insBuf...)
-			cut.Outputs = append([]int(nil), v.outsBuf...)
-		} else {
-			cut.Inputs = v.insBuf
-			cut.Outputs = v.outsBuf
-		}
+		cut.Nodes, cut.Inputs, cut.Outputs = S, v.insBuf, v.outsBuf
 	}
 	return true
 }
@@ -280,7 +315,7 @@ func (v *Validator) technicalConditionHolds() bool {
 // the technical-condition and connectedness checks share it.
 func (v *Validator) ensureRootReach() {
 	if !v.rootValid {
-		v.tr.ReachForwardAvoiding(v.rootReach, v.g.Entries(), v.ins, v.within)
+		v.tr.ReachForwardAvoiding(v.rootReach, v.g.EntrySet().Words(), v.ins, v.within)
 		v.rootValid = true
 	}
 }
@@ -313,7 +348,7 @@ func (v *Validator) isConnectedCut() bool {
 		if !rootFeeds {
 			continue
 		}
-		v.tr.ReachForwardAvoiding(v.reach, g.Succs(i), v.ins, v.within)
+		v.tr.ReachForwardAvoiding(v.reach, g.SuccRow(i), v.ins, v.within)
 		for k, o := range v.outsBuf {
 			if v.reach.Has(o) {
 				feeds[k].Add(i)

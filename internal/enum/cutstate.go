@@ -17,10 +17,12 @@ func (e *incEnum) journalBuf(d int) *bitset.Set {
 
 // growS pushes the most recently chosen output onto the maintained cut:
 // S gains {o} ∪ B(I, o) via the delta kernel, with the added vertices
-// journaled at depth d. Undo with undoGrowS(d).
+// journaled at depth d. B(I, o) ∪ {o} itself lands in the reaches-o buffer
+// of depth d+1, where the output's phase start (pickInputs) reads it as
+// its frontier. Undo with undoGrowS(d).
 func (e *incEnum) growS(d int) {
 	o := e.outs[len(e.outs)-1]
-	e.tr.GrowCut(e.S, e.journalBuf(d), o, e.Iuser)
+	e.tr.GrowCut(e.S, e.journalBuf(d), e.bufAt(&e.backs, d+1), o, e.Iuser)
 }
 
 // undoGrowS pops the output push journaled at depth d.

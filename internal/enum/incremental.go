@@ -177,14 +177,15 @@ func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum
 // record: a resumed or parallel run starts every worker's counts at zero.
 // The work record (testdata/work.json) pins a serial run's counts.
 type work struct {
-	Shrinks    int `json:"shrinks"`     // shrinkS calls
-	FlowCalls  int `json:"flow_calls"`  // §5.3 flow bound asked for: uncuttable sets loaded
-	FlowRuns   int `json:"flow_runs"`   // max-flow kernel runs past the structural caps
-	FlowPrunes int `json:"flow_prunes"` // subtrees the flow bound pruned
-	MemoFills  int `json:"memo_fills"`  // cone memo entries filled
-	MemoHits   int `json:"memo_hits"`   // phase starts served from a cone memo entry
-	TreeFolds  int `json:"tree_folds"`  // analyses that folded a tree into the scratch tree
-	OverBudget int `json:"over_budget"` // candidates rejected because O(S) exceeds MaxOutputs
+	Shrinks      int `json:"shrinks"`       // shrinkS calls
+	FlowCalls    int `json:"flow_calls"`    // §5.3 flow bound asked for: uncuttable sets loaded
+	FlowRuns     int `json:"flow_runs"`     // max-flow kernel runs past the structural caps
+	FlowPrunes   int `json:"flow_prunes"`   // subtrees the flow bound pruned
+	MemoFills    int `json:"memo_fills"`    // cone memo entries filled
+	MemoHits     int `json:"memo_hits"`     // phase starts served from a cone memo entry
+	TreeFolds    int `json:"tree_folds"`    // analyses that folded a tree into the scratch tree
+	OverBudget   int `json:"over_budget"`   // candidates rejected because O(S) exceeds MaxOutputs
+	QuickRejects int `json:"quick_rejects"` // output pushes quickOffending rejected before the grow kernel
 }
 
 type incEnum struct {
@@ -208,7 +209,7 @@ type incEnum struct {
 
 	journal  []*bitset.Set // per-depth undo journal: the delta each push applied to S
 	paths    []*bitset.Set // per-depth on-path sets
-	backs    []*bitset.Set // per-depth reaches-o sets
+	backs    []*bitset.Set // per-depth reaches-o sets (an output push at d fills d+1)
 	uncs     []*bitset.Set // per-depth input-ancestor sets for the quick-offending reject
 	chains   [][]int       // per-depth dominator-chain buffers
 	inRejs   []*bitset.Set // per chosen output: the completions §5.3 rejects for it
@@ -216,8 +217,8 @@ type incEnum struct {
 	pending  int           // the last Ilist entries are seeds not yet applied to S
 	last     lastLevel     // the live two-inputs-left seed loop's chains (lastlevel.go)
 	cones    coneMemo      // input-free phase starts, by output (lastlevel.go)
-	seed1    [1]int        // scratch: single-seed kernel calls
 	fs       *flowScratch
+	kept     cutSlab // storage of kept cuts (Options.KeepCuts)
 	stopped  bool
 	stop     Stopper // shared cancel/deadline poll primitive (stop.go)
 	work     work
@@ -269,7 +270,8 @@ func (e *incEnum) chainBuf(d int) []int {
 // analysis is the single seed lastIn joining I, so back is *derived* from
 // the parent by the delta kernel (dfg.Traverser.ShrinkReachInto): it
 // shrinks by lastIn's severed ancestor region, confined to the region the
-// push actually changes. At a phase start back is traversed fresh.
+// push actually changes. At a phase start back arrives filled: the output
+// push's grow kernel (growS) already wrote B(I, o) ∪ {o} into it.
 //
 // onPath, the dominator chain and the reachability verdict all come out of
 // ONE ascending pass over back, with no forward closure at all. Three facts
@@ -308,10 +310,6 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 		// pBack: seeds are chosen on-path, and o ∈ pBack stays — it is
 		// never an input, so only its ancestors can be severed.)
 		e.tr.ShrinkReachInto(back, pBack, o, lastIn)
-	} else {
-		// Phase start: traverse fresh, backward from o avoiding I.
-		e.seed1[0] = o
-		e.tr.ReachBackwardAvoiding(back, e.seed1[:], e.Iuser, nil)
 	}
 	if tree != nil {
 		return e.last.sweep(g, o, back, onPath, chain, tree)
@@ -421,6 +419,7 @@ func (e *incEnum) pickOutputRange(depth, start, end, ninLeft, noutLeft int) {
 		}
 		e.stats.OutputsTried++
 		if quickRej && e.quickOffending(o, uncAll) {
+			e.work.QuickRejects++
 			continue
 		}
 		e.outs = append(e.outs, o)
@@ -668,10 +667,11 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 }
 
 // coneEntry returns the cone memo's entry for output o, whose ancestor
-// cone holds no chosen input, and leaves o's cone ∪ {o} in back and
-// onPath. The first phase start of o fills the entry through analyzePaths'
-// folding sweep, into a tree sized to the cone, with chain as the chain
-// buffer, and folds the tree's L values up to o−1.
+// cone holds no chosen input. back arrives holding o's cone ∪ {o}, as the
+// output push left it, and onPath gets the same set. The first phase start
+// of o fills the entry through analyzePaths' folding sweep, into a tree
+// sized to the cone, with chain as the chain buffer, and folds the tree's
+// L values up to o−1.
 func (e *incEnum) coneEntry(o int, back, onPath *bitset.Set, chain []int) *coneEntry {
 	m := &e.cones
 	if m.ents == nil {
@@ -680,8 +680,6 @@ func (e *incEnum) coneEntry(o int, back, onPath *bitset.Set, chain []int) *coneE
 	c := &m.ents[o]
 	if c.filled {
 		e.work.MemoHits++
-		back.Copy(e.g.ReachTo(o))
-		back.Add(o)
 		onPath.Copy(back)
 		return c
 	}
@@ -811,7 +809,7 @@ func (e *incEnum) checkCut(depth, o, ninLeft, noutLeft int) {
 			var cut Cut
 			if e.val.validate(&cut) {
 				if e.opt.KeepCuts {
-					cut.Nodes = cut.Nodes.Clone()
+					cut = e.kept.keep(cut)
 				}
 				if !e.visit(cut) {
 					// The visit point (serial) or the merge (parallel) has

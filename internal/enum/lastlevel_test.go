@@ -160,6 +160,8 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 					continue
 				}
 				e.Iuser.Clear()
+				back.Copy(g.ReachTo(o)) // as the output push leaves it
+				back.Add(o)
 				if c := e.coneEntry(o, back, onPath, nil); c.reach && o > int(c.top) {
 					top := int(c.top)
 					chain = append(chain[:0], e.cones.chainOf(c)...)
@@ -172,7 +174,7 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 					e.Iuser.Add(anc[r.Intn(len(anc))])
 				}
 				var reach bool
-				reach, chain = e.analyzePaths(o, back, onPath, nil, -1, chain[:0], e.last.scratchTree(g))
+				reach, chain = e.analyzeStart(o, back, onPath, chain[:0], e.last.scratchTree(g))
 				if !reach {
 					continue
 				}
@@ -194,7 +196,7 @@ func TestLastLevelChainsMatchSweep(t *testing.T) {
 						e.Iuser.Add(v)
 					}
 					var cReach bool
-					cReach, full = e.analyzePaths(o, cBack, cOnPath, nil, -1, full[:0], nil)
+					cReach, full = e.analyzeStart(o, cBack, cOnPath, full[:0], nil)
 					for _, v := range blocked {
 						e.Iuser.Remove(v)
 					}
@@ -225,7 +227,7 @@ func TestLastLevelChainBelowTopPanics(t *testing.T) {
 		if g.IsForbidden(o) {
 			continue
 		}
-		reach, chain := e.analyzePaths(o, back, onPath, nil, -1, nil, e.last.scratchTree(g))
+		reach, chain := e.analyzeStart(o, back, onPath, nil, e.last.scratchTree(g))
 		if !reach {
 			continue
 		}
@@ -375,10 +377,12 @@ func TestConeMemoMatchesAnalysis(t *testing.T) {
 					continue
 				}
 				var wantReach bool
-				wantReach, want = e.analyzePaths(o, wBack, wOnPath, nil, -1, want[:0], nil)
+				wantReach, want = e.analyzeStart(o, wBack, wOnPath, want[:0], nil)
 				top := dfg.HighestMaskedBit(g.EntrySet().Words(), wBack.Words())
 				ref := refTree(g, o, wBack, wOnPath, top)
 				if !e.Iuser.Intersects(g.ReachTo(o)) {
+					back.Copy(g.ReachTo(o)) // as the output push leaves it
+					back.Add(o)
 					c := e.coneEntry(o, back, onPath, chain[:0])
 					if !back.Equal(wBack) || !onPath.Equal(wOnPath) || c.reach != wantReach || int(c.top) != top ||
 						!slices.Equal(e.cones.chainOf(c), want) {
@@ -395,7 +399,7 @@ func TestConeMemoMatchesAnalysis(t *testing.T) {
 					continue
 				}
 				var reach bool
-				reach, chain = e.analyzePaths(o, back, onPath, nil, -1, chain[:0], e.last.scratchTree(g))
+				reach, chain = e.analyzeStart(o, back, onPath, chain[:0], e.last.scratchTree(g))
 				if reach != wantReach || !slices.Equal(chain, want) || !onPath.Equal(wOnPath) {
 					t.Fatalf("graph %d o=%d I=%v: folding sweep %v %v %v, plain sweep %v %v %v",
 						gi, o, e.Iuser, reach, chain, onPath, wantReach, want, wOnPath)

@@ -47,11 +47,12 @@
 // The cut S lives across pushes as journaled deltas — an output push grows
 // S by the memoized backward cone of the new output, or by a backward
 // closure through the cone when a chosen input blocks part of it
-// (dfg.Traverser.GrowCut), and an input push shrinks S to the backward
-// closure from the chosen outputs avoiding the inputs, confined to the old
-// S (dfg.Traverser.ShrinkCut). Each push records exactly the vertices it
-// changed in a per-depth undo journal, so backtracking is one word-
-// parallel Subtract/Union. A seed push defers its shrink until a cut is
+// (dfg.Traverser.GrowCut, whose B(I, o) ∪ {o} the output's phase start
+// reuses as its first reaches-o frontier), and an input push shrinks S to
+// the backward closure from the chosen outputs avoiding the inputs,
+// confined to the old S (dfg.Traverser.ShrinkCut). Each push records
+// exactly the vertices it changed in a per-depth undo journal, so
+// backtracking is one word-parallel Subtract/Union. A seed push defers its shrink until a cut is
 // checked below it (flushSeeds). Reduced-graph dominators are read off a
 // running-max sweep over the surviving-path region (analyzePaths), which
 // exploits vertex ids being a topological order (dfg.Graph.AddNode): bit
@@ -134,8 +135,13 @@ type Options struct {
 	// (docs/ALGORITHM.md §6).
 
 	// KeepCuts controls whether valid cuts are handed to the visitor with
-	// their node sets retained (cloned). When false the visitor receives a
-	// shared scratch cut that is only valid during the call.
+	// storage of their own, safe to retain. Enumerate copies each kept cut
+	// into per-worker slabs: its node set is a row of a chunk of node sets
+	// and its inputs and outputs are windows of a shared []int, capped so
+	// no cut can grow into another, so keeping costs a share of one
+	// allocation per chunk instead of several per cut. A retained cut pins
+	// its whole chunk. When false the visitor receives a shared scratch cut
+	// that is only valid during the call.
 	KeepCuts bool
 
 	// Deadline, when non-zero, aborts the enumeration once the wall clock

@@ -242,11 +242,31 @@ func (m *SeededMemory) Load(addr int32) int32 {
 		return v
 	}
 	// splitmix64 of seed⊕addr: cheap, well-mixed cell contents.
-	z := m.seed ^ uint64(uint32(addr))
-	z += 0x9e3779b97f4a7c15
+	return int32(mix64(m.seed ^ uint64(uint32(addr)) + splitGamma))
+}
+
+// splitGamma is splitmix64's state increment, the golden-ratio gamma.
+const splitGamma = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's output function.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int32(z ^ (z >> 31))
+	return z ^ (z >> 31)
+}
+
+// SplitMix64 is the splitmix64 generator, the one SeededMemory draws its
+// cell contents from: a 64-bit state stepped by a constant and mixed, so
+// seeding it costs nothing and a draw is a few multiplies.
+type SplitMix64 struct{ state uint64 }
+
+// NewSplitMix64 returns the generator seeded with seed.
+func NewSplitMix64(seed uint64) SplitMix64 { return SplitMix64{seed} }
+
+// Next returns the next 64-bit draw.
+func (s *SplitMix64) Next() uint64 {
+	s.state += splitGamma
+	return mix64(s.state)
 }
 
 // Store writes the word at addr.

@@ -247,3 +247,21 @@ func TestQuickRootOrderPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSplitMix64 pins the generator to splitmix64's reference stream (seed
+// 0) and SeededMemory's cell contents to the same mix of seed⊕addr.
+func TestSplitMix64(t *testing.T) {
+	rng := NewSplitMix64(0)
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := rng.Next(); got != want {
+			t.Fatalf("draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+	m := NewSeededMemory(5)
+	for addr := int32(0); addr < 4; addr++ {
+		cell := NewSplitMix64(5 ^ uint64(addr))
+		if got, want := m.Load(addr), int32(cell.Next()); got != want {
+			t.Fatalf("cell %d = %d, want %d", addr, got, want)
+		}
+	}
+}

@@ -62,7 +62,9 @@ func Select(g *dfg.Graph, m Model, cuts []enum.Cut, opt SelectOptions) Selection
 		nodes int
 		sig   string
 	}
-	keys := make([]keyed, 0, len(cuts))
+	// Few cuts pass MinSaving (on some blocks none), so keys grows from
+	// empty instead of being sized to every cut.
+	var keys []keyed
 	for _, c := range cuts {
 		s := est.Estimate(c)
 		if s.Saving >= opt.MinSaving && s.Saving > 0 {

@@ -1,7 +1,7 @@
 package ise
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -24,8 +24,10 @@ func WriteVerilog(w io.Writer, g *dfg.Graph, cut enum.Cut, name string) error {
 	return writeVerilog(w, g, cut.Nodes, cut.Inputs, cut.Outputs, name)
 }
 
+// writeVerilog builds the module in one buffer and hands it to w in one
+// Write; a cut it cannot emit writes nothing.
 func writeVerilog(w io.Writer, g *dfg.Graph, nodes *bitset.Set, inputs, outputs []int, name string) error {
-	bw := bufio.NewWriter(w)
+	var bw bytes.Buffer
 	if name == "" {
 		name = "ise_unit"
 	}
@@ -46,8 +48,8 @@ func writeVerilog(w io.Writer, g *dfg.Graph, nodes *bitset.Set, inputs, outputs 
 	for _, o := range outputs {
 		ports = append(ports, fmt.Sprintf("output wire signed [31:0] %s_out", portName(o, "res")))
 	}
-	fmt.Fprintf(bw, "// generated by polyise: custom instruction datapath\n")
-	fmt.Fprintf(bw, "module %s (\n    %s\n);\n", name, strings.Join(ports, ",\n    "))
+	fmt.Fprintf(&bw, "// generated by polyise: custom instruction datapath\n")
+	fmt.Fprintf(&bw, "module %s (\n    %s\n);\n", name, strings.Join(ports, ",\n    "))
 
 	// Operand expression for a predecessor: an input port or an internal
 	// wire.
@@ -113,14 +115,15 @@ func writeVerilog(w io.Writer, g *dfg.Graph, nodes *bitset.Set, inputs, outputs 
 		default:
 			return fmt.Errorf("ise: operation %v cannot be emitted as RTL", g.Op(v))
 		}
-		fmt.Fprintf(bw, "    wire signed [31:0] %s = %s; // %s\n",
+		fmt.Fprintf(&bw, "    wire signed [31:0] %s = %s; // %s\n",
 			wireName(v), expr, g.Op(v))
 	}
 	for _, o := range outputs {
-		fmt.Fprintf(bw, "    assign %s_out = %s;\n", portName(o, "res"), wireName(o))
+		fmt.Fprintf(&bw, "    assign %s_out = %s;\n", portName(o, "res"), wireName(o))
 	}
-	fmt.Fprintf(bw, "endmodule\n")
-	return bw.Flush()
+	bw.WriteString("endmodule\n")
+	_, err := w.Write(bw.Bytes())
+	return err
 }
 
 func isVerilogIdent(s string) bool {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"polyise/internal/bitset"
 	"polyise/internal/dfg"
 	"polyise/internal/enum"
 	"polyise/internal/ise"
@@ -349,6 +350,47 @@ func TestIterativeSelectorPicksRoundOptimum(t *testing.T) {
 					b.Name, i, round.Instruction.Saving, best)
 			}
 			cur = round.Graph
+		}
+	}
+}
+
+// TestCheckCutCatchesWrongCuts shows the cut oracle has teeth: on
+// z = ((a+b) − (a−b)) ^ a, the two-output cut {s, d} and the one-output
+// cut {s} check clean, but {s, d} with its Outputs swapped, and {s}'s
+// inputs and outputs over the node set {s, m}, must each report a
+// mismatch. (The oracle compares the nodes that survive the collapse, so
+// each wrong value here reaches one: m or z.)
+func TestCheckCutCatchesWrongCuts(t *testing.T) {
+	g := dfg.New()
+	a := g.MustAddNode(dfg.OpVar, "a")
+	b := g.MustAddNode(dfg.OpVar, "b")
+	s := g.MustAddNode(dfg.OpAdd, "s", a, b)
+	d := g.MustAddNode(dfg.OpSub, "d", a, b)
+	m := g.MustAddNode(dfg.OpSub, "m", s, d)
+	z := g.MustAddNode(dfg.OpXor, "z", m, a)
+	if err := g.MarkLiveOut(z); err != nil {
+		t.Fatal(err)
+	}
+	g.MustFreeze()
+	n := g.N()
+	pair := enum.Cut{Nodes: bitset.FromMembers(n, s, d), Inputs: []int{a, b}, Outputs: []int{s, d}}
+	single := enum.Cut{Nodes: bitset.FromMembers(n, s), Inputs: []int{a, b}, Outputs: []int{s}}
+	for _, tc := range []struct {
+		name  string
+		cut   enum.Cut
+		wrong bool
+	}{
+		{"pair", pair, false},
+		{"single", single, false},
+		{"pair with outputs swapped", enum.Cut{Nodes: pair.Nodes, Inputs: pair.Inputs, Outputs: []int{d, s}}, true},
+		{"single over the wrong nodes", enum.Cut{Nodes: bitset.FromMembers(n, s, m), Inputs: single.Inputs, Outputs: single.Outputs}, true},
+	} {
+		bad, err := CheckCut(g, tc.cut, DefaultEnvs, 0x5eed)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := len(bad) > 0; got != tc.wrong {
+			t.Errorf("%s: %d mismatches %v, want mismatches %v", tc.name, len(bad), bad, tc.wrong)
 		}
 	}
 }
