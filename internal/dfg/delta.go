@@ -81,15 +81,15 @@ func (t *Traverser) GrowCut(S, delta, back *bitset.Set, o int, inputs *bitset.Se
 	S.Union(delta)
 }
 
-// ShrinkCut shrinks the incrementally maintained cut S after an input
-// push: S ← every member of S that still reaches a chosen output along a
-// path avoiding the inputs, so the newly chosen input and every vertex
-// whose last surviving path ran through it leave. The removed vertices
-// are recorded in removed (a subset of the old S), so the caller can undo
-// the push exactly with S.Union(removed).
+// ShrinkCut shrinks the incrementally maintained cut S after one or more
+// input pushes: S ← every member of S that still reaches a chosen output
+// along a path avoiding the inputs, so the newly chosen inputs and every
+// vertex whose last surviving path ran through them leave. The removed
+// vertices are recorded in removed (a subset of the old S), so the caller
+// can undo the pushes exactly with S.Union(removed).
 //
 // Preconditions: S is the exact cut of outs and the inputs before the
-// push, and inputs already contains the new input (push the input first,
+// pushes, and inputs already contains the new inputs (push them first,
 // then shrink). The new S is then a subset of the old one, and so is every
 // path it keeps (each vertex on it reaches an output avoiding the inputs),
 // so the backward closure from the outputs confined to the old S is exact.

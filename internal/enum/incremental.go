@@ -177,15 +177,17 @@ func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum
 // record: a resumed or parallel run starts every worker's counts at zero.
 // The work record (testdata/work.json) pins a serial run's counts.
 type work struct {
-	Shrinks      int `json:"shrinks"`       // shrinkS calls
-	FlowCalls    int `json:"flow_calls"`    // §5.3 flow bound asked for: uncuttable sets loaded
-	FlowRuns     int `json:"flow_runs"`     // max-flow kernel runs past the structural caps
-	FlowPrunes   int `json:"flow_prunes"`   // subtrees the flow bound pruned
-	MemoFills    int `json:"memo_fills"`    // cone memo entries filled
-	MemoHits     int `json:"memo_hits"`     // phase starts served from a cone memo entry
-	TreeFolds    int `json:"tree_folds"`    // analyses that folded a tree into the scratch tree
-	OverBudget   int `json:"over_budget"`   // candidates rejected because O(S) exceeds MaxOutputs
-	QuickRejects int `json:"quick_rejects"` // output pushes quickOffending rejected before the grow kernel
+	Shrinks        int `json:"shrinks"`          // shrinkS calls: one per completion
+	FlowCalls      int `json:"flow_calls"`       // §5.3 flow bound asked for: uncuttable sets loaded
+	FlowRuns       int `json:"flow_runs"`        // max-flow kernel runs past the structural caps
+	FlowPrunes     int `json:"flow_prunes"`      // subtrees the flow bound pruned
+	MemoFills      int `json:"memo_fills"`       // cone memo entries filled
+	MemoHits       int `json:"memo_hits"`        // phase starts served from a cone memo entry
+	TreeFolds      int `json:"tree_folds"`       // analyses that folded a tree into the scratch tree
+	OverBudget     int `json:"over_budget"`      // candidates rejected because O(S) exceeds MaxOutputs
+	QuickRejects   int `json:"quick_rejects"`    // output pushes quickOffending rejected before the grow kernel
+	ChainsInParent int `json:"chains_in_parent"` // served children the parent decided: no admissible completion
+	ServedFolds    int `json:"served_folds"`     // tree folds whose armed table a child read
 }
 
 type incEnum struct {
@@ -214,7 +216,6 @@ type incEnum struct {
 	chains   [][]int       // per-depth dominator-chain buffers
 	inRejs   []*bitset.Set // per chosen output: the completions §5.3 rejects for it
 	seedRejs []*bitset.Set // per-depth: the seeds §5.3 rejects in the seed loop
-	pending  int           // the last Ilist entries are seeds not yet applied to S
 	last     lastLevel     // the live two-inputs-left seed loop's chains (lastlevel.go)
 	cones    coneMemo      // input-free phase starts, by output (lastlevel.go)
 	fs       *flowScratch
@@ -491,35 +492,32 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 	if pBack != nil {
 		lastIn = e.Ilist[len(e.Ilist)-1]
 	}
+	inRej := e.bufAt(&e.inRejs, len(e.outs)-1)
+	if pBack != nil && ninLeft == 1 {
+		// A child with one input left below a seed loop reaches here only
+		// when its parent could not decide it alone: lastIn is not on the
+		// parent's chain (lastLevel.dominated), so o stays reachable, and
+		// the chain the parent read off the last-level table holds an
+		// admissible completion. With one input left the child runs no
+		// analysis, no seed loop and no flow bound.
+		e.countServed()
+		e.complete(depth, o, ninLeft, noutLeft, lastIn, e.chains[depth], inRej)
+		return
+	}
 	onPath := e.bufAt(&e.paths, depth)
 	back := e.bufAt(&e.backs, depth)
-	// A child with one input left below a seed loop reaches here only when
-	// the parent could not decide it alone (lastLevel.dominated): lastIn is
-	// not on the parent's chain, so o stays reachable, and the last-level
-	// table serves the chain. It needs no frontier either: with one input
-	// left it runs no seed loop and no flow bound.
-	//
 	// A phase start with no chosen input in o's cone reads its analysis,
 	// and its last-level tree, from the worker's cone memo (coneMemo).
 	// Anywhere else a level with two inputs left folds its tree into the
 	// worker's scratch tree as it analyses.
-	served := pBack != nil && ninLeft == 1
 	reachable, top := true, -1 // top: set from a memo entry, else found below
 	var chain []int
 	var memo *coneEntry
-	switch {
-	case served:
-		if !e.last.served {
-			e.last.served = true
-			e.stats.LastLevelTables++
-		}
-		e.stats.LastLevelLookups++
-		chain = e.last.chainFor(lastIn, e.chainBuf(depth))
-	case pBack == nil && !e.Iuser.Intersects(e.g.ReachTo(o)):
+	if pBack == nil && !e.Iuser.Intersects(e.g.ReachTo(o)) {
 		memo = e.coneEntry(o, back, onPath, e.chainBuf(depth))
 		reachable, top = memo.reach, int(memo.top)
 		chain = append(e.chainBuf(depth), e.cones.chainOf(memo)...)
-	default:
+	} else {
 		var tree []treeNode
 		if ninLeft == 2 {
 			tree = e.last.scratchTree(e.g)
@@ -539,37 +537,11 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 		}
 		return
 	}
-	inRej := e.bufAt(&e.inRejs, len(e.outs)-1)
 	if pBack == nil {
 		e.inputRejectsInto(inRej, o)
 	}
-
-	// Completion step: every reduced-graph dominator of o extends I to a
-	// multiple-vertex dominator of o. The completion is the phase's
-	// smallest input: the chain ascends, so it stops at the first vertex
-	// above the phase's last (smallest) seed.
-	for _, u := range chain {
-		if e.stopped {
-			return
-		}
-		if u > lastIn {
-			break
-		}
-		if e.outSet.Has(u) {
-			continue // a chosen output cannot double as an input
-		}
-		if inRej.Has(u) {
-			e.stats.SeedsPruned++
-			continue
-		}
-		e.flushSeeds(depth)
-		e.pushInput(u)
-		e.shrinkS(depth)
-		if e.viable(ninLeft - 1) {
-			e.checkCut(depth+1, o, ninLeft-1, noutLeft)
-		}
-		e.undoShrinkS(depth)
-		e.popInput(u)
+	if e.complete(depth, o, ninLeft, noutLeft, lastIn, chain, inRej); e.stopped {
+		return
 	}
 
 	// Seed extension step: push another on-path ancestor of o and recurse.
@@ -646,24 +618,105 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 					e.stats.SeedsPruned++
 					continue
 				}
-				if ninLeft == 2 && e.last.dominated(i) {
-					// Blocking i cuts o off, and the child would check no
-					// cut (its cut is checked where i completes the chain),
-					// so the parent runs its poll and its one LTRuns, but
-					// no push and no call.
-					if !e.poll() {
+				if ninLeft == 2 && e.decideLastLevel(depth, i, inRej) {
+					if e.stopped {
 						return
 					}
-					e.stats.LTRuns++
 					continue
 				}
 				// No viable() guard: ninLeft-1 ≥ 1 inputs stay, so it holds.
-				e.pushSeed(i)
+				// A seed push leaves S alone: the completion below applies it.
+				e.pushInput(i)
 				e.pickInputs(depth+1, o, ninLeft-1, noutLeft, back)
-				e.popSeed(depth, i)
+				e.popInput(i)
 			}
 		}
 	}
+}
+
+// complete runs PICK-INPUTS' completion step: every reduced-graph
+// dominator u of o in chain extends I to a multiple-vertex dominator of o.
+// The completion is the phase's smallest input: the chain ascends, so it
+// stops at the first vertex above the phase's last (smallest) seed,
+// lastIn. A completion applies every chosen input the phase added to S at
+// once (shrinkS), checks the cut and pops both.
+func (e *incEnum) complete(depth, o, ninLeft, noutLeft, lastIn int, chain []int, inRej *bitset.Set) {
+	for _, u := range chain {
+		if e.stopped {
+			return
+		}
+		if u > lastIn {
+			break
+		}
+		if e.outSet.Has(u) {
+			continue // a chosen output cannot double as an input
+		}
+		if inRej.Has(u) {
+			e.stats.SeedsPruned++
+			continue
+		}
+		e.pushInput(u)
+		e.shrinkS(depth)
+		if e.viable(ninLeft - 1) {
+			e.checkCut(depth+1, o, ninLeft-1, noutLeft)
+		}
+		e.undoShrinkS(depth)
+		e.popInput(u)
+	}
+}
+
+// decideLastLevel settles, inside a seed loop with two inputs left, the
+// child that seed s would recurse into, when that child would check no
+// cut: it reports true when there is nothing to push. A seed on the
+// armed chain cuts o off (lastLevel.dominated), and the child's cut is
+// checked where s completes the chain. Otherwise the parent reads the
+// child's chain off the table into the chain buffer of depth+1, where a
+// served child finds it, and when no member is admissible — each is a
+// chosen output or one inRej rejects — the child would only count. Either
+// way the parent runs the child's poll and counts what the child would
+// have, with no push and no call.
+func (e *incEnum) decideLastLevel(depth, s int, inRej *bitset.Set) bool {
+	dominated := e.last.dominated(s)
+	pruned := 0
+	if !dominated {
+		chain := e.last.chainFor(s, e.chainBuf(depth+1))
+		e.chains[depth+1] = chain
+		for _, u := range chain {
+			if e.outSet.Has(u) {
+				continue
+			}
+			if !inRej.Has(u) {
+				return false // the child has a completion to check
+			}
+			pruned++
+		}
+	}
+	if !e.poll() {
+		return true
+	}
+	e.stats.LTRuns++
+	if !dominated {
+		e.countServed()
+		e.stats.SeedsPruned += pruned
+		e.work.ChainsInParent++
+	}
+	return true
+}
+
+// countServed counts one child served a chain by the armed last-level
+// table, whether the child or its parent completes it. The first such
+// child marks the table used (Stats.LastLevelTables) and, when the
+// parent's own sweep folded the table's tree, counts that fold as read
+// (work.ServedFolds).
+func (e *incEnum) countServed() {
+	if !e.last.served {
+		e.last.served = true
+		e.stats.LastLevelTables++
+		if e.last.swept {
+			e.work.ServedFolds++
+		}
+	}
+	e.stats.LastLevelLookups++
 }
 
 // coneEntry returns the cone memo's entry for output o, whose ancestor
@@ -777,7 +830,6 @@ func (e *incEnum) resetChoice() {
 	e.outSet.Clear()
 	e.Ilist = e.Ilist[:0]
 	e.Iuser.Clear()
-	e.pending = 0
 	e.S.Clear()
 }
 

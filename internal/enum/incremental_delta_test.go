@@ -16,8 +16,9 @@ import (
 	"polyise/internal/bitset"
 )
 
-// engineOp is one applied push, replayed backward to undo. A seed push
-// (seed) may still be pending: its shrink deferred until the next flush.
+// engineOp is one push, replayed backward to undo: an output push, a seed
+// push (seed), which leaves S alone, or a completion, whose one shrink
+// applies every input pushed so far.
 type engineOp struct {
 	isOutput bool
 	seed     bool
@@ -25,11 +26,21 @@ type engineOp struct {
 	depth    int
 }
 
+// unapplied counts the seeds no completion has applied yet: the run of
+// seed pushes on top of the stack.
+func unapplied(stack []engineOp) int {
+	k := 0
+	for k < len(stack) && stack[len(stack)-1-k].seed {
+		k++
+	}
+	return k
+}
+
 // sMatchesRebuild reports whether S is the from-scratch cut of the chosen
-// outputs and the applied inputs: every chosen input except the pending
-// seeds, whose shrinks have not run yet.
-func (e *incEnum) sMatchesRebuild(scratch *bitset.Set) bool {
-	seeds := e.Ilist[len(e.Ilist)-e.pending:]
+// outputs and the applied inputs: every chosen input but the last pending
+// ones, the seeds no completion has applied yet.
+func (e *incEnum) sMatchesRebuild(scratch *bitset.Set, pending int) bool {
+	seeds := e.Ilist[len(e.Ilist)-pending:]
 	for _, v := range seeds {
 		e.Iuser.Remove(v)
 	}
@@ -49,7 +60,7 @@ func (e *incEnum) undo(op engineOp) {
 		e.outSet.Remove(op.v)
 		e.outs = e.outs[:len(e.outs)-1]
 	case op.seed:
-		e.popSeed(op.depth, op.v)
+		e.popInput(op.v)
 	default:
 		e.undoShrinkS(op.depth)
 		e.popInput(op.v)
@@ -57,15 +68,16 @@ func (e *incEnum) undo(op engineOp) {
 }
 
 // TestEngineDeltaSMatchesRebuildS drives random push/undo sequences
-// through the engine, deferred seed pushes included: runs of pending
-// seeds, flushes, and undos of flushed and still-pending seeds alike. S
-// must match the rebuild over the applied inputs after every step. Seeds
-// are drawn from the cut with every chosen input blocked, as the search
-// draws them from the surviving-path region, and outputs and completion
-// inputs are pushed only with no seed pending, as the search pushes them
-// only after a flush. ShrinkCut recomputes S from the input set, so this
-// also checks that a flush shows each shrink only the seeds pushed before
-// it.
+// through the engine: output pushes, seed pushes that leave S alone until
+// a completion, and completions that apply every input pushed so far with
+// one shrink. S must match the rebuild over the applied inputs after every
+// push and pop, and each completion must run exactly one shrink and each
+// seed push none. Seeds and completions are drawn from the cut with every
+// chosen input blocked, as the search draws them from the surviving-path
+// region and the reduced-graph chain, and outputs are pushed only with no
+// seed pending, as the search pushes them only below a completion.
+// ShrinkCut recomputes S from the input set, so this also checks that one
+// shrink over a run of seeds and their completion is exact.
 func TestEngineDeltaSMatchesRebuildS(t *testing.T) {
 	t.Run("delta", func(t *testing.T) { checkEngineDeltaS(t) })
 }
@@ -80,58 +92,64 @@ func checkEngineDeltaS(t *testing.T) {
 		var stack []engineOp
 		depth := 0
 
-		// pickIn draws a non-output member of set, or -1.
-		pickIn := func(set *bitset.Set) int {
+		// pickIn draws a non-output member of the cut with every chosen
+		// input blocked, or -1.
+		pickIn := func() int {
+			e.tr.CutNodesInto(ref, e.outs, e.Iuser)
 			for probe := 0; probe < 8; probe++ {
 				c := r.Intn(g.N())
-				if set.Has(c) && !e.outSet.Has(c) {
+				if ref.Has(c) && !e.outSet.Has(c) {
 					return c
 				}
 			}
 			return -1
 		}
 		for step := 0; step < 80; step++ {
+			shrinks := e.work.Shrinks
+			op := engineOp{depth: depth}
 			switch k := r.Intn(6); {
 			case k == 0 && len(stack) > 0: // undo the top push
 				e.undo(stack[len(stack)-1])
 				stack = stack[:len(stack)-1]
 				depth--
-			case k == 1 && e.pending > 0:
-				e.flushSeeds(depth)
-			case k == 2 && len(e.outs) > 0: // defer a seed push
-				e.tr.CutNodesInto(ref, e.outs, e.Iuser)
-				w := pickIn(ref)
-				if w < 0 {
+			case k == 2 && len(e.outs) > 0: // push a seed, leaving S alone
+				if op.v = pickIn(); op.v < 0 {
 					continue
 				}
-				e.pushSeed(w)
-				stack = append(stack, engineOp{seed: true, v: w, depth: depth})
-				depth++
-			case e.pending > 0:
-				continue
-			case k == 3 || e.S.Empty(): // push an output
-				o := r.Intn(g.N())
-				if e.S.Has(o) || e.Iuser.Has(o) || e.outSet.Has(o) {
+				op.seed = true
+				e.pushInput(op.v)
+			case (k == 3 || e.S.Empty()) && unapplied(stack) == 0: // push an output
+				if op.v = r.Intn(g.N()); e.S.Has(op.v) || e.Iuser.Has(op.v) || e.outSet.Has(op.v) {
 					continue
 				}
-				e.outs = append(e.outs, o)
-				e.outSet.Add(o)
+				op.isOutput = true
+				e.outs = append(e.outs, op.v)
+				e.outSet.Add(op.v)
 				e.growS(depth)
-				stack = append(stack, engineOp{isOutput: true, v: o, depth: depth})
-				depth++
-			default: // push an input from inside S
-				w := pickIn(e.S)
-				if w < 0 {
+			case len(e.outs) > 0: // complete: one shrink for it and the pending seeds
+				if op.v = pickIn(); op.v < 0 {
 					continue
 				}
-				e.pushInput(w)
+				e.pushInput(op.v)
 				e.shrinkS(depth)
-				stack = append(stack, engineOp{v: w, depth: depth})
+			default:
+				continue
+			}
+			if depth == op.depth { // a push, not an undo
+				want := shrinks
+				if !op.seed && !op.isOutput {
+					want++
+				}
+				if e.work.Shrinks != want {
+					t.Logf("seed=%d step=%d: %d shrinks for push %+v, want %d", seed, step, e.work.Shrinks-shrinks, op, want-shrinks)
+					return false
+				}
+				stack = append(stack, op)
 				depth++
 			}
-			if !e.sMatchesRebuild(ref) {
-				t.Logf("seed=%d step=%d: S=%v rebuild=%v outs=%v I=%v pending=%v",
-					seed, step, e.S.Members(), ref.Members(), e.outs, e.Ilist, e.pending)
+			if !e.sMatchesRebuild(ref, unapplied(stack)) {
+				t.Logf("seed=%d step=%d: S=%v rebuild=%v outs=%v I=%v pending=%d",
+					seed, step, e.S.Members(), ref.Members(), e.outs, e.Ilist, unapplied(stack))
 				return false
 			}
 		}
@@ -140,11 +158,11 @@ func checkEngineDeltaS(t *testing.T) {
 		for len(stack) > 0 {
 			e.undo(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
-			if !e.sMatchesRebuild(ref) {
+			if !e.sMatchesRebuild(ref, unapplied(stack)) {
 				return false
 			}
 		}
-		return e.S.Empty() && e.pending == 0
+		return e.S.Empty() && e.Iuser.Empty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,10 @@ import (
 // cutoff, docs/ALGORITHM.md §5): nothing below such a seed can complete
 // the phase. Of the children it does reach, those whose seed is on D are
 // decided by dominated in O(1), before any push: blocking the seed leaves
-// o unreachable. Only the rest are served, by chainFor.
+// o unreachable. Only the rest are served, by chainFor, which the parent
+// calls itself: a child whose chain holds no admissible completion is
+// decided there too, and the others read the chain their parent left
+// (incEnum.decideLastLevel).
 //
 // The tree comes from the parent's own analysis: at a level that will arm
 // a table, analyzePaths ranks H and records each vertex's immediate
@@ -58,6 +61,7 @@ type lastLevel struct {
 	tree   []treeNode  // the armed parent's tree, by rank
 	built  bool        // the armed tree's L values cover every seed a child can ask about
 	served bool        // a child of the armed loop was served (Stats.LastLevelTables)
+	swept  bool        // the armed tree was folded by the parent's own sweep (work.ServedFolds)
 
 	scratch []treeNode // what analyses at two inputs left fold into, sized n
 	rank    []int32    // vertex → rank, valid only within one sweep
@@ -89,7 +93,7 @@ func (t *lastLevel) scratchTree(g *dfg.Graph) []treeNode {
 // its L values folded up to o−1 when built is set.
 func (t *lastLevel) arm(onPath *bitset.Set, chain []int, top int, tree []treeNode, built bool) {
 	t.onPath, t.chain, t.top, t.tree = onPath, chain, top, tree
-	t.next, t.built, t.served = len(chain), built, false
+	t.next, t.built, t.served, t.swept = len(chain), built, false, !built
 }
 
 // dominated reports whether seed s (an H vertex from top up to o) is on D,

@@ -475,11 +475,11 @@ func TestLastLevelCounters(t *testing.T) {
 }
 
 // TestShrinkCutWork pins the cut-shrink work of a serial run on both gap
-// instances: every completion shrinks S, but a seed push shrinks it only
-// when a completion below it checks a cut (flushSeeds), so most seeds —
-// those whose subtrees die in analysis — never pay for the kernel.
+// instances: a seed push leaves S alone, and each completion runs one
+// shrink over every chosen input, its phase's seeds included, so a seed
+// pays for the kernel only through the completions below it.
 func TestShrinkCutWork(t *testing.T) {
-	want := map[string]int{"mibench-n140-seed5": 15791, "mibench-n220-seed17": 37635}
+	want := map[string]int{"mibench-n140-seed5": 8591, "mibench-n220-seed17": 20995}
 	for _, gi := range workload.GapRegressionInstances() {
 		w, ok := want[gi.Name]
 		if !ok {

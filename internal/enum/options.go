@@ -48,12 +48,14 @@
 // S by the memoized backward cone of the new output, or by a backward
 // closure through the cone when a chosen input blocks part of it
 // (dfg.Traverser.GrowCut, whose B(I, o) ∪ {o} the output's phase start
-// reuses as its first reaches-o frontier), and an input push shrinks S to
+// reuses as its first reaches-o frontier), and a completion shrinks S to
 // the backward closure from the chosen outputs avoiding the inputs,
-// confined to the old S (dfg.Traverser.ShrinkCut). Each push records
-// exactly the vertices it changed in a per-depth undo journal, so
-// backtracking is one word-parallel Subtract/Union. A seed push defers its shrink until a cut is
-// checked below it (flushSeeds). Reduced-graph dominators are read off a
+// confined to the old S (dfg.Traverser.ShrinkCut). A seed push leaves S
+// alone, since only the cut checks below a completion read it: the
+// completion's one shrink applies every input its phase chose (shrinkS).
+// Each output push and completion records exactly the vertices it changed
+// in a per-depth undo journal, so backtracking is one word-parallel
+// Subtract/Union. Reduced-graph dominators are read off a
 // running-max sweep over the surviving-path region (analyzePaths), which
 // exploits vertex ids being a topological order (dfg.Graph.AddNode): bit
 // index ≡ topological position, so "does any surviving edge jump over v"
@@ -68,7 +70,11 @@
 // on-path set and the reduced-graph dominators fall out of one fused
 // ascending pass over that frontier with no forward closure at all; an
 // output push that is doomed with the input budget exhausted is rejected
-// by one word-parallel scan before the grow kernel runs (quickOffending).
+// by one word-parallel scan before the grow kernel runs (quickOffending);
+// and the last input level is resolved inside its parent (lastlevel.go):
+// the parent reads each child's chain off its last-level table, and a
+// child that would find no admissible completion is decided there, with
+// no push and no call.
 // CHECK-CUT's §3 validation is not incremental: at |S| of a few vertices
 // per candidate, one sweep of S's adjacency rows (Validator's load) derives
 // I(S), O(S) and the convexity frontiers for less than keeping them in

@@ -387,7 +387,6 @@ func (e *incEnum) runUnitBody(u workUnit) {
 	for _, i := range e.Ilist {
 		e.Iuser.Add(i)
 	}
-	e.pending = 0
 	e.rebuildS() // S is a pure function of the prefixes just installed
 	e.pickOutputRange(u.depth, u.posStart, u.posEnd, u.ninLeft, u.noutLeft)
 }

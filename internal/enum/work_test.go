@@ -51,6 +51,9 @@ func workBlocks() []workBlock {
 		mib(160, 2, [][2]int{{4, 2}}, nil, false), // the `deep` workload's MiBench block
 		mib(40, 5, [][2]int{{4, 2}}, nil, true),   // BenchmarkFigure5's small cluster
 		mib(120, 5, [][2]int{{4, 2}}, nil, true),  // and its medium cluster
+		mib(90, 3, [][2]int{{4, 2}}, nil, false),  // the `stream` workload's blocks
+		mib(120, 4, [][2]int{{4, 2}}, nil, false),
+		{"tree-depth5", workload.Tree(5, 2), [][2]int{{4, 2}}, nil, false},
 	}
 }
 
@@ -106,10 +109,12 @@ func serialWork(g *dfg.Graph, opt Options) (Stats, work) {
 // may exceed the recorded value by at most allocSlack and is skipped under
 // -race. Every counter is a function of the search alone, so any drift is
 // a behaviour change; if it is intended, regenerate the record with `make
-// work-json`. Each row also checks that every candidate is accounted for
-// (Valid + Duplicates + Invalid + OverBudget), and the Stats half of the
-// n=140 gap instance's 4/2 and 6/2 rows must hold at 3 workers too.
-// -short (the race run) keeps the rows of at most 150 nodes at 4/2.
+// work-json`: under -update the departures are logged, not failed on.
+// Each row also checks that every candidate is accounted for (Valid +
+// Duplicates + Invalid + OverBudget), and the Stats half of the n=140 gap
+// instance's 4/2 and 6/2 rows must hold at 3 workers too; either failure
+// refuses the rewrite. -short (the race run) keeps the rows of at most 150
+// nodes at 4/2.
 func TestWorkRecord(t *testing.T) {
 	full := os.Getenv("POLYISE_ORACLE_BUDGET") != ""
 	if *update && (!full || testing.Short() || raceEnabled) {
@@ -124,6 +129,10 @@ func TestWorkRecord(t *testing.T) {
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			t.Fatalf("%s: %v", workRecord, err)
 		}
+	}
+	departs := t.Errorf
+	if *update {
+		departs = t.Logf
 	}
 	recorded := map[string]workRow{}
 	for _, r := range rec.Rows {
@@ -171,7 +180,7 @@ func TestWorkRecord(t *testing.T) {
 				want.AllocsPerOp = 0
 			}
 			for _, d := range diffRows(got, want) {
-				t.Errorf("%s: %s", key, d)
+				departs("%s: %s", key, d)
 			}
 		}
 	}

@@ -105,10 +105,11 @@ func (r CutReport) String() string {
 // CheckCuts enumerates every cut of g under cfg.Options and, for each,
 // asserts that collapsing the cut — with the extracted datapath as the
 // custom instruction's implementation — leaves the block's observable
-// behaviour unchanged: every surviving node's value and the full memory
-// state (initialized from a seeded pseudorandom image so load/store
-// reordering is visible, the PR 1 memory-dependence edge class) must match
-// the original's on cfg.Envs randomized environments per cut.
+// behaviour unchanged: every surviving node's value, the value of every
+// output of the cut and the full memory state (initialized from a seeded
+// pseudorandom image so load/store reordering is visible, the
+// memory-dependence edge class) must match the original's on cfg.Envs
+// randomized environments per cut.
 //
 // Coverage is seed-addressable: environments for cut k derive from
 // (cfg.Seed, k) only, so any reported divergence replays exactly under the
@@ -207,10 +208,13 @@ func CheckCuts(name string, g *dfg.Graph, cfg CutConfig) CutReport {
 
 // CheckCut certifies one cut of g: the collapsed graph, with the extracted
 // datapath as the custom instruction's implementation, is executed against
-// the original on envs randomized environments derived from seed. It
-// returns one description per diverging environment (nil means the cut is
-// semantics-preserving on this coverage) and an error when the pipeline
-// itself fails (extraction, collapse, or an interpreter refusal).
+// the original on envs randomized environments derived from seed, which
+// must agree on every surviving node, on the value of every output of the
+// cut and on the memory. It returns one description per environment whose
+// values diverge (the lowest diverging node) and one per environment whose
+// memory does (nil means the cut is semantics-preserving on this coverage),
+// and an error when the pipeline itself fails (extraction, collapse, or an
+// interpreter refusal).
 func CheckCut(g *dfg.Graph, c enum.Cut, envs int, seed int64) ([]string, error) {
 	fn, err := interp.CutFn(g, c.Nodes, c.Outputs)
 	if err != nil {
@@ -220,12 +224,36 @@ func CheckCut(g *dfg.Graph, c enum.Cut, envs int, seed int64) ([]string, error) 
 	if err != nil {
 		return nil, fmt.Errorf("collapse: %w", err)
 	}
-	// The survivors in ascending original id, so every environment compares
-	// them in the same order and reports the lowest diverging node.
-	survivors := make([][2]int, 0, len(cmap))
-	for orig := 0; orig < g.N(); orig++ {
+	// The collapsed graph's value for each output of the cut, in ascending
+	// id: the custom node itself when there is one output, otherwise its
+	// OpExtract selector k. They are the collapsed nodes no original maps
+	// to. Comparing them catches a wrong value that reaches no survivor,
+	// such as one read only by a live-out inside the cut.
+	outs := g.Outputs(c.Nodes)
+	results := make([]int, len(outs))
+	mapped := make([]bool, collapsed.N())
+	for _, nid := range cmap {
+		mapped[nid] = true
+	}
+	for v := range mapped {
+		switch {
+		case mapped[v]:
+		case collapsed.Op(v) == dfg.OpCustom && len(outs) == 1:
+			results[0] = v
+		case collapsed.Op(v) == dfg.OpExtract:
+			results[collapsed.ConstValue(v)] = v
+		}
+	}
+	// The survivors and the outputs in ascending original id, so every
+	// environment compares them in the same order and reports the lowest
+	// diverging node.
+	compared := make([][2]int, 0, len(cmap)+len(outs))
+	for orig, k := 0, 0; orig < g.N(); orig++ {
 		if nid, ok := cmap[orig]; ok {
-			survivors = append(survivors, [2]int{orig, nid})
+			compared = append(compared, [2]int{orig, nid})
+		} else if k < len(outs) && outs[k] == orig {
+			compared = append(compared, [2]int{orig, results[k]})
+			k++
 		}
 	}
 	customs := map[string]interp.CustomFn{"oracle": fn}
@@ -254,7 +282,7 @@ func CheckCut(g *dfg.Graph, c enum.Cut, envs int, seed int64) ([]string, error) 
 		if err != nil {
 			return nil, fmt.Errorf("env %d: collapsed: %w", e, err)
 		}
-		for _, sv := range survivors {
+		for _, sv := range compared {
 			orig, nid := sv[0], sv[1]
 			if resA.Values[orig] != resB.Values[nid] {
 				mismatches = append(mismatches, fmt.Sprintf("env=%d node %d: %d vs %d",

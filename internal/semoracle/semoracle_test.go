@@ -358,34 +358,47 @@ func TestIterativeSelectorPicksRoundOptimum(t *testing.T) {
 // z = ((a+b) − (a−b)) ^ a, the two-output cut {s, d} and the one-output
 // cut {s} check clean, but {s, d} with its Outputs swapped, and {s}'s
 // inputs and outputs over the node set {s, m}, must each report a
-// mismatch. (The oracle compares the nodes that survive the collapse, so
-// each wrong value here reaches one: m or z.)
+// mismatch. The same holds on the block without z, where m = s − d is
+// live-out and read by nothing: there the wrong value reaches no
+// survivor, only the collapsed graph's value for the cut's output m.
 func TestCheckCutCatchesWrongCuts(t *testing.T) {
-	g := dfg.New()
-	a := g.MustAddNode(dfg.OpVar, "a")
-	b := g.MustAddNode(dfg.OpVar, "b")
-	s := g.MustAddNode(dfg.OpAdd, "s", a, b)
-	d := g.MustAddNode(dfg.OpSub, "d", a, b)
-	m := g.MustAddNode(dfg.OpSub, "m", s, d)
-	z := g.MustAddNode(dfg.OpXor, "z", m, a)
-	if err := g.MarkLiveOut(z); err != nil {
-		t.Fatal(err)
+	build := func(consumer bool) *dfg.Graph {
+		g := dfg.New()
+		a := g.MustAddNode(dfg.OpVar, "a")
+		b := g.MustAddNode(dfg.OpVar, "b")
+		s := g.MustAddNode(dfg.OpAdd, "s", a, b)
+		d := g.MustAddNode(dfg.OpSub, "d", a, b)
+		m := g.MustAddNode(dfg.OpSub, "m", s, d)
+		live := m
+		if consumer {
+			live = g.MustAddNode(dfg.OpXor, "z", m, a)
+		}
+		if err := g.MarkLiveOut(live); err != nil {
+			t.Fatal(err)
+		}
+		g.MustFreeze()
+		return g
 	}
-	g.MustFreeze()
+	const a, b, s, d, m = 0, 1, 2, 3, 4
+	g, bare := build(true), build(false)
 	n := g.N()
 	pair := enum.Cut{Nodes: bitset.FromMembers(n, s, d), Inputs: []int{a, b}, Outputs: []int{s, d}}
 	single := enum.Cut{Nodes: bitset.FromMembers(n, s), Inputs: []int{a, b}, Outputs: []int{s}}
+	tail := enum.Cut{Nodes: bitset.FromMembers(bare.N(), s, d, m), Inputs: []int{a, b}, Outputs: []int{m}}
 	for _, tc := range []struct {
 		name  string
+		g     *dfg.Graph
 		cut   enum.Cut
 		wrong bool
 	}{
-		{"pair", pair, false},
-		{"single", single, false},
-		{"pair with outputs swapped", enum.Cut{Nodes: pair.Nodes, Inputs: pair.Inputs, Outputs: []int{d, s}}, true},
-		{"single over the wrong nodes", enum.Cut{Nodes: bitset.FromMembers(n, s, m), Inputs: single.Inputs, Outputs: single.Outputs}, true},
+		{"pair", g, pair, false},
+		{"single", g, single, false},
+		{"pair with outputs swapped", g, enum.Cut{Nodes: pair.Nodes, Inputs: pair.Inputs, Outputs: []int{d, s}}, true},
+		{"single over the wrong nodes", g, enum.Cut{Nodes: bitset.FromMembers(n, s, m), Inputs: single.Inputs, Outputs: single.Outputs}, true},
+		{"no consumer: tail", bare, tail, false},
+		{"no consumer: single over the wrong nodes", bare, enum.Cut{Nodes: bitset.FromMembers(bare.N(), s, m), Inputs: single.Inputs, Outputs: single.Outputs}, true},
 	} {
-		bad, err := CheckCut(g, tc.cut, DefaultEnvs, 0x5eed)
+		bad, err := CheckCut(tc.g, tc.cut, DefaultEnvs, 0x5eed)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
