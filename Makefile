@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check loc bench bench-scaling work-json scenario-json profile perfbench fuzz ci
+.PHONY: build vet test test-race chaos crash soak diff-oracle diff-oracle-quick semoracle semoracle-quick coverage-floor docs-check loc bench bench-scaling work-json scenario-json profile perfbench pairs fuzz ci
 
 build:
 	$(GO) build ./...
@@ -188,6 +188,19 @@ perfbench:
 	for w in deep pipeline stream; do \
 		python3 perfbench/run.py --workload $$w --seed $(PERFBENCH_SEED) --seconds $(PERFBENCH_SECONDS) --trace 1 || exit 1; \
 	done
+
+# Alternating benchmark pairs against another checkout (scripts/pairs.py):
+# PAIRS runs of perfbench/run.py per side on WORKLOAD, seeds PERFBENCH_SEED
+# on, the parent first in every other pair; it prints each side's medians
+# and quartiles, the per-pair ratios and wins, and whether a gain holds
+# (nine wins in ten, a median shift beyond the parent's IQR). PARENT is the
+# other checkout's root, e.g. `git archive <rev> | tar -x -C ../parent`.
+PAIRS ?= 10
+WORKLOAD ?= deep
+
+pairs:
+	@test -n "$(PARENT)" || { echo "pairs: set PARENT to the parent checkout's root"; exit 1; }
+	python3 scripts/pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(PERFBENCH_SEED) --seconds $(PERFBENCH_SECONDS)
 
 # Short fuzz runs over the untrusted entry points: the graphio parser, the
 # expression compiler, the interpreter and the snapshot decoder (resume

@@ -60,7 +60,7 @@ func (e *incEnum) admissibleOutput(o int) bool {
 	return true
 }
 
-// inputRejectsInto sets m to the completions of output o that the §5.3
+// inputRejectsInto sets m to the inputs of output o that the §5.3
 // output–input pruning rejects, for one lookup per candidate. An input's
 // private path to the output lies inside the cut after the input, so a
 // forbidden-free path to o must exist: the base is the complement of o's
@@ -83,7 +83,7 @@ func (e *incEnum) inputRejectsInto(m *bitset.Set, o int) {
 
 // seedRejectsInto sets m to the seeds of the current output's seed loop
 // that the §5.3 prunings reject, for one lookup per candidate: the
-// completions inRej rejects (inputRejectsInto) and, for the input–input
+// inputs inRej rejects (inputRejectsInto) and, for the input–input
 // pruning, every vertex related by postdominance to a chosen input — two
 // such inputs can never coexist in a valid cut under the technical
 // condition.

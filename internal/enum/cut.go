@@ -30,8 +30,13 @@ func (c Cut) Clone() Cut {
 	return Cut{Nodes: c.Nodes.Clone(), Inputs: in, Outputs: out}
 }
 
-// cutChunk is how many kept cuts share one node-set chunk (cutSlab).
-const cutChunk = 128
+// A cut slab's chunks grow geometrically from firstCutChunk to cutChunk
+// kept cuts, so a run that keeps a handful of cuts allocates for a
+// handful; each chunk comes with an []int slab of 8 ints per row.
+const (
+	firstCutChunk = 8
+	cutChunk      = 128
+)
 
 // cutSlab gives the incremental search's kept cuts (Options.KeepCuts)
 // their storage: each cut's node set is a row of a bitset.NewRows chunk
@@ -40,21 +45,23 @@ const cutChunk = 128
 // chunk. Nothing is handed out twice, so kept cuts never share storage; a
 // retained cut keeps its whole chunk and slab alive. Each worker owns one.
 type cutSlab struct {
-	rows []*bitset.Set // the current chunk's rows not yet handed out
-	ints []int         // the current slab; len is the part handed out
+	rows  []*bitset.Set // the current chunk's rows not yet handed out
+	ints  []int         // the current slab; len is the part handed out
+	chunk int           // rows in the last chunk, 0 before the first
 }
 
 // keep returns a copy of c backed by the slab.
 func (s *cutSlab) keep(c Cut) Cut {
 	if len(s.rows) == 0 {
-		s.rows = bitset.NewRows(cutChunk, c.Nodes.Cap())
+		s.chunk = min(max(2*s.chunk, firstCutChunk), cutChunk)
+		s.rows = bitset.NewRows(s.chunk, c.Nodes.Cap())
 	}
 	nodes := s.rows[0]
 	s.rows = s.rows[1:]
 	nodes.Copy(c.Nodes)
 	ni, k := len(c.Inputs), len(c.Inputs)+len(c.Outputs)
 	if cap(s.ints)-len(s.ints) < k {
-		s.ints = make([]int, 0, max(cutChunk*8, k))
+		s.ints = make([]int, 0, max(s.chunk*8, k))
 	}
 	at := len(s.ints)
 	s.ints = append(append(s.ints, c.Inputs...), c.Outputs...)

@@ -13,26 +13,28 @@ import (
 // TestFlowBoundWork pins the §5.3 flow bound's work in a serial run of the
 // four `deep` blocks and the n=220 gap instance at Nin=4, and of n140,
 // tree(6,2) and butterfly(4) at Nin=6, where the bound runs some forty
-// times as often: how often the seed loop loads the uncuttable sets and
-// asks for the bound (calls), how often the structural caps leave the
-// max-flow kernel to run (runs), and how often it prunes. The kernel's
-// value is exact, so a faster kernel keeps all three.
+// times as often: how often a seed level loads the rejected set and asks
+// for the bound (calls), how often the structural caps leave the max-flow
+// kernel to run (runs), how many augmenting-path searches the kernel runs
+// after its one-pass phase (augments), and how often it prunes. The
+// kernel's value is exact, so a faster kernel keeps calls, runs and
+// prunes.
 func TestFlowBoundWork(t *testing.T) {
 	gap := workload.GapRegressionInstances()
 	blocks := []struct {
-		name                string
-		g                   *dfg.Graph
-		nin, cuts           int
-		calls, runs, prunes int
+		name                          string
+		g                             *dfg.Graph
+		nin, cuts                     int
+		calls, runs, augments, prunes int
 	}{
-		{gap[0].Name, gap[0].Graph(), 4, gap[0].WantCuts, 3237, 2669, 2175},
-		{gap[1].Name, gap[1].Graph(), 4, gap[1].WantCuts, 5970, 4460, 2902},
-		{"mibench-n160-seed2", workload.MiBenchLike(rand.New(rand.NewSource(2)), 160, workload.DefaultProfile()), 4, 4497, 1216, 737, 321},
-		{"tree-depth6", workload.Tree(6, 2), 4, 1911, 757, 582, 509},
-		{"butterfly-4", workload.Butterfly(4), 4, 1800, 1008, 800, 640},
-		{gap[0].Name, gap[0].Graph(), 6, 7668, 144925, 120943, 92609},
-		{"tree-depth6", workload.Tree(6, 2), 6, 11181, 32041, 24221, 20590},
-		{"butterfly-4", workload.Butterfly(4), 6, 1800, 68656, 57584, 46624},
+		{gap[0].Name, gap[0].Graph(), 4, gap[0].WantCuts, 3370, 2683, 508, 2175},
+		{gap[1].Name, gap[1].Graph(), 4, gap[1].WantCuts, 6302, 4546, 1645, 2902},
+		{"mibench-n160-seed2", workload.MiBenchLike(rand.New(rand.NewSource(2)), 160, workload.DefaultProfile()), 4, 4497, 1355, 747, 426, 321},
+		{"tree-depth6", workload.Tree(6, 2), 4, 1911, 820, 582, 73, 509},
+		{"butterfly-4", workload.Butterfly(4), 4, 1800, 1072, 800, 160, 640},
+		{gap[0].Name, gap[0].Graph(), 6, 7668, 153513, 121564, 28963, 92609},
+		{"tree-depth6", workload.Tree(6, 2), 6, 11181, 33952, 24221, 3631, 20590},
+		{"butterfly-4", workload.Butterfly(4), 6, 1800, 71776, 57584, 10960, 46624},
 	}
 	for _, blk := range blocks {
 		if testing.Short() && (blk.g.N() > 150 || blk.nin > 4) {
@@ -46,9 +48,10 @@ func TestFlowBoundWork(t *testing.T) {
 		for pos := 0; pos < blk.g.N(); pos++ {
 			e.pickOutputRange(0, pos, pos+1, opt.MaxInputs, opt.MaxOutputs)
 		}
-		if cuts != blk.cuts || e.work.FlowCalls != blk.calls || e.work.FlowRuns != blk.runs || e.work.FlowPrunes != blk.prunes {
-			t.Errorf("%s at Nin=%d: %d cuts, flow bound calls/runs/prunes %d/%d/%d, want %d cuts, %d/%d/%d",
-				blk.name, blk.nin, cuts, e.work.FlowCalls, e.work.FlowRuns, e.work.FlowPrunes, blk.cuts, blk.calls, blk.runs, blk.prunes)
+		w := e.work
+		if cuts != blk.cuts || w.FlowCalls != blk.calls || w.FlowRuns != blk.runs || w.FlowAugments != blk.augments || w.FlowPrunes != blk.prunes {
+			t.Errorf("%s at Nin=%d: %d cuts, flow bound calls/runs/augments/prunes %d/%d/%d/%d, want %d cuts, %d/%d/%d/%d",
+				blk.name, blk.nin, cuts, w.FlowCalls, w.FlowRuns, w.FlowAugments, w.FlowPrunes, blk.cuts, blk.calls, blk.runs, blk.augments, blk.prunes)
 		}
 	}
 }
@@ -119,6 +122,15 @@ func edmondsKarpBound(g *dfg.Graph, o int, onPath, uncut *bitset.Set, flowCap in
 	return flow
 }
 
+// referenceBound is the reference for a seed level whose last seed is
+// lastIn: edmondsKarpBound with the rejected set and every vertex strictly
+// between lastIn and o at infinite capacity (inf is its scratch).
+func referenceBound(g *dfg.Graph, o, lastIn int, onPath, rejected, inf *bitset.Set, flowCap int) int {
+	inf.Copy(rejected)
+	inf.AddRange(lastIn+1, o)
+	return edmondsKarpBound(g, o, onPath, inf, flowCap)
+}
+
 // flowInstance draws a random DAG of n vertices whose predecessors mostly
 // lie in a window below each vertex, so paths run deep and cross. Some
 // non-root vertices are user-forbidden and so feed the source too.
@@ -149,11 +161,11 @@ func flowInstance(r *rand.Rand, n int) *dfg.Graph {
 	return g.MustFreeze()
 }
 
-// flowRegion fills onPath with the region the search hands the bound: the
-// vertices that reach o avoiding the inputs, intersected with those an
-// entry reaches inside that set.
-func flowRegion(g *dfg.Graph, o int, inputs, onPath *bitset.Set) {
-	back := bitset.New(g.N())
+// flowRegion fills back with the vertices that reach o avoiding the
+// inputs, the set the search hands the bound, and onPath with those an
+// entry reaches inside that set, the region of the reference.
+func flowRegion(g *dfg.Graph, o int, inputs, back, onPath *bitset.Set) {
+	back.Clear()
 	back.Add(o)
 	for v := o - 1; v >= 0; v-- {
 		if !inputs.Has(v) && g.SuccsIntersect(v, back) {
@@ -170,13 +182,18 @@ func flowRegion(g *dfg.Graph, o int, inputs, onPath *bitset.Set) {
 
 // TestFlowBoundMatchesEdmondsKarp checks the word-cost kernel against the
 // Edmonds–Karp reference on random DAGs of one to five words, with random
-// inputs, random uncuttable (infinite-capacity) subsets and flow caps 0–6.
-// Each instance also plants an all-uncuttable entry→o path, whose infinite
-// capacity must saturate both at flowCap+1, and the kernel must not
-// allocate once warm.
+// inputs, among them a random last seed lastIn below o, random rejected
+// (infinite-capacity) sets below lastIn and flow caps 0–6. The kernel
+// reads the reaches-o set, with every member above lastIn in the sink; the
+// reference runs on the on-path set to o, with the vertices between lastIn
+// and o and the rejected ones at infinite capacity. The one-pass phase
+// alone must find a flow no larger than the reference's, and at least one
+// path when any exists. Each instance also plants an all-uncuttable
+// entry→o path, whose infinite capacity must saturate both at flowCap+1,
+// and the kernel must not allocate once warm.
 func TestFlowBoundMatchesEdmondsKarp(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	rounds := 0
+	rounds, sinkEntries := 0, 0
 	for stride := 1; stride <= 5; stride++ {
 		for inst := 0; inst < 12; inst++ {
 			lo, hi := 64*(stride-1)+1, min(64*stride, 300)
@@ -184,37 +201,49 @@ func TestFlowBoundMatchesEdmondsKarp(t *testing.T) {
 			n := g.N()
 			e := newEnumShared(g, DefaultOptions()).newWorker(func(Cut) bool { return true }, nil)
 			fs := e.flow()
-			inputs, onPath := bitset.New(n), bitset.New(n)
+			inputs, back, onPath, inf := bitset.New(n), bitset.New(n), bitset.New(n), bitset.New(n)
 			for q := 0; q < 40; q++ {
 				o := n/2 + r.Intn(n-n/2)
-				inputs.Clear()
-				for k := r.Intn(6); k > 0; k-- {
-					if v := r.Intn(o + 1); v != o {
-						inputs.Add(v)
-					}
+				if o == 0 {
+					continue
 				}
-				flowRegion(g, o, inputs, onPath)
+				lastIn := r.Intn(o)
+				inputs.Clear()
+				inputs.Add(lastIn)
+				for k := r.Intn(5); k > 0; k-- {
+					inputs.Add(r.Intn(lastIn + 1))
+				}
+				flowRegion(g, o, inputs, back, onPath)
 				if !onPath.Has(o) {
 					continue
 				}
 				fs.uncut.Clear()
 				if dens := r.Intn(4); dens > 0 {
 					onPath.ForEach(func(v int) bool {
-						if v != o && r.Intn(8) < dens {
+						if v < lastIn && r.Intn(8) < dens {
 							fs.uncut.Add(v)
 						}
 						return true
 					})
 				}
-				flowCap := r.Intn(7)
-				got, want := e.completionFlowBound(o, onPath, flowCap), edmondsKarpBound(g, o, onPath, fs.uncut, flowCap)
+				cap0 := r.Intn(7)
+				want := referenceBound(g, o, lastIn, onPath, fs.uncut, inf, cap0)
+				got := e.completionFlowBound(o, lastIn, back, cap0)
 				if got != want {
-					t.Fatalf("n=%d o=%d cap=%d: bound %d, Edmonds–Karp %d", n, o, flowCap, got, want)
+					t.Fatalf("n=%d o=%d lastIn=%d cap=%d: bound %d, Edmonds–Karp %d", n, o, lastIn, cap0, got, want)
+				}
+				if one := fs.onePass(g, o, lastIn, back, cap0); one > want || (want > 0) != (one > 0) {
+					t.Fatalf("n=%d o=%d lastIn=%d cap=%d: one-pass phase %d, Edmonds–Karp %d", n, o, lastIn, cap0, one, want)
+				}
+				fs.reset()
+				if dfg.HighestMaskedBit(g.EntrySet().Words(), back.Words()) > lastIn {
+					sinkEntries++
 				}
 				rounds++
 
 				// Plant an all-uncuttable path: walk down from o through
-				// on-path predecessors to an entry.
+				// on-path predecessors to an entry, rejecting each vertex
+				// below lastIn on the way.
 				for v := o; !g.EntrySet().Has(v); {
 					for _, p := range g.Preds(v) {
 						if onPath.Has(p) {
@@ -222,20 +251,21 @@ func TestFlowBoundMatchesEdmondsKarp(t *testing.T) {
 							break
 						}
 					}
-					fs.uncut.Add(v)
+					if v < lastIn {
+						fs.uncut.Add(v)
+					}
 				}
-				fs.uncut.Remove(o)
-				got, want = e.completionFlowBound(o, onPath, flowCap), edmondsKarpBound(g, o, onPath, fs.uncut, flowCap)
-				if got != flowCap+1 || want != flowCap+1 {
-					t.Fatalf("n=%d o=%d cap=%d: uncuttable path gives bound %d, Edmonds–Karp %d, want %d", n, o, flowCap, got, want, flowCap+1)
+				got, want = e.completionFlowBound(o, lastIn, back, cap0), referenceBound(g, o, lastIn, onPath, fs.uncut, inf, cap0)
+				if got != cap0+1 || want != cap0+1 {
+					t.Fatalf("n=%d o=%d lastIn=%d cap=%d: uncuttable path gives bound %d, Edmonds–Karp %d, want %d", n, o, lastIn, cap0, got, want, cap0+1)
 				}
-				if a := testing.AllocsPerRun(5, func() { e.completionFlowBound(o, onPath, flowCap) }); a != 0 {
+				if a := testing.AllocsPerRun(5, func() { e.completionFlowBound(o, lastIn, back, cap0) }); a != 0 {
 					t.Fatalf("n=%d: completionFlowBound allocates %.1f times per call", n, a)
 				}
 			}
 		}
 	}
-	if rounds < 1000 {
-		t.Fatalf("only %d comparisons ran", rounds)
+	if rounds < 1000 || sinkEntries == 0 {
+		t.Fatalf("only %d comparisons ran, %d with an entry in the sink", rounds, sinkEntries)
 	}
 }

@@ -178,8 +178,9 @@ func (sh *enumShared) newWorker(visit func(Cut) bool, ext *atomic.Bool) *incEnum
 // The work record (testdata/work.json) pins a serial run's counts.
 type work struct {
 	Shrinks        int `json:"shrinks"`          // shrinkS calls: one per completion
-	FlowCalls      int `json:"flow_calls"`       // §5.3 flow bound asked for: uncuttable sets loaded
+	FlowCalls      int `json:"flow_calls"`       // §5.3 flow bound asked for: rejected sets loaded
 	FlowRuns       int `json:"flow_runs"`        // max-flow kernel runs past the structural caps
+	FlowAugments   int `json:"flow_augments"`    // augmenting-path searches after the kernel's one-pass phase
 	FlowPrunes     int `json:"flow_prunes"`      // subtrees the flow bound pruned
 	MemoFills      int `json:"memo_fills"`       // cone memo entries filled
 	MemoHits       int `json:"memo_hits"`        // phase starts served from a cone memo entry
@@ -214,7 +215,7 @@ type incEnum struct {
 	backs    []*bitset.Set // per-depth reaches-o sets (an output push at d fills d+1)
 	uncs     []*bitset.Set // per-depth input-ancestor sets for the quick-offending reject
 	chains   [][]int       // per-depth dominator-chain buffers
-	inRejs   []*bitset.Set // per chosen output: the completions §5.3 rejects for it
+	inRejs   []*bitset.Set // per chosen output: the inputs §5.3 rejects for it
 	seedRejs []*bitset.Set // per-depth: the seeds §5.3 rejects in the seed loop
 	last     lastLevel     // the live two-inputs-left seed loop's chains (lastlevel.go)
 	cones    coneMemo      // input-free phase starts, by output (lastlevel.go)
@@ -260,19 +261,15 @@ func (e *incEnum) chainBuf(d int) []int {
 }
 
 // analyzePaths analyses the reduced graph (the augmented graph minus the
-// chosen inputs) with respect to output o. It computes into back the set of
-// vertices that reach o avoiding the inputs, into onPath the set of
-// vertices lying on some source→o path avoiding the inputs, appends to
-// chain every vertex that dominates o in the reduced graph, and reports
+// chosen inputs) with respect to output o, below the phase's last input
+// lastIn (o itself at a phase start). back arrives holding the set of
+// vertices that reach o avoiding the inputs: at a phase start the output
+// push's grow kernel (growS) wrote B(I, o) ∪ {o} into it, and after a seed
+// push the delta kernel (dfg.Traverser.ShrinkReachInto) derived it from
+// the parent level's. It computes into onPath the vertices below lastIn
+// lying on some source→o path avoiding the inputs, appends to chain every
+// vertex below lastIn that dominates o in the reduced graph, and reports
 // whether o is reachable at all.
-//
-// pBack is the back set of the parent recursion level (nil at the start of
-// an output's phase). When present, the only change since the parent's
-// analysis is the single seed lastIn joining I, so back is *derived* from
-// the parent by the delta kernel (dfg.Traverser.ShrinkReachInto): it
-// shrinks by lastIn's severed ancestor region, confined to the region the
-// push actually changes. At a phase start back arrives filled: the output
-// push's grow kernel (growS) already wrote B(I, o) ∪ {o} into it.
 //
 // onPath, the dominator chain and the reachability verdict all come out of
 // ONE ascending pass over back, with no forward closure at all. Three facts
@@ -290,12 +287,21 @@ func (e *incEnum) chainBuf(d int) []int {
 // successor row by back equals masking it by the finished onPath, and the
 // running maximum never reads a bit the walk has not justified.
 //
-// Dominators then fall out as in PR 3: restricted to surviving paths, v
-// dominates o exactly when no surviving edge "jumps over" its topological
-// position, i.e. when the running maximum of highest on-path successors is
-// at most v when the walk reaches it. The Freeze-memoized MaxSucc bound
+// Dominators then fall out of the running maximum: restricted to
+// surviving paths, v dominates o exactly when no surviving edge "jumps
+// over" its topological position, i.e. when the running maximum of highest
+// on-path successors is at most v when the walk reaches it. The Freeze-memoized MaxSucc bound
 // skips the masked row scan whenever even v's highest successor overall
 // cannot beat the running maximum — the common case once it nears o.
+//
+// The walk stops at lastIn. Nothing of the level reads a vertex above it:
+// its completions, its seeds and a last-level child's chain all lie below
+// lastIn, and the flow bound reads back. After a seed push o is reachable
+// exactly when the running maximum has passed lastIn: a vertex of back
+// above lastIn reaches o inside back, and a surviving source path to o
+// either starts at an entry above lastIn or leaves the vertices below it
+// along an edge the running maximum has read. At a phase start the walk
+// reaches o itself and decides it as before.
 //
 // A level that may arm a last-level table passes tree: the sweep then also
 // ranks H into it, with each vertex's immediate dominator and highest
@@ -303,17 +309,10 @@ func (e *incEnum) chainBuf(d int) []int {
 //
 // Only a caller with input budget left analyses: with none, viable has
 // already decided that o is unreachable (see pickInputs).
-func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn int, chain []int, tree []treeNode) (bool, []int) {
+func (e *incEnum) analyzePaths(o int, back, onPath *bitset.Set, lastIn int, chain []int, tree []treeNode) (bool, []int) {
 	g := e.g
-
-	if pBack != nil {
-		// Seed-extension level: derive back from the parent. (lastIn ∈
-		// pBack: seeds are chosen on-path, and o ∈ pBack stays — it is
-		// never an input, so only its ancestors can be severed.)
-		e.tr.ShrinkReachInto(back, pBack, o, lastIn)
-	}
 	if tree != nil {
-		return e.last.sweep(g, o, back, onPath, chain, tree)
+		return e.last.sweep(g, o, lastIn, back, onPath, chain, tree)
 	}
 
 	onPath.CopyIntersect(g.EntrySet(), back)
@@ -325,6 +324,9 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 			b := bits.TrailingZeros64(w)
 			v := wi<<6 + b
 			w &= w - 1
+			if v > lastIn {
+				return runMax > lastIn, chain
+			}
 			if opw[wi]&(1<<uint(b)) == 0 {
 				if !g.PredsIntersect(v, onPath) {
 					continue // on no surviving source path
@@ -344,7 +346,7 @@ func (e *incEnum) analyzePaths(o int, back, onPath, pBack *bitset.Set, lastIn in
 			}
 		}
 	}
-	return false, chain // o itself never became on-path: I dominates o
+	return runMax > lastIn, chain // at a phase start: o never became on-path, I dominates o
 }
 
 // pickOutput implements PICK-OUTPUT: choose the next output o, grow S by
@@ -468,8 +470,10 @@ func (e *incEnum) reachableFromInput(o int) bool {
 // already counts every vertex as uncuttable (docs/ALGORITHM.md §5, §6).
 //
 // pBack is the parent seed level's reaches-o frontier (nil at a phase
-// start); when present the just-pushed seed is Ilist's last entry and
-// analyzePaths derives the child frontier from it by delta.
+// start); when present the just-pushed seed is Ilist's last entry, and the
+// level derives its own frontier from the parent's by delta. The flow
+// bound reads only that frontier, so it runs first, and a level it prunes
+// runs no analysis.
 func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set) {
 	if h := faultinject.OnPickInputs; h != nil {
 		h()
@@ -492,7 +496,6 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 	if pBack != nil {
 		lastIn = e.Ilist[len(e.Ilist)-1]
 	}
-	inRej := e.bufAt(&e.inRejs, len(e.outs)-1)
 	if pBack != nil && ninLeft == 1 {
 		// A child with one input left below a seed loop reaches here only
 		// when its parent could not decide it alone: lastIn is not on the
@@ -501,15 +504,16 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 		// admissible completion. With one input left the child runs no
 		// analysis, no seed loop and no flow bound.
 		e.countServed()
-		e.complete(depth, o, ninLeft, noutLeft, lastIn, e.chains[depth], inRej)
+		e.complete(depth, o, ninLeft, noutLeft, lastIn, e.chains[depth])
 		return
 	}
+	inRej := e.bufAt(&e.inRejs, len(e.outs)-1)
 	onPath := e.bufAt(&e.paths, depth)
 	back := e.bufAt(&e.backs, depth)
 	// A phase start with no chosen input in o's cone reads its analysis,
 	// and its last-level tree, from the worker's cone memo (coneMemo).
-	// Anywhere else a level with two inputs left folds its tree into the
-	// worker's scratch tree as it analyses.
+	// Anywhere else a level with two inputs left whose seed loop runs folds
+	// its tree into the worker's scratch tree as it analyses.
 	reachable, top := true, -1 // top: set from a memo entry, else found below
 	var chain []int
 	var memo *coneEntry
@@ -518,12 +522,31 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 		reachable, top = memo.reach, int(memo.top)
 		chain = append(e.chainBuf(depth), e.cones.chainOf(memo)...)
 	} else {
+		if pBack != nil {
+			// Seed-extension level: derive back from the parent. (lastIn ∈
+			// pBack: seeds are chosen on-path, and o ∈ pBack stays — it is
+			// never an input, so only its ancestors can be severed.) A seed
+			// level has two or more inputs left, so the flow bound runs.
+			e.tr.ShrinkReachInto(back, pBack, o, lastIn)
+			if e.flowPrunes(o, lastIn, back, inRej, ninLeft) {
+				// A pruned level has no completion either, so it runs no
+				// analysis. Its flow exceeds ninLeft ≥ 2, and every source
+				// path to the sink crosses each dominator of o below
+				// lastIn, so such a dominator would have to be rejected,
+				// and no dominator ever is (docs/ALGORITHM.md §5, "Rejected
+				// vertices dominate nothing"): its completion loop would
+				// find nothing to check or count.
+				e.work.FlowPrunes++
+				e.stats.SeedsPruned++
+				return
+			}
+		}
 		var tree []treeNode
 		if ninLeft == 2 {
 			tree = e.last.scratchTree(e.g)
 			e.work.TreeFolds++
 		}
-		reachable, chain = e.analyzePaths(o, back, onPath, pBack, lastIn, e.chainBuf(depth), tree)
+		reachable, chain = e.analyzePaths(o, back, onPath, lastIn, e.chainBuf(depth), tree)
 	}
 	e.chains[depth] = chain // keep any capacity growth for reuse
 	if !reachable {
@@ -540,36 +563,12 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 	if pBack == nil {
 		e.inputRejectsInto(inRej, o)
 	}
-	if e.complete(depth, o, ninLeft, noutLeft, lastIn, chain, inRej); e.stopped {
+	if e.complete(depth, o, ninLeft, noutLeft, lastIn, chain); e.stopped {
 		return
 	}
 
 	// Seed extension step: push another on-path ancestor of o and recurse.
 	if ninLeft > 1 {
-		// The budget-feasibility bound runs once at least one seed of the
-		// phase is chosen (the explosion lives in deep seed levels).
-		if pBack != nil {
-			// Bound the inputs any completion of the phase still needs (see
-			// flow.go). None of them can be a vertex above lastIn (seeds
-			// descend, and the completion lies below the last seed) or a
-			// vertex the phase rejects, so all of these are uncuttable.
-			// flowBoundCanExceed first checks two O(words) structural caps
-			// on the max-flow; when either already fits the budget, the
-			// bound cannot prune and the max-flow never runs.
-			fs := e.flow()
-			fs.uncut.Clear()
-			fs.uncut.AddRange(lastIn+1, o)
-			fs.uncut.Union(inRej)
-			e.work.FlowCalls++
-			if e.flowBoundCanExceed(o, onPath, ninLeft) {
-				e.work.FlowRuns++
-				if e.completionFlowBound(o, onPath, ninLeft) > ninLeft {
-					e.work.FlowPrunes++
-					e.stats.SeedsPruned++
-					return
-				}
-			}
-		}
 		// Seed candidates walk the surviving-path vertices deepest-first
 		// (descending id ≡ reverse topological order), starting below
 		// lastIn. Iterating the onPath members directly skips the off-path
@@ -618,7 +617,7 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 					e.stats.SeedsPruned++
 					continue
 				}
-				if ninLeft == 2 && e.decideLastLevel(depth, i, inRej) {
+				if ninLeft == 2 && e.decideLastLevel(depth, i) {
 					if e.stopped {
 						return
 					}
@@ -634,13 +633,33 @@ func (e *incEnum) pickInputs(depth, o, ninLeft, noutLeft int, pBack *bitset.Set)
 	}
 }
 
+// flowPrunes runs the budget-feasibility bound (§5.3) at a seed level,
+// once the phase has a seed: it reports whether every completion of the
+// phase still needs more than the ninLeft inputs left (see flow.go). None
+// of them can be a vertex above lastIn (seeds descend, and the completion
+// lies below the last seed) or a vertex the phase rejects (inRej), so all
+// of these are uncuttable. flowBoundCanExceed first checks two O(words)
+// structural caps on the max-flow; when either already fits the budget,
+// the bound cannot prune and the max-flow never runs.
+func (e *incEnum) flowPrunes(o, lastIn int, back, inRej *bitset.Set, ninLeft int) bool {
+	e.flow().uncut.Copy(inRej)
+	e.work.FlowCalls++
+	if !e.flowBoundCanExceed(o, lastIn, back, ninLeft) {
+		return false
+	}
+	e.work.FlowRuns++
+	return e.completionFlowBound(o, lastIn, back, ninLeft) > ninLeft
+}
+
 // complete runs PICK-INPUTS' completion step: every reduced-graph
 // dominator u of o in chain extends I to a multiple-vertex dominator of o.
 // The completion is the phase's smallest input: the chain ascends, so it
 // stops at the first vertex above the phase's last (smallest) seed,
 // lastIn. A completion applies every chosen input the phase added to S at
-// once (shrinkS), checks the cut and pops both.
-func (e *incEnum) complete(depth, o, ninLeft, noutLeft, lastIn int, chain []int, inRej *bitset.Set) {
+// once (shrinkS), checks the cut and pops both. No dominator is a vertex
+// the output–input pruning rejects (docs/ALGORITHM.md §5, "Rejected
+// vertices dominate nothing"), so the loop needs no such test.
+func (e *incEnum) complete(depth, o, ninLeft, noutLeft, lastIn int, chain []int) {
 	for _, u := range chain {
 		if e.stopped {
 			return
@@ -650,10 +669,6 @@ func (e *incEnum) complete(depth, o, ninLeft, noutLeft, lastIn int, chain []int,
 		}
 		if e.outSet.Has(u) {
 			continue // a chosen output cannot double as an input
-		}
-		if inRej.Has(u) {
-			e.stats.SeedsPruned++
-			continue
 		}
 		e.pushInput(u)
 		e.shrinkS(depth)
@@ -671,24 +686,20 @@ func (e *incEnum) complete(depth, o, ninLeft, noutLeft, lastIn int, chain []int,
 // armed chain cuts o off (lastLevel.dominated), and the child's cut is
 // checked where s completes the chain. Otherwise the parent reads the
 // child's chain off the table into the chain buffer of depth+1, where a
-// served child finds it, and when no member is admissible — each is a
-// chosen output or one inRej rejects — the child would only count. Either
-// way the parent runs the child's poll and counts what the child would
-// have, with no push and no call.
-func (e *incEnum) decideLastLevel(depth, s int, inRej *bitset.Set) bool {
+// served child finds it, and when every member is a chosen output the
+// child would only count (no member is a rejected vertex: docs/ALGORITHM.md
+// §5, "Rejected vertices dominate nothing"). Either way the parent runs
+// the child's poll and counts what the child would have, with no push and
+// no call.
+func (e *incEnum) decideLastLevel(depth, s int) bool {
 	dominated := e.last.dominated(s)
-	pruned := 0
 	if !dominated {
 		chain := e.last.chainFor(s, e.chainBuf(depth+1))
 		e.chains[depth+1] = chain
 		for _, u := range chain {
-			if e.outSet.Has(u) {
-				continue
-			}
-			if !inRej.Has(u) {
+			if !e.outSet.Has(u) {
 				return false // the child has a completion to check
 			}
-			pruned++
 		}
 	}
 	if !e.poll() {
@@ -697,7 +708,6 @@ func (e *incEnum) decideLastLevel(depth, s int, inRej *bitset.Set) bool {
 	e.stats.LTRuns++
 	if !dominated {
 		e.countServed()
-		e.stats.SeedsPruned += pruned
 		e.work.ChainsInParent++
 	}
 	return true
@@ -740,7 +750,7 @@ func (e *incEnum) coneEntry(o int, back, onPath *bitset.Set, chain []int) *coneE
 	c.tree, c.h = int32(len(m.trees)), int32(e.g.ReachTo(o).Count())
 	m.trees = growSlab(m.trees, int(c.h), e.g.N())
 	tree := m.treeOf(c)
-	c.reach, chain = e.analyzePaths(o, back, onPath, nil, o, chain, tree)
+	c.reach, chain = e.analyzePaths(o, back, onPath, o, chain, tree)
 	top := dfg.HighestMaskedBit(e.g.EntrySet().Words(), back.Words())
 	if c.reach {
 		e.last.foldL(tree, top, rankIn(onPath.Words(), top), c.h)

@@ -54,7 +54,7 @@ import (
 // Ids are topological, so a tree parent always has the smaller rank, and a
 // vertex's rank is the number of H members below it (rankIn).
 type lastLevel struct {
-	onPath *bitset.Set // H and o: the armed parent's surviving-path vertices
+	onPath *bitset.Set // H: the armed parent's surviving-path vertices, below its last input
 	chain  []int       // D: the armed parent's dominator chain, ascending
 	next   int         // chain[:next]: the members not above the last seed asked about
 	top    int         // highest entry of H: the virtual source's farthest edge
@@ -109,15 +109,17 @@ func (t *lastLevel) dominated(s int) bool {
 
 // sweep is analyzePaths' ascending pass for a level that may arm a table:
 // besides onPath, the chain and the reachability verdict, it ranks H below
-// o into dst, with each vertex's immediate dominator and highest successor
-// inside back. Every predecessor is ranked before its successors, so a
-// vertex's immediate dominator is the LCA of its on-path predecessors
-// (predLCA), or the virtual source for an entry; and a vertex is on-path
-// exactly when it is an entry or that LCA exists, so predLCA also decides
-// what analyzePaths asks of PredsIntersect. A vertex's highest successor
-// is the row scan analyzePaths runs for its running maximum, here run on
-// every vertex. dst must hold a rank per on-path vertex below o.
-func (t *lastLevel) sweep(g *dfg.Graph, o int, back, onPath *bitset.Set, chain []int, dst []treeNode) (bool, []int) {
+// lastIn into dst, with each vertex's immediate dominator and highest
+// successor inside back; like analyzePaths it stops at lastIn, and no
+// child reads a rank above its seed. Every predecessor is ranked before
+// its successors, so a vertex's immediate dominator is the LCA of its
+// on-path predecessors (predLCA), or the virtual source for an entry; and
+// a vertex is on-path exactly when it is an entry or that LCA exists, so
+// predLCA also decides what analyzePaths asks of PredsIntersect. A
+// vertex's highest successor is the row scan analyzePaths runs for its
+// running maximum, here run on every vertex. dst must hold a rank per
+// on-path vertex below lastIn.
+func (t *lastLevel) sweep(g *dfg.Graph, o, lastIn int, back, onPath *bitset.Set, chain []int, dst []treeNode) (bool, []int) {
 	if len(t.rank) < g.N() {
 		t.rank = make([]int32, g.N())
 	}
@@ -131,6 +133,9 @@ func (t *lastLevel) sweep(g *dfg.Graph, o int, back, onPath *bitset.Set, chain [
 			b := bits.TrailingZeros64(w)
 			v := wi<<6 + b
 			w &= w - 1
+			if v > lastIn {
+				return runMax > lastIn, chain
+			}
 			idom := int32(-1) // an entry: the virtual source
 			if opw[wi]&(1<<uint(b)) == 0 {
 				if idom = t.predLCA(g.PredRow(v), opw, dst); idom == noVertex {
@@ -151,7 +156,7 @@ func (t *lastLevel) sweep(g *dfg.Graph, o int, back, onPath *bitset.Set, chain [
 			h++
 		}
 	}
-	return false, chain
+	return runMax > lastIn, chain
 }
 
 // predLCA folds the dominator-tree LCA over the predecessors of a vertex
